@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .groups import TopoGroupError, build_group
+from .groups import TopoGroupError, _split_top_level, build_group
 from .lattice import enumerate_subgroups
 from .toposystems import (
     build_toposys,
@@ -57,7 +57,13 @@ def _load_config_file(path: str) -> dict:
             key = key.strip()
             if key not in ("max-order", "groups", "suites", "format", "timings"):
                 raise TopoGroupError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            value = value.strip()
+            if key == "max-order":
+                try:
+                    int(value)
+                except ValueError:
+                    raise TopoGroupError(f"{path}:{lineno}: max-order must be an integer, got {value!r}") from None
+            values[key] = value
     return values
 
 
@@ -177,8 +183,6 @@ def _cmd_converge(args) -> int:
 def _cmd_product(args) -> int:
     spec = args.groups.replace(" ", "")
     if spec.startswith("product(") and spec.endswith(")"):
-        from .groups import _split_top_level
-
         factor_descs = [p for p in _split_top_level(spec[len("product(") : -1]) if p]
     else:
         factor_descs = [p for p in spec.split(";") if p]
@@ -209,11 +213,8 @@ def _cmd_product(args) -> int:
 def _cmd_theorems(args) -> int:
     values = _load_config_file(args.config) if args.config else {}
     max_order = args.max_order if args.max_order is not None else int(values.get("max-order", 24))
-    groups = tuple(
-        (args.groups or values.get("groups", "")).split(",")
-        if (args.groups or values.get("groups"))
-        else DEFAULT_CATALOG
-    )
+    group_spec = args.groups or values.get("groups", "")
+    groups = tuple(_split_top_level(group_spec)) if group_spec else DEFAULT_CATALOG
     suites = tuple(args.suite) if args.suite else tuple(
         values.get("suites", "").split(",") if values.get("suites") else SUITE_NAMES
     )

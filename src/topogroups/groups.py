@@ -206,26 +206,37 @@ class Subgroup:
 def closure_mask(group: FiniteGroup, seed) -> int:
     """Bitmask of the subgroup generated by *seed* (ids or a mask).
 
-    Closure under products alone suffices: in a finite group the powers of an
-    element reach its inverse.
+    The subgroup is the orbit of the identity under right multiplication by
+    the generators: in a finite group the powers of an element reach its
+    inverse.  A seed element already inside the orbit adds nothing and is
+    skipped, so the cost is O(|H| * generators actually used).
     """
-    if isinstance(seed, int) and not isinstance(seed, bool):
-        pending = list(bits_of(seed))
-    else:
-        pending = list(seed)
     table = group.table
+    gens: list[int] = []
     members = [0]
     mask = 1
-    while pending:
-        x = pending.pop()
-        if mask >> x & 1:
+    seeds = bits_of(seed) if isinstance(seed, int) and not isinstance(seed, bool) else seed
+    for g in seeds:
+        if mask >> g & 1:
             continue
-        mask |= 1 << x
-        for y in members:
-            pending.append(table[x][y])
-            pending.append(table[y][x])
-        pending.append(table[x][x])
-        members.append(x)
+        # the members so far are closed under the earlier generators; they
+        # need only g, while every new member needs all generators
+        gens.append(g)
+        done = len(members)
+        for x in members[:done]:
+            y = table[x][g]
+            if not mask >> y & 1:
+                mask |= 1 << y
+                members.append(y)
+        i = done
+        while i < len(members):
+            row = table[members[i]]
+            i += 1
+            for h in gens:
+                y = row[h]
+                if not mask >> y & 1:
+                    mask |= 1 << y
+                    members.append(y)
     return mask
 
 
@@ -283,10 +294,6 @@ def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homo
     return Homomorphism(source, target, mapping)
 
 
-def identity_homomorphism(group: FiniteGroup) -> Homomorphism:
-    return Homomorphism(group, group, tuple(range(group.order)))
-
-
 def subgroup_group(group: FiniteGroup, mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:
     """Reindex a subgroup as a group of its own, plus the inclusion map.
 
@@ -331,24 +338,32 @@ def _cyclic_table(n: int):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+def mixed_radix_decode(orders, idx: int) -> tuple[int, ...]:
+    """Digits of *idx* in mixed radix over *orders*, first digit most significant."""
+    out = []
+    for o in reversed(orders):
+        idx, digit = divmod(idx, o)
+        out.append(digit)
+    return tuple(reversed(out))
+
+
+def mixed_radix_encode(orders, digits) -> int:
+    idx = 0
+    for o, d in zip(orders, digits):
+        idx = idx * o + d
+    return idx
+
+
 def _mixed_radix_tables(orders: list[int], mul_component):
     total = 1
     for o in orders:
         total *= o
-    def decode(idx):
-        out = []
-        for o in reversed(orders):
-            out.append(idx % o)
-            idx //= o
-        return tuple(reversed(out))
-    def encode(tup):
-        idx = 0
-        for o, t in zip(orders, tup):
-            idx = idx * o + t
-        return idx
-    tuples = [decode(i) for i in range(total)]
+    tuples = [mixed_radix_decode(orders, i) for i in range(total)]
     table = [
-        [encode(tuple(mul_component(k, a[k], b[k]) for k in range(len(orders)))) for b in tuples]
+        [
+            mixed_radix_encode(orders, (mul_component(k, a[k], b[k]) for k in range(len(orders))))
+            for b in tuples
+        ]
         for a in tuples
     ]
     names = tuple("(" + ",".join(str(t) for t in tup) + ")" for tup in tuples)
@@ -534,14 +549,8 @@ def _bare_product(factors: list[FiniteGroup], desc: str) -> FiniteGroup:
     def mul(k, a, b):
         return factors[k].table[a][b]
     table, _ = _mixed_radix_tables(orders, mul)
-    def decode(idx):
-        out = []
-        for o in reversed(orders):
-            out.append(idx % o)
-            idx //= o
-        return tuple(reversed(out))
     names = tuple(
-        "(" + ",".join(f.name(c) for f, c in zip(factors, decode(i))) + ")"
+        "(" + ",".join(f.name(c) for f, c in zip(factors, mixed_radix_decode(orders, i))) + ")"
         for i in range(len(table))
     )
     return FiniteGroup(table, desc, names)

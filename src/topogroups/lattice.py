@@ -1,10 +1,12 @@
 """Complete subgroup lattices of small finite groups, plus the subgroup algebra.
 
-Enumeration seeds with every cyclic subgroup and closes under pairwise join;
-this is complete because each subgroup is the join of its own cyclic
-subgroups.  The canonical order is (order, then membership lexicographic), so
-index 0 is the trivial subgroup and the last index is the whole group.  Every
-other module stores subgroup sets as sets of these canonical indices.
+Enumeration is by cyclic extension: starting from the trivial subgroup, every
+subgroup found is extended by every cyclic subgroup not inside it.  This is
+complete because each subgroup is the join of its own cyclic subgroups, and
+it records a small generating set for each subgroup on the way.  The
+canonical order is (order, then membership lexicographic), so index 0 is the
+trivial subgroup and the last index is the whole group.  Every other module
+stores subgroup sets as sets of these canonical indices.
 """
 
 from __future__ import annotations
@@ -47,26 +49,39 @@ SUPPORTED_EXPONENTS = (2, 3, 4, 6)
 
 
 class SubgroupLattice:
-    """Canonical array of every subgroup of a group, with meet/join tables.
+    """Canonical array of every subgroup of a group, with the subgroup algebra.
 
-    Meets are mask intersections; joins are generated-subgroup closures and
-    are memoized, as exhaustive suites do millions of them.
+    *generators* maps each subgroup mask to a generating set and
+    *cyclic_masks* gives the cyclic subgroup of each element.  Meets are mask
+    intersections; a join is read off per-subgroup bitsets of the subgroups
+    containing it, with no closure.
     """
 
-    def __init__(self, group: FiniteGroup, masks):
+    def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
         self.group = group
         key = lambda m: (m.bit_count(), tuple(bits_of(m)))
-        ordered = sorted(set(masks), key=key)
+        ordered = sorted(generators, key=key)
         if ordered[0] != 1 or ordered[-1] != group.full_mask:
             raise TopoGroupError("lattice must span from the trivial subgroup to the whole group")
         self.subgroups: tuple[Subgroup, ...] = tuple(Subgroup(group, m) for m in ordered)
+        self.generators: tuple[tuple[int, ...], ...] = tuple(generators[m] for m in ordered)
         self._index_by_mask = {m: i for i, m in enumerate(ordered)}
-        self._join: dict[tuple[int, int], int] = {}
-        self._cyclic: tuple[int, ...] | None = None
+        self._cyclic: tuple[int, ...] = tuple(self._index_by_mask[m] for m in cyclic_masks)
+        containing = [0] * group.order
+        for k, m in enumerate(ordered):
+            for e in bits_of(m):
+                containing[e] |= 1 << k
+        # _up[k]: bitset of the subgroups containing subgroup k, that is,
+        # containing each of its generators
+        self._up: list[int] = []
+        for gens in self.generators:
+            up = -1
+            for g in gens:
+                up &= containing[g]
+            self._up.append(up)
         self._normalizers: dict[int, int] = {}
         self._cores: dict[int, int] = {}
         self._commutators: dict[tuple[int, int], int] = {}
-        self._hasse: tuple[tuple[int, int], ...] | None = None
         self._subgroup_groups: dict[int, tuple[FiniteGroup, Homomorphism]] = {}
         self._quotients: dict[int, tuple[FiniteGroup, Homomorphism]] = {}
 
@@ -110,33 +125,20 @@ class SubgroupLattice:
         return self._index_by_mask[self.subgroups[i].mask & self.subgroups[j].mask]
 
     def join_index(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        key = (i, j) if i < j else (j, i)
-        got = self._join.get(key)
-        if got is None:
-            mi, mj = self.subgroups[i].mask, self.subgroups[j].mask
-            if mi & mj == mi:
-                got = j
-            elif mi & mj == mj:
-                got = i
-            else:
-                got = self._index_by_mask[closure_mask(self.group, mi | mj)]
-            self._join[key] = got
-        return got
+        # Every common upper bound contains the join, so the join is the
+        # common upper bound of least order; the canonical order sorts by
+        # order first, which makes it the lowest set bit.
+        common = self._up[i] & self._up[j]
+        return (common & -common).bit_length() - 1
 
     def join_of(self, indices) -> int:
-        acc = 0
+        common = -1
         for i in indices:
-            acc = self.join_index(acc, i)
-        return acc
+            common &= self._up[i]
+        return (common & -common).bit_length() - 1
 
     def cyclic_index(self, x: int) -> int:
         """Canonical index of the cyclic subgroup generated by element x."""
-        if self._cyclic is None:
-            self._cyclic = tuple(
-                self._index_by_mask[closure_mask(self.group, (y,))] for y in self.group.elements()
-            )
         return self._cyclic[x]
 
     def conjugate_mask(self, mask: int, g: int) -> int:
@@ -157,8 +159,11 @@ class SubgroupLattice:
     def normalizer_index(self, i: int) -> int:
         got = self._normalizers.get(i)
         if got is None:
+            # g normalizes a finite subgroup once it maps its generators inside
             mask = self.subgroups[i].mask
-            nm = mask_of(g for g in self.group.elements() if self.conjugate_mask(mask, g) == mask)
+            gens = self.generators[i]
+            conjugate = self.group.conjugate
+            nm = mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
             got = self._index_by_mask[nm]
             self._normalizers[i] = got
         return got
@@ -183,20 +188,6 @@ class SubgroupLattice:
             self._commutators[key] = got
         return got
 
-    def hasse_covers(self) -> tuple[tuple[int, int], ...]:
-        """Pairs (i, j) where subgroup j covers subgroup i."""
-        if self._hasse is None:
-            n = len(self.subgroups)
-            covers = []
-            for i in range(n):
-                for j in range(n):
-                    if i == j or not self.leq(i, j):
-                        continue
-                    if not any(k != i and k != j and self.leq(i, k) and self.leq(k, j) for k in range(n)):
-                        covers.append((i, j))
-            self._hasse = tuple(sorted(covers))
-        return self._hasse
-
     def subgroup_as_group(self, i: int) -> tuple[FiniteGroup, Homomorphism]:
         got = self._subgroup_groups.get(i)
         if got is None:
@@ -220,31 +211,34 @@ class SubgroupLattice:
 
 
 def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> SubgroupLattice:
-    """Enumerate the complete subgroup lattice (memoized per group instance)."""
+    """Enumerate the complete subgroup lattice (memoized per group instance).
+
+    Cyclic extension (Neubüser, 1960): breadth first from the trivial
+    subgroup, each subgroup found is extended by each cyclic subgroup not
+    inside it.  That is one closure per (subgroup, cyclic subgroup) pair, and
+    each subgroup keeps the generators of its first-found, hence shortest,
+    extension chain.
+    """
     if group._lattice is not None:
         return group._lattice
     if group.order > cap:
         raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {cap}")
-    seen: set[int] = {1}
-    queue: list[int] = [1]
-    for x in group.elements():
-        m = closure_mask(group, (x,))
-        if m not in seen:
-            seen.add(m)
-            queue.append(m)
-    i = 0
-    while i < len(queue):
-        m1 = queue[i]
-        i += 1
-        for m2 in queue[:i]:
-            inter = m1 & m2
-            if inter == m1 or inter == m2:
+    cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
+    cyclics: dict[int, int] = {}
+    for x, m in enumerate(cyclic_masks):
+        cyclics.setdefault(m, x)
+    generators: dict[int, tuple[int, ...]] = {1: ()}
+    queue = [1]
+    for h in queue:
+        gens = generators[h]
+        for c, x in cyclics.items():
+            if c & h == c:
                 continue
-            j = closure_mask(group, m1 | m2)
-            if j not in seen:
-                seen.add(j)
+            j = closure_mask(group, gens + (x,))
+            if j not in generators:
+                generators[j] = gens + (x,)
                 queue.append(j)
-    lattice = SubgroupLattice(group, seen)
+    lattice = SubgroupLattice(group, generators, cyclic_masks)
     group._lattice = lattice
     return lattice
 
@@ -288,79 +282,60 @@ def meet(a: Subgroup, b: Subgroup) -> Subgroup:
     return Subgroup(a.group, a.mask & b.mask)
 
 
+def _locate(a: Subgroup) -> tuple[SubgroupLattice, int]:
+    lattice = enumerate_subgroups(a.group)
+    return lattice, lattice.index_of(a.mask)
+
+
 def join(a: Subgroup, b: Subgroup) -> Subgroup:
     _require_same_parent(a, b)
-    return Subgroup(a.group, closure_mask(a.group, a.mask | b.mask))
+    lattice, i = _locate(a)
+    return lattice.subgroup(lattice.join_index(i, lattice.index_of(b.mask)))
 
 
 def core(x: Subgroup) -> Subgroup:
     """Intersection of all conjugates: the largest normal subgroup inside x."""
-    group = x.group
-    acc = x.mask
-    for g in group.elements():
-        acc &= mask_of(group.conjugate(g, e) for e in bits_of(x.mask))
-    return Subgroup(group, acc)
+    lattice, i = _locate(x)
+    return lattice.subgroup(lattice.core_index(i))
 
 
 def normalizer(a: Subgroup) -> Subgroup:
-    group = a.group
-    conj = lambda g: mask_of(group.conjugate(g, e) for e in bits_of(a.mask))
-    return Subgroup(group, mask_of(g for g in group.elements() if conj(g) == a.mask))
+    lattice, i = _locate(a)
+    return lattice.subgroup(lattice.normalizer_index(i))
 
 
 def is_normal(a: Subgroup) -> bool:
-    return normalizer(a).is_whole
+    lattice, i = _locate(a)
+    return lattice.is_normal_index(i)
 
 
 def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
     _require_same_parent(a, b)
-    group = a.group
-    gens = set()
-    for x in bits_of(a.mask):
-        for y in bits_of(b.mask):
-            gens.add(group.table[group.table[x][y]][group.table[group.inverse[x]][group.inverse[y]]])
-    return Subgroup(group, closure_mask(group, gens))
-
-
-def _greedy_generators(group: FiniteGroup) -> tuple[int, ...]:
-    gens: list[int] = []
-    current = 1
-    for x in group.elements():
-        if current >> x & 1:
-            continue
-        gens.append(x)
-        current = closure_mask(group, current | (1 << x))
-        if current == group.full_mask:
-            break
-    return tuple(gens)
+    lattice, i = _locate(a)
+    return lattice.subgroup(lattice.commutator_index(i, lattice.index_of(b.mask)))
 
 
 def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | None:
     """Close a generator assignment into a map on the generated subgroup.
 
-    Returns None as soon as the homomorphism equations become inconsistent.
+    The map is carried along the orbit of the identity under right
+    multiplication by the generators, as in closure_mask; f(a*g) = f(a)*f(g)
+    for every reached a and generator g makes it a homomorphism.  Returns None
+    as soon as these equations become inconsistent.
     """
-    mapping = {0: 0}
-    for g, h in zip(gens, imgs):
-        if mapping.get(g, h) != h:
-            return None
-        mapping[g] = h
-    known = list(mapping)
     table = group.table
-    i = 0
-    while i < len(known):
-        a = known[i]
-        i += 1
-        for b in list(known):
-            for x, y in ((a, b), (b, a)):
-                p = table[x][y]
-                q = table[mapping[x]][mapping[y]]
-                if p in mapping:
-                    if mapping[p] != q:
-                        return None
-                else:
-                    mapping[p] = q
-                    known.append(p)
+    mapping = {0: 0}
+    known = [0]
+    for a in known:
+        row, image_row = table[a], table[mapping[a]]
+        for g, h in zip(gens, imgs):
+            p, q = row[g], image_row[h]
+            got = mapping.get(p)
+            if got is None:
+                mapping[p] = q
+                known.append(p)
+            elif got != q:
+                return None
     return mapping
 
 
@@ -375,7 +350,8 @@ def automorphisms(group: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[Homo
     cached = group._automorphisms.get(cap)
     if cached is not None:
         return cached
-    gens = _greedy_generators(group)
+    lattice = enumerate_subgroups(group)
+    gens = lattice.generators[lattice.top_index]
     if not gens:
         result = (make_homomorphism(group, group, (0,)),)
         group._automorphisms[cap] = result

@@ -16,6 +16,8 @@ from .groups import (
     closure_mask,
     make_homomorphism,
     mask_of,
+    mixed_radix_decode,
+    mixed_radix_encode,
 )
 from .lattice import enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
@@ -46,17 +48,10 @@ class ProductGroup:
     embeddings: tuple[Homomorphism, ...]
 
     def decode(self, idx: int) -> tuple[int, ...]:
-        out = []
-        for f in reversed(self.factors):
-            out.append(idx % f.order)
-            idx //= f.order
-        return tuple(reversed(out))
+        return mixed_radix_decode([f.order for f in self.factors], idx)
 
     def encode(self, components) -> int:
-        idx = 0
-        for f, c in zip(self.factors, components):
-            idx = idx * f.order + c
-        return idx
+        return mixed_radix_encode([f.order for f in self.factors], components)
 
 
 _PRODUCT_CACHE: dict[tuple[str, ...], ProductGroup] = {}
@@ -77,31 +72,18 @@ def direct_product(factors, cap: int = DEFAULT_ORDER_CAP) -> ProductGroup:
         raise OrderCapExceededError(f"product order {total} exceeds cap {cap}")
     desc = "product(" + ",".join(key) + ")"
     group = _bare_product(list(factors), desc)
-
-    def decode(idx):
-        out = []
-        for f in reversed(factors):
-            out.append(idx % f.order)
-            idx //= f.order
-        return tuple(reversed(out))
-
+    orders = [f.order for f in factors]
     projections = tuple(
-        make_homomorphism(group, factors[i], tuple(decode(x)[i] for x in group.elements()))
+        make_homomorphism(group, factors[i], tuple(mixed_radix_decode(orders, x)[i] for x in group.elements()))
         for i in range(len(factors))
     )
-    def encode(components):
-        idx = 0
-        for f, c in zip(factors, components):
-            idx = idx * f.order + c
-        return idx
-
     embeddings = []
     for i, f in enumerate(factors):
         maps = []
         for a in f.elements():
             tup = [0] * len(factors)
             tup[i] = a
-            maps.append(encode(tup))
+            maps.append(mixed_radix_encode(orders, tup))
         embeddings.append(make_homomorphism(f, group, tuple(maps)))
     result = ProductGroup(factors, group, projections, tuple(embeddings))
     _PRODUCT_CACHE[key] = result

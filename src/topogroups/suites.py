@@ -145,6 +145,9 @@ def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
     descs += ["variety:abelian", "variety:exponent-2", "principal:gen{1}"]
     descs.append(f"thk:#0:#{lattice.top_index}")
     descs.append("conj:gen{1}")
+    if lattice.group.order == 1:
+        # gen{1} names element 1, which an order-1 group does not have
+        descs = [d for d in descs if not d.endswith(":gen{1}")]
     if len(lattice) > 2:
         descs.append("generated:#1")
     return tuple(descs)
@@ -245,7 +248,13 @@ def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str,
     return PASS, None
 
 
+# an order-1 group has no non-trivial subgroup, hence no subgroup filter
+NO_FILTERS = (FINDING, "skipped: order 1 group has no subgroup filters")
+
+
 def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
+    if lattice.group.order == 1:
+        return NO_FILTERS
     try:
         enumerate_ultrafilters(lattice)
     except OracleMismatchError as exc:
@@ -366,6 +375,8 @@ def suite_convergence_compactness(config: SuiteConfig) -> list[CheckReport]:
     reports = []
     for lattice, system in iter_cells(config):
         def run(lattice=lattice, system=system):
+            if lattice.group.order == 1:
+                return NO_FILTERS
             report = cell_theorem_report(lattice, system)
             if report.compactness_ok:
                 return PASS, None
@@ -378,6 +389,8 @@ def suite_hausdorff_equivalence(config: SuiteConfig) -> list[CheckReport]:
     reports = []
     for lattice, system in iter_cells(config):
         def run(lattice=lattice, system=system):
+            if lattice.group.order == 1:
+                return NO_FILTERS
             report = cell_theorem_report(lattice, system)
             if not report.equivalence_ok:
                 return FAIL, report.multi_point_witness or "hausdorff without unique convergence"

@@ -137,6 +137,36 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_config_file_bad_max_order_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max-order=abc\n")
+    code, _, err = run(capsys, "theorems", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and "max-order" in err
+
+
+def test_theorems_groups_split_on_top_level_commas(capsys):
+    code, out, _ = run(
+        capsys, "theorems", "--suite", "lattice-completeness", "--format", "json",
+        "--groups", "product(cyclic:2,cyclic:3),sym:3",
+    )
+    assert code == 0
+    groups = {json.loads(line)["group"] for line in out.strip().splitlines()[:-1]}
+    assert groups == {"product(cyclic:2,cyclic:3)", "sym:3"}
+
+
+def test_theorems_order_1_group_does_not_abort_the_matrix(capsys):
+    code, out, _ = run(capsys, "theorems", "--format", "json", "--groups", "cyclic:1,cyclic:2")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()[:-1]]
+    assert {r["group"] for r in records} >= {"cyclic:1", "cyclic:2"}
+    skipped = [r for r in records if r["group"] == "cyclic:1" and r["status"] == "finding"]
+    assert {r["check"] for r in skipped} == {
+        "ultrafilter-machinery", "convergence-compactness", "hausdorff-equivalence",
+    }
+    assert all(r["witness"].startswith("skipped:") for r in skipped)
+
+
 def test_timings_flag_emits_numbers(capsys):
     code, out, _ = run(
         capsys, "theorems", "--suite", "lattice-completeness", "--max-order", "4",

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from topogroups.groups import Subgroup, build_group, subgroup_generated
+from topogroups.groups import Subgroup, bits_of, build_group, closure_mask, mask_of, subgroup_generated
 from topogroups.lattice import (
     CoverResult,
     ParentMismatchError,
@@ -41,9 +41,66 @@ ORACLE_DESCRIPTORS = (
 )
 
 
-@pytest.mark.parametrize("desc,count", sorted(EXPECTED_COUNTS.items()))
+# lattices past the brute-force oracle's reach, up to the order-64 cap
+LARGE_COUNTS = {
+    "dihedral:32": 69,
+    "product(sym:4,cyclic:2)": 98,
+    "abelian:2x2x2x2x2": 374,
+    "abelian:2x2x2x2x2x2": 2825,
+}
+
+
+@pytest.mark.parametrize("desc,count", sorted(EXPECTED_COUNTS.items()) + sorted(LARGE_COUNTS.items()))
 def test_known_subgroup_counts(desc, count):
     assert len(enumerate_subgroups(build_group(desc))) == count
+
+
+def _pairwise_closure(group, seed_ids) -> int:
+    """Reference closure: add every pairwise product until nothing changes."""
+    members = {0, *seed_ids}
+    while True:
+        grown = {group.mul(a, b) for a in members for b in members} | members
+        if grown == members:
+            return mask_of(members)
+        members = grown
+
+
+@given(st.sampled_from(ORACLE_DESCRIPTORS), st.data())
+def test_closure_mask_matches_pairwise_closure(desc, data):
+    group = build_group(desc)
+    seed = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    want = _pairwise_closure(group, seed)
+    assert closure_mask(group, seed) == want
+    assert closure_mask(group, mask_of(seed)) == want
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_join_index_matches_closure_of_union(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            assert lat.mask(lat.join_index(i, j)) == closure_mask(group, lat.mask(i) | lat.mask(j))
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_generators_and_cyclic_indices(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    for i, gens in enumerate(lat.generators):
+        assert closure_mask(group, gens) == lat.mask(i)
+    for x in group.elements():
+        assert lat.mask(lat.cyclic_index(x)) == closure_mask(group, (x,))
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_normalizer_index_matches_conjugation_by_every_element(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    for i in range(len(lat)):
+        mask = lat.mask(i)
+        want = mask_of(g for g in group.elements() if mask_of(group.conjugate(g, x) for x in bits_of(mask)) == mask)
+        assert lat.mask(lat.normalizer_index(i)) == want
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
@@ -165,6 +222,8 @@ def test_automorphism_counts():
     assert len(automorphisms(build_group("abelian:2x2"))) == 6
     assert len(automorphisms(build_group("sym:3"))) == 6
     assert len(automorphisms(build_group("quaternion:8"))) == 24
+    assert len(automorphisms(build_group("dihedral:6"))) == 12
+    assert len(automorphisms(build_group("abelian:2x2x2"))) == 168
 
 
 def test_automorphism_set_is_a_group():
