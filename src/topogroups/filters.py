@@ -10,6 +10,7 @@ lattices, so any disagreement fails loudly instead of silently trusting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
@@ -52,9 +53,13 @@ class SubgroupFilter:
     members: frozenset[int]
     provenance: str = ""
 
-    @property
+    @cached_property
+    def member_bits(self) -> int:
+        return mask_of(self.members)
+
+    @cached_property
     def member_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(bits_of(self.member_bits))
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -300,18 +305,24 @@ class ConvergenceCertificate:
     checked: tuple[int, ...]
 
 
+def _require_same_group(f: SubgroupFilter, system: TopoSystem):
+    if f.lattice is not system.lattice and f.lattice.group != system.lattice.group:
+        raise BadParameterError("filter and system live on different lattices")
+
+
 def converges_to(f: SubgroupFilter, system: TopoSystem, y: int) -> tuple[bool, ConvergenceCertificate | None]:
     """True iff every topen containing y belongs to the filter.
 
-    The identity can never be a limit: the trivial subgroup is always a topen
-    containing it, and filters exclude the trivial subgroup.
+    That is the bitset test T(y) & ~F == 0, with T(y) the system's incidence
+    of y and F the filter's member bits; the certificate lists T(y)
+    ascending.  The identity can never be a limit: the trivial subgroup is
+    always a topen containing it, and filters exclude the trivial subgroup.
     """
-    if f.lattice is not system.lattice and f.lattice.group != system.lattice.group:
-        raise BadParameterError("filter and system live on different lattices")
-    checked = system.topens_containing(y)
-    if all(i in f.members for i in checked):
-        return True, ConvergenceCertificate(f, system, y, checked)
-    return False, None
+    _require_same_group(f, system)
+    topens = system.incidence[y]
+    if topens & ~f.member_bits:
+        return False, None
+    return True, ConvergenceCertificate(f, system, y, tuple(bits_of(topens)))
 
 
 @dataclass(frozen=True)
@@ -327,8 +338,11 @@ class ConvergenceSet:
 
 
 def convergence_set(f: SubgroupFilter, system: TopoSystem) -> ConvergenceSet:
+    """Every point the filter converges to (see converges_to)."""
+    _require_same_group(f, system)
     lattice = system.lattice
-    points = tuple(y for y in lattice.group.elements() if converges_to(f, system, y)[0])
+    outside = ~f.member_bits
+    points = tuple(y for y, topens in enumerate(system.incidence) if not topens & outside)
     by_class: dict[int, list[int]] = {}
     for y in points:
         by_class.setdefault(lattice.cyclic_index(y), []).append(y)
@@ -372,15 +386,16 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
     that fail the axioms are reported as findings, not failures.
     """
     ultrafilters = enumerate_ultrafilters(lattice)
+    limits = [convergence_set(f, system).points for f in ultrafilters]
     compactness_witness = None
-    for f in ultrafilters:
-        if convergence_set(f, system).is_empty:
+    for f, points in zip(ultrafilters, limits):
+        if not points:
             compactness_witness = f.provenance
             break
     hausdorff, _ = is_hausdorff(system)
     multi_witness = None
-    for f in ultrafilters:
-        pair = _cyclically_distinct_pair(lattice, convergence_set(f, system).points)
+    for f, points in zip(ultrafilters, limits):
+        pair = _cyclically_distinct_pair(lattice, points)
         if pair is not None:
             multi_witness = f"{f.provenance}->{pair}"
             break
@@ -402,9 +417,13 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
             findings.append(f"quotient-not-topomorphism@#{n_index}:target#{offending}")
             continue
         qlattice = quotient.system.lattice
-        for f in ultrafilters:
+        natural = quotient.natural
+        pulled_back = {
+            b: lattice.index_of(natural.preimage_mask(qlattice.mask(b))) for b in quotient.system.member_indices
+        }
+        for f, points in zip(ultrafilters, limits):
             try:
-                pushed = pushforward(quotient.natural, f)
+                pushed = pushforward(natural, f)
                 ok, witness = is_ultrafilter(pushed)
                 if not ok:
                     continuity_witness = f"pushforward({f.provenance})@#{n_index} not ultra at #{witness}"
@@ -413,11 +432,9 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n_index}")
             # the pointwise implication needs no filter structure: any topen
             # around q(x) pulls back to a topen around x, which is in f
-            for x in convergence_set(f, system).points:
-                qx = quotient.natural(x)
-                for b in quotient.system.topens_containing(qx):
-                    pre = quotient.natural.preimage_mask(qlattice.mask(b))
-                    if lattice.index_of(pre) not in f.members:
+            for x in points:
+                for b in quotient.system.topens_containing(natural(x)):
+                    if pulled_back[b] not in f.members:
                         continuity_witness = f"{f.provenance}->x={x}@#{n_index}:target#{b}"
                         break
                 if continuity_witness:

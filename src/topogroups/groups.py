@@ -21,6 +21,7 @@ intersections are single ``&`` operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 from .report import ValidationFailure, ValidationReport
@@ -263,12 +264,24 @@ class Homomorphism:
     def image_mask(self, source_mask: int) -> int:
         return mask_of(self.mapping[x] for x in bits_of(source_mask))
 
+    @cached_property
+    def fibers(self) -> tuple[int, ...]:
+        """fibers[t]: bitset of the source elements that map to target element t."""
+        fibers = [0] * self.target.order
+        for x, t in enumerate(self.mapping):
+            fibers[t] |= 1 << x
+        return tuple(fibers)
+
     def preimage_mask(self, target_mask: int) -> int:
-        return mask_of(x for x in self.source.elements() if target_mask >> self.mapping[x] & 1)
+        fibers = self.fibers
+        acc = 0
+        for t in bits_of(target_mask):
+            acc |= fibers[t]
+        return acc
 
     @property
     def kernel_mask(self) -> int:
-        return mask_of(x for x in self.source.elements() if self.mapping[x] == 0)
+        return self.fibers[0]
 
     @property
     def is_bijective(self) -> bool:

@@ -31,6 +31,9 @@ from .groups import (
 )
 
 AUTOMORPHISM_CAP = 24
+# Subgroup count past which the theorem suites skip the per-subgroup family
+# sweeps (principal, conj, thk): they build and verify O(S) to O(S^2) systems.
+FAMILY_SWEEP_CAP = 128
 
 
 class ParentMismatchError(TopoGroupError):
@@ -54,7 +57,10 @@ class SubgroupLattice:
     *generators* maps each subgroup mask to a generating set and
     *cyclic_masks* gives the cyclic subgroup of each element.  Meets are mask
     intersections; a join is read off per-subgroup bitsets of the subgroups
-    containing it, with no closure.
+    containing it, with no closure.  ``containing[e]`` is the bitset of the
+    subgroups that contain element e, the incidence index from which
+    topo-systems answer their point-wise queries, and ``above[k]`` is the
+    bitset of the subgroups that contain subgroup k.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -71,14 +77,18 @@ class SubgroupLattice:
         for k, m in enumerate(ordered):
             for e in bits_of(m):
                 containing[e] |= 1 << k
-        # _up[k]: bitset of the subgroups containing subgroup k, that is,
-        # containing each of its generators
-        self._up: list[int] = []
+        self.containing: tuple[int, ...] = tuple(containing)
+        # above[k]: bitset of the subgroups containing subgroup k, that is,
+        # containing each of its generators; starting from every subgroup
+        # keeps above[0] (no generators) inside len(self) bits
+        everything = (1 << len(ordered)) - 1
+        above = []
         for gens in self.generators:
-            up = -1
+            up = everything
             for g in gens:
                 up &= containing[g]
-            self._up.append(up)
+            above.append(up)
+        self.above: tuple[int, ...] = tuple(above)
         self._normalizers: dict[int, int] = {}
         self._cores: dict[int, int] = {}
         self._commutators: dict[tuple[int, int], int] = {}
@@ -128,13 +138,13 @@ class SubgroupLattice:
         # Every common upper bound contains the join, so the join is the
         # common upper bound of least order; the canonical order sorts by
         # order first, which makes it the lowest set bit.
-        common = self._up[i] & self._up[j]
+        common = self.above[i] & self.above[j]
         return (common & -common).bit_length() - 1
 
     def join_of(self, indices) -> int:
         common = -1
         for i in indices:
-            common &= self._up[i]
+            common &= self.above[i]
         return (common & -common).bit_length() - 1
 
     def cyclic_index(self, x: int) -> int:
@@ -175,16 +185,29 @@ class SubgroupLattice:
         return tuple(i for i in range(len(self.subgroups)) if self.is_normal_index(i))
 
     def commutator_index(self, i: int, j: int) -> int:
+        """[H, K]: the normal closure in <H, K> of the generator commutators.
+
+        With H = <X> and K = <Y>, [H, K] is the smallest subgroup containing
+        every [x, y] (x in X, y in Y) that X and Y normalize; a finite
+        subgroup is normalized by g once g maps its generators inside.
+        """
         # [b, a] inverts [a, b], so the generated subgroup is symmetric in (i, j)
         key = (i, j) if i < j else (j, i)
         got = self._commutators.get(key)
         if got is None:
             group = self.group
-            gens = set()
-            for a in bits_of(self.subgroups[i].mask):
-                for b in bits_of(self.subgroups[j].mask):
-                    gens.add(group.table[group.table[a][b]][group.table[group.inverse[a]][group.inverse[b]]])
-            got = self._index_by_mask[closure_mask(group, gens)]
+            table, inverse = group.table, group.inverse
+            xs, ys = self.generators[i], self.generators[j]
+            gens = [table[table[a][b]][table[inverse[a]][inverse[b]]] for a in xs for b in ys]
+            mask = closure_mask(group, gens)
+            while True:
+                new = {group.conjugate(g, n) for g in xs + ys for n in gens}
+                new = [n for n in new if not mask >> n & 1]
+                if not new:
+                    break
+                gens += sorted(new)
+                mask = closure_mask(group, gens)
+            got = self._index_by_mask[mask]
             self._commutators[key] = got
         return got
 

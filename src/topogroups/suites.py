@@ -11,9 +11,10 @@ import time
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
-from .groups import FiniteGroup, build_group
+from .groups import FiniteGroup, TopoGroupError, build_group
 from .lattice import (
     AUTOMORPHISM_CAP,
+    FAMILY_SWEEP_CAP,
     SubgroupLattice,
     brute_force_subgroup_masks,
     enumerate_subgroups,
@@ -28,7 +29,6 @@ from .toposystems import (
     quotient_toposys,
     star_topology_checks,
     t_closed_checks,
-    verify_toposys,
 )
 from .filters import (
     OracleMismatchError,
@@ -96,6 +96,9 @@ SUITE_NAMES = (
     "quotient-probe",
     "star-topology",
 )
+
+# one system per subgroup (per nested pair for thk), so capped by FAMILY_SWEEP_CAP
+SWEPT_FAMILIES = ("principal", "thk", "conj")
 
 FAMILY_NAMES = (
     "discrete",
@@ -203,11 +206,14 @@ def check_family(lattice: SubgroupLattice, family: str) -> tuple[str, str | None
     # skips must surface as findings with a reason, never silently
     if family == "characteristic" and lattice.group.order > AUTOMORPHISM_CAP:
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
+    if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
+        return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
     for desc in family_instance_descriptors(lattice, family):
-        system = build_toposys(lattice, desc)
-        report = verify_toposys(lattice, system.members)
-        if not report.passed:
-            return FAIL, f"{desc}:{report.first_failure()}"
+        # build_toposys verifies the axioms and raises on a failure
+        try:
+            build_toposys(lattice, desc)
+        except TopoGroupError as exc:
+            return FAIL, f"{desc}:{exc}"
     return PASS, None
 
 

@@ -11,6 +11,7 @@ as canonical lattice indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import (
     FiniteGroup,
@@ -37,16 +38,31 @@ class BadParameterError(TopoGroupError):
 
 @dataclass(frozen=True)
 class TopoSystem:
-    """A verified set of topen subgroups over a canonical lattice."""
+    """A verified set of topen subgroups over a canonical lattice.
+
+    ``member_bits`` is the member set as a bitset over lattice indices, and
+    ``incidence[e]`` is T(e), the bitset of the topens containing element e:
+    the lattice's ``containing[e]`` restricted to the members.  Both are
+    computed once per system, and every point-wise topen query reads them.
+    """
 
     lattice: SubgroupLattice
     members: frozenset[int]
     provenance: str
     notes: tuple[str, ...] = ()
 
-    @property
+    @cached_property
+    def member_bits(self) -> int:
+        return mask_of(self.members)
+
+    @cached_property
     def member_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return tuple(bits_of(self.member_bits))
+
+    @cached_property
+    def incidence(self) -> tuple[int, ...]:
+        bits = self.member_bits
+        return tuple(c & bits for c in self.lattice.containing)
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -55,7 +71,8 @@ class TopoSystem:
         return tuple(self.lattice.subgroup(i) for i in self.member_indices)
 
     def topens_containing(self, x: int) -> tuple[int, ...]:
-        return tuple(i for i in self.member_indices if self.lattice.mask(i) >> x & 1)
+        """Topens containing element x, ascending."""
+        return tuple(bits_of(self.incidence[x]))
 
     def __repr__(self):
         return f"TopoSystem({self.lattice.group.descriptor}; {self.provenance}; {len(self.members)} topens)"
@@ -92,23 +109,27 @@ def verify_toposys(lattice: SubgroupLattice, members) -> ValidationReport:
     """Check the three topo-system axioms on a candidate member set.
 
     Pairwise join/meet closure is checked; this is equivalent to closure
-    under arbitrary families because the member set is finite.
+    under arbitrary families because the member set is finite.  Pairs are
+    visited as i <= j in index order, and a pair with subgroup i inside
+    subgroup j is skipped: its join is j and its meet is i, both members.
+    The canonical order sorts by order first, so a subgroup inside j never
+    has a larger index, and the skip cannot change the first failing pair.
     """
-    members = frozenset(members)
+    bits = mask_of(members)
     failures = []
     for required in (lattice.trivial_index, lattice.top_index):
-        if required not in members:
+        if not bits >> required & 1:
             failures.append(ValidationFailure("axiom-a", (required,), "trivial subgroup or whole group missing"))
     if failures:
         return ValidationReport(False, tuple(failures))
-    ordered = sorted(members)
-    for pos, i in enumerate(ordered):
-        for j in ordered[pos:]:
+    for i in bits_of(bits):
+        # members after i that do not contain it
+        for j in bits_of(bits & ~lattice.above[i] & -(2 << i)):
             jj = lattice.join_index(i, j)
-            if jj not in members:
+            if not bits >> jj & 1:
                 failures.append(ValidationFailure("join-closure", (i, j, jj), "join of members is not a member"))
             mm = lattice.meet_index(i, j)
-            if mm not in members:
+            if not bits >> mm & 1:
                 failures.append(ValidationFailure("meet-closure", (i, j, mm), "meet of members is not a member"))
             if failures:
                 return ValidationReport(False, tuple(failures))
@@ -305,11 +326,9 @@ def closure_and_limits(system: TopoSystem, x: Subgroup) -> tuple[frozenset[int],
     """
     lattice = system.lattice
     xmask = x.mask
-    member_masks = [lattice.mask(a) for a in system.member_indices]
-    limits = set()
-    for e in lattice.group.elements():
-        if all((m & xmask).bit_count() >= 2 for m in member_masks if m >> e & 1):
-            limits.add(e)
+    # topens meeting x in fewer than two elements
+    thin = mask_of(a for a in system.member_indices if (lattice.mask(a) & xmask).bit_count() < 2)
+    limits = {e for e, topens in enumerate(system.incidence) if not topens & thin}
     closure = subgroup_generated(lattice.group, xmask | mask_of(limits))
     return frozenset(limits), closure
 
@@ -331,10 +350,11 @@ def t_closed_checks(system: TopoSystem, a: Subgroup) -> TClosedReport:
     """
     lattice = system.lattice
     amask = a.mask
-    member_masks = [lattice.mask(i) for i in system.member_indices]
+    incidence = system.incidence
+    disjoint_from_a = mask_of(i for i in system.member_indices if lattice.mask(i) & amask == 1)
 
     def separated(x: int) -> bool:
-        return any(m >> x & 1 and m & amask == 1 for m in member_masks)
+        return incidence[x] & disjoint_from_a != 0
 
     t_witness = None
     for x in lattice.group.elements():
@@ -362,21 +382,20 @@ def is_hausdorff(system: TopoSystem) -> tuple[bool, SeparationWitness | None]:
     """True iff every cyclically distinct pair has disjoint topens around it."""
     lattice = system.lattice
     group = lattice.group
-    member_masks = {i: lattice.mask(i) for i in system.member_indices}
-    containing: list[list[int]] = [[] for _ in group.elements()]
-    for i, m in member_masks.items():
-        for e in bits_of(m):
-            containing[e].append(i)
+    incidence = system.incidence
+    members = system.member_indices
+    # disjoint[a]: the topens meeting topen a only in the identity
+    disjoint = {a: mask_of(b for b in members if lattice.mask(a) & lattice.mask(b) == 1) for a in members}
     for x in group.elements():
         cx = lattice.mask(lattice.cyclic_index(x))
+        # the topens disjoint from some topen around x
+        apart = 0
+        for a in bits_of(incidence[x]):
+            apart |= disjoint[a]
         for y in range(x, group.order):
             if cx & lattice.mask(lattice.cyclic_index(y)) != 1:
                 continue
-            if not any(
-                member_masks[a] & member_masks[b] == 1
-                for a in containing[x]
-                for b in containing[y]
-            ):
+            if not incidence[y] & apart:
                 return False, SeparationWitness(x, y)
     return True, None
 

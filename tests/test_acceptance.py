@@ -153,7 +153,7 @@ def test_full_default_suite_under_budget():
     result = run_suite(CONFIG)
     elapsed = time.monotonic() - start
     assert result.counts.get(FAIL, 0) == 0
-    assert elapsed < 180, f"default suite took {elapsed:.1f}s"
+    assert elapsed < 30, f"default suite took {elapsed:.1f}s"
     print(
         f"full suite: {result.counts.get('pass', 0)} pass, "
         f"{result.counts.get('finding', 0)} findings in {elapsed:.1f}s"

@@ -2,7 +2,10 @@
 
 import json
 
+from topogroups import suites
 from topogroups.cli import run_command
+from topogroups.groups import TopoGroupError, build_group
+from topogroups.lattice import enumerate_subgroups
 from topogroups.report import CHECK_FIELDS
 
 
@@ -175,3 +178,25 @@ def test_timings_flag_emits_numbers(capsys):
     assert code == 0
     first = json.loads(out.strip().splitlines()[0])
     assert isinstance(first["elapsed_ms"], float)
+
+
+def test_family_sweeps_past_the_cap_are_findings(capsys):
+    code, out, _ = run(
+        capsys, "theorems", "--format", "json", "--max-order", "32",
+        "--groups", "abelian:2x2x2x2x2", "--suite", "toposys-axioms",
+    )
+    assert code == 0
+    records = {r["toposys"]: r for r in map(json.loads, out.strip().splitlines()[:-1])}
+    for family in ("principal", "conj", "thk"):
+        assert records[family]["status"] == "finding"
+        assert records[family]["witness"] == "skipped: 374 subgroups exceed family sweep cap 128"
+    assert records["discrete"]["status"] == "pass"
+
+
+def test_check_family_reports_a_build_failure_as_a_fail_row(monkeypatch):
+    def broken(lattice, desc):
+        raise TopoGroupError("fails axioms")
+
+    monkeypatch.setattr(suites, "build_toposys", broken)
+    lattice = enumerate_subgroups(build_group("sym:3"))
+    assert suites.check_family(lattice, "principal") == ("fail", "principal:#0:fails axioms")

@@ -4,7 +4,7 @@ import pytest
 
 from topogroups.groups import build_group
 from topogroups.lattice import enumerate_subgroups
-from topogroups.toposystems import build_toposys
+from topogroups.toposystems import BadParameterError, build_toposys
 from topogroups.filters import (
     IdentityNotAllowedError,
     NoFipError,
@@ -248,3 +248,57 @@ def test_parse_filter_literals():
     latv = _lat("abelian:2x2")
     with pytest.raises(NotAFilterError):
         parse_filter(latv, "cofinite")
+
+
+# --- bitset convergence against the definition --------------------------------
+
+CONVERGENCE_FAMILIES = ("discrete", "trivial", "normal", "variety:abelian", "principal:gen{1}", "conj:gen{1}")
+
+
+def _converges_by_definition(f, system, y):
+    """Every topen containing y is a filter member; also returns those topens."""
+    lat = system.lattice
+    around = tuple(i for i in sorted(system.members) if lat.mask(i) >> y & 1)
+    return all(i in f.members for i in around), around
+
+
+@pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
+def test_convergence_matches_definition_on_every_filter(desc):
+    lat = _lat(desc)
+    filters = [SubgroupFilter(lat, members) for members in all_filters(lat)]
+    filters += [principal_filter(lat, x) for x in range(1, lat.group.order)]
+    for family in CONVERGENCE_FAMILIES:
+        system = build_toposys(lat, family)
+        for f in filters:
+            assert f.member_indices == tuple(sorted(f.members))
+            points = []
+            for y in lat.group.elements():
+                want, around = _converges_by_definition(f, system, y)
+                ok, certificate = converges_to(f, system, y)
+                assert ok == want
+                if ok:
+                    points.append(y)
+                    assert certificate.checked == around
+                else:
+                    assert certificate is None
+            assert convergence_set(f, system).points == tuple(points)
+
+
+@pytest.mark.parametrize("desc", ("alt:4", "dihedral:6", "abelian:2x2x2"))
+def test_convergence_matches_definition_on_principal_filters(desc):
+    lat = _lat(desc)
+    for family in CONVERGENCE_FAMILIES:
+        system = build_toposys(lat, family)
+        for x in range(1, lat.group.order):
+            f = principal_filter(lat, x)
+            want = tuple(y for y in lat.group.elements() if _converges_by_definition(f, system, y)[0])
+            assert convergence_set(f, system).points == want
+
+
+def test_convergence_rejects_a_system_on_another_group():
+    f = principal_filter(_lat("cyclic:4"), 1)
+    system = build_toposys(_lat("cyclic:6"), "discrete")
+    with pytest.raises(BadParameterError):
+        converges_to(f, system, 1)
+    with pytest.raises(BadParameterError):
+        convergence_set(f, system)

@@ -94,6 +94,14 @@ def test_generators_and_cyclic_indices(desc):
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_containing_lists_the_subgroups_of_each_element(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    for e in group.elements():
+        assert lat.containing[e] == mask_of(k for k in range(len(lat)) if lat.mask(k) >> e & 1)
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
 def test_normalizer_index_matches_conjugation_by_every_element(desc):
     group = build_group(desc)
     lat = enumerate_subgroups(group)
@@ -207,6 +215,20 @@ def test_commutator_examples():
     q8 = build_group("quaternion:8")
     q8full = Subgroup(q8, q8.full_mask)
     assert commutator_subgroup(q8full, q8full).members == (0, 1)
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_commutator_index_matches_all_element_pairs(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            pairs = [
+                group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b)))
+                for a in bits_of(lat.mask(i))
+                for b in bits_of(lat.mask(j))
+            ]
+            assert lat.mask(lat.commutator_index(i, j)) == closure_mask(group, pairs)
 
 
 @given(st.sampled_from(ORACLE_DESCRIPTORS), st.data())

@@ -25,6 +25,7 @@ from topogroups.toposystems import (
     verify_toposys,
 )
 from topogroups.groups import make_homomorphism
+from topogroups.suites import DEFAULT_CATALOG
 
 CATALOG = (
     "cyclic:4",
@@ -302,3 +303,117 @@ def test_subgroup_literals():
         resolve_subgroup_literal(lat, "#99")
     with pytest.raises(BadParameterError):
         resolve_subgroup_literal(lat, "junk")
+
+
+# --- the incidence index against the per-element scans it replaced -----------
+
+def _scan_topens_containing(system, x):
+    return tuple(i for i in sorted(system.members) if system.lattice.mask(i) >> x & 1)
+
+
+def _all_pairs_verify(lat, members):
+    """Reference check: join and meet of every member pair, comparable or not."""
+    members = frozenset(members)
+    failures = []
+    for required in (lat.trivial_index, lat.top_index):
+        if required not in members:
+            failures.append(("axiom-a", (required,)))
+    if failures:
+        return failures
+    ordered = sorted(members)
+    for pos, i in enumerate(ordered):
+        for j in ordered[pos:]:
+            join_ij = lat.index_of(subgroup_generated(lat.group, lat.mask(i) | lat.mask(j)).mask)
+            if join_ij not in members:
+                failures.append(("join-closure", (i, j, join_ij)))
+            meet_ij = lat.index_of(lat.mask(i) & lat.mask(j))
+            if meet_ij not in members:
+                failures.append(("meet-closure", (i, j, meet_ij)))
+            if failures:
+                return failures
+    return failures
+
+
+def _scan_is_hausdorff(system):
+    lat = system.lattice
+    group = lat.group
+    for x in group.elements():
+        for y in range(x, group.order):
+            if lat.mask(lat.cyclic_index(x)) & lat.mask(lat.cyclic_index(y)) != 1:
+                continue
+            if not any(
+                lat.mask(a) & lat.mask(b) == 1
+                for a in _scan_topens_containing(system, x)
+                for b in _scan_topens_containing(system, y)
+            ):
+                return False, (x, y)
+    return True, None
+
+
+def _scan_t_closed(system, amask):
+    lat = system.lattice
+
+    def separated(x):
+        return any(lat.mask(m) & amask == 1 for m in _scan_topens_containing(system, x))
+
+    elements = lat.group.elements()
+    t_witness = next((x for x in elements if not amask >> x & 1 and not separated(x)), None)
+    weak = next((x for x in elements if lat.mask(lat.cyclic_index(x)) & amask == 1 and not separated(x)), None)
+    return t_witness, weak
+
+
+def _scan_limits(system, xmask):
+    lat = system.lattice
+    return frozenset(
+        e
+        for e in lat.group.elements()
+        if all((lat.mask(a) & xmask).bit_count() >= 2 for a in _scan_topens_containing(system, e))
+    )
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_topens_containing_matches_mask_scan(desc, family):
+    lat, system = _sys(desc, family)
+    assert system.member_indices == tuple(sorted(system.members))
+    for x in lat.group.elements():
+        assert system.topens_containing(x) == _scan_topens_containing(system, x)
+
+
+@given(st.sampled_from(CATALOG + ("abelian:2x2x2", "alt:4")), st.data())
+def test_verify_matches_all_pairs_check(desc, data):
+    lat = _lat(desc)
+    members = set(data.draw(st.sets(st.integers(0, len(lat) - 1))))
+    if data.draw(st.booleans()):
+        members |= {0, lat.top_index}
+    report = verify_toposys(lat, members)
+    want = _all_pairs_verify(lat, members)
+    assert report.passed == (not want)
+    assert [(f.kind, f.witness) for f in report.failures] == want
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
+    lat, system = _sys(desc, family)
+    ok, witness = is_hausdorff(system)
+    assert (ok, witness and (witness.x, witness.y)) == _scan_is_hausdorff(system)
+    for i in range(len(lat)):
+        a = lat.subgroup(i)
+        report = t_closed_checks(system, a)
+        assert (report.t_closed_witness, report.weak_witness) == _scan_t_closed(system, a.mask)
+        assert report.is_t_closed == (report.t_closed_witness is None)
+        assert closure_and_limits(system, a)[0] == _scan_limits(system, a.mask)
+
+
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG)
+def test_preimage_mask_matches_element_scan(desc):
+    lat = _lat(desc)
+    for n in lat.normal_indices():
+        qgroup, natural = lat.quotient_by(n)
+        targets = [s.mask for s in enumerate_subgroups(qgroup).subgroups]
+        targets += [1 << t for t in qgroup.elements()]
+        for tmask in targets:
+            want = mask_of(x for x in lat.group.elements() if tmask >> natural(x) & 1)
+            assert natural.preimage_mask(tmask) == want
+        assert natural.kernel_mask == lat.mask(n)
