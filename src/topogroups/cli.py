@@ -30,7 +30,8 @@ from .filters import (
     is_ultrafilter,
     parse_filter,
 )
-from .products import direct_product, product_identities_check, product_toposys, tychonoff_certificate
+from .products import CertificateFailureError, direct_product, product_identities_check
+from .products import product_toposys, tychonoff_certificate
 from .suites import DEFAULT_CATALOG, SUITE_NAMES, SuiteConfig, run_suite
 
 
@@ -159,13 +160,13 @@ def _cmd_filters(args) -> int:
     if args.filter:
         f = parse_filter(lattice, args.filter)
         ultra, witness = is_ultrafilter(f)
-        print(f"filter {f.provenance}: members {[f'#{i}' for i in f.member_indices]}")
-        print(f"ultrafilter: {ultra}" + (f" (coverable member #{witness})" if not ultra else ""))
+        print(f"filter {f.provenance}: kernel #{f.kernel}, members {[f'#{i}' for i in f.member_indices]}")
+        print(f"ultrafilter: {ultra}" + (f" (non-cyclic kernel #{witness})" if not ultra else ""))
         ext = extend_to_ultrafilter(f)
-        print(f"extension: {ext.provenance} with members {[f'#{i}' for i in ext.member_indices]}")
+        print(f"extension: {ext.provenance} with kernel #{ext.kernel}, members {[f'#{i}' for i in ext.member_indices]}")
     else:
         for f in enumerate_ultrafilters(lattice):
-            print(f"{f.provenance}: {[f'#{i}' for i in f.member_indices]}")
+            print(f"{f.provenance}: kernel #{f.kernel}, members {[f'#{i}' for i in f.member_indices]}")
     return 0
 
 
@@ -174,7 +175,7 @@ def _cmd_converge(args) -> int:
     system = build_toposys(lattice, args.sys)
     f = parse_filter(lattice, args.filter)
     cs = convergence_set(f, system)
-    print(f"{f.provenance} on {system.provenance}: converges to {list(cs.points)}")
+    print(f"{f.provenance} (kernel #{f.kernel}) on {system.provenance}: converges to {list(cs.points)}")
     for cls in cs.classes:
         print(f"  class {list(cls)} (cyclic subgroup #{lattice.cyclic_index(cls[0])})")
     return 0
@@ -202,7 +203,12 @@ def _cmd_product(args) -> int:
         if args.tychonoff:
             plattice = enumerate_subgroups(product.group)
             for f in enumerate_ultrafilters(plattice):
-                cert = tychonoff_certificate(ptop, f)
+                try:
+                    cert = tychonoff_certificate(ptop, f)
+                except CertificateFailureError as exc:
+                    print(f"  {f.provenance}: step {exc.step} failed (witness {exc.witness})")
+                    code = 1
+                    continue
                 print(
                     f"  {f.provenance}: converges at {product.decode(cert.point)}"
                     f" ({len(cert.replays)} topens replayed)"

@@ -1,10 +1,16 @@
 """Subgroup filters and ultrafilters, convergence, and the theorem checks.
 
 A subgroup filter is an upward-closed, intersection-closed set of non-trivial
-subgroups containing the whole group.  On finite groups every ultrafilter
-turns out to be principal with a cyclic meet-kernel; that structure lemma is
-derived here and is cross-validated against exhaustive enumeration on small
-lattices, so any disagreement fails loudly instead of silently trusting it.
+subgroups containing the whole group.  On a finite lattice the meet of all
+members is itself a member, its kernel K, so every filter is ↑K, the
+subgroups containing K; a filter is stored as that kernel index.  ↑K is an
+ultrafilter exactly when K is cyclic, and the pushforward of ↑K along f is
+↑f(K).  When f(K) is trivial the image family is every non-trivial target
+subgroup, which is a filter only when the target has a single minimal
+subgroup; that degenerate family is validated and rejected with the axiom
+failure.  The structure lemma is cross-validated against exhaustive
+enumeration on small lattices, so any disagreement fails loudly instead of
+silently trusting it.
 """
 
 from __future__ import annotations
@@ -47,28 +53,34 @@ class OracleMismatchError(TopoGroupError):
 
 @dataclass(frozen=True)
 class SubgroupFilter:
-    """Upward- and meet-closed set of non-trivial subgroups, by lattice index."""
+    """The filter ↑K of the subgroups containing its non-trivial kernel K.
+
+    ``kernel`` is K's lattice index; the members are read off the lattice's
+    upper-bound bitset ``above[K]``.
+    """
 
     lattice: SubgroupLattice
-    members: frozenset[int]
+    kernel: int
     provenance: str = ""
 
-    @cached_property
+    def __post_init__(self):
+        if not 0 < self.kernel < len(self.lattice):
+            raise BadParameterError(f"filter kernel #{self.kernel} is not a non-trivial subgroup index")
+
+    @property
     def member_bits(self) -> int:
-        return mask_of(self.members)
+        return self.lattice.above[self.kernel]
 
     @cached_property
     def member_indices(self) -> tuple[int, ...]:
         return tuple(bits_of(self.member_bits))
 
-    def __contains__(self, index: int) -> bool:
-        return index in self.members
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.member_indices)
 
-    def kernel_mask(self) -> int:
-        acc = self.lattice.group.full_mask
-        for i in self.members:
-            acc &= self.lattice.mask(i)
-        return acc
+    def __contains__(self, index: int) -> bool:
+        return bool(self.member_bits >> index & 1)
 
     def __repr__(self):
         return f"SubgroupFilter({self.lattice.group.descriptor}; {self.provenance or self.member_indices})"
@@ -95,8 +107,19 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
     return ValidationReport(True)
 
 
+def filter_from_members(lattice: SubgroupLattice, members, provenance: str = "") -> SubgroupFilter:
+    """The filter with exactly the given members; NotAFilterError if they are not one."""
+    members = frozenset(members)
+    report = filter_axiom_report(lattice, members)
+    if not report.passed:
+        raise NotAFilterError(report.first_failure())
+    # the meet of a meet-closed family is its member of least order, which
+    # the canonical order puts at the least index
+    return SubgroupFilter(lattice, min(members), provenance)
+
+
 def generate_filter(lattice: SubgroupLattice, seed, provenance: str | None = None) -> SubgroupFilter:
-    """Smallest filter containing the seed: finite meets, then upward closure."""
+    """Smallest filter containing the seed: ↑ of the meet of its finite meets."""
     seed = sorted(set(seed))
     if lattice.trivial_index in seed:
         raise BadParameterError("seed must consist of non-trivial subgroup indices")
@@ -113,14 +136,10 @@ def generate_filter(lattice: SubgroupLattice, seed, provenance: str | None = Non
             if m not in closed:
                 closed.add(m)
                 queue.append(m)
-    members = set()
-    for j in range(1, len(lattice)):
-        mj = lattice.mask(j)
-        if any(lattice.mask(s) & mj == lattice.mask(s) for s in closed):
-            members.add(j)
     if provenance is None:
         provenance = "generated:" + ",".join(f"#{s}" for s in seed)
-    return SubgroupFilter(lattice, frozenset(members), provenance)
+    # closed is meet-closed, so its meet is its least-index member
+    return SubgroupFilter(lattice, min(closed), provenance)
 
 
 def principal_filter(lattice: SubgroupLattice, x: int) -> SubgroupFilter:
@@ -129,8 +148,7 @@ def principal_filter(lattice: SubgroupLattice, x: int) -> SubgroupFilter:
         raise IdentityNotAllowedError("the principal filter at the identity would need the trivial subgroup")
     if not 0 <= x < lattice.group.order:
         raise BadParameterError(f"element id {x} out of range")
-    members = frozenset(i for i in range(1, len(lattice)) if lattice.mask(i) >> x & 1)
-    return SubgroupFilter(lattice, members, f"principal:{x}")
+    return SubgroupFilter(lattice, lattice.cyclic_index(x), f"principal:{x}")
 
 
 @dataclass(frozen=True)
@@ -147,8 +165,9 @@ class OrdinaryFilter:
 
 def ordinary_bridge(f: SubgroupFilter) -> OrdinaryFilter:
     """The ordinary filter whose members are the oversets of filter members."""
-    base = sorted((f.lattice.mask(i) for i in f.members), key=lambda m: (m.bit_count(), tuple(bits_of(m))))
-    return OrdinaryFilter(f.lattice.group, tuple(base))
+    # ascending indices sort the masks by (order, elements), the canonical order
+    base = tuple(f.lattice.mask(i) for i in f.member_indices)
+    return OrdinaryFilter(f.lattice.group, base)
 
 
 def restrict_ordinary(lattice: SubgroupLattice, f1: OrdinaryFilter) -> SubgroupFilter:
@@ -161,36 +180,24 @@ def restrict_ordinary(lattice: SubgroupLattice, f1: OrdinaryFilter) -> SubgroupF
     """
     if any(b == 0 for b in f1.base):
         raise BadParameterError("ordinary filter base may not contain the empty set")
-    members = frozenset(i for i in range(1, len(lattice)) if f1.contains(lattice.mask(i)))
-    report = filter_axiom_report(lattice, members)
-    if not report.passed:
-        raise NotAFilterError(report.first_failure())
-    return SubgroupFilter(lattice, members, "restricted")
+    members = (i for i in range(1, len(lattice)) if f1.contains(lattice.mask(i)))
+    return filter_from_members(lattice, members, "restricted")
 
 
 def is_ultrafilter(f: SubgroupFilter) -> tuple[bool, int | None]:
-    """Ultrafilter test; on failure the witness is the coverable member C.
+    """↑K is an ultrafilter iff K is cyclic; otherwise the witness is K.
 
-    Criterion: for every member C, the union of the non-member subgroups
-    lying inside C must be a proper subset of C.  Any violating finite family
-    (non-members whose union is a member) refines to that maximal family, and
-    the maximal family is itself violating, so this is equivalent to the
-    family-quantified definition; the equivalence is cross-checked against
-    exhaustive family enumeration on small lattices in the test suite.
+    K is the union of its cyclic subgroups, none of which is a member unless
+    one of them is K itself, so a non-cyclic K is a member covered by
+    non-members; conversely a cyclic ⟨x⟩ is covered only by a family holding
+    a subgroup that contains x, hence a member.  The equivalence with the
+    family-quantified definition is cross-checked in the test suite.
     """
-    lattice = f.lattice
-    for c in f.member_indices:
-        cmask = lattice.mask(c)
-        union = 0
-        for a in range(len(lattice)):
-            if a in f.members:
-                continue
-            am = lattice.mask(a)
-            if am & cmask == am:
-                union |= am
-        if union == cmask:
-            return False, c
-    return True, None
+    lattice, k = f.lattice, f.kernel
+    # cyclic extension lists each cyclic subgroup with one generator
+    if any(lattice.cyclic_index(g) == k for g in lattice.generators[k]):
+        return True, None
+    return False, k
 
 
 def is_ultrafilter_bruteforce(f: SubgroupFilter) -> tuple[bool, tuple[int, ...] | None]:
@@ -203,25 +210,20 @@ def is_ultrafilter_bruteforce(f: SubgroupFilter) -> tuple[bool, tuple[int, ...] 
             for a in family:
                 union |= lattice.mask(a)
             u = lattice.maybe_index(union)
-            if u is not None and u in f.members and not any(a in f.members for a in family):
+            if u is not None and u in f and not any(a in f for a in family):
                 return False, family
     return True, None
 
 
 def extend_to_ultrafilter(f: SubgroupFilter) -> SubgroupFilter:
-    """A principal ultrafilter containing f, anchored at its meet-kernel.
-
-    The kernel (meet of all members) is itself a member and is non-trivial by
-    fip, so the principal filter at its least non-identity element works.
-    """
-    kernel = f.kernel_mask()
-    x = next(e for e in bits_of(kernel) if e != 0)
+    """A principal ultrafilter containing f: ↑⟨x⟩ for the least x ≠ 1 in its kernel."""
+    x = next(e for e in bits_of(f.lattice.mask(f.kernel)) if e != 0)
     return principal_filter(f.lattice, x)
 
 
 def all_filters(lattice: SubgroupLattice) -> tuple[frozenset[int], ...]:
-    """Every subgroup filter on a small lattice, by brute force."""
-    non_trivial = [i for i in range(1, len(lattice) - 1)]
+    """The member sets of every subgroup filter on a small lattice, by brute force."""
+    non_trivial = range(1, len(lattice) - 1)
     results = []
     for r in range(len(non_trivial) + 1):
         for extra in combinations(non_trivial, r):
@@ -235,64 +237,50 @@ ULTRAFILTER_ORACLE_LIMIT = 6
 
 
 def enumerate_ultrafilters(lattice: SubgroupLattice) -> tuple[SubgroupFilter, ...]:
-    """All subgroup ultrafilters: the principal filters, one per cyclic kernel.
+    """All subgroup ultrafilters: ↑⟨x⟩, one per cyclic subgroup ⟨x⟩ ≠ 1.
 
-    Derived structure lemma: an ultrafilter's kernel K is a member, is cyclic
-    (K is the union of its cyclic subgroups, so one of them is a member and is
-    then K itself), and upward closure gives exactly the principal filter of
-    any generator.  Each returned filter is re-checked with is_ultrafilter,
-    and on lattices with at most ULTRAFILTER_ORACLE_LIMIT subgroups the whole
-    answer is compared against exhaustive filter enumeration; a mismatch
-    raises OracleMismatchError instead of returning a wrong answer.
+    Each is named by the least element generating its kernel.  On lattices
+    with at most ULTRAFILTER_ORACLE_LIMIT subgroups the answer is compared
+    against exhaustive filter enumeration and the family-quantified
+    ultrafilter test; a mismatch raises OracleMismatchError instead of
+    returning a wrong answer.
     """
     group = lattice.group
     if group.order < 2:
         raise TrivialGroupError("no non-trivial subgroups, hence no filters")
-    reps: dict[int, int] = {}
-    for x in range(1, group.order):
-        c = lattice.cyclic_index(x)
-        reps.setdefault(c, x)
-    filters = tuple(principal_filter(lattice, x) for _, x in sorted(reps.items(), key=lambda kv: kv[1]))
-    for f in filters:
-        ok, witness = is_ultrafilter(f)
-        if not ok:
-            raise OracleMismatchError(f"principal filter {f.provenance} fails the ultrafilter check at #{witness}")
+    # downwards, so the least element generating each cyclic subgroup is kept
+    least = {lattice.cyclic_index(x): x for x in range(group.order - 1, 0, -1)}
+    filters = tuple(principal_filter(lattice, x) for x in sorted(least.values()))
     if len(lattice) <= ULTRAFILTER_ORACLE_LIMIT:
         expected = set()
         for members in all_filters(lattice):
-            candidate = SubgroupFilter(lattice, members)
-            if is_ultrafilter(candidate)[0]:
-                if not is_ultrafilter_bruteforce(candidate)[0]:
-                    raise OracleMismatchError("criterion and family enumeration disagree")
-                expected.add(members)
-            elif is_ultrafilter_bruteforce(candidate)[0]:
+            candidate = filter_from_members(lattice, members)
+            ultra = is_ultrafilter(candidate)[0]
+            if ultra != is_ultrafilter_bruteforce(candidate)[0]:
                 raise OracleMismatchError("criterion and family enumeration disagree")
-        if expected != {f.members for f in filters}:
+            if ultra:
+                expected.add(candidate.kernel)
+        if expected != {f.kernel for f in filters}:
             raise OracleMismatchError("principal enumeration misses an ultrafilter")
     return filters
 
 
 def pushforward(f_hom: Homomorphism, f: SubgroupFilter) -> SubgroupFilter:
-    """Filter of target subgroups whose preimages are members.
+    """Filter of target subgroups whose preimages are members: ↑f(K).
 
-    Raises NotAFilterError when the image family violates the filter axioms;
-    that happens exactly when the kernel of the map is a member and the
-    target has more than one minimal subgroup, in which case the family is
-    all of the non-trivial subgroups and is not meet-closed.
+    A preimage contains K exactly when the target subgroup contains f(K).
+    When f(K) is trivial every non-trivial target subgroup qualifies; that
+    family is validated, and raises NotAFilterError when the target has more
+    than one minimal subgroup, since it is then not meet-closed.
     """
     if f_hom.source != f.lattice.group:
         raise BadParameterError("filter and homomorphism live on different groups")
-    target_lattice = enumerate_subgroups(f_hom.target)
-    source_lattice = f.lattice
-    members = frozenset(
-        b
-        for b in range(1, len(target_lattice))
-        if source_lattice.index_of(f_hom.preimage_mask(target_lattice.mask(b))) in f.members
-    )
-    report = filter_axiom_report(target_lattice, members)
-    if not report.passed:
-        raise NotAFilterError(report.first_failure())
-    return SubgroupFilter(target_lattice, members, f"pushforward({f.provenance})")
+    target = enumerate_subgroups(f_hom.target)
+    provenance = f"pushforward({f.provenance})"
+    image = target.index_of(f_hom.image_mask(f.lattice.mask(f.kernel)))
+    if image != target.trivial_index:
+        return SubgroupFilter(target, image, provenance)
+    return filter_from_members(target, range(1, len(target)), provenance)
 
 
 @dataclass(frozen=True)
@@ -434,7 +422,7 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
             # around q(x) pulls back to a topen around x, which is in f
             for x in points:
                 for b in quotient.system.topens_containing(natural(x)):
-                    if pulled_back[b] not in f.members:
+                    if pulled_back[b] not in f:
                         continuity_witness = f"{f.provenance}->x={x}@#{n_index}:target#{b}"
                         break
                 if continuity_witness:
@@ -474,9 +462,5 @@ def parse_filter(lattice: SubgroupLattice, text: str) -> SubgroupFilter:
     if kind == "cofinite":
         # on a finite group every subgroup has finite index, so this is all of
         # the non-trivial subgroups; validated because it need not be a filter
-        members = frozenset(range(1, len(lattice)))
-        report = filter_axiom_report(lattice, members)
-        if not report.passed:
-            raise NotAFilterError(report.first_failure())
-        return SubgroupFilter(lattice, members, "cofinite")
+        return filter_from_members(lattice, range(1, len(lattice)), "cofinite")
     raise BadParameterError(f"unknown filter literal {text!r}")

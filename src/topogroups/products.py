@@ -239,17 +239,12 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
         if not amask >> x & 1:
             continue
         combo = ptop.member_factors[a]
-        pre_masks = []
-        pre_ok = True
-        for i, (sys_i, ai) in enumerate(zip(ptop.factor_systems, combo)):
-            if ai not in pushed_list[i].members:
-                pre_ok = False
-            pre_masks.append(product.projections[i].preimage_mask(sys_i.lattice.mask(ai)))
+        pre_ok = all(ai in pushed for pushed, ai in zip(pushed_list, combo))
         inter = product.group.full_mask
-        for m in pre_masks:
-            inter &= m
+        for projection, sys_i, ai in zip(product.projections, ptop.factor_systems, combo):
+            inter &= projection.preimage_mask(sys_i.lattice.mask(ai))
         inter_ok = inter == amask
-        member_ok = plattice.index_of(amask) in f.members
+        member_ok = a in f
         replays.append(TopenReplay(a, combo, pre_ok, inter_ok, member_ok))
         if not pre_ok:
             raise CertificateFailureError("factor-preimage", (a, combo))

@@ -24,18 +24,20 @@ from .toposystems import (
     BadParameterError,
     TopoSystem,
     build_toposys,
+    family_members,
     interior_boundary,
     is_hausdorff,
     quotient_toposys,
+    require_axioms,
     star_topology_checks,
     t_closed_checks,
 )
 from .filters import (
     OracleMismatchError,
-    SubgroupFilter,
     all_filters,
     enumerate_ultrafilters,
     extend_to_ultrafilter,
+    filter_from_members,
     is_ultrafilter,
     is_ultrafilter_bruteforce,
     theorem_checks,
@@ -208,10 +210,15 @@ def check_family(lattice: SubgroupLattice, family: str) -> tuple[str, str | None
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
     if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
+    # many descriptors name the same member set, and verifying it is the
+    # expensive step, so each distinct set is verified once
+    verified: set[frozenset[int]] = set()
     for desc in family_instance_descriptors(lattice, family):
-        # build_toposys verifies the axioms and raises on a failure
         try:
-            build_toposys(lattice, desc)
+            system = family_members(lattice, desc)
+            if system.members not in verified:
+                require_axioms(system)
+                verified.add(system.members)
         except TopoGroupError as exc:
             return FAIL, f"{desc}:{exc}"
     return PASS, None
@@ -262,24 +269,19 @@ def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
     if lattice.group.order == 1:
         return NO_FILTERS
     try:
-        enumerate_ultrafilters(lattice)
+        ultrafilters = enumerate_ultrafilters(lattice)
     except OracleMismatchError as exc:
         return FAIL, str(exc)
-    if len(lattice) <= 6:
-        for members in all_filters(lattice):
-            f = SubgroupFilter(lattice, members)
-            fast = is_ultrafilter(f)[0]
-            slow = is_ultrafilter_bruteforce(f)[0]
-            if fast != slow:
-                return FAIL, f"criterion/oracle disagree on {sorted(members)}"
-            extended = extend_to_ultrafilter(f)
-            if not members <= extended.members or not is_ultrafilter(extended)[0]:
-                return FAIL, f"extension broken for {sorted(members)}"
-    else:
-        for f in enumerate_ultrafilters(lattice):
-            extended = extend_to_ultrafilter(f)
-            if not f.members <= extended.members or not is_ultrafilter(extended)[0]:
-                return FAIL, f"extension broken for {f.provenance}"
+    # on small lattices every filter, against the family oracle too
+    small = len(lattice) <= 6
+    filters = [filter_from_members(lattice, m) for m in all_filters(lattice)] if small else ultrafilters
+    for f in filters:
+        name = sorted(f.members) if small else f.provenance
+        if small and is_ultrafilter(f)[0] != is_ultrafilter_bruteforce(f)[0]:
+            return FAIL, f"criterion/oracle disagree on {name}"
+        extended = extend_to_ultrafilter(f)
+        if not f.members <= extended.members or not is_ultrafilter(extended)[0]:
+            return FAIL, f"extension broken for {name}"
     return PASS, None
 
 

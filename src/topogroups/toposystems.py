@@ -156,12 +156,28 @@ def generate_toposys(lattice: SubgroupLattice, seed, provenance: str | None = No
 
 
 def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
-    """Build one of the named topo-system families from its descriptor.
+    """Build one of the named topo-system families and verify its axioms.
 
     Grammar: ``discrete | trivial | cofinite | normal | characteristic |
     principal:LIT | variety:abelian | variety:exponent-n | thk:LIT:LIT |
     conj:LIT | generated:LIT,LIT,...`` where LIT is ``gen{..}`` or ``#k``.
     """
+    return require_axioms(family_members(lattice, descriptor))
+
+
+def require_axioms(system: TopoSystem) -> TopoSystem:
+    """The system itself once verify_toposys passes; TopoGroupError otherwise."""
+    report = verify_toposys(system.lattice, system.members)
+    if not report.passed:
+        raise TopoGroupError(
+            f"internal error: family {system.provenance!r} on {system.lattice.group.descriptor} "
+            f"fails axioms: {report.first_failure()}"
+        )
+    return system
+
+
+def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
+    """The member set a descriptor names (see build_toposys), not yet verified."""
     desc = descriptor.replace(" ", "")
     kind, _, arg = desc.partition(":")
     notes: tuple[str, ...] = ()
@@ -221,13 +237,7 @@ def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
     else:
         raise BadParameterError(f"unknown topo-system kind {descriptor!r}")
 
-    system = TopoSystem(lattice, frozenset(members), desc, notes)
-    report = verify_toposys(lattice, system.members)
-    if not report.passed:
-        raise TopoGroupError(
-            f"internal error: family {desc!r} on {lattice.group.descriptor} fails axioms: {report.first_failure()}"
-        )
-    return system
+    return TopoSystem(lattice, frozenset(members), desc, notes)
 
 
 def _split_literals(arg: str) -> list[str]:

@@ -2,11 +2,13 @@
 
 import json
 
-from topogroups import suites
+import pytest
+
+from topogroups import suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, build_group
 from topogroups.lattice import enumerate_subgroups
-from topogroups.report import CHECK_FIELDS
+from topogroups.report import CHECK_FIELDS, ValidationFailure, ValidationReport
 
 
 def run(capsys, *argv):
@@ -197,6 +199,59 @@ def test_check_family_reports_a_build_failure_as_a_fail_row(monkeypatch):
     def broken(lattice, desc):
         raise TopoGroupError("fails axioms")
 
-    monkeypatch.setattr(suites, "build_toposys", broken)
+    monkeypatch.setattr(suites, "family_members", broken)
     lattice = enumerate_subgroups(build_group("sym:3"))
     assert suites.check_family(lattice, "principal") == ("fail", "principal:#0:fails axioms")
+
+
+def test_check_family_verifies_each_distinct_member_set_once(monkeypatch):
+    lattice = enumerate_subgroups(build_group("dihedral:4"))
+    descs = suites.family_instance_descriptors(lattice, "thk")
+    distinct = {toposystems.family_members(lattice, d).members for d in descs}
+    assert len(distinct) < len(descs)
+    verified = []
+    monkeypatch.setattr(suites, "require_axioms", lambda system: verified.append(system.members))
+    assert suites.check_family(lattice, "thk") == ("pass", None)
+    assert sorted(map(sorted, verified)) == sorted(map(sorted, distinct))
+
+
+def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
+    lattice = enumerate_subgroups(build_group("dihedral:4"))
+    descs = suites.family_instance_descriptors(lattice, "thk")
+    systems = [toposystems.family_members(lattice, d) for d in descs]
+    # fail the member set that the most descriptors share; it is verified once,
+    # at its first descriptor, which the row must name
+    bad = max({s.members for s in systems}, key=lambda m: sum(s.members == m for s in systems))
+    first = next(d for d, s in zip(descs, systems) if s.members == bad)
+    real = toposystems.verify_toposys
+
+    def verify(lat, members):
+        if frozenset(members) == bad:
+            return ValidationReport(False, (ValidationFailure("join-closure", (1, 2, 3), "forced"),))
+        return real(lat, members)
+
+    monkeypatch.setattr(toposystems, "verify_toposys", verify)
+    status, witness = suites.check_family(lattice, "thk")
+    assert status == "fail"
+    assert witness.startswith(f"{first}:internal error: family {first!r} on dihedral:4 fails axioms: ")
+    with pytest.raises(TopoGroupError) as exc:
+        toposystems.build_toposys(lattice, first)
+    assert witness == f"{first}:{exc.value}"
+
+
+def test_product_tychonoff_failure_is_reported_per_ultrafilter(capsys):
+    code, out, err = run(
+        capsys,
+        "product",
+        "--groups",
+        "product(abelian:2x2,cyclic:2)",
+        "--sys",
+        "discrete;discrete",
+        "--tychonoff",
+    )
+    assert code == 1 and not err
+    lines = [line for line in out.splitlines() if line.startswith("  principal:")]
+    assert len(lines) == 7
+    failed = [line for line in lines if "step pushforward[0] failed" in line]
+    assert failed and "witness ValidationFailure(kind='meet'" in failed[0]
+    assert sum("converges at" in line for line in lines) == len(lines) - len(failed)

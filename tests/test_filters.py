@@ -1,8 +1,9 @@
 """Subgroup filters, ultrafilters, the ordinary-filter bridge and convergence."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from topogroups.groups import build_group
+from topogroups.groups import build_group, mask_of
 from topogroups.lattice import enumerate_subgroups
 from topogroups.toposystems import BadParameterError, build_toposys
 from topogroups.filters import (
@@ -17,6 +18,7 @@ from topogroups.filters import (
     enumerate_ultrafilters,
     extend_to_ultrafilter,
     filter_axiom_report,
+    filter_from_members,
     generate_filter,
     is_ultrafilter,
     is_ultrafilter_bruteforce,
@@ -72,7 +74,7 @@ def test_ordinary_bridge_round_trip():
     for x in range(1, 6):
         f = principal_filter(lat, x)
         assert restrict_ordinary(lat, ordinary_bridge(f)).members == f.members
-    g = SubgroupFilter(lat, frozenset({lat.top_index}))
+    g = filter_from_members(lat, {lat.top_index})
     assert restrict_ordinary(lat, ordinary_bridge(g)).members == g.members
 
 
@@ -80,7 +82,7 @@ def test_ordinary_bridge_round_trip():
 def test_ordinary_bridge_round_trip_on_all_small_filters(desc):
     lat = _lat(desc)
     for members in all_filters(lat):
-        f = SubgroupFilter(lat, members)
+        f = filter_from_members(lat, members)
         assert restrict_ordinary(lat, ordinary_bridge(f)).members == members
 
 
@@ -102,12 +104,27 @@ def test_restrict_can_reject_identity_anchored_ultrafilter():
 
 def test_is_ultrafilter_examples():
     latv = _lat("abelian:2x2")
-    ok, witness = is_ultrafilter(SubgroupFilter(latv, frozenset({latv.top_index})))
+    ok, witness = is_ultrafilter(filter_from_members(latv, {latv.top_index}))
     assert not ok and witness == latv.top_index
     lat = _lat("sym:3")
     assert is_ultrafilter(principal_filter(lat, 1))[0]
     lat4 = _lat("cyclic:4")
-    assert is_ultrafilter(SubgroupFilter(lat4, frozenset({lat4.top_index})))[0]
+    assert is_ultrafilter(filter_from_members(lat4, {lat4.top_index}))[0]
+
+
+def _ultra_by_union(f):
+    """Reference criterion: a member covered by the non-members inside it."""
+    lat = f.lattice
+    for c in f.member_indices:
+        cmask = lat.mask(c)
+        union = 0
+        for a in range(len(lat)):
+            am = lat.mask(a)
+            if a not in f.members and am & cmask == am:
+                union |= am
+        if union == cmask:
+            return False, c
+    return True, None
 
 
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
@@ -115,15 +132,24 @@ def test_ultrafilter_criterion_agrees_with_family_oracle(desc):
     lat = _lat(desc)
     assert len(lat) <= 6
     for members in all_filters(lat):
-        f = SubgroupFilter(lat, members)
-        assert is_ultrafilter(f)[0] == is_ultrafilter_bruteforce(f)[0]
+        f = filter_from_members(lat, members)
+        got = is_ultrafilter(f)
+        assert got == _ultra_by_union(f)
+        ok, family = is_ultrafilter_bruteforce(f)
+        assert ok == got[0]
+        if not ok:
+            # a family of non-members whose union is a member
+            union = 0
+            for a in family:
+                union |= lat.mask(a)
+            assert lat.index_of(union) in f and not any(a in f for a in family)
 
 
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
 def test_extension_contains_input_and_is_ultra(desc):
     lat = _lat(desc)
     for members in all_filters(lat):
-        f = SubgroupFilter(lat, members)
+        f = filter_from_members(lat, members)
         extended = extend_to_ultrafilter(f)
         assert f.members <= extended.members
         assert is_ultrafilter(extended)[0]
@@ -134,7 +160,7 @@ def test_extension_examples():
     f = generate_filter(lat, [4])  # {A3, S3}
     assert extend_to_ultrafilter(f).members == f.members
     latv = _lat("abelian:2x2")
-    ext = extend_to_ultrafilter(SubgroupFilter(latv, frozenset({latv.top_index})))
+    ext = extend_to_ultrafilter(filter_from_members(latv, {latv.top_index}))
     assert ext.provenance == "principal:1"
 
 
@@ -150,7 +176,7 @@ def test_enumeration_equals_bruteforce_ultrafilters(desc):
     expected = {
         members
         for members in all_filters(lat)
-        if is_ultrafilter_bruteforce(SubgroupFilter(lat, members))[0]
+        if is_ultrafilter_bruteforce(filter_from_members(lat, members))[0]
     }
     assert {f.members for f in enumerate_ultrafilters(lat)} == expected
 
@@ -265,7 +291,7 @@ def _converges_by_definition(f, system, y):
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
 def test_convergence_matches_definition_on_every_filter(desc):
     lat = _lat(desc)
-    filters = [SubgroupFilter(lat, members) for members in all_filters(lat)]
+    filters = [filter_from_members(lat, members) for members in all_filters(lat)]
     filters += [principal_filter(lat, x) for x in range(1, lat.group.order)]
     for family in CONVERGENCE_FAMILIES:
         system = build_toposys(lat, family)
@@ -302,3 +328,137 @@ def test_convergence_rejects_a_system_on_another_group():
         converges_to(f, system, 1)
     with pytest.raises(BadParameterError):
         convergence_set(f, system)
+
+
+# --- the kernel representation against the member-set definitions ------------
+
+PUSHFORWARD_PRODUCTS = (
+    ("cyclic:2", "cyclic:2"),
+    ("cyclic:2", "cyclic:3"),
+    ("cyclic:4", "cyclic:2"),
+    ("abelian:2x2", "cyclic:2"),
+    ("sym:3", "cyclic:2"),
+)
+# past the brute-force oracle, checked against the union criterion only
+CRITERION_DESCRIPTORS = SMALL_LATTICE_DESCRIPTORS + ("dihedral:4", "abelian:2x2x2", "alt:4", "dihedral:6", "sym:4")
+
+
+def _pushforward_by_scan(hom, f):
+    """Reference pushforward: every target subgroup whose preimage is a member."""
+    source = f.lattice
+    target = enumerate_subgroups(hom.target)
+    members = frozenset(
+        b for b in range(1, len(target)) if source.index_of(hom.preimage_mask(target.mask(b))) in f.members
+    )
+    report = filter_axiom_report(target, members)
+    if not report.passed:
+        raise NotAFilterError(report.first_failure())
+    return members
+
+
+def _pushforward_cases():
+    """(source lattice, homomorphism): every quotient map and every projection."""
+    cases = []
+    for desc in SMALL_LATTICE_DESCRIPTORS:
+        lat = _lat(desc)
+        cases += [(lat, lat.quotient_by(n)[1]) for n in lat.normal_indices()]
+    for descs in PUSHFORWARD_PRODUCTS:
+        p = direct_product([build_group(d) for d in descs])
+        cases += [(enumerate_subgroups(p.group), proj) for proj in p.projections]
+    return cases
+
+
+@pytest.mark.parametrize("lat,hom", _pushforward_cases())
+def test_pushforward_matches_member_scan(lat, hom):
+    for members in all_filters(lat):
+        f = filter_from_members(lat, members)
+        try:
+            want = _pushforward_by_scan(hom, f)
+        except NotAFilterError as expected:
+            with pytest.raises(NotAFilterError) as got:
+                pushforward(hom, f)
+            assert got.value.failure == expected.failure
+            continue
+        pushed = pushforward(hom, f)
+        assert pushed.members == want
+        assert pushed.lattice is enumerate_subgroups(hom.target)
+
+
+def test_pushforward_cases_reach_both_degenerate_outcomes():
+    # a kernel inside ker f gives the family of every non-trivial subgroup,
+    # which is a filter only when the target has a single minimal subgroup
+    outcomes = set()
+    for lat, hom in _pushforward_cases():
+        for members in all_filters(lat):
+            f = filter_from_members(lat, members)
+            if hom.image_mask(lat.mask(f.kernel)) == 1:
+                try:
+                    pushforward(hom, f)
+                    outcomes.add("filter")
+                except NotAFilterError:
+                    outcomes.add("rejected")
+    assert outcomes == {"filter", "rejected"}
+
+
+@pytest.mark.parametrize("desc", CRITERION_DESCRIPTORS)
+def test_is_ultrafilter_matches_union_criterion_on_every_kernel(desc):
+    lat = _lat(desc)
+    cyclic = {lat.cyclic_index(x) for x in lat.group.elements()}
+    for k in range(1, len(lat)):
+        f = SubgroupFilter(lat, k)
+        assert is_ultrafilter(f) == _ultra_by_union(f)
+        assert is_ultrafilter(f)[0] == (k in cyclic)
+
+
+def _generate_by_upward_closure(lat, seed):
+    """Reference generation: close the seed under meets, then close upward."""
+    closed = set(seed) | {lat.top_index}
+    queue = sorted(closed)
+    i = 0
+    while i < len(queue):
+        a = queue[i]
+        i += 1
+        for b in queue[:i]:
+            m = lat.meet_index(a, b)
+            if m == lat.trivial_index:
+                raise NoFipError((a, b))
+            if m not in closed:
+                closed.add(m)
+                queue.append(m)
+    return frozenset(j for j in range(1, len(lat)) if any(lat.leq(s, j) for s in closed))
+
+
+@given(st.sampled_from(CRITERION_DESCRIPTORS), st.data())
+def test_generate_filter_matches_upward_closure(desc, data):
+    lat = _lat(desc)
+    seed = data.draw(st.lists(st.integers(1, len(lat) - 1), max_size=4))
+    try:
+        want = _generate_by_upward_closure(lat, sorted(set(seed)))
+    except NoFipError as expected:
+        with pytest.raises(NoFipError) as got:
+            generate_filter(lat, seed)
+        assert got.value.witness == expected.witness
+        return
+    f = generate_filter(lat, seed)
+    assert f.members == want
+    assert filter_axiom_report(lat, want).passed
+
+
+@pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
+def test_every_filter_is_principal_on_its_kernel(desc):
+    lat = _lat(desc)
+    filters = all_filters(lat)
+    assert {mask_of(members) for members in filters} == {lat.above[k] for k in range(1, len(lat))}
+    for members in filters:
+        f = filter_from_members(lat, members)
+        assert f.member_bits == mask_of(members) and f.members == members
+        assert f.kernel == min(members)
+
+
+def test_filter_kernel_must_be_non_trivial():
+    lat = _lat("sym:3")
+    for k in (0, len(lat), -1):
+        with pytest.raises(BadParameterError):
+            SubgroupFilter(lat, k)
+    with pytest.raises(NotAFilterError):
+        filter_from_members(lat, {1, 2, lat.top_index})

@@ -113,12 +113,12 @@ def test_tychonoff_certificate_examples():
 
 def test_tychonoff_requires_an_ultrafilter():
     from topogroups.toposystems import BadParameterError
-    from topogroups.filters import SubgroupFilter
+    from topogroups.filters import filter_from_members
 
     p = _product("cyclic:2", "cyclic:2")
     lat = enumerate_subgroups(p.group)
     pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors])
-    not_ultra = SubgroupFilter(lat, frozenset({lat.top_index}))
+    not_ultra = filter_from_members(lat, {lat.top_index})
     with pytest.raises(BadParameterError):
         tychonoff_certificate(pt, not_ultra)
 
