@@ -231,7 +231,6 @@ def _cmd_theorems(args) -> int:
         groups=tuple(g for g in groups if g),
         suites=tuple(s for s in suites if s),
         fmt=fmt,
-        timings=timings,
     )
     result = run_suite(config)
     _emit(result.reports, fmt, timings)

@@ -22,7 +22,7 @@ from itertools import combinations
 from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
-from .toposystems import BadParameterError, TopoSystem, is_hausdorff, is_topomorphism, quotient_toposys
+from .toposystems import BadParameterError, TopoSystem, is_hausdorff, is_topomorphism
 
 
 class NoFipError(TopoGroupError):
@@ -391,12 +391,11 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
 
     findings: list[str] = []
     continuity_witness = None
-    for n_index in lattice.normal_indices():
+    for n_index, quotient in system.quotients.items():
         if n_index == lattice.top_index:
             # the one-point quotient has no non-trivial subgroups, hence no
             # filters; nothing to push forward
             continue
-        quotient = quotient_toposys(system, n_index)
         if not quotient.report.passed:
             findings.append(f"quotient-axioms@#{n_index}:{quotient.report.first_failure().kind}")
             continue

@@ -8,10 +8,12 @@ is used anywhere, so witnesses are reproducible across runs.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 
-from .groups import FiniteGroup, TopoGroupError, build_group
+from .groups import TopoGroupError, build_group
 from .lattice import (
     AUTOMORPHISM_CAP,
     FAMILY_SWEEP_CAP,
@@ -27,7 +29,6 @@ from .toposystems import (
     family_members,
     interior_boundary,
     is_hausdorff,
-    quotient_toposys,
     require_axioms,
     star_topology_checks,
     t_closed_checks,
@@ -119,27 +120,8 @@ FAMILY_NAMES = (
 class SuiteConfig:
     max_group_order: int = 24
     groups: tuple[str, ...] = DEFAULT_CATALOG
-    systems: tuple[str, ...] | None = None
     suites: tuple[str, ...] = SUITE_NAMES
     fmt: str = "text"
-    timings: bool = False
-
-    def validated(self) -> "SuiteConfig":
-        for s in self.suites:
-            if s not in SUITE_NAMES:
-                raise BadParameterError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
-        if self.fmt not in ("text", "json"):
-            raise BadParameterError(f"unknown format {self.fmt!r}")
-        for g in self.groups:
-            build_group(g)
-        return self
-
-
-def catalog_groups(config: SuiteConfig) -> list[FiniteGroup]:
-    groups = [build_group(d) for d in config.groups]
-    groups = [g for g in groups if g.order <= config.max_group_order]
-    groups.sort(key=lambda g: (g.order, g.descriptor))
-    return groups
 
 
 def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
@@ -158,33 +140,107 @@ def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
     return tuple(descs)
 
 
-def iter_cells(config: SuiteConfig):
-    for group in catalog_groups(config):
-        lattice = enumerate_subgroups(group)
-        for desc in config.systems or cell_system_descriptors(lattice):
-            yield lattice, build_toposys(lattice, desc)
+def verdict(verdicts: dict, system: TopoSystem) -> str | None:
+    """None if the system's member set is a topo-system, else its FAIL witness.
+
+    ``verdicts`` keeps the outcome per (group, member set), so each set is
+    verified once; a failing set is named by the first descriptor that
+    reached it, as ``<descriptor>:<message>``.
+    """
+    key = (system.lattice.group.descriptor, system.member_bits)
+    if key not in verdicts:
+        try:
+            require_axioms(system)
+            verdicts[key] = None
+        except TopoGroupError as exc:
+            verdicts[key] = f"{system.provenance}:{exc}"
+    return verdicts[key]
 
 
-_THEOREM_MEMO: dict[tuple[str, str], object] = {}
+class SuiteRun:
+    """One theorem run: the catalog lattices and the matrix cells, built once.
+
+    Results are kept per distinct (group, member set) and live as long as
+    the run, so rows naming the same member set share one computation.
+    """
+
+    def __init__(self, config: SuiteConfig):
+        for s in config.suites:
+            if s not in SUITE_NAMES:
+                raise BadParameterError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
+        if config.fmt not in ("text", "json"):
+            raise BadParameterError(f"unknown format {config.fmt!r}")
+        self.config = config
+        # every descriptor is built, so a bad one is rejected even past the order cap
+        groups = [build_group(d) for d in config.groups]
+        self.groups = sorted(
+            (g for g in groups if g.order <= config.max_group_order), key=lambda g: (g.order, g.descriptor)
+        )
+        self.verdicts: dict[tuple[str, int], str | None] = {}
+        self.results: dict = {}
+
+    @cached_property
+    def lattices(self) -> tuple[SubgroupLattice, ...]:
+        return tuple(enumerate_subgroups(g) for g in self.groups)
+
+    @cached_property
+    def cells(self) -> tuple[tuple[str, TopoSystem], ...]:
+        """(descriptor, system) per matrix cell in row order; one system per distinct member set."""
+        shared: dict[tuple[str, int], TopoSystem] = {}
+        cells = []
+        for lattice in self.lattices:
+            for desc in cell_system_descriptors(lattice):
+                system = family_members(lattice, desc)
+                witness = verdict(self.verdicts, system)
+                if witness is not None:
+                    raise TopoGroupError(witness)
+                cells.append((desc, shared.setdefault((lattice.group.descriptor, system.member_bits), system)))
+        return tuple(cells)
+
+    def once(self, fn, system: TopoSystem):
+        """fn(lattice, system), computed once per distinct (group, member set)."""
+        key = (fn, system.lattice.group.descriptor, system.member_bits)
+        if key not in self.results:
+            self.results[key] = fn(system.lattice, system)
+        return self.results[key]
 
 
-def cell_theorem_report(lattice: SubgroupLattice, system: TopoSystem):
-    key = (lattice.group.descriptor, system.provenance)
-    got = _THEOREM_MEMO.get(key)
-    if got is None:
-        got = theorem_checks(lattice, system)
-        _THEOREM_MEMO[key] = got
-    return got
+def _reports(check: str, group: str, toposys: str, fn, *args) -> list[CheckReport]:
+    """Rows of fn(*args), which gives one (status, witness) or a list of them.
 
-
-def _timed(check: str, group: str, toposys: str, fn) -> CheckReport:
+    Each row carries its share of the time fn took.
+    """
     start = time.perf_counter()
-    status, witness = fn()
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return CheckReport(check, group, toposys, status, witness, elapsed)
+    got = fn(*args)
+    outcomes = got if isinstance(got, list) else [got]
+    elapsed = (time.perf_counter() - start) * 1000.0 / max(len(outcomes), 1)
+    return [CheckReport(check, group, toposys, status, witness, elapsed) for status, witness in outcomes]
 
 
-# --- per-criterion cell checks ----------------------------------------------
+def _group_reports(check: str, toposys: str, fn, lattices) -> list[CheckReport]:
+    return [r for lattice in lattices for r in _reports(check, lattice.group.descriptor, toposys, fn, lattice)]
+
+
+def _cell_reports(run: SuiteRun, check: str, row) -> list[CheckReport]:
+    """Rows of row(run, system) for every matrix cell."""
+    return [
+        r for desc, system in run.cells for r in _reports(check, system.lattice.group.descriptor, desc, row, run, system)
+    ]
+
+
+def cell_theorem_report(run: SuiteRun, system: TopoSystem):
+    return run.once(theorem_checks, system)
+
+
+# --- per-criterion checks -----------------------------------------------------
+
+def lattice_completeness_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
+    enum = {s.mask for s in lattice.subgroups}
+    oracle = set(brute_force_subgroup_masks(lattice.group))
+    if enum != oracle:
+        return FAIL, f"enumerated {len(enum)} vs brute-force {len(oracle)}"
+    return PASS, None
+
 
 def family_instance_descriptors(lattice: SubgroupLattice, family: str) -> tuple[str, ...]:
     """Full parameter sweep of one constructor family on one lattice."""
@@ -204,23 +260,21 @@ def family_instance_descriptors(lattice: SubgroupLattice, family: str) -> tuple[
     raise BadParameterError(f"unknown family {family!r}")
 
 
-def check_family(lattice: SubgroupLattice, family: str) -> tuple[str, str | None]:
+def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple[str, str | None]:
+    """Verify every member set a family sweep names, recording each outcome in ``verdicts``."""
     # skips must surface as findings with a reason, never silently
     if family == "characteristic" and lattice.group.order > AUTOMORPHISM_CAP:
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
     if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
-    # many descriptors name the same member set, and verifying it is the
-    # expensive step, so each distinct set is verified once
-    verified: set[frozenset[int]] = set()
     for desc in family_instance_descriptors(lattice, family):
         try:
             system = family_members(lattice, desc)
-            if system.members not in verified:
-                require_axioms(system)
-                verified.add(system.members)
         except TopoGroupError as exc:
             return FAIL, f"{desc}:{exc}"
+        witness = verdict(verdicts, system)
+        if witness is not None:
+            return FAIL, witness
     return PASS, None
 
 
@@ -250,6 +304,11 @@ def prime_order_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[bool
     return True, True, None
 
 
+def prime_order_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    ok, _, witness = run.once(prime_order_cell, system)
+    return (PASS, None) if ok else (FAIL, witness)
+
+
 def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
     hausdorff, _ = is_hausdorff(system)
     if not hausdorff:
@@ -259,6 +318,10 @@ def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str,
         if not report.is_weak_t_closed:
             return FAIL, f"subgroup #{i} stuck at element {report.weak_witness}"
     return PASS, None
+
+
+def weak_closed_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    return run.once(weak_closed_cell, system)
 
 
 # an order-1 group has no non-trivial subgroup, hence no subgroup filter
@@ -285,18 +348,51 @@ def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
     return PASS, None
 
 
-def star_cell(system: TopoSystem) -> tuple[str, str | None]:
-    report = star_topology_checks(system)
+def compactness_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    if system.lattice.group.order == 1:
+        return NO_FILTERS
+    report = cell_theorem_report(run, system)
+    if report.compactness_ok:
+        return PASS, None
+    return FAIL, report.compactness_witness
+
+
+def hausdorff_equivalence_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    if system.lattice.group.order == 1:
+        return NO_FILTERS
+    report = cell_theorem_report(run, system)
+    if not report.equivalence_ok:
+        return FAIL, report.multi_point_witness or "hausdorff without unique convergence"
+    if not report.continuity_ok:
+        return FAIL, report.continuity_witness
+    if report.findings:
+        return FINDING, ";".join(report.findings)
+    return PASS, None
+
+
+def identities_cell(product) -> tuple[str, str | None]:
+    report = product_identities_check(product)
     if report.passed:
         return PASS, None
-    f = report.failures[0]
+    f = report.first_failure()
     return FAIL, f"{f.kind}@{f.witness}"
+
+
+def certificate_cell(ptop, plattice: SubgroupLattice) -> tuple[str, str | None]:
+    for f in enumerate_ultrafilters(plattice):
+        if not tychonoff_certificate(ptop, f).ok:
+            return FAIL, f.provenance
+    return PASS, None
+
+
+def _products(catalog, budget: int) -> list:
+    products = [direct_product([build_group(d) for d in descs]) for descs in catalog]
+    return [p for p in products if p.group.order <= budget]
 
 
 def quotient_probe_cell(lattice: SubgroupLattice, system: TopoSystem) -> list[tuple[str, str | None]]:
     out = []
-    for n_index in lattice.normal_indices():
-        quotient = quotient_toposys(system, n_index)
+    for n_index, quotient in system.quotients.items():
         if quotient.report.passed:
             out.append((PASS, None))
         else:
@@ -305,185 +401,88 @@ def quotient_probe_cell(lattice: SubgroupLattice, system: TopoSystem) -> list[tu
     return out
 
 
+def quotient_probe_row(run: SuiteRun, system: TopoSystem) -> list[tuple[str, str | None]]:
+    return run.once(quotient_probe_cell, system)
+
+
+def star_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
+    report = star_topology_checks(system)
+    if report.passed:
+        return PASS, None
+    f = report.failures[0]
+    return FAIL, f"{f.kind}@{f.witness}"
+
+
+def star_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    return run.once(star_cell, system)
+
+
 # --- suites -------------------------------------------------------------------
 
-def suite_lattice_completeness(config: SuiteConfig) -> list[CheckReport]:
-    reports = []
-    for group in catalog_groups(config):
-        if group.order > 16:
-            continue
-        def run(group=group):
-            enum = {s.mask for s in enumerate_subgroups(group).subgroups}
-            oracle = set(brute_force_subgroup_masks(group))
-            if enum != oracle:
-                return FAIL, f"enumerated {len(enum)} vs brute-force {len(oracle)}"
-            return PASS, None
-        reports.append(_timed("lattice-completeness", group.descriptor, "", run))
-    return reports
+def suite_lattice_completeness(run: SuiteRun) -> list[CheckReport]:
+    small = [lattice for lattice in run.lattices if lattice.group.order <= 16]
+    return _group_reports("lattice-completeness", "", lattice_completeness_cell, small)
 
 
-def suite_toposys_axioms(config: SuiteConfig) -> list[CheckReport]:
+def suite_toposys_axioms(run: SuiteRun) -> list[CheckReport]:
     reports = []
-    for group in catalog_groups(config):
-        lattice = enumerate_subgroups(group)
+    for lattice in run.lattices:
         for family in FAMILY_NAMES:
-            reports.append(
-                _timed(
-                    "toposys-axioms",
-                    group.descriptor,
-                    family,
-                    lambda lattice=lattice, family=family: check_family(lattice, family),
-                )
-            )
+            group = lattice.group.descriptor
+            reports += _reports("toposys-axioms", group, family, check_family, lattice, family, run.verdicts)
     return reports
 
 
-def suite_interior_core(config: SuiteConfig) -> list[CheckReport]:
-    return [
-        _timed("interior-core", g.descriptor, "normal", lambda g=g: check_interior_core(enumerate_subgroups(g)))
-        for g in catalog_groups(config)
-    ]
+def suite_interior_core(run: SuiteRun) -> list[CheckReport]:
+    return _group_reports("interior-core", "normal", check_interior_core, run.lattices)
 
 
-def suite_prime_order(config: SuiteConfig) -> list[CheckReport]:
+def suite_prime_order(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "prime-order", prime_order_row)
+
+
+def suite_weak_closed(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "weak-closed", weak_closed_row)
+
+
+def suite_ultrafilter_machinery(run: SuiteRun) -> list[CheckReport]:
+    return _group_reports("ultrafilter-machinery", "", ultrafilter_cell, run.lattices)
+
+
+def suite_convergence_compactness(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "convergence-compactness", compactness_row)
+
+
+def suite_hausdorff_equivalence(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "hausdorff-equivalence", hausdorff_equivalence_row)
+
+
+def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
+    budget = min(36, run.config.max_group_order + 12)
     reports = []
-    for lattice, system in iter_cells(config):
-        def run(lattice=lattice, system=system):
-            ok, _, witness = prime_order_cell(lattice, system)
-            return (PASS, None) if ok else (FAIL, witness)
-        reports.append(_timed("prime-order", lattice.group.descriptor, system.provenance, run))
-    return reports
-
-
-def suite_weak_closed(config: SuiteConfig) -> list[CheckReport]:
-    return [
-        _timed(
-            "weak-closed",
-            lattice.group.descriptor,
-            system.provenance,
-            lambda lattice=lattice, system=system: weak_closed_cell(lattice, system),
-        )
-        for lattice, system in iter_cells(config)
-    ]
-
-
-def suite_ultrafilter_machinery(config: SuiteConfig) -> list[CheckReport]:
-    return [
-        _timed(
-            "ultrafilter-machinery",
-            g.descriptor,
-            "",
-            lambda g=g: ultrafilter_cell(enumerate_subgroups(g)),
-        )
-        for g in catalog_groups(config)
-    ]
-
-
-def suite_convergence_compactness(config: SuiteConfig) -> list[CheckReport]:
-    reports = []
-    for lattice, system in iter_cells(config):
-        def run(lattice=lattice, system=system):
-            if lattice.group.order == 1:
-                return NO_FILTERS
-            report = cell_theorem_report(lattice, system)
-            if report.compactness_ok:
-                return PASS, None
-            return FAIL, report.compactness_witness
-        reports.append(_timed("convergence-compactness", lattice.group.descriptor, system.provenance, run))
-    return reports
-
-
-def suite_hausdorff_equivalence(config: SuiteConfig) -> list[CheckReport]:
-    reports = []
-    for lattice, system in iter_cells(config):
-        def run(lattice=lattice, system=system):
-            if lattice.group.order == 1:
-                return NO_FILTERS
-            report = cell_theorem_report(lattice, system)
-            if not report.equivalence_ok:
-                return FAIL, report.multi_point_witness or "hausdorff without unique convergence"
-            if not report.continuity_ok:
-                return FAIL, report.continuity_witness
-            if report.findings:
-                return FINDING, ";".join(report.findings)
-            return PASS, None
-        reports.append(_timed("hausdorff-equivalence", lattice.group.descriptor, system.provenance, run))
-    return reports
-
-
-def suite_tychonoff(config: SuiteConfig) -> list[CheckReport]:
-    reports = []
-    budget = min(36, config.max_group_order + 12)
-    for descs in IDENTITY_PRODUCTS:
-        product = direct_product([build_group(d) for d in descs])
-        if product.group.order > budget:
-            continue
-        def run_ident(product=product):
-            report = product_identities_check(product)
-            if report.passed:
-                return PASS, None
-            f = report.first_failure()
-            return FAIL, f"{f.kind}@{f.witness}"
-        reports.append(_timed("product-identities", product.group.descriptor, "", run_ident))
-    for descs in TYCHONOFF_PRODUCTS:
-        product = direct_product([build_group(d) for d in descs])
-        if product.group.order > budget:
-            continue
+    for product in _products(IDENTITY_PRODUCTS, budget):
+        reports += _reports("product-identities", product.group.descriptor, "", identities_cell, product)
+    for product in _products(TYCHONOFF_PRODUCTS, budget):
         lattices = [enumerate_subgroups(f) for f in product.factors]
         plattice = enumerate_subgroups(product.group)
-        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(product.factors)):
-            systems = [build_toposys(lat, kind) for lat, kind in zip(lattices, combo)]
-            ptop = product_toposys(product, systems)
-            def run_cert(ptop=ptop, plattice=plattice):
-                for f in enumerate_ultrafilters(plattice):
-                    cert = tychonoff_certificate(ptop, f)
-                    if not cert.ok:
-                        return FAIL, f.provenance
-                return PASS, None
-            reports.append(
-                _timed("tychonoff-certificate", product.group.descriptor, "x".join(combo), run_cert)
+        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(lattices)):
+            ptop = product_toposys(product, [build_toposys(lat, kind) for lat, kind in zip(lattices, combo)])
+            reports += _reports(
+                "tychonoff-certificate", product.group.descriptor, "x".join(combo), certificate_cell, ptop, plattice
             )
     return reports
 
 
-def suite_quotient_probe(config: SuiteConfig) -> list[CheckReport]:
-    reports = []
-    for lattice, system in iter_cells(config):
-        start = time.perf_counter()
-        outcomes = quotient_probe_cell(lattice, system)
-        elapsed = (time.perf_counter() - start) * 1000.0 / max(len(outcomes), 1)
-        for status, witness in outcomes:
-            reports.append(
-                CheckReport("quotient-probe", lattice.group.descriptor, system.provenance, status, witness, elapsed)
-            )
-    return reports
+def suite_quotient_probe(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "quotient-probe", quotient_probe_row)
 
 
-def suite_star_topology(config: SuiteConfig) -> list[CheckReport]:
-    return [
-        _timed(
-            "star-topology",
-            lattice.group.descriptor,
-            system.provenance,
-            lambda system=system: star_cell(system),
-        )
-        for lattice, system in iter_cells(config)
-    ]
+def suite_star_topology(run: SuiteRun) -> list[CheckReport]:
+    return _cell_reports(run, "star-topology", star_row)
 
 
-_SUITE_FUNCTIONS = {
-    "lattice-completeness": suite_lattice_completeness,
-    "toposys-axioms": suite_toposys_axioms,
-    "interior-core": suite_interior_core,
-    "prime-order": suite_prime_order,
-    "weak-closed": suite_weak_closed,
-    "ultrafilter-machinery": suite_ultrafilter_machinery,
-    "convergence-compactness": suite_convergence_compactness,
-    "hausdorff-equivalence": suite_hausdorff_equivalence,
-    "tychonoff": suite_tychonoff,
-    "quotient-probe": suite_quotient_probe,
-    "star-topology": suite_star_topology,
-}
+# suite name -> suite_<name>; a plain dict, whose values a tracer can rebind
+_SUITE_FUNCTIONS = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 
 
 @dataclass(frozen=True)
@@ -497,12 +496,6 @@ class SuiteResult:
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
-    config = config.validated()
-    reports: list[CheckReport] = []
-    for name in SUITE_NAMES:
-        if name in config.suites:
-            reports.extend(_SUITE_FUNCTIONS[name](config))
-    counts: dict[str, int] = {PASS: 0, FAIL: 0, FINDING: 0}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    return SuiteResult(tuple(reports), counts)
+    run = SuiteRun(config)
+    reports = [r for name in SUITE_NAMES if name in run.config.suites for r in _SUITE_FUNCTIONS[name](run)]
+    return SuiteResult(tuple(reports), Counter(r.status for r in reports))

@@ -64,6 +64,11 @@ class TopoSystem:
         bits = self.member_bits
         return tuple(c & bits for c in self.lattice.containing)
 
+    @cached_property
+    def quotients(self) -> dict[int, QuotientToposys]:
+        """quotient_toposys(self, n) per normal subgroup index n, computed once per system."""
+        return {n: quotient_toposys(self, n) for n in self.lattice.normal_indices()}
+
     def __contains__(self, index: int) -> bool:
         return index in self.members
 

@@ -13,6 +13,7 @@ from topogroups.filters import convergence_set, principal_filter
 from topogroups.report import FAIL, PASS
 from topogroups.suites import (
     SuiteConfig,
+    SuiteRun,
     prime_order_cell,
     run_suite,
     suite_convergence_compactness,
@@ -46,7 +47,7 @@ def _assert_all_pass(reports, criterion, budget=None, elapsed=None, allow_findin
 
 def test_c01_lattice_completeness():
     start = time.monotonic()
-    reports = suite_lattice_completeness(CONFIG)
+    reports = suite_lattice_completeness(SuiteRun(CONFIG))
     elapsed = time.monotonic() - start
     expected = {"cyclic:4": 3, "abelian:2x2": 5, "sym:3": 6, "quaternion:8": 6}
     for desc, count in expected.items():
@@ -60,19 +61,19 @@ def test_c01_lattice_completeness():
 
 def test_c02_toposys_axioms_all_families():
     start = time.monotonic()
-    reports = suite_toposys_axioms(CONFIG)
+    reports = suite_toposys_axioms(SuiteRun(CONFIG))
     elapsed = time.monotonic() - start
     assert len(reports) == 9 * len([g for g in CONFIG.groups if build_group(g).order <= 24])
     _assert_all_pass(reports, "2 (topo-system axioms)", budget=30, elapsed=elapsed)
 
 
 def test_c03_interior_equals_core_for_normal_system():
-    reports = suite_interior_core(CONFIG)
+    reports = suite_interior_core(SuiteRun(CONFIG))
     _assert_all_pass(reports, "3 (interior = core)")
 
 
 def test_c04_prime_order_proposition():
-    reports = suite_prime_order(CONFIG)
+    reports = suite_prime_order(SuiteRun(CONFIG))
     positives = []
     for desc in ("abelian:2x2", "cyclic:3"):
         lattice = enumerate_subgroups(build_group(desc))
@@ -86,13 +87,13 @@ def test_c04_prime_order_proposition():
 
 
 def test_c05_weak_closed_proposition():
-    reports = suite_weak_closed(CONFIG)
+    reports = suite_weak_closed(SuiteRun(CONFIG))
     _assert_all_pass(reports, "5 (weak T-closed under Hausdorff)")
 
 
 def test_c06_ultrafilter_machinery():
     start = time.monotonic()
-    reports = suite_ultrafilter_machinery(CONFIG)
+    reports = suite_ultrafilter_machinery(SuiteRun(CONFIG))
     elapsed = time.monotonic() - start
     small = [d for d in CONFIG.groups if len(enumerate_subgroups(build_group(d))) <= 6]
     assert {"cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8"} <= set(small)
@@ -100,12 +101,12 @@ def test_c06_ultrafilter_machinery():
 
 
 def test_c07_every_ultrafilter_converges():
-    reports = suite_convergence_compactness(CONFIG)
+    reports = suite_convergence_compactness(SuiteRun(CONFIG))
     _assert_all_pass(reports, "7 (ultrafilter convergence)")
 
 
 def test_c08_hausdorff_equivalence_with_witness_cell():
-    reports = suite_hausdorff_equivalence(CONFIG)
+    reports = suite_hausdorff_equivalence(SuiteRun(CONFIG))
     lattice = enumerate_subgroups(build_group("sym:3"))
     normal = build_toposys(lattice, "normal")
     from topogroups.toposystems import is_hausdorff
@@ -123,7 +124,7 @@ def test_c08_hausdorff_equivalence_with_witness_cell():
 
 def test_c09_tychonoff():
     start = time.monotonic()
-    reports = suite_tychonoff(CONFIG)
+    reports = suite_tychonoff(SuiteRun(CONFIG))
     elapsed = time.monotonic() - start
     assert any(r.check == "product-identities" for r in reports)
     assert any(r.check == "tychonoff-certificate" for r in reports)
@@ -131,7 +132,7 @@ def test_c09_tychonoff():
 
 
 def test_c10_quotient_probe():
-    reports = suite_quotient_probe(CONFIG)
+    reports = suite_quotient_probe(SuiteRun(CONFIG))
     assert reports
     for r in reports:
         assert r.status in (PASS, "finding")
@@ -144,7 +145,7 @@ def test_c10_quotient_probe():
 
 
 def test_c11_star_topology():
-    reports = suite_star_topology(CONFIG)
+    reports = suite_star_topology(SuiteRun(CONFIG))
     _assert_all_pass(reports, "11 (star-topology remark)")
 
 

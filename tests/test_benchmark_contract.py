@@ -1,10 +1,11 @@
-"""The benchmark's tracer wraps program functions by name; they must exist."""
+"""The benchmark's tracer wraps program functions by name, and its workloads pin the reports."""
 
 import importlib
 import runpy
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def test_every_traced_target_resolves():
@@ -19,3 +20,11 @@ def test_every_traced_target_resolves():
         if not callable(owner):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+def test_theorem_workloads_match_their_pins():
+    # the pins are the exit code, row count, summary and stdout sha256 of
+    # `theorems --format json`; read from the benchmark, not copied here
+    workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
+    assert workloads["run_and_check"]("matrix", 0) == []
+    assert workloads["run_and_check"]("wide", 0) == []

@@ -201,7 +201,7 @@ def test_check_family_reports_a_build_failure_as_a_fail_row(monkeypatch):
 
     monkeypatch.setattr(suites, "family_members", broken)
     lattice = enumerate_subgroups(build_group("sym:3"))
-    assert suites.check_family(lattice, "principal") == ("fail", "principal:#0:fails axioms")
+    assert suites.check_family(lattice, "principal", {}) == ("fail", "principal:#0:fails axioms")
 
 
 def test_check_family_verifies_each_distinct_member_set_once(monkeypatch):
@@ -211,7 +211,7 @@ def test_check_family_verifies_each_distinct_member_set_once(monkeypatch):
     assert len(distinct) < len(descs)
     verified = []
     monkeypatch.setattr(suites, "require_axioms", lambda system: verified.append(system.members))
-    assert suites.check_family(lattice, "thk") == ("pass", None)
+    assert suites.check_family(lattice, "thk", {}) == ("pass", None)
     assert sorted(map(sorted, verified)) == sorted(map(sorted, distinct))
 
 
@@ -231,7 +231,7 @@ def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
         return real(lat, members)
 
     monkeypatch.setattr(toposystems, "verify_toposys", verify)
-    status, witness = suites.check_family(lattice, "thk")
+    status, witness = suites.check_family(lattice, "thk", {})
     assert status == "fail"
     assert witness.startswith(f"{first}:internal error: family {first!r} on dihedral:4 fails axioms: ")
     with pytest.raises(TopoGroupError) as exc:

@@ -144,6 +144,18 @@ def test_quotient_examples():
     assert q3.system.member_indices == (0, 1)
 
 
+@pytest.mark.parametrize("desc", CATALOG)
+def test_cached_quotients_match_quotient_toposys(desc):
+    for kind in ("discrete", "trivial", "normal", "thk:#0:#1"):
+        lat, system = _sys(desc, kind)
+        quotients = system.quotients
+        assert system.quotients is quotients
+        assert tuple(quotients) == lat.normal_indices()
+        for n, q in quotients.items():
+            fresh = quotient_toposys(system, n)
+            assert (q.system.members, q.report, q.group) == (fresh.system.members, fresh.report, fresh.group)
+
+
 def test_interior_examples():
     lat, ds = _sys("sym:3", "discrete")
     for i in range(len(lat)):
