@@ -22,7 +22,7 @@ from itertools import combinations
 from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
-from .toposystems import BadParameterError, TopoSystem, is_hausdorff, is_topomorphism
+from .toposystems import BadParameterError, TopoSystem
 
 
 class NoFipError(TopoGroupError):
@@ -372,6 +372,11 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
     verified quotient topomorphism, convergence pushes forward pointwise.
     Degenerate pushforwards (kernel in the filter) and quotient member sets
     that fail the axioms are reported as findings, not failures.
+
+    Quotients stay on the parent lattice: the preimage of K/N is K, so the
+    natural map is a topomorphism iff each a ∨ N is a topen.  q(↑⟨x⟩) is
+    ↑(⟨x⟩ ∨ N)/N, ultra with kernel ⟨xN⟩ unless ⟨x⟩ ≤ N; then it is every
+    non-trivial subgroup of G/N, a filter iff (N, G] has a single atom.
     """
     ultrafilters = enumerate_ultrafilters(lattice)
     limits = [convergence_set(f, system).points for f in ultrafilters]
@@ -380,7 +385,7 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
         if not points:
             compactness_witness = f.provenance
             break
-    hausdorff, _ = is_hausdorff(system)
+    hausdorff, _ = system.hausdorff
     multi_witness = None
     for f, points in zip(ultrafilters, limits):
         pair = _cyclically_distinct_pair(lattice, points)
@@ -399,32 +404,25 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
         if not quotient.report.passed:
             findings.append(f"quotient-axioms@#{n_index}:{quotient.report.first_failure().kind}")
             continue
-        topo_ok, offending = is_topomorphism(quotient.natural, system, quotient.system)
-        if not topo_ok:
-            findings.append(f"quotient-not-topomorphism@#{n_index}:target#{offending}")
+        offending = quotient.member_bits & ~system.member_bits
+        if offending:
+            target = lattice.quotient_index(n_index, (offending & -offending).bit_length() - 1)
+            findings.append(f"quotient-not-topomorphism@#{n_index}:target#{target}")
             continue
-        qlattice = quotient.system.lattice
-        natural = quotient.natural
-        pulled_back = {
-            b: lattice.index_of(natural.preimage_mask(qlattice.mask(b))) for b in quotient.system.member_indices
-        }
+        above_n = lattice.above[n_index] & ~(1 << n_index)
+        atom = (above_n & -above_n).bit_length() - 1
+        single_atom = above_n & ~lattice.above[atom] == 0
         for f, points in zip(ultrafilters, limits):
-            try:
-                pushed = pushforward(natural, f)
-                ok, witness = is_ultrafilter(pushed)
-                if not ok:
-                    continuity_witness = f"pushforward({f.provenance})@#{n_index} not ultra at #{witness}"
-                    break
-            except NotAFilterError:
+            # the pushforward's kernel is (⟨x⟩ ∨ N)/N
+            if lattice.join_index(f.kernel, n_index) == n_index and not single_atom:
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n_index}")
-            # the pointwise implication needs no filter structure: any topen
-            # around q(x) pulls back to a topen around x, which is in f
+            # the pointwise implication needs no filter structure: a topen
+            # K/N around q(x) pulls back to the topen K around x, which is in f
             for x in points:
-                for b in quotient.system.topens_containing(natural(x)):
-                    if pulled_back[b] not in f:
-                        continuity_witness = f"{f.provenance}->x={x}@#{n_index}:target#{b}"
-                        break
-                if continuity_witness:
+                outside = quotient.member_bits & lattice.containing[x] & ~f.member_bits
+                if outside:
+                    target = lattice.quotient_index(n_index, (outside & -outside).bit_length() - 1)
+                    continuity_witness = f"{f.provenance}->x={x}@#{n_index}:target#{target}"
                     break
             if continuity_witness:
                 break

@@ -307,44 +307,6 @@ def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homo
     return Homomorphism(source, target, mapping)
 
 
-def subgroup_group(group: FiniteGroup, mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:
-    """Reindex a subgroup as a group of its own, plus the inclusion map.
-
-    Local ids follow ascending parent ids, so the parent identity stays at 0.
-    """
-    elems = list(bits_of(mask))
-    pos = {e: i for i, e in enumerate(elems)}
-    table = [[pos[group.table[a][b]] for b in elems] for a in elems]
-    desc = f"{group.descriptor}{label or '|sub'}"
-    sub = FiniteGroup(table, desc, tuple(group.name(e) for e in elems))
-    embed = Homomorphism(sub, group, tuple(elems))
-    return sub, embed
-
-
-def quotient_group(group: FiniteGroup, normal_mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:
-    """Quotient by a normal subgroup, plus the natural surjection.
-
-    Cosets are numbered by their minimal element id, which keeps the identity
-    coset at 0 and makes quotient tables deterministic.
-    """
-    n = group.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    nm_elems = list(bits_of(normal_mask))
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in nm_elems:
-            coset_of[group.table[x][h]] = idx
-    table = [[coset_of[group.table[a][b]] for b in reps] for a in reps]
-    names = tuple(f"[{group.name(r)}]" for r in reps)
-    quot = FiniteGroup(table, f"{group.descriptor}{label or '|mod'}", names)
-    natural = Homomorphism(group, quot, tuple(coset_of))
-    return quot, natural
-
-
 # --- construction -----------------------------------------------------------
 
 def _cyclic_table(n: int):

@@ -12,6 +12,7 @@ stores subgroup sets as sets of these canonical indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -26,8 +27,6 @@ from .groups import (
     closure_mask,
     make_homomorphism,
     mask_of,
-    quotient_group,
-    subgroup_group,
 )
 
 AUTOMORPHISM_CAP = 24
@@ -92,8 +91,6 @@ class SubgroupLattice:
         self._normalizers: dict[int, int] = {}
         self._cores: dict[int, int] = {}
         self._commutators: dict[tuple[int, int], int] = {}
-        self._subgroup_groups: dict[int, tuple[FiniteGroup, Homomorphism]] = {}
-        self._quotients: dict[int, tuple[FiniteGroup, Homomorphism]] = {}
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -158,11 +155,17 @@ class SubgroupLattice:
     def core_index(self, i: int) -> int:
         got = self._cores.get(i)
         if got is None:
-            mask = self.subgroups[i].mask
-            acc = mask
-            for g in self.group.elements():
-                acc &= self.conjugate_mask(mask, g)
-            got = self._index_by_mask[acc]
+            # K <- K ∩ gKg⁻¹ over the generators of G until stable: the fixpoint
+            # is normalized by the generators, hence normal, and every step
+            # keeps the core, so it is the largest normal subgroup inside K
+            mask, stable = self.subgroups[i].mask, False
+            while not stable:
+                stable = True
+                for g in self.generators[self.top_index]:
+                    conj = mask & self.conjugate_mask(mask, g)
+                    if conj != mask:
+                        mask, stable = conj, False
+            got = self._index_by_mask[mask]
             self._cores[i] = got
         return got
 
@@ -211,21 +214,24 @@ class SubgroupLattice:
             self._commutators[key] = got
         return got
 
-    def subgroup_as_group(self, i: int) -> tuple[FiniteGroup, Homomorphism]:
-        got = self._subgroup_groups.get(i)
-        if got is None:
-            got = subgroup_group(self.group, self.subgroups[i].mask, f"|sub#{i}")
-            self._subgroup_groups[i] = got
-        return got
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """below[h]: bitset of the subgroups inside subgroup h, the down-set ↓h ≅ L(h)."""
+        below = [0] * len(self.subgroups)
+        for k, up in enumerate(self.above):
+            for h in bits_of(up):
+                below[h] |= 1 << k
+        return tuple(below)
 
-    def quotient_by(self, i: int) -> tuple[FiniteGroup, Homomorphism]:
-        if not self.is_normal_index(i):
-            raise NotNormalError(f"subgroup #{i} of {self.group.descriptor} is not normal")
-        got = self._quotients.get(i)
-        if got is None:
-            got = quotient_group(self.group, self.subgroups[i].mask, f"|mod#{i}")
-            self._quotients[i] = got
-        return got
+    def quotient_index(self, n: int, k: int) -> int:
+        """Index of K/N in L(G/N) for subgroup k = K above normal subgroup n = N.
+
+        K ↦ K/N maps [N, G] onto L(G/N), keeping joins and meets (correspondence
+        theorem).  With cosets numbered by least element, L(G/N) sorts K/N by
+        order, then by coset numbers: the parent's order, since the least element
+        in which two subgroups above N differ is the least of its coset.
+        """
+        return (self.above[n] & ((1 << k) - 1)).bit_count()
 
     def describe(self, i: int) -> str:
         sub = self.subgroups[i]

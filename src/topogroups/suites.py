@@ -28,7 +28,6 @@ from .toposystems import (
     build_toposys,
     family_members,
     interior_boundary,
-    is_hausdorff,
     require_axioms,
     star_topology_checks,
     t_closed_checks,
@@ -310,7 +309,7 @@ def prime_order_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]
 
 
 def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
-    hausdorff, _ = is_hausdorff(system)
+    hausdorff, _ = system.hausdorff
     if not hausdorff:
         return PASS, None
     for i in range(len(lattice)):
@@ -378,8 +377,8 @@ def identities_cell(product) -> tuple[str, str | None]:
     return FAIL, f"{f.kind}@{f.witness}"
 
 
-def certificate_cell(ptop, plattice: SubgroupLattice) -> tuple[str, str | None]:
-    for f in enumerate_ultrafilters(plattice):
+def certificate_cell(ptop, ultrafilters) -> tuple[str, str | None]:
+    for f in ultrafilters:
         if not tychonoff_certificate(ptop, f).ok:
             return FAIL, f.provenance
     return PASS, None
@@ -462,13 +461,18 @@ def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
     reports = []
     for product in _products(IDENTITY_PRODUCTS, budget):
         reports += _reports("product-identities", product.group.descriptor, "", identities_cell, product)
-    for product in _products(TYCHONOFF_PRODUCTS, budget):
-        lattices = [enumerate_subgroups(f) for f in product.factors]
-        plattice = enumerate_subgroups(product.group)
-        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(lattices)):
-            ptop = product_toposys(product, [build_toposys(lat, kind) for lat, kind in zip(lattices, combo)])
+    products = _products(TYCHONOFF_PRODUCTS, budget)
+    # one system per (factor, kind) and one ultrafilter list per product, shared by every combination
+    factors = {f.descriptor: f for product in products for f in product.factors}
+    systems = {
+        (d, kind): build_toposys(enumerate_subgroups(f), kind) for d, f in factors.items() for kind in FACTOR_SYSTEM_KINDS
+    }
+    for product in products:
+        ultrafilters = enumerate_ultrafilters(enumerate_subgroups(product.group))
+        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(product.factors)):
+            ptop = product_toposys(product, [systems[f.descriptor, kind] for f, kind in zip(product.factors, combo)])
             reports += _reports(
-                "tychonoff-certificate", product.group.descriptor, "x".join(combo), certificate_cell, ptop, plattice
+                "tychonoff-certificate", product.group.descriptor, "x".join(combo), certificate_cell, ptop, ultrafilters
             )
     return reports
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import (
-    FiniteGroup,
     Homomorphism,
     Subgroup,
     TopoGroupError,
@@ -23,12 +22,7 @@ from .groups import (
     mask_of,
     subgroup_generated,
 )
-from .lattice import (
-    SubgroupLattice,
-    enumerate_subgroups,
-    is_characteristic,
-    verbal_residual,
-)
+from .lattice import NotNormalError, SubgroupLattice, is_characteristic, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
 
@@ -68,6 +62,11 @@ class TopoSystem:
     def quotients(self) -> dict[int, QuotientToposys]:
         """quotient_toposys(self, n) per normal subgroup index n, computed once per system."""
         return {n: quotient_toposys(self, n) for n in self.lattice.normal_indices()}
+
+    @cached_property
+    def hausdorff(self) -> tuple[bool, SeparationWitness | None]:
+        """is_hausdorff(self), computed once per system."""
+        return is_hausdorff(self)
 
     def __contains__(self, index: int) -> bool:
         return index in self.members
@@ -110,23 +109,28 @@ def resolve_subgroup_literal(lattice: SubgroupLattice, text: str) -> int:
     raise BadParameterError(f"bad subgroup literal {text!r} (expected gen{{..}} or #k)")
 
 
-def verify_toposys(lattice: SubgroupLattice, members) -> ValidationReport:
+def verify_toposys(lattice: SubgroupLattice, members, n: int = 0) -> ValidationReport:
     """Check the three topo-system axioms on a candidate member set.
 
     Pairwise join/meet closure is checked; this is equivalent to closure
-    under arbitrary families because the member set is finite.  Pairs are
+    under arbitrary families because the member set is finite.  The set of
+    all subgroups is closed by definition and passes with no scan.  Pairs are
     visited as i <= j in index order, and a pair with subgroup i inside
     subgroup j is skipped: its join is j and its meet is i, both members.
     The canonical order sorts by order first, so a subgroup inside j never
     has a larger index, and the skip cannot change the first failing pair.
+    With a subgroup index n, members above n are checked on the interval
+    [n, G] instead, with trivial subgroup n (see quotient_toposys).
     """
     bits = mask_of(members)
     failures = []
-    for required in (lattice.trivial_index, lattice.top_index):
+    for required in (n, lattice.top_index):
         if not bits >> required & 1:
             failures.append(ValidationFailure("axiom-a", (required,), "trivial subgroup or whole group missing"))
     if failures:
         return ValidationReport(False, tuple(failures))
+    if bits == lattice.above[n]:
+        return ValidationReport(True)
     for i in bits_of(bits):
         # members after i that do not contain it
         for j in bits_of(bits & ~lattice.above[i] & -(2 << i)):
@@ -141,23 +145,32 @@ def verify_toposys(lattice: SubgroupLattice, members) -> ValidationReport:
     return ValidationReport(True)
 
 
-def generate_toposys(lattice: SubgroupLattice, seed, provenance: str | None = None) -> TopoSystem:
-    """Least topo-system containing the seed indices (pairwise fixpoint)."""
-    members = {lattice.trivial_index, lattice.top_index}
-    members.update(seed)
-    queue = sorted(members)
+def _closure(lattice: SubgroupLattice, bits: int, space: int) -> int:
+    """Least join/meet-closed bitset containing bits, inside the down-set space.
+
+    A seed that is the whole down-set is closed already.
+    """
+    if bits == space:
+        return bits
+    queue = list(bits_of(bits))
     i = 0
     while i < len(queue):
         a = queue[i]
         i += 1
         for b in queue[:i]:
             for c in (lattice.join_index(a, b), lattice.meet_index(a, b)):
-                if c not in members:
-                    members.add(c)
+                if not bits >> c & 1:
+                    bits |= 1 << c
                     queue.append(c)
+    return bits
+
+
+def generate_toposys(lattice: SubgroupLattice, seed, provenance: str | None = None) -> TopoSystem:
+    """Least topo-system containing the seed indices (pairwise fixpoint)."""
+    bits = _closure(lattice, mask_of(seed) | 1 | 1 << lattice.top_index, lattice.above[0])
     if provenance is None:
         provenance = "generated:" + ",".join(f"#{s}" for s in sorted(set(seed)))
-    return TopoSystem(lattice, frozenset(members), provenance)
+    return TopoSystem(lattice, frozenset(bits_of(bits)), provenance)
 
 
 def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
@@ -264,56 +277,74 @@ def _split_literals(arg: str) -> list[str]:
 
 @dataclass(frozen=True)
 class InducedToposys:
-    """A topo-system induced on a subgroup, reindexed as a group of its own."""
+    """The topo-system induced on subgroup h, on the parent lattice.
+
+    L(h) is the down-set ↓h of the parent lattice, with the parent's joins
+    and meets.  ``system`` holds the induced topens as parent indices, so
+    its whole group is h, not the lattice's top; ``trace_indices`` are the
+    traces a ∧ h of the parent topens, ascending.
+    """
 
     system: TopoSystem
-    group: FiniteGroup
-    embedding: Homomorphism
+    h: int
     trace_indices: tuple[int, ...]
 
 
 def induced_toposys(parent: TopoSystem, h: Subgroup | int) -> InducedToposys:
-    """Generate the induced system on h from the traces of the parent topens."""
+    """The least join/meet-closed set in ↓h holding 1, h and the traces of the parent topens."""
     lattice = parent.lattice
     h_index = h if isinstance(h, int) else lattice.index_of_subgroup(h)
-    hmask = lattice.mask(h_index)
-    hgroup, embed = lattice.subgroup_as_group(h_index)
-    hlattice = enumerate_subgroups(hgroup)
-    local_of = {parent_id: local for local, parent_id in enumerate(embed.mapping)}
-    seed = set()
-    for a in parent.member_indices:
-        trace = lattice.mask(a) & hmask
-        seed.add(hlattice.index_of(mask_of(local_of[e] for e in bits_of(trace))))
-    system = generate_toposys(hlattice, seed, provenance=f"induced({parent.provenance})@#{h_index}")
-    return InducedToposys(system, hgroup, embed, tuple(sorted(seed)))
+    traces = {lattice.meet_index(a, h_index) for a in parent.member_indices}
+    bits = _closure(lattice, mask_of(traces) | 1 | 1 << h_index, lattice.below[h_index])
+    system = TopoSystem(lattice, frozenset(bits_of(bits)), f"induced({parent.provenance})@#{h_index}")
+    return InducedToposys(system, h_index, tuple(sorted(traces)))
 
 
 @dataclass(frozen=True)
 class QuotientToposys:
-    """Image system on a quotient group plus the always-run axiom report.
+    """Image of a topo-system on G/N, on the parent lattice, plus its axiom report.
 
-    Closure of the image set under intersection is not obvious in general, so
-    the verifier runs on every produced quotient and the report travels with
-    the system instead of being assumed.
+    The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
+    K/N with K in the interval [N, G].  ``members`` holds the parent indices
+    a ∨ N; ``quotient_indices`` gives them as indices of L(G/N), which the
+    witnesses use (see SubgroupLattice.quotient_index).  Closure of the
+    image set under intersection is not obvious in general, so the verifier
+    runs on every produced quotient and the report travels with the system
+    instead of being assumed.
     """
 
-    system: TopoSystem
-    group: FiniteGroup
-    natural: Homomorphism
+    parent: TopoSystem
+    normal: int
+    members: frozenset[int]
     report: ValidationReport
+
+    @cached_property
+    def member_bits(self) -> int:
+        return mask_of(self.members)
+
+    @property
+    def quotient_indices(self) -> tuple[int, ...]:
+        """The members as indices of L(G/N), ascending."""
+        return tuple(self.parent.lattice.quotient_index(self.normal, k) for k in bits_of(self.member_bits))
 
 
 def quotient_toposys(parent: TopoSystem, n: Subgroup | int) -> QuotientToposys:
+    """The image {a ∨ N} of the parent topens, verified on [N, G] with quotient-index witnesses.
+
+    [N, G] has the parent's joins and meets and, by SubgroupLattice.quotient_index,
+    the parent's order, so the parent's scan meets the failing pairs in quotient order.
+    """
     lattice = parent.lattice
     n_index = n if isinstance(n, int) else lattice.index_of_subgroup(n)
-    qgroup, natural = lattice.quotient_by(n_index)
-    qlattice = enumerate_subgroups(qgroup)
-    members = frozenset(
-        qlattice.index_of(natural.image_mask(lattice.mask(a))) for a in parent.member_indices
+    if not lattice.is_normal_index(n_index):
+        raise NotNormalError(f"subgroup #{n_index} of {lattice.group.descriptor} is not normal")
+    members = frozenset(lattice.join_index(a, n_index) for a in parent.member_indices)
+    report = verify_toposys(lattice, members, n_index)
+    failures = tuple(
+        ValidationFailure(f.kind, tuple(lattice.quotient_index(n_index, k) for k in f.witness), f.detail)
+        for f in report.failures
     )
-    report = verify_toposys(qlattice, members)
-    system = TopoSystem(qlattice, members, f"quotient({parent.provenance})@#{n_index}")
-    return QuotientToposys(system, qgroup, natural, report)
+    return QuotientToposys(parent, n_index, members, ValidationReport(report.passed, failures))
 
 
 def interior_boundary(system: TopoSystem, x: Subgroup) -> tuple[Subgroup, frozenset[int]]:
@@ -491,23 +522,16 @@ def star_topology_checks(system: TopoSystem, union_sample_limit: int = 12) -> St
     sampled_ok = True
     member_list = system.member_indices
     for h_index in range(len(lattice)):
-        induced = induced_toposys(system, h_index)
+        induced = induced_toposys(system, h_index).system
         hmask = lattice.mask(h_index)
-        local_of = {parent_id: local for local, parent_id in enumerate(induced.embedding.mapping)}
-        hlattice = induced.system.lattice
-
-        def localize(parent_mask: int) -> int:
-            return mask_of(local_of[e] for e in bits_of(parent_mask & hmask))
-
         for a in member_list:
-            if hlattice.index_of(localize(lattice.mask(a))) not in induced.system.members:
+            if not induced.member_bits >> lattice.meet_index(a, h_index) & 1:
                 traces_ok = False
                 failures.append(ValidationFailure("induced-trace", (a, h_index), "topen trace is not induced-topen"))
         if len(member_list) <= union_sample_limit:
             for pos, a in enumerate(member_list):
                 for b in member_list[pos:]:
-                    union_trace = (lattice.mask(a) | lattice.mask(b)) & hmask
-                    if not is_star_open(induced.system, localize(union_trace)):
+                    if not is_star_open(induced, (lattice.mask(a) | lattice.mask(b)) & hmask):
                         sampled_ok = False
                         failures.append(
                             ValidationFailure("union-trace", (a, b, h_index), "union trace is not star-open")

@@ -1,8 +1,13 @@
 """CLI subcommands, exit codes, JSON schema stability and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import topogroups
 
 from topogroups import suites, toposystems
 from topogroups.cli import run_command
@@ -255,3 +260,14 @@ def test_product_tychonoff_failure_is_reported_per_ultrafilter(capsys):
     failed = [line for line in lines if "step pushforward[0] failed" in line]
     assert failed and "witness ValidationFailure(kind='meet'" in failed[0]
     assert sum("converges at" in line for line in lines) == len(lines) - len(failed)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(topogroups.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "topogroups", "theorems", "--groups", "cyclic:2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "summary: 182 pass, 0 fail, 0 finding"

@@ -30,6 +30,7 @@ from topogroups.filters import (
     theorem_checks,
 )
 from topogroups.products import direct_product
+from oracles import quotient_group
 
 SMALL_LATTICE_DESCRIPTORS = ("cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8")
 
@@ -361,7 +362,7 @@ def _pushforward_cases():
     cases = []
     for desc in SMALL_LATTICE_DESCRIPTORS:
         lat = _lat(desc)
-        cases += [(lat, lat.quotient_by(n)[1]) for n in lat.normal_indices()]
+        cases += [(lat, quotient_group(lat.group, lat.mask(n))[1]) for n in lat.normal_indices()]
     for descs in PUSHFORWARD_PRODUCTS:
         p = direct_product([build_group(d) for d in descs])
         cases += [(enumerate_subgroups(p.group), proj) for proj in p.projections]

@@ -186,6 +186,18 @@ def test_core_is_largest_normal_inside(desc, data):
             assert n.is_subset_of(c)
 
 
+# on sym:4 and product(sym:3,sym:3) some cores need a second pass over the generators
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + ("sym:4", "product(sym:3,sym:3)"))
+def test_core_fixpoint_matches_intersection_of_all_conjugates(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    group = lat.group
+    for i in range(len(lat)):
+        acc = lat.mask(i)
+        for g in group.elements():
+            acc &= mask_of(group.conjugate(g, x) for x in bits_of(lat.mask(i)))
+        assert lat.mask(lat.core_index(i)) == acc
+
+
 def test_normalizer_examples():
     g, lat = _s3()
     assert normalizer(lat.subgroup(lat.top_index)).is_whole

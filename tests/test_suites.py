@@ -49,6 +49,7 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     count_calls(monkeypatch, calls, suites, "star_topology_checks")
     count_calls(monkeypatch, calls, suites, "require_axioms")
     count_calls(monkeypatch, calls, toposystems, "quotient_toposys")
+    count_calls(monkeypatch, calls, toposystems, "is_hausdorff")
     resolved = Counter()
     real_members = suites.family_members
 
@@ -68,6 +69,8 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     }
     assert sum(cells.values()) == 185 and len(distinct) == 69
     assert calls["theorem_checks"] == calls["star_topology_checks"] == 69
+    # the theorem checks and weak-closed share one verdict per system
+    assert calls["is_hausdorff"] == 69
     # every normal subgroup of each distinct system, read by the theorem checks and the probe
     assert calls["quotient_toposys"] == sum(len(lat.normal_indices()) for lat in distinct.values()) == 371
     # no family is skipped on the default catalog, so every sweep descriptor is resolved once more
@@ -85,6 +88,23 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
         d for lat in sorted(lattices, key=lambda lat: (lat.group.order, lat.group.descriptor))
         for d in cell_system_descriptors(lat)
     ]
+
+
+def test_tychonoff_builds_each_factor_system_and_product_ultrafilter_list_once(monkeypatch):
+    calls = Counter()
+    count_calls(monkeypatch, calls, suites, "build_toposys")
+    count_calls(monkeypatch, calls, suites, "enumerate_ultrafilters")
+    reports = suites.suite_tychonoff(SuiteRun(SuiteConfig()))
+    factors = {d for descs in suites.TYCHONOFF_PRODUCTS for d in descs}
+    assert calls["build_toposys"] == len(factors) * len(suites.FACTOR_SYSTEM_KINDS) == 12
+    assert calls["enumerate_ultrafilters"] == len(suites.TYCHONOFF_PRODUCTS) == 8
+    rows = [(r.group, r.toposys) for r in reports if r.check == "tychonoff-certificate"]
+    assert rows == [
+        ("product(" + ",".join(descs) + ")", "x".join(combo))
+        for descs in suites.TYCHONOFF_PRODUCTS
+        for combo in suites.iter_product(suites.FACTOR_SYSTEM_KINDS, repeat=len(descs))
+    ]
+    assert all(r.status == PASS for r in reports)
 
 
 def test_toposys_axioms_verifies_each_member_set_once_per_group(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topogroups.groups import build_group, mask_of, subgroup_generated
-from topogroups.lattice import core, enumerate_subgroups
+from topogroups.lattice import NotNormalError, core, enumerate_subgroups
 from topogroups.toposystems import (
     BadParameterError,
     build_toposys,
@@ -26,6 +26,7 @@ from topogroups.toposystems import (
 )
 from topogroups.groups import make_homomorphism
 from topogroups.suites import DEFAULT_CATALOG
+from oracles import quotient_lattice
 
 CATALOG = (
     "cyclic:4",
@@ -123,25 +124,29 @@ def test_induced_examples():
     whole = induced_toposys(tn, lat.top_index)
     assert whole.system.members == tn.members
     ind = induced_toposys(tn, 1)
-    assert ind.group.order == 2
-    assert ind.system.member_indices == (0, 1)
+    assert lat.subgroup(ind.h).order == 2
+    assert ind.system.member_indices == (0, 1) and ind.trace_indices == (0, 1)
     lat_q8, thk = _sys("quaternion:8", "thk:#0:#5")
     i_index = lat_q8.index_of_subgroup(subgroup_generated(build_group("quaternion:8"), [2]))
     ind2 = induced_toposys(thk, i_index)
-    assert [ind2.system.lattice.subgroup(i).order for i in ind2.system.member_indices] == [1, 2, 4]
+    # members are parent indices inside the subgroup <i> of order 4
+    assert [lat_q8.subgroup(i).order for i in ind2.system.member_indices] == [1, 2, 4]
+    assert all(lat_q8.leq(i, i_index) for i in ind2.system.member_indices)
 
 
 def test_quotient_examples():
     lat, tn = _sys("sym:3", "normal")
     q = quotient_toposys(tn, lat.top_index)
-    assert q.group.order == 1 and q.system.member_indices == (0,)
+    assert q.members == {lat.top_index} and q.quotient_indices == (0,)
     lat, ds = _sys("sym:3", "discrete")
     q2 = quotient_toposys(ds, 4)
-    assert q2.group.order == 2
-    assert q2.system.member_indices == (0, 1)
+    # S3/A3 has order 2: the interval [A3, S3] holds two subgroups
+    assert q2.members == {4, 5} and q2.quotient_indices == (0, 1)
     assert q2.report.passed
     q3 = quotient_toposys(tn, 4)
-    assert q3.system.member_indices == (0, 1)
+    assert q3.quotient_indices == (0, 1)
+    with pytest.raises(NotNormalError):
+        quotient_toposys(ds, 1)
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -153,7 +158,7 @@ def test_cached_quotients_match_quotient_toposys(desc):
         assert tuple(quotients) == lat.normal_indices()
         for n, q in quotients.items():
             fresh = quotient_toposys(system, n)
-            assert (q.system.members, q.report, q.group) == (fresh.system.members, fresh.report, fresh.group)
+            assert (q.members, q.report) == (fresh.members, fresh.report)
 
 
 def test_interior_examples():
@@ -404,6 +409,18 @@ def test_verify_matches_all_pairs_check(desc, data):
     assert [(f.kind, f.witness) for f in report.failures] == want
 
 
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG)
+def test_full_set_passes_without_a_scan_as_with_one(desc, monkeypatch):
+    lat = _lat(desc)
+    full = range(len(lat))
+    assert _all_pairs_verify(lat, full) == []
+    monkeypatch.setattr(type(lat), "join_index", lambda *args: pytest.fail("full set scanned"))
+    assert verify_toposys(lat, full).passed
+    # every quotient image of the discrete system is its whole interval
+    for n in lat.normal_indices():
+        assert verify_toposys(lat, [k for k in full if lat.leq(n, k)], n).passed
+
+
 @pytest.mark.parametrize("desc", CATALOG)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
@@ -422,9 +439,9 @@ def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
 def test_preimage_mask_matches_element_scan(desc):
     lat = _lat(desc)
     for n in lat.normal_indices():
-        qgroup, natural = lat.quotient_by(n)
-        targets = [s.mask for s in enumerate_subgroups(qgroup).subgroups]
-        targets += [1 << t for t in qgroup.elements()]
+        qlattice, natural = quotient_lattice(lat, n)
+        targets = [s.mask for s in qlattice.subgroups]
+        targets += [1 << t for t in qlattice.group.elements()]
         for tmask in targets:
             want = mask_of(x for x in lat.group.elements() if tmask >> natural(x) & 1)
             assert natural.preimage_mask(tmask) == want
