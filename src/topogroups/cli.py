@@ -99,13 +99,13 @@ def _cmd_lattice(args) -> int:
 def _cmd_toposys(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
-    print(f"{group.descriptor} / {system.provenance}: {len(system.members)} topens")
+    print(f"{group.descriptor} / {system.provenance}: {system.member_bits.bit_count()} topens")
     for note in system.notes:
         print(f"  note: {note}")
     for i in system.member_indices:
         print(f"  {lattice.describe(i)}")
     if args.verify:
-        report = verify_toposys(lattice, system.members)
+        report = verify_toposys(lattice, system.member_bits)
         print(f"axioms: {'pass' if report.passed else f'fail {report.first_failure()}'}")
         return 0 if report.passed else 1
     return 0
@@ -199,7 +199,7 @@ def _cmd_product(args) -> int:
         kinds = [p for p in args.sys.split(";") if p]
         systems = [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)]
         ptop = product_toposys(product, systems)
-        print(f"product system: {len(ptop.system.members)} topens")
+        print(f"product system: {ptop.system.member_bits.bit_count()} topens")
         if args.tychonoff:
             plattice = enumerate_subgroups(product.group)
             for f in enumerate_ultrafilters(plattice):

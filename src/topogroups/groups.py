@@ -192,10 +192,6 @@ class Subgroup:
         return self.mask & other.mask == self.mask
 
     @property
-    def is_trivial(self) -> bool:
-        return self.mask == 1
-
-    @property
     def is_whole(self) -> bool:
         return self.mask == self.group.full_mask
 

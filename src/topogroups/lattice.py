@@ -6,7 +6,7 @@ complete because each subgroup is the join of its own cyclic subgroups, and
 it records a small generating set for each subgroup on the way.  The
 canonical order is (order, then membership lexicographic), so index 0 is the
 trivial subgroup and the last index is the whole group.  Every other module
-stores subgroup sets as sets of these canonical indices.
+stores subgroup sets as bitsets over these canonical indices.
 """
 
 from __future__ import annotations
@@ -184,8 +184,10 @@ class SubgroupLattice:
     def is_normal_index(self, i: int) -> bool:
         return self.normalizer_index(i) == self.top_index
 
-    def normal_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(len(self.subgroups)) if self.is_normal_index(i))
+    @cached_property
+    def normal_bits(self) -> int:
+        """Bitset of the normal subgroups."""
+        return mask_of(i for i in range(len(self.subgroups)) if self.is_normal_index(i))
 
     def commutator_index(self, i: int, j: int) -> int:
         """[H, K]: the normal closure in <H, K> of the generator commutators.

@@ -127,13 +127,15 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
             raise BadParameterError("factor system does not live on the matching factor")
     plattice = enumerate_subgroups(product.group)
     member_factors: dict[int, tuple[int, ...]] = {}
+    bits = 0
     for combo in iter_product(*[s.member_indices for s in factor_systems]):
         masks = [s.lattice.mask(i) for s, i in zip(factor_systems, combo)]
         index = plattice.index_of(product_subgroup_mask(product, masks))
         member_factors[index] = combo
+        bits |= 1 << index
     provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
-    system = TopoSystem(plattice, frozenset(member_factors), provenance)
-    report = verify_toposys(plattice, system.members)
+    system = TopoSystem(plattice, bits, provenance)
+    report = verify_toposys(plattice, bits)
     if not report.passed:
         raise TopoGroupError(f"internal error: product system fails axioms: {report.first_failure()}")
     return ProductToposys(product, system, factor_systems, member_factors)

@@ -43,6 +43,7 @@ from .filters import (
     theorem_checks,
 )
 from .products import (
+    CertificateFailureError,
     direct_product,
     product_identities_check,
     product_toposys,
@@ -378,9 +379,12 @@ def identities_cell(product) -> tuple[str, str | None]:
 
 
 def certificate_cell(ptop, ultrafilters) -> tuple[str, str | None]:
+    """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step."""
     for f in ultrafilters:
-        if not tychonoff_certificate(ptop, f).ok:
-            return FAIL, f.provenance
+        try:
+            tychonoff_certificate(ptop, f)
+        except CertificateFailureError as exc:
+            return FAIL, f"{f.provenance}:{exc.step}"
     return PASS, None
 
 

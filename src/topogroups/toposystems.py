@@ -4,8 +4,8 @@ A topo-system is a set of subgroups containing the trivial subgroup and the
 whole group, closed under generated joins of arbitrary subfamilies and under
 pairwise intersection.  On a finite lattice the join axiom reduces to pairwise
 closure: the join of any finite family is an iterated pairwise join, and every
-member set here is finite.  Member subgroups are called topens and are stored
-as canonical lattice indices.
+member set here is finite.  Member subgroups are called topens, and a member
+set is stored as a bitset over canonical lattice indices.
 """
 
 from __future__ import annotations
@@ -36,22 +36,22 @@ class TopoSystem:
 
     ``member_bits`` is the member set as a bitset over lattice indices, and
     ``incidence[e]`` is T(e), the bitset of the topens containing element e:
-    the lattice's ``containing[e]`` restricted to the members.  Both are
-    computed once per system, and every point-wise topen query reads them.
+    the lattice's ``containing[e]`` restricted to the members.  The incidence
+    is computed once per system, and every point-wise topen query reads it.
     """
 
     lattice: SubgroupLattice
-    members: frozenset[int]
+    member_bits: int
     provenance: str
     notes: tuple[str, ...] = ()
 
     @cached_property
-    def member_bits(self) -> int:
-        return mask_of(self.members)
-
-    @cached_property
     def member_indices(self) -> tuple[int, ...]:
         return tuple(bits_of(self.member_bits))
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(self.member_indices)
 
     @cached_property
     def incidence(self) -> tuple[int, ...]:
@@ -61,7 +61,7 @@ class TopoSystem:
     @cached_property
     def quotients(self) -> dict[int, QuotientToposys]:
         """quotient_toposys(self, n) per normal subgroup index n, computed once per system."""
-        return {n: quotient_toposys(self, n) for n in self.lattice.normal_indices()}
+        return {n: quotient_toposys(self, n) for n in bits_of(self.lattice.normal_bits)}
 
     @cached_property
     def hausdorff(self) -> tuple[bool, SeparationWitness | None]:
@@ -69,7 +69,7 @@ class TopoSystem:
         return is_hausdorff(self)
 
     def __contains__(self, index: int) -> bool:
-        return index in self.members
+        return bool(self.member_bits >> index & 1)
 
     def topens(self):
         return tuple(self.lattice.subgroup(i) for i in self.member_indices)
@@ -79,7 +79,7 @@ class TopoSystem:
         return tuple(bits_of(self.incidence[x]))
 
     def __repr__(self):
-        return f"TopoSystem({self.lattice.group.descriptor}; {self.provenance}; {len(self.members)} topens)"
+        return f"TopoSystem({self.lattice.group.descriptor}; {self.provenance}; {self.member_bits.bit_count()} topens)"
 
 
 def resolve_subgroup_literal(lattice: SubgroupLattice, text: str) -> int:
@@ -109,8 +109,8 @@ def resolve_subgroup_literal(lattice: SubgroupLattice, text: str) -> int:
     raise BadParameterError(f"bad subgroup literal {text!r} (expected gen{{..}} or #k)")
 
 
-def verify_toposys(lattice: SubgroupLattice, members, n: int = 0) -> ValidationReport:
-    """Check the three topo-system axioms on a candidate member set.
+def verify_toposys(lattice: SubgroupLattice, bits: int, n: int = 0) -> ValidationReport:
+    """Check the three topo-system axioms on a candidate member bitset.
 
     Pairwise join/meet closure is checked; this is equivalent to closure
     under arbitrary families because the member set is finite.  The set of
@@ -122,7 +122,6 @@ def verify_toposys(lattice: SubgroupLattice, members, n: int = 0) -> ValidationR
     With a subgroup index n, members above n are checked on the interval
     [n, G] instead, with trivial subgroup n (see quotient_toposys).
     """
-    bits = mask_of(members)
     failures = []
     for required in (n, lattice.top_index):
         if not bits >> required & 1:
@@ -165,12 +164,12 @@ def _closure(lattice: SubgroupLattice, bits: int, space: int) -> int:
     return bits
 
 
-def generate_toposys(lattice: SubgroupLattice, seed, provenance: str | None = None) -> TopoSystem:
-    """Least topo-system containing the seed indices (pairwise fixpoint)."""
-    bits = _closure(lattice, mask_of(seed) | 1 | 1 << lattice.top_index, lattice.above[0])
+def generate_toposys(lattice: SubgroupLattice, seed: int, provenance: str | None = None) -> TopoSystem:
+    """Least topo-system containing the seed bitset (pairwise fixpoint)."""
+    bits = _closure(lattice, seed | 1 | 1 << lattice.top_index, lattice.above[0])
     if provenance is None:
-        provenance = "generated:" + ",".join(f"#{s}" for s in sorted(set(seed)))
-    return TopoSystem(lattice, frozenset(bits_of(bits)), provenance)
+        provenance = "generated:" + ",".join(f"#{s}" for s in bits_of(seed))
+    return TopoSystem(lattice, bits, provenance)
 
 
 def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
@@ -185,7 +184,7 @@ def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
 
 def require_axioms(system: TopoSystem) -> TopoSystem:
     """The system itself once verify_toposys passes; TopoGroupError otherwise."""
-    report = verify_toposys(system.lattice, system.members)
+    report = verify_toposys(system.lattice, system.member_bits)
     if not report.passed:
         raise TopoGroupError(
             f"internal error: family {system.provenance!r} on {system.lattice.group.descriptor} "
@@ -195,67 +194,57 @@ def require_axioms(system: TopoSystem) -> TopoSystem:
 
 
 def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
-    """The member set a descriptor names (see build_toposys), not yet verified."""
+    """The member set a descriptor names (see build_toposys), not yet verified.
+
+    Every family is read off the lattice's bitsets: ``above[k]`` is the set
+    of subgroups containing k, and ``normal_bits`` the normal subgroups.
+    """
     desc = descriptor.replace(" ", "")
     kind, _, arg = desc.partition(":")
     notes: tuple[str, ...] = ()
     top = lattice.top_index
-    all_indices = range(len(lattice))
+    above = lattice.above
 
     if kind == "discrete":
-        members = set(all_indices)
+        bits = above[0]
     elif kind == "trivial":
-        members = {0, top}
+        bits = 1 | 1 << top
     elif kind == "cofinite":
         # every subgroup of a finite group has finite index
-        members = set(all_indices)
+        bits = above[0]
         notes = ("cofinite coincides with discrete on a finite group",)
     elif kind == "normal":
-        members = set(lattice.normal_indices())
+        bits = lattice.normal_bits
     elif kind == "characteristic":
-        members = {i for i in all_indices if is_characteristic(lattice.subgroup(i))}
+        # a characteristic subgroup is normal
+        bits = mask_of(i for i in bits_of(lattice.normal_bits) if is_characteristic(lattice.subgroup(i)))
     elif kind == "principal":
-        b = resolve_subgroup_literal(lattice, arg)
-        bmask = lattice.mask(b)
-        members = {i for i in all_indices if bmask & lattice.mask(i) == bmask}
-        members.add(0)
+        bits = above[resolve_subgroup_literal(lattice, arg)] | 1
     elif kind == "variety":
-        residual = verbal_residual(lattice.group, arg)
-        rmask = residual.mask
-        members = {
-            i
-            for i in lattice.normal_indices()
-            if rmask & lattice.mask(i) == rmask
-        }
-        members.add(0)
+        residual = lattice.index_of(verbal_residual(lattice.group, arg).mask)
+        bits = lattice.normal_bits & above[residual] | 1
     elif kind == "thk":
         parts = _split_literals(arg)
         if len(parts) != 2:
             raise BadParameterError(f"thk needs two subgroup literals, got {descriptor!r}")
         h = resolve_subgroup_literal(lattice, parts[0])
         k = resolve_subgroup_literal(lattice, parts[1])
-        hmask = lattice.mask(h)
-        if hmask & lattice.mask(k) != hmask:
+        if not lattice.leq(h, k):
             raise BadParameterError("thk requires the first subgroup to lie inside the second")
-        members = {
-            i
-            for i in all_indices
-            if lattice.mask(lattice.commutator_index(i, k)) & hmask == lattice.mask(lattice.commutator_index(i, k))
-        }
-        members.add(top)
+        # the subgroups i with [i, k] inside h
+        bits = mask_of(i for i in range(len(lattice)) if above[lattice.commutator_index(i, k)] >> h & 1)
+        bits |= 1 << top
     elif kind == "conj":
-        h = resolve_subgroup_literal(lattice, arg)
-        hmask = lattice.mask(h)
-        members = {
-            i for i in all_indices if hmask & lattice.mask(lattice.normalizer_index(i)) == hmask
-        }
+        # the subgroups whose normalizer contains h
+        up = above[resolve_subgroup_literal(lattice, arg)]
+        bits = mask_of(i for i in range(len(lattice)) if up >> lattice.normalizer_index(i) & 1)
     elif kind == "generated":
-        seed = [resolve_subgroup_literal(lattice, p) for p in _split_literals(arg)]
+        seed = mask_of(resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))
         return generate_toposys(lattice, seed, provenance=desc)
     else:
         raise BadParameterError(f"unknown topo-system kind {descriptor!r}")
 
-    return TopoSystem(lattice, frozenset(members), desc, notes)
+    return TopoSystem(lattice, bits, desc, notes)
 
 
 def _split_literals(arg: str) -> list[str]:
@@ -294,10 +283,10 @@ def induced_toposys(parent: TopoSystem, h: Subgroup | int) -> InducedToposys:
     """The least join/meet-closed set in ↓h holding 1, h and the traces of the parent topens."""
     lattice = parent.lattice
     h_index = h if isinstance(h, int) else lattice.index_of_subgroup(h)
-    traces = {lattice.meet_index(a, h_index) for a in parent.member_indices}
-    bits = _closure(lattice, mask_of(traces) | 1 | 1 << h_index, lattice.below[h_index])
-    system = TopoSystem(lattice, frozenset(bits_of(bits)), f"induced({parent.provenance})@#{h_index}")
-    return InducedToposys(system, h_index, tuple(sorted(traces)))
+    traces = mask_of(lattice.meet_index(a, h_index) for a in parent.member_indices)
+    bits = _closure(lattice, traces | 1 | 1 << h_index, lattice.below[h_index])
+    system = TopoSystem(lattice, bits, f"induced({parent.provenance})@#{h_index}")
+    return InducedToposys(system, h_index, tuple(bits_of(traces)))
 
 
 @dataclass(frozen=True)
@@ -305,22 +294,18 @@ class QuotientToposys:
     """Image of a topo-system on G/N, on the parent lattice, plus its axiom report.
 
     The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
-    K/N with K in the interval [N, G].  ``members`` holds the parent indices
-    a ∨ N; ``quotient_indices`` gives them as indices of L(G/N), which the
-    witnesses use (see SubgroupLattice.quotient_index).  Closure of the
-    image set under intersection is not obvious in general, so the verifier
-    runs on every produced quotient and the report travels with the system
-    instead of being assumed.
+    K/N with K in the interval [N, G].  ``member_bits`` is the bitset of the
+    parent indices a ∨ N; ``quotient_indices`` gives them as indices of
+    L(G/N), which the witnesses use (see SubgroupLattice.quotient_index).
+    Closure of the image set under intersection is not obvious in general,
+    so the verifier runs on every produced quotient and the report travels
+    with the system instead of being assumed.
     """
 
     parent: TopoSystem
     normal: int
-    members: frozenset[int]
+    member_bits: int
     report: ValidationReport
-
-    @cached_property
-    def member_bits(self) -> int:
-        return mask_of(self.members)
 
     @property
     def quotient_indices(self) -> tuple[int, ...]:
@@ -338,13 +323,13 @@ def quotient_toposys(parent: TopoSystem, n: Subgroup | int) -> QuotientToposys:
     n_index = n if isinstance(n, int) else lattice.index_of_subgroup(n)
     if not lattice.is_normal_index(n_index):
         raise NotNormalError(f"subgroup #{n_index} of {lattice.group.descriptor} is not normal")
-    members = frozenset(lattice.join_index(a, n_index) for a in parent.member_indices)
-    report = verify_toposys(lattice, members, n_index)
+    bits = mask_of(lattice.join_index(a, n_index) for a in parent.member_indices)
+    report = verify_toposys(lattice, bits, n_index)
     failures = tuple(
         ValidationFailure(f.kind, tuple(lattice.quotient_index(n_index, k) for k in f.witness), f.detail)
         for f in report.failures
     )
-    return QuotientToposys(parent, n_index, members, ValidationReport(report.passed, failures))
+    return QuotientToposys(parent, n_index, bits, ValidationReport(report.passed, failures))
 
 
 def interior_boundary(system: TopoSystem, x: Subgroup) -> tuple[Subgroup, frozenset[int]]:
@@ -462,7 +447,7 @@ def find_finite_subcover(system: TopoSystem, x: Subgroup, cover) -> SubcoverCert
     lattice = system.lattice
     cover = list(cover)
     for i in cover:
-        if i not in system.members:
+        if i not in system:
             raise BadParameterError(f"cover entry #{i} is not a topen of the system")
     family = [lattice.subgroup(i) for i in cover]
     result = minimal_cover(x, family)
@@ -476,7 +461,7 @@ def is_topomorphism(f: Homomorphism, source_sys: TopoSystem, target_sys: TopoSys
     src_lattice = source_sys.lattice
     for b in target_sys.member_indices:
         pre = f.preimage_mask(target_sys.lattice.mask(b))
-        if src_lattice.index_of(pre) not in source_sys.members:
+        if src_lattice.index_of(pre) not in source_sys:
             return False, b
     return True, None
 

@@ -3,7 +3,9 @@
 The runtime keeps induced and quotient systems on the parent lattice (↓H for
 a subgroup H, the interval [N, G] for a quotient G/N).  The paths here build
 the subgroup or quotient as a group of its own, enumerate its lattice and
-work there, as the runtime once did; the tests compare the two.
+work there, as the runtime once did; the tests compare the two.  The runtime
+reads the family member sets off the lattice's bitsets; the set
+comprehensions here test each subgroup against its definition instead.
 """
 
 from topogroups.filters import (
@@ -16,16 +18,54 @@ from topogroups.filters import (
     pushforward,
 )
 from topogroups.groups import FiniteGroup, Homomorphism, bits_of, mask_of
-from topogroups.lattice import enumerate_subgroups
+from topogroups.lattice import enumerate_subgroups, is_characteristic, verbal_residual
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     TopoSystem,
+    _split_literals,
     generate_toposys,
     is_hausdorff,
     is_star_open,
     is_topomorphism,
+    resolve_subgroup_literal,
     verify_toposys,
 )
+
+
+def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
+    """The member set of a family descriptor (not ``generated``), one subgroup at a time."""
+    kind, _, arg = descriptor.partition(":")
+    top = lattice.top_index
+    all_indices = range(len(lattice))
+    normal = {i for i in all_indices if lattice.is_normal_index(i)}
+    if kind in ("discrete", "cofinite"):
+        members = set(all_indices)
+    elif kind == "trivial":
+        members = {0, top}
+    elif kind == "normal":
+        members = normal
+    elif kind == "characteristic":
+        members = {i for i in all_indices if is_characteristic(lattice.subgroup(i))}
+    elif kind == "principal":
+        bmask = lattice.mask(resolve_subgroup_literal(lattice, arg))
+        members = {i for i in all_indices if bmask & lattice.mask(i) == bmask} | {0}
+    elif kind == "variety":
+        rmask = verbal_residual(lattice.group, arg).mask
+        members = {i for i in normal if rmask & lattice.mask(i) == rmask} | {0}
+    elif kind == "thk":
+        h, k = (resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))
+        hmask = lattice.mask(h)
+        members = {
+            i
+            for i in all_indices
+            if lattice.mask(lattice.commutator_index(i, k)) & hmask == lattice.mask(lattice.commutator_index(i, k))
+        } | {top}
+    elif kind == "conj":
+        hmask = lattice.mask(resolve_subgroup_literal(lattice, arg))
+        members = {i for i in all_indices if hmask & lattice.mask(lattice.normalizer_index(i)) == hmask}
+    else:
+        raise ValueError(f"no oracle for {descriptor!r}")
+    return frozenset(members)
 
 
 def subgroup_group(group: FiniteGroup, mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:
@@ -83,7 +123,7 @@ def induced_by_subgroup_group(parent: TopoSystem, h: int):
         hlattice.index_of(mask_of(local_of[e] for e in bits_of(lattice.mask(a) & hmask)))
         for a in parent.member_indices
     }
-    system = generate_toposys(hlattice, seed)
+    system = generate_toposys(hlattice, mask_of(seed))
 
     def to_parent(local: int) -> int:
         return lattice.index_of(embed.image_mask(hlattice.mask(local)))
@@ -96,8 +136,8 @@ def quotient_by_quotient_group(parent: TopoSystem, n: int):
     lattice = parent.lattice
     qlattice, natural = quotient_lattice(lattice, n)
     members = frozenset(qlattice.index_of(natural.image_mask(lattice.mask(a))) for a in parent.member_indices)
-    system = TopoSystem(qlattice, members, f"quotient({parent.provenance})@#{n}")
-    return members, verify_toposys(qlattice, members), system, natural
+    system = TopoSystem(qlattice, mask_of(members), f"quotient({parent.provenance})@#{n}")
+    return members, verify_toposys(qlattice, system.member_bits), system, natural
 
 
 def star_topology_failures(system: TopoSystem, union_sample_limit: int = 12) -> list[ValidationFailure]:
@@ -139,7 +179,7 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
             break
     findings: list[str] = []
     continuity_witness = None
-    for n in lattice.normal_indices():
+    for n in bits_of(lattice.normal_bits):
         if n == lattice.top_index:
             continue
         _, report, qsystem, natural = quotient_by_quotient_group(system, n)

@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps program functions by name, and its workloads pin the reports."""
 
 import importlib
+import json
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,3 +31,14 @@ def test_theorem_workloads_match_their_pins():
     workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
     assert workloads["run_and_check"]("matrix", 0) == []
     assert workloads["run_and_check"]("wide", 0) == []
+
+
+def test_traced_matrix_pass_passes_its_self_checks():
+    # the tracer wraps program functions by name and reads each
+    # build_toposys result's member set, so run one traced pass end to end
+    proc = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "run.py"), "--workload", "matrix", "--seed", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=170,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -11,8 +11,9 @@ import topogroups
 
 from topogroups import suites, toposystems
 from topogroups.cli import run_command
-from topogroups.groups import TopoGroupError, build_group
+from topogroups.groups import TopoGroupError, build_group, mask_of
 from topogroups.lattice import enumerate_subgroups
+from topogroups.products import CertificateFailureError
 from topogroups.report import CHECK_FIELDS, ValidationFailure, ValidationReport
 
 
@@ -230,10 +231,10 @@ def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
     first = next(d for d, s in zip(descs, systems) if s.members == bad)
     real = toposystems.verify_toposys
 
-    def verify(lat, members):
-        if frozenset(members) == bad:
+    def verify(lat, bits):
+        if bits == mask_of(bad):
             return ValidationReport(False, (ValidationFailure("join-closure", (1, 2, 3), "forced"),))
-        return real(lat, members)
+        return real(lat, bits)
 
     monkeypatch.setattr(toposystems, "verify_toposys", verify)
     status, witness = suites.check_family(lattice, "thk", {})
@@ -260,6 +261,34 @@ def test_product_tychonoff_failure_is_reported_per_ultrafilter(capsys):
     failed = [line for line in lines if "step pushforward[0] failed" in line]
     assert failed and "witness ValidationFailure(kind='meet'" in failed[0]
     assert sum("converges at" in line for line in lines) == len(lines) - len(failed)
+
+
+def test_a_failed_tychonoff_step_is_one_fail_row(capsys, monkeypatch):
+    argv = ["theorems", "--suite", "tychonoff", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    want = [json.loads(line) for line in out.splitlines()[:-1]]
+    real = suites.tychonoff_certificate
+    seen = []
+
+    def certificate(ptop, f):
+        seen.append(f)
+        if len(seen) == 1:
+            raise CertificateFailureError("membership", (0,))
+        return real(ptop, f)
+
+    monkeypatch.setattr(suites, "tychonoff_certificate", certificate)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not err
+    lines = out.splitlines()
+    assert json.loads(lines[-1])["summary"]["fail"] == 1
+    got = [json.loads(line) for line in lines[:-1]]
+    first = next(pos for pos, r in enumerate(want) if r["check"] == "tychonoff-certificate")
+    assert got[first]["status"] == "fail"
+    assert got[first]["witness"] == f"{seen[0].provenance}:membership"
+    # every other row is still there, unchanged
+    want[first].update(status="fail", witness=got[first]["witness"])
+    assert got == want
 
 
 def test_python_dash_m_runs_the_cli():

@@ -10,7 +10,7 @@ import random
 import pytest
 
 from topogroups.filters import theorem_checks
-from topogroups.groups import build_group, closure_mask
+from topogroups.groups import bits_of, build_group, closure_mask, mask_of
 from topogroups.lattice import enumerate_subgroups
 from topogroups.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun
 from topogroups.toposystems import (
@@ -57,11 +57,11 @@ def _hand_built(desc, count=40, seed=0):
         members = {i for i in range(len(lat)) if rng.random() < 0.3}
         if t % 2:
             members |= {0, lat.top_index}
-        systems.append(TopoSystem(lat, frozenset(members), f"hand-built#{t}"))
+        systems.append(TopoSystem(lat, mask_of(members), f"hand-built#{t}"))
     if desc == "abelian:2x2x2x2":
         index = {gens: lat.index_of(closure_mask(lat.group, gens)) for gens in ((1,), (2,), (1, 2), (1, 4))}
         for a, b in (((1,), (2,)), ((1, 2), (1, 4))):
-            systems.append(TopoSystem(lat, frozenset({0, index[a], index[b], lat.top_index}), f"{a}|{b}"))
+            systems.append(TopoSystem(lat, mask_of({0, index[a], index[b], lat.top_index}), f"{a}|{b}"))
     return systems
 
 
@@ -89,7 +89,7 @@ def test_induced_members_of_hand_built_systems_match_subgroup_group(desc):
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_GROUPS)
 def test_quotient_index_matches_quotient_lattice(desc):
     lat = _lat(desc)
-    for n in lat.normal_indices():
+    for n in bits_of(lat.normal_bits):
         qlattice, natural = quotient_lattice(lat, n)
         interval = [k for k in range(len(lat)) if lat.leq(n, k)]
         assert len(interval) == len(qlattice)
@@ -104,7 +104,7 @@ def test_quotient_members_and_report_match_quotient_group(desc):
         if family == "generated:#1" and len(lat) < 3:
             continue
         system = build_toposys(lat, family)
-        for n in lat.normal_indices():
+        for n in bits_of(lat.normal_bits):
             quotient = quotient_toposys(system, n)
             members, report, _, _ = quotient_by_quotient_group(system, n)
             assert quotient.quotient_indices == tuple(sorted(members))
@@ -116,7 +116,7 @@ def test_quotient_failure_witnesses_match_quotient_group():
     for desc in HAND_BUILT:
         lat = _lat(desc)
         for system in _hand_built(desc):
-            for n in lat.normal_indices():
+            for n in bits_of(lat.normal_bits):
                 quotient = quotient_toposys(system, n)
                 members, report, _, _ = quotient_by_quotient_group(system, n)
                 assert quotient.quotient_indices == tuple(sorted(members))

@@ -210,7 +210,7 @@ def test_normalizer_examples():
 def test_normals_closed_under_meet_and_join():
     for desc in ORACLE_DESCRIPTORS:
         lat = enumerate_subgroups(build_group(desc))
-        normals = [lat.subgroup(i) for i in lat.normal_indices()]
+        normals = [lat.subgroup(i) for i in bits_of(lat.normal_bits)]
         for a in normals:
             for b in normals:
                 assert is_normal(meet(a, b))
@@ -281,6 +281,15 @@ def test_characteristic_examples():
         assert not is_characteristic(lat.subgroup(i))
 
 
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3"))
+def test_normal_bits_match_is_normal_index_and_conjugation(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    assert lat.normal_bits is lat.normal_bits
+    for i in range(len(lat)):
+        conjugation_stable = all(lat.conjugate_mask(lat.mask(i), g) == lat.mask(i) for g in lat.group.elements())
+        assert bool(lat.normal_bits >> i & 1) == lat.is_normal_index(i) == conjugation_stable
+
+
 def test_verbal_residual_examples():
     v4 = build_group("abelian:2x2")
     assert verbal_residual(v4, "abelian").order == 1
@@ -299,7 +308,7 @@ def test_verbal_residual_is_least_normal_with_quotient_in_variety():
         g = build_group(desc)
         lat = enumerate_subgroups(g)
         derived = verbal_residual(g, "abelian")
-        for i in lat.normal_indices():
+        for i in bits_of(lat.normal_bits):
             n = lat.subgroup(i)
             # G/N abelian iff every commutator [a,b] = ab(ba)^-1 lies in N
             abelian = all(

@@ -5,12 +5,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from topogroups.groups import build_group, mask_of, subgroup_generated
-from topogroups.lattice import NotNormalError, core, enumerate_subgroups
+from topogroups.groups import bits_of, build_group, mask_of, subgroup_generated
+from topogroups.lattice import AUTOMORPHISM_CAP, NotNormalError, core, enumerate_subgroups
 from topogroups.toposystems import (
     BadParameterError,
     build_toposys,
     closure_and_limits,
+    family_members,
     find_finite_subcover,
     generate_toposys,
     induced_toposys,
@@ -24,9 +25,11 @@ from topogroups.toposystems import (
     t_closed_checks,
     verify_toposys,
 )
-from topogroups.groups import make_homomorphism
-from topogroups.suites import DEFAULT_CATALOG
-from oracles import quotient_lattice
+from topogroups.groups import OrderCapExceededError, make_homomorphism
+from topogroups.suites import DEFAULT_CATALOG, FAMILY_NAMES, family_instance_descriptors
+from oracles import family_members_by_scan, quotient_lattice
+from test_correspondence import WIDE_GROUPS
+from test_lattice import ORACLE_DESCRIPTORS
 
 CATALOG = (
     "cyclic:4",
@@ -63,6 +66,21 @@ def test_family_values_on_catalog_examples():
     assert var.member_indices == (0, 4, 5)
 
 
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_GROUPS)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_family_bitsets_match_set_comprehensions(desc, family):
+    lat = _lat(desc)
+    for d in family_instance_descriptors(lat, family):
+        if family == "characteristic" and lat.group.order > AUTOMORPHISM_CAP:
+            for build in (family_members, family_members_by_scan):
+                with pytest.raises(OrderCapExceededError):
+                    build(lat, d)
+            continue
+        assert family_members(lat, d).members == family_members_by_scan(lat, d), d
+    if family == "characteristic" and lat.group.order <= AUTOMORPHISM_CAP:
+        assert family_members(lat, "characteristic").member_bits & ~lat.normal_bits == 0
+
+
 def test_cofinite_is_discrete_on_finite_groups_with_note():
     lat, t = _sys("sym:3", "cofinite")
     assert t.members == frozenset(range(len(lat)))
@@ -71,20 +89,20 @@ def test_cofinite_is_discrete_on_finite_groups_with_note():
 
 def test_verify_examples():
     lat = _lat("sym:3")
-    assert verify_toposys(lat, {0, lat.top_index}).passed
-    assert verify_toposys(lat, set(range(len(lat)))).passed
-    report = verify_toposys(lat, {0, 1, 2, lat.top_index})
+    assert verify_toposys(lat, mask_of({0, lat.top_index})).passed
+    assert verify_toposys(lat, mask_of(range(len(lat)))).passed
+    report = verify_toposys(lat, mask_of({0, 1, 2, lat.top_index}))
     assert report.passed  # the join of the two transposition subgroups is present
-    report = verify_toposys(lat, {0, 1, 2})
+    report = verify_toposys(lat, mask_of({0, 1, 2}))
     assert not report.passed
 
 
 def test_verify_join_failure_witness():
     # on V4 the member set {1, <a>, <b>, V4} misses nothing, but dropping V4 breaks (a)
     lat = _lat("abelian:2x2")
-    report = verify_toposys(lat, {0, 1, 2, lat.top_index})
+    report = verify_toposys(lat, mask_of({0, 1, 2, lat.top_index}))
     assert report.passed
-    bad = verify_toposys(lat, {0, 1, 2, 3, lat.top_index} - {lat.top_index})
+    bad = verify_toposys(lat, mask_of({0, 1, 2, 3, lat.top_index} - {lat.top_index}))
     assert not bad.passed
 
 
@@ -96,9 +114,9 @@ def test_thk_requires_nested_parameters():
 
 def test_generate_examples():
     lat = _lat("sym:3")
-    assert generate_toposys(lat, set()).member_indices == (0, 5)
-    assert generate_toposys(lat, set(range(len(lat)))).member_indices == tuple(range(6))
-    assert generate_toposys(lat, {1, 2}).member_indices == (0, 1, 2, 5)
+    assert generate_toposys(lat, 0).member_indices == (0, 5)
+    assert generate_toposys(lat, mask_of(range(len(lat)))).member_indices == tuple(range(6))
+    assert generate_toposys(lat, mask_of({1, 2})).member_indices == (0, 1, 2, 5)
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -109,14 +127,14 @@ def test_generate_is_least_fixpoint(desc):
     indices = list(range(1, len(lat) - 1))
     for r in range(min(3, len(indices)) + 1):
         for seed in combinations(indices, r):
-            generated = generate_toposys(lat, set(seed)).members
+            generated = generate_toposys(lat, mask_of(seed)).members
             # least: contained in every verified superset of the seed
             for extra_r in range(len(indices) + 1):
                 for candidate_extra in combinations(indices, extra_r):
                     candidate = set(seed) | set(candidate_extra) | {0, lat.top_index}
-                    if set(seed) <= candidate and verify_toposys(lat, candidate).passed:
+                    if set(seed) <= candidate and verify_toposys(lat, mask_of(candidate)).passed:
                         assert generated <= candidate
-            assert verify_toposys(lat, generated).passed
+            assert verify_toposys(lat, mask_of(generated)).passed
 
 
 def test_induced_examples():
@@ -137,11 +155,11 @@ def test_induced_examples():
 def test_quotient_examples():
     lat, tn = _sys("sym:3", "normal")
     q = quotient_toposys(tn, lat.top_index)
-    assert q.members == {lat.top_index} and q.quotient_indices == (0,)
+    assert q.member_bits == 1 << lat.top_index and q.quotient_indices == (0,)
     lat, ds = _sys("sym:3", "discrete")
     q2 = quotient_toposys(ds, 4)
     # S3/A3 has order 2: the interval [A3, S3] holds two subgroups
-    assert q2.members == {4, 5} and q2.quotient_indices == (0, 1)
+    assert q2.member_bits == mask_of({4, 5}) and q2.quotient_indices == (0, 1)
     assert q2.report.passed
     q3 = quotient_toposys(tn, 4)
     assert q3.quotient_indices == (0, 1)
@@ -155,10 +173,10 @@ def test_cached_quotients_match_quotient_toposys(desc):
         lat, system = _sys(desc, kind)
         quotients = system.quotients
         assert system.quotients is quotients
-        assert tuple(quotients) == lat.normal_indices()
+        assert tuple(quotients) == tuple(bits_of(lat.normal_bits))
         for n, q in quotients.items():
             fresh = quotient_toposys(system, n)
-            assert (q.members, q.report) == (fresh.members, fresh.report)
+            assert (q.member_bits, q.report) == (fresh.member_bits, fresh.report)
 
 
 def test_interior_examples():
@@ -403,7 +421,7 @@ def test_verify_matches_all_pairs_check(desc, data):
     members = set(data.draw(st.sets(st.integers(0, len(lat) - 1))))
     if data.draw(st.booleans()):
         members |= {0, lat.top_index}
-    report = verify_toposys(lat, members)
+    report = verify_toposys(lat, mask_of(members))
     want = _all_pairs_verify(lat, members)
     assert report.passed == (not want)
     assert [(f.kind, f.witness) for f in report.failures] == want
@@ -415,10 +433,10 @@ def test_full_set_passes_without_a_scan_as_with_one(desc, monkeypatch):
     full = range(len(lat))
     assert _all_pairs_verify(lat, full) == []
     monkeypatch.setattr(type(lat), "join_index", lambda *args: pytest.fail("full set scanned"))
-    assert verify_toposys(lat, full).passed
+    assert verify_toposys(lat, mask_of(full)).passed
     # every quotient image of the discrete system is its whole interval
-    for n in lat.normal_indices():
-        assert verify_toposys(lat, [k for k in full if lat.leq(n, k)], n).passed
+    for n in bits_of(lat.normal_bits):
+        assert verify_toposys(lat, mask_of(k for k in full if lat.leq(n, k)), n).passed
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -438,7 +456,7 @@ def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG)
 def test_preimage_mask_matches_element_scan(desc):
     lat = _lat(desc)
-    for n in lat.normal_indices():
+    for n in bits_of(lat.normal_bits):
         qlattice, natural = quotient_lattice(lat, n)
         targets = [s.mask for s in qlattice.subgroups]
         targets += [1 << t for t in qlattice.group.elements()]
