@@ -14,6 +14,7 @@ import sys
 from .groups import TopoGroupError, _split_top_level, build_group
 from .lattice import enumerate_subgroups
 from .toposystems import (
+    BadParameterError,
     build_toposys,
     closure_and_limits,
     find_finite_subcover,
@@ -45,6 +46,9 @@ def _emit(reports, fmt: str, timings: bool, out=None):
             out.write(r.text_line(timings) + "\n")
 
 
+TIMINGS_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _load_config_file(path: str) -> dict:
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -64,6 +68,8 @@ def _load_config_file(path: str) -> dict:
                     int(value)
                 except ValueError:
                     raise TopoGroupError(f"{path}:{lineno}: max-order must be an integer, got {value!r}") from None
+            if key == "timings" and value not in TIMINGS_VALUES:
+                raise TopoGroupError(f"{path}:{lineno}: timings must be 1/true/yes or 0/false/no, got {value!r}")
             values[key] = value
     return values
 
@@ -114,15 +120,15 @@ def _cmd_toposys(args) -> int:
 def _cmd_closure(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
-    x = lattice.subgroup(resolve_subgroup_literal(lattice, args.subgroup))
+    x = resolve_subgroup_literal(lattice, args.subgroup)
     interior, boundary = interior_boundary(system, x)
     limits, closure = closure_and_limits(system, x)
     closed = t_closed_checks(system, x)
-    print(f"subgroup: {lattice.describe(lattice.index_of(x.mask))}")
-    print(f"interior: {lattice.describe(lattice.index_of(interior.mask))}")
+    print(f"subgroup: {lattice.describe(x)}")
+    print(f"interior: {lattice.describe(interior)}")
     print(f"boundary: {sorted(boundary)}")
     print(f"limit points: {sorted(limits)}")
-    print(f"closure: {lattice.describe(lattice.index_of(closure.mask))}")
+    print(f"closure: {lattice.describe(closure)}")
     print(f"t-closed: {closed.is_t_closed} (witness {closed.t_closed_witness})")
     print(f"weak-t-closed: {closed.is_weak_t_closed} (witness {closed.weak_witness})")
     return 0
@@ -142,9 +148,7 @@ def _cmd_hausdorff(args) -> int:
 def _cmd_cover(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
-    target = lattice.subgroup(
-        resolve_subgroup_literal(lattice, args.target) if args.target else lattice.top_index
-    )
+    target = resolve_subgroup_literal(lattice, args.target) if args.target else lattice.top_index
     cover = [resolve_subgroup_literal(lattice, p) for p in args.cover.split(",") if p]
     certificate = find_finite_subcover(system, target, cover)
     if certificate is None:
@@ -197,6 +201,8 @@ def _cmd_product(args) -> int:
         code = max(code, 0 if report.passed else 1)
     if args.sys:
         kinds = [p for p in args.sys.split(";") if p]
+        if len(kinds) != len(factors):
+            raise BadParameterError("one topo-system per factor is required")
         systems = [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)]
         ptop = product_toposys(product, systems)
         print(f"product system: {ptop.system.member_bits.bit_count()} topens")
@@ -225,7 +231,7 @@ def _cmd_theorems(args) -> int:
         values.get("suites", "").split(",") if values.get("suites") else SUITE_NAMES
     )
     fmt = args.format or values.get("format", "text")
-    timings = args.timings or values.get("timings", "") in ("1", "true", "yes")
+    timings = args.timings or TIMINGS_VALUES.get(values.get("timings"), False)
     config = SuiteConfig(
         max_group_order=max_order,
         groups=tuple(g for g in groups if g),

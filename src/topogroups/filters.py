@@ -340,7 +340,7 @@ def convergence_set(f: SubgroupFilter, system: TopoSystem) -> ConvergenceSet:
 
 def _cyclically_distinct_pair(lattice: SubgroupLattice, points) -> tuple[int, int] | None:
     for x, y in combinations(points, 2):
-        if lattice.mask(lattice.cyclic_index(x)) & lattice.mask(lattice.cyclic_index(y)) == 1:
+        if lattice.disjoint[lattice.cyclic_index(x)] >> lattice.cyclic_index(y) & 1:
             return x, y
     return None
 

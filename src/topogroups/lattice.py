@@ -59,7 +59,9 @@ class SubgroupLattice:
     containing it, with no closure.  ``containing[e]`` is the bitset of the
     subgroups that contain element e, the incidence index from which
     topo-systems answer their point-wise queries, and ``above[k]`` is the
-    bitset of the subgroups that contain subgroup k.
+    bitset of the subgroups that contain subgroup k.  ``below[k]`` (inside k)
+    and ``disjoint[k]`` (meeting k only in the identity) are the two relations
+    the topo-system calculus reads.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -119,14 +121,8 @@ class SubgroupLattice:
         """Canonical index of a mask, or None when it is not a subgroup."""
         return self._index_by_mask.get(mask)
 
-    def index_of_subgroup(self, sub: Subgroup) -> int:
-        if sub.group != self.group:
-            raise ParentMismatchError("subgroup belongs to a different group")
-        return self.index_of(sub.mask)
-
     def leq(self, i: int, j: int) -> bool:
-        mi, mj = self.subgroups[i].mask, self.subgroups[j].mask
-        return mi & mj == mi
+        return bool(self.above[i] >> j & 1)
 
     def meet_index(self, i: int, j: int) -> int:
         return self._index_by_mask[self.subgroups[i].mask & self.subgroups[j].mask]
@@ -224,6 +220,18 @@ class SubgroupLattice:
             for h in bits_of(up):
                 below[h] |= 1 << k
         return tuple(below)
+
+    @cached_property
+    def disjoint(self) -> tuple[int, ...]:
+        """disjoint[k]: bitset of the subgroups meeting subgroup k only in the identity."""
+        everything = (1 << len(self.subgroups)) - 1
+        disjoint = []
+        for sub in self.subgroups:
+            meets = 0
+            for e in bits_of(sub.mask & ~1):
+                meets |= self.containing[e]
+            disjoint.append(everything & ~meets)
+        return tuple(disjoint)
 
     def quotient_index(self, n: int, k: int) -> int:
         """Index of K/N in L(G/N) for subgroup k = K above normal subgroup n = N.
@@ -411,7 +419,11 @@ def automorphisms(group: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[Homo
 
 
 def is_characteristic(a: Subgroup, cap: int = AUTOMORPHISM_CAP) -> bool:
-    return all(phi.image_mask(a.mask) == a.mask for phi in automorphisms(a.group, cap))
+    # φ(H) ⊆ H once φ maps the generators of H inside, and φ is injective,
+    # so the orders match and φ(H) = H
+    lattice, i = _locate(a)
+    gens = lattice.generators[i]
+    return all(all(a.mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(a.group, cap))
 
 
 def verbal_residual(group: FiniteGroup, variety: str) -> Subgroup:

@@ -281,9 +281,8 @@ def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple
 def check_interior_core(lattice: SubgroupLattice) -> tuple[str, str | None]:
     system = build_toposys(lattice, "normal")
     for i in range(len(lattice)):
-        x = lattice.subgroup(i)
-        interior, _ = interior_boundary(system, x)
-        if interior.mask != lattice.mask(lattice.core_index(i)):
+        interior, _ = interior_boundary(system, i)
+        if interior != lattice.core_index(i):
             return FAIL, f"subgroup #{i}"
     return PASS, None
 
@@ -292,9 +291,7 @@ def prime_order_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[bool
     """(implication holds, antecedent holds, witness element)."""
     group = lattice.group
     cyclic_indices = sorted({lattice.cyclic_index(x) for x in group.elements()})
-    antecedent = all(
-        t_closed_checks(system, lattice.subgroup(c)).is_t_closed for c in cyclic_indices
-    )
+    antecedent = all(t_closed_checks(system, c).is_t_closed for c in cyclic_indices)
     if not antecedent:
         return True, False, None
     for x in range(1, group.order):
@@ -314,7 +311,7 @@ def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str,
     if not hausdorff:
         return PASS, None
     for i in range(len(lattice)):
-        report = t_closed_checks(system, lattice.subgroup(i))
+        report = t_closed_checks(system, i)
         if not report.is_weak_t_closed:
             return FAIL, f"subgroup #{i} stuck at element {report.weak_witness}"
     return PASS, None

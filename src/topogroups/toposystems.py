@@ -13,15 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import (
-    Homomorphism,
-    Subgroup,
-    TopoGroupError,
-    bits_of,
-    closure_mask,
-    mask_of,
-    subgroup_generated,
-)
+from .groups import Homomorphism, TopoGroupError, bits_of, closure_mask, mask_of
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
@@ -70,9 +62,6 @@ class TopoSystem:
 
     def __contains__(self, index: int) -> bool:
         return bool(self.member_bits >> index & 1)
-
-    def topens(self):
-        return tuple(self.lattice.subgroup(i) for i in self.member_indices)
 
     def topens_containing(self, x: int) -> tuple[int, ...]:
         """Topens containing element x, ascending."""
@@ -270,23 +259,21 @@ class InducedToposys:
 
     L(h) is the down-set ↓h of the parent lattice, with the parent's joins
     and meets.  ``system`` holds the induced topens as parent indices, so
-    its whole group is h, not the lattice's top; ``trace_indices`` are the
-    traces a ∧ h of the parent topens, ascending.
+    its whole group is h, not the lattice's top; ``trace_bits`` is the
+    bitset of the traces a ∧ h of the parent topens.
     """
 
     system: TopoSystem
     h: int
-    trace_indices: tuple[int, ...]
+    trace_bits: int
 
 
-def induced_toposys(parent: TopoSystem, h: Subgroup | int) -> InducedToposys:
+def induced_toposys(parent: TopoSystem, h: int) -> InducedToposys:
     """The least join/meet-closed set in ↓h holding 1, h and the traces of the parent topens."""
     lattice = parent.lattice
-    h_index = h if isinstance(h, int) else lattice.index_of_subgroup(h)
-    traces = mask_of(lattice.meet_index(a, h_index) for a in parent.member_indices)
-    bits = _closure(lattice, traces | 1 | 1 << h_index, lattice.below[h_index])
-    system = TopoSystem(lattice, bits, f"induced({parent.provenance})@#{h_index}")
-    return InducedToposys(system, h_index, tuple(bits_of(traces)))
+    traces = mask_of(lattice.meet_index(a, h) for a in parent.member_indices)
+    bits = _closure(lattice, traces | 1 | 1 << h, lattice.below[h])
+    return InducedToposys(TopoSystem(lattice, bits, f"induced({parent.provenance})@#{h}"), h, traces)
 
 
 @dataclass(frozen=True)
@@ -313,55 +300,48 @@ class QuotientToposys:
         return tuple(self.parent.lattice.quotient_index(self.normal, k) for k in bits_of(self.member_bits))
 
 
-def quotient_toposys(parent: TopoSystem, n: Subgroup | int) -> QuotientToposys:
+def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
     """The image {a ∨ N} of the parent topens, verified on [N, G] with quotient-index witnesses.
 
     [N, G] has the parent's joins and meets and, by SubgroupLattice.quotient_index,
     the parent's order, so the parent's scan meets the failing pairs in quotient order.
     """
     lattice = parent.lattice
-    n_index = n if isinstance(n, int) else lattice.index_of_subgroup(n)
-    if not lattice.is_normal_index(n_index):
-        raise NotNormalError(f"subgroup #{n_index} of {lattice.group.descriptor} is not normal")
-    bits = mask_of(lattice.join_index(a, n_index) for a in parent.member_indices)
-    report = verify_toposys(lattice, bits, n_index)
+    if not lattice.is_normal_index(n):
+        raise NotNormalError(f"subgroup #{n} of {lattice.group.descriptor} is not normal")
+    bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
+    report = verify_toposys(lattice, bits, n)
     failures = tuple(
-        ValidationFailure(f.kind, tuple(lattice.quotient_index(n_index, k) for k in f.witness), f.detail)
+        ValidationFailure(f.kind, tuple(lattice.quotient_index(n, k) for k in f.witness), f.detail)
         for f in report.failures
     )
-    return QuotientToposys(parent, n_index, bits, ValidationReport(report.passed, failures))
+    return QuotientToposys(parent, n, bits, ValidationReport(report.passed, failures))
 
 
-def interior_boundary(system: TopoSystem, x: Subgroup) -> tuple[Subgroup, frozenset[int]]:
-    """Interior (largest topen inside x) and boundary element set.
+def interior_boundary(system: TopoSystem, x: int) -> tuple[int, frozenset[int]]:
+    """Interior (largest topen inside subgroup x) as an index, and the boundary element set.
 
     The join of all topens contained in x is itself a topen contained in x,
     so the element-wise union of those topens equals this join; the union is
     used as an independent cross-check in the tests.
     """
     lattice = system.lattice
-    xmask = x.mask
-    inside = [a for a in system.member_indices if lattice.mask(a) & xmask == lattice.mask(a)]
-    interior_index = lattice.join_of(inside)
-    interior = lattice.subgroup(interior_index)
-    boundary = frozenset(bits_of(xmask & ~interior.mask))
-    return interior, boundary
+    interior = lattice.join_of(bits_of(system.member_bits & lattice.below[x]))
+    return interior, frozenset(bits_of(lattice.mask(x) & ~lattice.mask(interior)))
 
 
-def closure_and_limits(system: TopoSystem, x: Subgroup) -> tuple[frozenset[int], Subgroup]:
-    """Limit points of x and the subgroup generated by x plus its limits.
+def closure_and_limits(system: TopoSystem, x: int) -> tuple[frozenset[int], int]:
+    """Limit points of subgroup x, and the index of the subgroup x and its limits generate.
 
     A point is a limit of x when every topen containing it meets x in at
     least two elements; the trivial topen contains only the identity, so the
     identity is never a limit point.
     """
     lattice = system.lattice
-    xmask = x.mask
-    # topens meeting x in fewer than two elements
-    thin = mask_of(a for a in system.member_indices if (lattice.mask(a) & xmask).bit_count() < 2)
-    limits = {e for e, topens in enumerate(system.incidence) if not topens & thin}
-    closure = subgroup_generated(lattice.group, xmask | mask_of(limits))
-    return frozenset(limits), closure
+    # topens meeting x in fewer than two elements, that is, in the identity only
+    thin = system.member_bits & lattice.disjoint[x]
+    limits = frozenset(e for e, topens in enumerate(system.incidence) if not topens & thin)
+    return limits, lattice.join_of([x, *(lattice.cyclic_index(e) for e in limits)])
 
 
 @dataclass(frozen=True)
@@ -372,7 +352,7 @@ class TClosedReport:
     weak_witness: int | None
 
 
-def t_closed_checks(system: TopoSystem, a: Subgroup) -> TClosedReport:
+def t_closed_checks(system: TopoSystem, a: int) -> TClosedReport:
     """T-closed and weak T-closed separation checks with stuck-x witnesses.
 
     Weak closedness quantifies only over x whose cyclic subgroup meets a
@@ -380,9 +360,10 @@ def t_closed_checks(system: TopoSystem, a: Subgroup) -> TClosedReport:
     without that containment the trivial topen would satisfy everything.
     """
     lattice = system.lattice
-    amask = a.mask
+    amask = lattice.mask(a)
     incidence = system.incidence
-    disjoint_from_a = mask_of(i for i in system.member_indices if lattice.mask(i) & amask == 1)
+    disjoint = lattice.disjoint[a]
+    disjoint_from_a = system.member_bits & disjoint
 
     def separated(x: int) -> bool:
         return incidence[x] & disjoint_from_a != 0
@@ -394,7 +375,7 @@ def t_closed_checks(system: TopoSystem, a: Subgroup) -> TClosedReport:
             break
     weak_witness = None
     for x in lattice.group.elements():
-        if lattice.mask(lattice.cyclic_index(x)) & amask == 1 and not separated(x):
+        if disjoint >> lattice.cyclic_index(x) & 1 and not separated(x):
             weak_witness = x
             break
     return TClosedReport(t_witness is None, t_witness, weak_witness is None, weak_witness)
@@ -402,11 +383,10 @@ def t_closed_checks(system: TopoSystem, a: Subgroup) -> TClosedReport:
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """A cyclically distinct pair, with its separating topens when they exist."""
+    """A cyclically distinct pair that no two disjoint topens separate."""
 
     x: int
     y: int
-    separating: tuple[int, int] | None = None
 
 
 def is_hausdorff(system: TopoSystem) -> tuple[bool, SeparationWitness | None]:
@@ -414,17 +394,16 @@ def is_hausdorff(system: TopoSystem) -> tuple[bool, SeparationWitness | None]:
     lattice = system.lattice
     group = lattice.group
     incidence = system.incidence
-    members = system.member_indices
-    # disjoint[a]: the topens meeting topen a only in the identity
-    disjoint = {a: mask_of(b for b in members if lattice.mask(a) & lattice.mask(b) == 1) for a in members}
+    disjoint = lattice.disjoint
     for x in group.elements():
-        cx = lattice.mask(lattice.cyclic_index(x))
         # the topens disjoint from some topen around x
         apart = 0
         for a in bits_of(incidence[x]):
             apart |= disjoint[a]
+        apart &= system.member_bits
+        distinct = disjoint[lattice.cyclic_index(x)]
         for y in range(x, group.order):
-            if cx & lattice.mask(lattice.cyclic_index(y)) != 1:
+            if not distinct >> lattice.cyclic_index(y) & 1:
                 continue
             if not incidence[y] & apart:
                 return False, SeparationWitness(x, y)
@@ -440,8 +419,8 @@ class SubcoverCertificate:
     note: str = "finite topen cover: subcover extracted constructively"
 
 
-def find_finite_subcover(system: TopoSystem, x: Subgroup, cover) -> SubcoverCertificate | None:
-    """Extract a minimal subcover of x from the given topen indices, or None."""
+def find_finite_subcover(system: TopoSystem, x: int, cover) -> SubcoverCertificate | None:
+    """Extract a minimal subcover of subgroup x from the given topen indices, or None."""
     from .lattice import minimal_cover
 
     lattice = system.lattice
@@ -450,7 +429,7 @@ def find_finite_subcover(system: TopoSystem, x: Subgroup, cover) -> SubcoverCert
         if i not in system:
             raise BadParameterError(f"cover entry #{i} is not a topen of the system")
     family = [lattice.subgroup(i) for i in cover]
-    result = minimal_cover(x, family)
+    result = minimal_cover(lattice.subgroup(x), family)
     if result is None:
         return None
     return SubcoverCertificate(tuple(cover[p] for p in result.positions), result.exact)
@@ -466,9 +445,8 @@ def is_topomorphism(f: Homomorphism, source_sys: TopoSystem, target_sys: TopoSys
     return True, None
 
 
-def is_star_open(system: TopoSystem, elements) -> bool:
-    """A point set is star-open iff it equals the union of topens inside it."""
-    xmask = elements if isinstance(elements, int) else mask_of(elements)
+def is_star_open(system: TopoSystem, xmask: int) -> bool:
+    """An element bitset is star-open iff it equals the union of topens inside it."""
     lattice = system.lattice
     union = 0
     for a in system.member_indices:
@@ -507,16 +485,21 @@ def star_topology_checks(system: TopoSystem, union_sample_limit: int = 12) -> St
     sampled_ok = True
     member_list = system.member_indices
     for h_index in range(len(lattice)):
-        induced = induced_toposys(system, h_index).system
+        induced = induced_toposys(system, h_index)
+        inside = induced.system.member_bits
         hmask = lattice.mask(h_index)
-        for a in member_list:
-            if not induced.member_bits >> lattice.meet_index(a, h_index) & 1:
-                traces_ok = False
-                failures.append(ValidationFailure("induced-trace", (a, h_index), "topen trace is not induced-topen"))
+        # one AND decides the traces; the member scan only names the failing topens
+        if induced.trace_bits & ~inside:
+            for a in member_list:
+                if not inside >> lattice.meet_index(a, h_index) & 1:
+                    traces_ok = False
+                    failures.append(
+                        ValidationFailure("induced-trace", (a, h_index), "topen trace is not induced-topen")
+                    )
         if len(member_list) <= union_sample_limit:
             for pos, a in enumerate(member_list):
                 for b in member_list[pos:]:
-                    if not is_star_open(induced, (lattice.mask(a) | lattice.mask(b)) & hmask):
+                    if not is_star_open(induced.system, (lattice.mask(a) | lattice.mask(b)) & hmask):
                         sampled_ok = False
                         failures.append(
                             ValidationFailure("union-trace", (a, b, h_index), "union trace is not star-open")

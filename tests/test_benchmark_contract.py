@@ -27,10 +27,12 @@ def test_every_traced_target_resolves():
 
 def test_theorem_workloads_match_their_pins():
     # the pins are the exit code, row count, summary and stdout sha256 of
-    # `theorems --format json`; read from the benchmark, not copied here
+    # `theorems --format json`, and the ladder's counts and sha256; read from
+    # the benchmark, not copied here
     workloads = runpy.run_path(str(PERFBENCH / "workloads.py"))
     assert workloads["run_and_check"]("matrix", 0) == []
     assert workloads["run_and_check"]("wide", 0) == []
+    assert workloads["run_and_check"]("ladder", 0) == []
 
 
 def test_traced_matrix_pass_passes_its_self_checks():

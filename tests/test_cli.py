@@ -90,6 +90,13 @@ def test_product_subcommand(capsys):
     assert "converges at" in out
 
 
+@pytest.mark.parametrize("kinds", ["discrete", "discrete;discrete;discrete"])
+def test_product_needs_one_system_per_factor(capsys, kinds):
+    code, _, err = run(capsys, "product", "--groups", "cyclic:2;cyclic:3", "--sys", kinds, "--tychonoff")
+    assert code == 2
+    assert err == "error: one topo-system per factor is required\n"
+
+
 def test_theorems_single_cell(capsys):
     code, out, _ = run(
         capsys,
@@ -154,6 +161,23 @@ def test_config_file_bad_max_order_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "theorems", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error:") and "max-order" in err
+
+
+@pytest.mark.parametrize("value,shown", [("yes", True), ("1", True), ("no", False), ("false", False)])
+def test_config_file_timings_values(tmp_path, capsys, value, shown):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"max-order = 4\nsuites = lattice-completeness\nformat = json\ntimings = {value}\n")
+    code, out, _ = run(capsys, "theorems", "--config", str(cfg))
+    assert code == 0
+    assert isinstance(json.loads(out.splitlines()[0])["elapsed_ms"], float) == shown
+
+
+def test_config_file_bad_timings_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("suites = lattice-completeness\ntimings = maybe\n")
+    code, out, err = run(capsys, "theorems", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err == f"error: {cfg}:2: timings must be 1/true/yes or 0/false/no, got 'maybe'\n"
 
 
 def test_theorems_groups_split_on_top_level_commas(capsys):

@@ -21,6 +21,7 @@ from topogroups.lattice import (
     normalizer,
     verbal_residual,
 )
+from topogroups.suites import DEFAULT_CATALOG
 
 EXPECTED_COUNTS = {
     "cyclic:4": 3,
@@ -39,6 +40,7 @@ ORACLE_DESCRIPTORS = (
     "abelian:2x2x2",
     "alt:4",
 )
+WIDE_DESCRIPTORS = ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3")
 
 
 # lattices past the brute-force oracle's reach, up to the order-64 cap
@@ -281,7 +283,26 @@ def test_characteristic_examples():
         assert not is_characteristic(lat.subgroup(i))
 
 
-@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3"))
+# the default catalog and the one wide group inside the automorphism cap
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + ("abelian:2x2x2x3",))
+def test_characteristic_matches_image_definition(desc):
+    group = build_group(desc)
+    auts = automorphisms(group)
+    for sub in enumerate_subgroups(group).subgroups:
+        assert is_characteristic(sub) == all(phi.image_mask(sub.mask) == sub.mask for phi in auts)
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_DESCRIPTORS)
+def test_disjoint_and_leq_match_masks(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for k in range(len(lat)):
+        for b in range(len(lat)):
+            meet = lat.mask(k) & lat.mask(b)
+            assert bool(lat.disjoint[k] >> b & 1) == (meet == 1)
+            assert lat.leq(k, b) == (meet == lat.mask(k))
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_DESCRIPTORS)
 def test_normal_bits_match_is_normal_index_and_conjugation(desc):
     lat = enumerate_subgroups(build_group(desc))
     assert lat.normal_bits is lat.normal_bits

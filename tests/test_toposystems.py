@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from topogroups.groups import bits_of, build_group, mask_of, subgroup_generated
 from topogroups.lattice import AUTOMORPHISM_CAP, NotNormalError, core, enumerate_subgroups
+from topogroups import toposystems
 from topogroups.toposystems import (
     BadParameterError,
     build_toposys,
@@ -143,9 +144,9 @@ def test_induced_examples():
     assert whole.system.members == tn.members
     ind = induced_toposys(tn, 1)
     assert lat.subgroup(ind.h).order == 2
-    assert ind.system.member_indices == (0, 1) and ind.trace_indices == (0, 1)
+    assert ind.system.member_indices == (0, 1) and ind.trace_bits == mask_of((0, 1))
     lat_q8, thk = _sys("quaternion:8", "thk:#0:#5")
-    i_index = lat_q8.index_of_subgroup(subgroup_generated(build_group("quaternion:8"), [2]))
+    i_index = lat_q8.index_of(subgroup_generated(lat_q8.group, [2]).mask)
     ind2 = induced_toposys(thk, i_index)
     # members are parent indices inside the subgroup <i> of order 4
     assert [lat_q8.subgroup(i).order for i in ind2.system.member_indices] == [1, 2, 4]
@@ -182,15 +183,14 @@ def test_cached_quotients_match_quotient_toposys(desc):
 def test_interior_examples():
     lat, ds = _sys("sym:3", "discrete")
     for i in range(len(lat)):
-        x = lat.subgroup(i)
-        interior, boundary = interior_boundary(ds, x)
-        assert interior.mask == x.mask and not boundary
+        interior, boundary = interior_boundary(ds, i)
+        assert interior == i and not boundary
     lat, tn = _sys("sym:3", "normal")
-    interior, boundary = interior_boundary(tn, lat.subgroup(1))
-    assert interior.order == 1
+    interior, boundary = interior_boundary(tn, 1)
+    assert interior == 0
     assert boundary == {1}
-    interior, _ = interior_boundary(tn, lat.subgroup(4))
-    assert interior.mask == lat.mask(4)
+    interior, _ = interior_boundary(tn, 4)
+    assert interior == 4
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -199,14 +199,14 @@ def test_interior_matches_elementwise_definition_and_core_identity(desc):
     tn = build_toposys(lat, "normal")
     for i in range(len(lat)):
         x = lat.subgroup(i)
-        interior, _ = interior_boundary(tn, x)
+        interior, _ = interior_boundary(tn, i)
         # independent element-wise oracle: union of topens inside x
         union = 0
         for a in tn.member_indices:
             if lat.mask(a) & x.mask == lat.mask(a):
                 union |= lat.mask(a)
-        assert interior.mask == union
-        assert interior.mask == core(x).mask
+        assert lat.mask(interior) == union
+        assert lat.mask(interior) == core(x).mask
 
 
 @given(st.sampled_from(CATALOG), st.data())
@@ -214,48 +214,63 @@ def test_interior_monotone_idempotent_member(desc, data):
     lat = _lat(desc)
     system = build_toposys(lat, data.draw(st.sampled_from(FAMILIES)))
     pick = st.integers(0, len(lat) - 1)
-    x, y = lat.subgroup(data.draw(pick)), lat.subgroup(data.draw(pick))
+    x, y = data.draw(pick), data.draw(pick)
     ix, _ = interior_boundary(system, x)
-    assert lat.index_of(ix.mask) in system.members
+    assert ix in system.members
     again, _ = interior_boundary(system, ix)
-    assert again.mask == ix.mask
-    if x.is_subset_of(y):
+    assert again == ix
+    if lat.subgroup(x).is_subset_of(lat.subgroup(y)):
         iy, _ = interior_boundary(system, y)
-        assert ix.is_subset_of(iy)
+        assert lat.subgroup(ix).is_subset_of(lat.subgroup(iy))
 
 
 def test_closure_and_limits_examples():
     lat, ds = _sys("sym:3", "discrete")
-    limits, closure = closure_and_limits(ds, lat.subgroup(0))
-    assert not limits and closure.order == 1
+    limits, closure = closure_and_limits(ds, 0)
+    assert not limits and closure == 0
     lat, tn = _sys("sym:3", "normal")
-    limits, closure = closure_and_limits(tn, lat.subgroup(4))
+    limits, closure = closure_and_limits(tn, 4)
     assert {1, 2, 5} <= limits  # every transposition is a limit point
-    assert closure.order == 6
-    limits, closure = closure_and_limits(tn, lat.subgroup(0))
-    assert not limits and closure.order == 1
+    assert closure == lat.top_index
+    limits, closure = closure_and_limits(tn, 0)
+    assert not limits and closure == 0
 
 
 @given(st.sampled_from(CATALOG), st.data())
 def test_closure_is_t_closed(desc, data):
+    # x and its limits are T-closed once they form a subgroup: a topen around
+    # a non-limit that meets x trivially meets no limit either; the subgroup
+    # they generate can be larger, and it lies in every T-closed subgroup
+    # containing x (see the dihedral example below)
     lat = _lat(desc)
     system = build_toposys(lat, data.draw(st.sampled_from(FAMILIES)))
-    x = lat.subgroup(data.draw(st.integers(0, len(lat) - 1)))
-    _, closure = closure_and_limits(system, x)
-    assert t_closed_checks(system, closure).is_t_closed
+    closed = [k for k in range(len(lat)) if t_closed_checks(system, k).is_t_closed]
+    for x in range(len(lat)):
+        limits, closure = closure_and_limits(system, x)
+        if lat.mask(closure) == lat.mask(x) | mask_of(limits):
+            assert closure in closed
+        assert all(lat.leq(closure, k) for k in closed if lat.leq(x, k))
+
+
+def test_generated_closure_need_not_be_t_closed():
+    lat, tn = _sys("dihedral:4", "normal")
+    limits, closure = closure_and_limits(tn, 2)
+    assert lat.mask(2) == mask_of((0, 4)) and limits == {4, 6}
+    # <4, 6> also holds element 2, and every non-trivial normal subgroup of D4 holds it
+    assert lat.mask(closure) == mask_of((0, 2, 4, 6))
+    report = t_closed_checks(tn, closure)
+    assert not report.is_t_closed and report.t_closed_witness == 1
 
 
 def test_t_closed_examples():
     lat = _lat("cyclic:8")
     ds = build_toposys(lat, "discrete")
-    a = lat.subgroup(lat.index_of(mask_of((0, 2, 4, 6))))
-    report = t_closed_checks(ds, a)
+    report = t_closed_checks(ds, lat.index_of(mask_of((0, 2, 4, 6))))
     assert not report.is_t_closed and report.t_closed_witness == 1
     lat, ds3 = _sys("sym:3", "discrete")
-    report = t_closed_checks(ds3, lat.subgroup(4))
+    report = t_closed_checks(ds3, 4)
     assert report.is_weak_t_closed
-    full = lat.subgroup(lat.top_index)
-    report = t_closed_checks(ds3, full)
+    report = t_closed_checks(ds3, lat.top_index)
     assert report.is_t_closed and report.is_weak_t_closed
 
 
@@ -264,7 +279,7 @@ def test_t_closed_intersections_and_extremes():
         lat = _lat(desc)
         for family in ("discrete", "normal", "trivial"):
             system = build_toposys(lat, family)
-            closed = [i for i in range(len(lat)) if t_closed_checks(system, lat.subgroup(i)).is_t_closed]
+            closed = [i for i in range(len(lat)) if t_closed_checks(system, i).is_t_closed]
             assert 0 in closed and lat.top_index in closed
             for i in closed:
                 for j in closed:
@@ -286,12 +301,12 @@ def test_hausdorff_examples():
 
 def test_find_finite_subcover_examples():
     lat, ds = _sys("sym:3", "discrete")
-    full = lat.subgroup(lat.top_index)
+    full = lat.top_index
     got = find_finite_subcover(ds, full, [lat.top_index])
     assert got.selected == (lat.top_index,)
     got = find_finite_subcover(ds, full, [0, 1, 2, 3, 4])
     assert got.exact and len(got.selected) == 4 and 0 not in got.selected
-    assert find_finite_subcover(ds, lat.subgroup(4), [1]) is None
+    assert find_finite_subcover(ds, 4, [1]) is None
     with pytest.raises(BadParameterError):
         tn = build_toposys(lat, "normal")
         find_finite_subcover(tn, full, [1])
@@ -315,10 +330,31 @@ def test_topomorphism_examples():
 
 def test_star_topology_examples():
     lat, tn = _sys("sym:3", "normal")
-    assert is_star_open(tn, lat.subgroup(4).members)
-    assert not is_star_open(tn, (0, 3, 4, 1))
+    assert is_star_open(tn, lat.mask(4))
+    assert not is_star_open(tn, mask_of((0, 3, 4, 1)))
     report = star_topology_checks(tn)
     assert report.passed
+
+
+@pytest.mark.parametrize("desc,family", [("sym:3", "normal"), ("dihedral:4", "discrete"), ("alt:4", "normal")])
+def test_star_topology_names_the_topens_of_a_dropped_trace(desc, family, monkeypatch):
+    lat, system = _sys(desc, family)
+    closure = toposystems._closure
+
+    def lossy(lattice, bits, space):
+        # drop the largest seed member other than 1 and h = the top of space
+        dropped = bits & ~1 & ~(1 << space.bit_length() - 1)
+        closed = closure(lattice, bits, space)
+        return closed & ~(1 << dropped.bit_length() - 1) if dropped else closed
+
+    monkeypatch.setattr(toposystems, "_closure", lossy)
+    scan = []
+    for h in range(len(lat)):
+        inside = induced_toposys(system, h).system.member_bits
+        scan += [(a, h) for a in system.member_indices if not inside >> lat.meet_index(a, h) & 1]
+    report = star_topology_checks(system)
+    assert scan and not report.induced_traces_ok
+    assert [f.witness for f in report.failures if f.kind == "induced-trace"] == scan
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -446,11 +482,10 @@ def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
     ok, witness = is_hausdorff(system)
     assert (ok, witness and (witness.x, witness.y)) == _scan_is_hausdorff(system)
     for i in range(len(lat)):
-        a = lat.subgroup(i)
-        report = t_closed_checks(system, a)
-        assert (report.t_closed_witness, report.weak_witness) == _scan_t_closed(system, a.mask)
+        report = t_closed_checks(system, i)
+        assert (report.t_closed_witness, report.weak_witness) == _scan_t_closed(system, lat.mask(i))
         assert report.is_t_closed == (report.t_closed_witness is None)
-        assert closure_and_limits(system, a)[0] == _scan_limits(system, a.mask)
+        assert closure_and_limits(system, i)[0] == _scan_limits(system, lat.mask(i))
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG)
