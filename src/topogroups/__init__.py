@@ -9,27 +9,19 @@ from .groups import (
     TopoGroupError,
     UnknownKindError,
     build_group,
-    element_order,
     make_homomorphism,
     subgroup_generated,
     verify_group_axioms,
 )
 from .lattice import (
     NotNormalError,
-    ParentMismatchError,
     SubgroupLattice,
     UnsupportedVarietyError,
     automorphisms,
     brute_force_subgroup_masks,
-    commutator_subgroup,
-    core,
     enumerate_subgroups,
     is_characteristic,
-    is_normal,
-    join,
-    meet,
     minimal_cover,
-    normalizer,
     verbal_residual,
 )
 from .toposystems import (

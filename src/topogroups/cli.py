@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="inspect a filter or list all ultrafilters")
     p.add_argument("--group", required=True)
-    p.add_argument("--filter", default="", help="principal:x | generated:#i,#j | cofinite")
+    p.add_argument("--filter", default="", help="principal:x | generated:LIT,... | cofinite")
     p.set_defaults(fn=_cmd_filters)
 
     p = sub.add_parser("converge", help="convergence set of a filter in a system")

@@ -22,7 +22,7 @@ from itertools import combinations
 from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
-from .toposystems import BadParameterError, TopoSystem
+from .toposystems import BadParameterError, TopoSystem, _split_literals, resolve_subgroup_literal
 
 
 class NoFipError(TopoGroupError):
@@ -442,7 +442,7 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
 
 
 def parse_filter(lattice: SubgroupLattice, text: str) -> SubgroupFilter:
-    """CLI filter literals: ``principal:x``, ``generated:#i,#j,...``, ``cofinite``."""
+    """CLI filter literals: ``principal:x``, ``generated:LIT,LIT,...``, ``cofinite``."""
     text = text.replace(" ", "")
     kind, _, arg = text.partition(":")
     if kind == "principal":
@@ -452,9 +452,7 @@ def parse_filter(lattice: SubgroupLattice, text: str) -> SubgroupFilter:
             raise BadParameterError(f"bad element id {arg!r}") from None
         return principal_filter(lattice, x)
     if kind == "generated":
-        from .toposystems import resolve_subgroup_literal
-
-        seed = [resolve_subgroup_literal(lattice, p) for p in arg.split(",") if p]
+        seed = [resolve_subgroup_literal(lattice, p) for p in _split_literals(arg)]
         return generate_filter(lattice, seed)
     if kind == "cofinite":
         # on a finite group every subgroup has finite index, so this is all of

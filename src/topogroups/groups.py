@@ -242,10 +242,6 @@ def subgroup_generated(group: FiniteGroup, gens) -> Subgroup:
     return Subgroup(group, closure_mask(group, gens))
 
 
-def element_order(group: FiniteGroup, x: int) -> int:
-    return group.element_order(x)
-
-
 @dataclass(frozen=True)
 class Homomorphism:
     """A total, verified group homomorphism between two Cayley-table groups."""

@@ -35,10 +35,6 @@ AUTOMORPHISM_CAP = 24
 FAMILY_SWEEP_CAP = 128
 
 
-class ParentMismatchError(TopoGroupError):
-    pass
-
-
 class UnsupportedVarietyError(TopoGroupError):
     pass
 
@@ -311,49 +307,6 @@ def brute_force_subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
 
 
-def _require_same_parent(a: Subgroup, b: Subgroup):
-    if a.group != b.group:
-        raise ParentMismatchError("subgroups have different parent groups")
-
-
-def meet(a: Subgroup, b: Subgroup) -> Subgroup:
-    _require_same_parent(a, b)
-    return Subgroup(a.group, a.mask & b.mask)
-
-
-def _locate(a: Subgroup) -> tuple[SubgroupLattice, int]:
-    lattice = enumerate_subgroups(a.group)
-    return lattice, lattice.index_of(a.mask)
-
-
-def join(a: Subgroup, b: Subgroup) -> Subgroup:
-    _require_same_parent(a, b)
-    lattice, i = _locate(a)
-    return lattice.subgroup(lattice.join_index(i, lattice.index_of(b.mask)))
-
-
-def core(x: Subgroup) -> Subgroup:
-    """Intersection of all conjugates: the largest normal subgroup inside x."""
-    lattice, i = _locate(x)
-    return lattice.subgroup(lattice.core_index(i))
-
-
-def normalizer(a: Subgroup) -> Subgroup:
-    lattice, i = _locate(a)
-    return lattice.subgroup(lattice.normalizer_index(i))
-
-
-def is_normal(a: Subgroup) -> bool:
-    lattice, i = _locate(a)
-    return lattice.is_normal_index(i)
-
-
-def commutator_subgroup(a: Subgroup, b: Subgroup) -> Subgroup:
-    _require_same_parent(a, b)
-    lattice, i = _locate(a)
-    return lattice.subgroup(lattice.commutator_index(i, lattice.index_of(b.mask)))
-
-
 def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | None:
     """Close a generator assignment into a map on the generated subgroup.
 
@@ -418,16 +371,15 @@ def automorphisms(group: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[Homo
     return result
 
 
-def is_characteristic(a: Subgroup, cap: int = AUTOMORPHISM_CAP) -> bool:
+def is_characteristic(lattice: SubgroupLattice, i: int, cap: int = AUTOMORPHISM_CAP) -> bool:
     # φ(H) ⊆ H once φ maps the generators of H inside, and φ is injective,
     # so the orders match and φ(H) = H
-    lattice, i = _locate(a)
-    gens = lattice.generators[i]
-    return all(all(a.mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(a.group, cap))
+    mask, gens = lattice.mask(i), lattice.generators[i]
+    return all(all(mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(lattice.group, cap))
 
 
-def verbal_residual(group: FiniteGroup, variety: str) -> Subgroup:
-    """Smallest normal subgroup whose quotient lies in the variety.
+def verbal_residual(lattice: SubgroupLattice, variety: str) -> int:
+    """Index of the smallest normal subgroup whose quotient lies in the variety.
 
     Supported: ``abelian`` (derived subgroup) and ``exponent:n`` for
     n in {2, 3, 4, 6} (the subgroup generated by all n-th powers; the
@@ -435,8 +387,8 @@ def verbal_residual(group: FiniteGroup, variety: str) -> Subgroup:
     """
     v = variety.replace("exponent-", "exponent:")
     if v == "abelian":
-        full = Subgroup(group, group.full_mask)
-        return commutator_subgroup(full, full)
+        top = lattice.top_index
+        return lattice.commutator_index(top, top)
     if v.startswith("exponent:"):
         try:
             n = int(v.split(":", 1)[1])
@@ -444,7 +396,8 @@ def verbal_residual(group: FiniteGroup, variety: str) -> Subgroup:
             raise UnsupportedVarietyError(f"bad exponent in variety {variety!r}") from None
         if n not in SUPPORTED_EXPONENTS:
             raise UnsupportedVarietyError(f"exponent {n} not in supported set {SUPPORTED_EXPONENTS}")
-        return Subgroup(group, closure_mask(group, (group.power(x, n) for x in group.elements())))
+        group = lattice.group
+        return lattice.index_of(closure_mask(group, (group.power(x, n) for x in group.elements())))
     raise UnsupportedVarietyError(f"unknown variety {variety!r}")
 
 
@@ -459,25 +412,22 @@ class CoverResult:
     exact: bool
 
 
-def minimal_cover(x: Subgroup, family: Sequence[Subgroup]) -> CoverResult | None:
-    """Minimum-cardinality subfamily whose union still covers x, or None.
+def minimal_cover(universe: int, masks: Sequence[int]) -> CoverResult | None:
+    """Minimum-cardinality subfamily of element masks whose union covers universe, or None.
 
     Exact branch-and-bound up to EXACT_COVER_LIMIT family members, greedy with
     ``exact=False`` beyond that.  Tie-breaking is deterministic (lowest
     positions win), so witnesses are reproducible.
     """
-    if not family:
+    if not masks:
         return None
-    for s in family:
-        _require_same_parent(x, s)
-    universe = x.mask
-    masks = [s.mask & universe for s in family]
+    masks = [m & universe for m in masks]
     covered = 0
     for m in masks:
         covered |= m
-    if covered & universe != universe:
+    if covered != universe:
         return None
-    if len(family) > EXACT_COVER_LIMIT:
+    if len(masks) > EXACT_COVER_LIMIT:
         return CoverResult(_greedy_cover(universe, masks), exact=False)
     covers_elem: dict[int, list[int]] = {}
     for e in bits_of(universe):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import Homomorphism, TopoGroupError, bits_of, closure_mask, mask_of
-from .lattice import NotNormalError, SubgroupLattice, is_characteristic, verbal_residual
+from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
 
@@ -206,12 +206,11 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
         bits = lattice.normal_bits
     elif kind == "characteristic":
         # a characteristic subgroup is normal
-        bits = mask_of(i for i in bits_of(lattice.normal_bits) if is_characteristic(lattice.subgroup(i)))
+        bits = mask_of(i for i in bits_of(lattice.normal_bits) if is_characteristic(lattice, i))
     elif kind == "principal":
         bits = above[resolve_subgroup_literal(lattice, arg)] | 1
     elif kind == "variety":
-        residual = lattice.index_of(verbal_residual(lattice.group, arg).mask)
-        bits = lattice.normal_bits & above[residual] | 1
+        bits = lattice.normal_bits & above[verbal_residual(lattice, arg)] | 1
     elif kind == "thk":
         parts = _split_literals(arg)
         if len(parts) != 2:
@@ -271,7 +270,10 @@ class InducedToposys:
 def induced_toposys(parent: TopoSystem, h: int) -> InducedToposys:
     """The least join/meet-closed set in ↓h holding 1, h and the traces of the parent topens."""
     lattice = parent.lattice
-    traces = mask_of(lattice.meet_index(a, h) for a in parent.member_indices)
+    # every trace lies in ↓h, and a topen inside h is its own trace
+    traces = lattice.below[h]
+    if traces & ~parent.member_bits:
+        traces = mask_of(lattice.meet_index(a, h) for a in parent.member_indices)
     bits = _closure(lattice, traces | 1 | 1 << h, lattice.below[h])
     return InducedToposys(TopoSystem(lattice, bits, f"induced({parent.provenance})@#{h}"), h, traces)
 
@@ -309,7 +311,10 @@ def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
     lattice = parent.lattice
     if not lattice.is_normal_index(n):
         raise NotNormalError(f"subgroup #{n} of {lattice.group.descriptor} is not normal")
-    bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
+    # every a ∨ N lies in [N, G], and a topen above N is its own image
+    bits = lattice.above[n]
+    if bits & ~parent.member_bits:
+        bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
     report = verify_toposys(lattice, bits, n)
     failures = tuple(
         ValidationFailure(f.kind, tuple(lattice.quotient_index(n, k) for k in f.witness), f.detail)
@@ -421,15 +426,12 @@ class SubcoverCertificate:
 
 def find_finite_subcover(system: TopoSystem, x: int, cover) -> SubcoverCertificate | None:
     """Extract a minimal subcover of subgroup x from the given topen indices, or None."""
-    from .lattice import minimal_cover
-
     lattice = system.lattice
     cover = list(cover)
     for i in cover:
         if i not in system:
             raise BadParameterError(f"cover entry #{i} is not a topen of the system")
-    family = [lattice.subgroup(i) for i in cover]
-    result = minimal_cover(lattice.subgroup(x), family)
+    result = minimal_cover(lattice.mask(x), [lattice.mask(i) for i in cover])
     if result is None:
         return None
     return SubcoverCertificate(tuple(cover[p] for p in result.positions), result.exact)

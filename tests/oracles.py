@@ -45,12 +45,12 @@ def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
     elif kind == "normal":
         members = normal
     elif kind == "characteristic":
-        members = {i for i in all_indices if is_characteristic(lattice.subgroup(i))}
+        members = {i for i in all_indices if is_characteristic(lattice, i)}
     elif kind == "principal":
         bmask = lattice.mask(resolve_subgroup_literal(lattice, arg))
         members = {i for i in all_indices if bmask & lattice.mask(i) == bmask} | {0}
     elif kind == "variety":
-        rmask = verbal_residual(lattice.group, arg).mask
+        rmask = lattice.mask(verbal_residual(lattice, arg))
         members = {i for i in normal if rmask & lattice.mask(i) == rmask} | {0}
     elif kind == "thk":
         h, k = (resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -72,6 +73,24 @@ def test_filters_and_converge(capsys):
     code, out, _ = run(capsys, "converge", "--group", "sym:3", "--sys", "normal", "--filter", "principal:3")
     assert code == 0
     assert "converges to [1, 2, 3, 4, 5]" in out
+
+
+def test_filter_generated_by_a_gen_literal_with_commas(capsys):
+    code, out, _ = run(capsys, "filters", "--group", "sym:3", "--filter", "generated:gen{1,2}")
+    assert code == 0
+    assert out.startswith("filter generated:#5: kernel #5")
+
+
+def test_readme_cli_examples_run(capsys):
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
+        block = f.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("topogroups ")]
+    assert len(lines) == 10
+    for argv in lines:
+        code = run_command(argv)
+        capsys.readouterr()
+        # 1 is a documented failed check (hausdorff of sym:3 under normal); 2 would be a usage error
+        assert code == (1 if argv[0] == "hausdorff" else 0), argv
 
 
 def test_product_subcommand(capsys):

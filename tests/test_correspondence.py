@@ -11,7 +11,7 @@ import pytest
 
 from topogroups.filters import theorem_checks
 from topogroups.groups import bits_of, build_group, closure_mask, mask_of
-from topogroups.lattice import enumerate_subgroups
+from topogroups.lattice import SubgroupLattice, enumerate_subgroups
 from topogroups.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun
 from topogroups.toposystems import (
     TopoSystem,
@@ -109,6 +109,28 @@ def test_quotient_members_and_report_match_quotient_group(desc):
             members, report, _, _ = quotient_by_quotient_group(system, n)
             assert quotient.quotient_indices == tuple(sorted(members))
             assert quotient.report == report
+
+
+def test_discrete_images_and_traces_need_no_join_or_meet(monkeypatch):
+    # every subgroup of an abelian group is normal, so each one has a quotient
+    lat = _lat("abelian:2x2x2x2")
+    discrete, trivial = build_toposys(lat, "discrete"), build_toposys(lat, "trivial")
+    calls = []
+    for name in ("join_index", "meet_index"):
+
+        def counted(self, i, j, method=getattr(SubgroupLattice, name), name=name):
+            calls.append(name)
+            return method(self, i, j)
+
+        monkeypatch.setattr(SubgroupLattice, name, counted)
+    for k in range(len(lat)):
+        assert quotient_toposys(discrete, k).member_bits == lat.above[k]
+        assert induced_toposys(discrete, k).trace_bits == lat.below[k]
+    assert calls == []
+    quotient_toposys(trivial, 0)
+    assert "join_index" in calls
+    induced_toposys(trivial, lat.top_index)
+    assert "meet_index" in calls
 
 
 def test_quotient_failure_witnesses_match_quotient_group():

@@ -3,22 +3,17 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from topogroups.groups import Subgroup, bits_of, build_group, closure_mask, mask_of, subgroup_generated
+import topogroups
+from topogroups import groups, lattice
+from topogroups.groups import bits_of, build_group, closure_mask, mask_of, subgroup_generated
 from topogroups.lattice import (
     CoverResult,
-    ParentMismatchError,
     UnsupportedVarietyError,
     automorphisms,
     brute_force_subgroup_masks,
-    commutator_subgroup,
-    core,
     enumerate_subgroups,
     is_characteristic,
-    is_normal,
-    join,
-    meet,
     minimal_cover,
-    normalizer,
     verbal_residual,
 )
 from topogroups.suites import DEFAULT_CATALOG
@@ -134,58 +129,62 @@ def _s3():
     return g, lat
 
 
+def _index_generated(lat, elements):
+    return lat.index_of(subgroup_generated(lat.group, elements).mask)
+
+
 def test_meet_join_examples():
     g, lat = _s3()
-    t1, t2 = lat.subgroup(1), lat.subgroup(2)
-    full, one = lat.subgroup(lat.top_index), lat.subgroup(0)
-    assert meet(t1, full).mask == t1.mask
-    assert join(t1, one).mask == t1.mask
-    assert join(t1, t2).mask == full.mask
-    v4 = build_group("abelian:2x2")
-    a, b = subgroup_generated(v4, [1]), subgroup_generated(v4, [2])
-    assert meet(a, b).order == 1
+    top = lat.top_index
+    assert lat.meet_index(1, top) == 1
+    assert lat.join_index(1, 0) == 1
+    assert lat.join_index(1, 2) == top
+    v4 = enumerate_subgroups(build_group("abelian:2x2"))
+    a, b = _index_generated(v4, [1]), _index_generated(v4, [2])
+    assert v4.subgroup(v4.meet_index(a, b)).order == 1
 
 
-def test_parent_mismatch():
-    g, lat = _s3()
-    other = enumerate_subgroups(build_group("cyclic:4"))
-    with pytest.raises(ParentMismatchError):
-        meet(lat.subgroup(1), other.subgroup(1))
+def test_subgroup_algebra_takes_indices_only():
+    retired = ("meet", "join", "core", "normalizer", "is_normal", "commutator_subgroup")
+    for name in retired + ("_locate", "_require_same_parent", "ParentMismatchError"):
+        assert not hasattr(lattice, name)
+    assert not hasattr(groups, "element_order")
+    assert not set(retired + ("ParentMismatchError", "element_order")) & set(vars(topogroups))
 
 
 @given(st.sampled_from(ORACLE_DESCRIPTORS), st.data())
 def test_lattice_laws(desc, data):
     lat = enumerate_subgroups(build_group(desc))
     pick = st.integers(0, len(lat) - 1)
-    a, b, c = (lat.subgroup(data.draw(pick)) for _ in range(3))
-    assert meet(a, b).mask == meet(b, a).mask
-    assert join(a, b).mask == join(b, a).mask
-    assert meet(a, meet(b, c)).mask == meet(meet(a, b), c).mask
-    assert join(a, join(b, c)).mask == join(join(a, b), c).mask
-    assert join(a, meet(a, b)).mask == a.mask
-    assert meet(a, join(a, b)).mask == a.mask
+    a, b, c = (data.draw(pick) for _ in range(3))
+    meet, join = lat.meet_index, lat.join_index
+    assert meet(a, b) == meet(b, a)
+    assert join(a, b) == join(b, a)
+    assert meet(a, meet(b, c)) == meet(meet(a, b), c)
+    assert join(a, join(b, c)) == join(join(a, b), c)
+    assert join(a, meet(a, b)) == a
+    assert meet(a, join(a, b)) == a
 
 
 def test_core_examples():
     g, lat = _s3()
-    assert core(lat.subgroup(lat.top_index)).mask == lat.subgroup(lat.top_index).mask
-    assert core(lat.subgroup(1)).order == 1
-    q8 = build_group("quaternion:8")
-    i_sub = subgroup_generated(q8, [2])
-    assert core(i_sub).mask == i_sub.mask  # every subgroup of Q8 is normal
+    assert lat.core_index(lat.top_index) == lat.top_index
+    assert lat.subgroup(lat.core_index(1)).order == 1
+    q8 = enumerate_subgroups(build_group("quaternion:8"))
+    i_sub = _index_generated(q8, [2])
+    assert q8.core_index(i_sub) == i_sub  # every subgroup of Q8 is normal
 
 
 @given(st.sampled_from(ORACLE_DESCRIPTORS), st.data())
 def test_core_is_largest_normal_inside(desc, data):
     lat = enumerate_subgroups(build_group(desc))
-    x = lat.subgroup(data.draw(st.integers(0, len(lat) - 1)))
-    c = core(x)
-    assert is_normal(c)
-    assert c.is_subset_of(x)
-    for i in range(len(lat)):
-        n = lat.subgroup(i)
-        if is_normal(n) and n.is_subset_of(x):
-            assert n.is_subset_of(c)
+    x = data.draw(st.integers(0, len(lat) - 1))
+    c = lat.core_index(x)
+    assert lat.is_normal_index(c)
+    assert lat.leq(c, x)
+    for n in range(len(lat)):
+        if lat.is_normal_index(n) and lat.leq(n, x):
+            assert lat.leq(n, c)
 
 
 # on sym:4 and product(sym:3,sym:3) some cores need a second pass over the generators
@@ -202,33 +201,31 @@ def test_core_fixpoint_matches_intersection_of_all_conjugates(desc):
 
 def test_normalizer_examples():
     g, lat = _s3()
-    assert normalizer(lat.subgroup(lat.top_index)).is_whole
-    t = lat.subgroup(1)
-    assert normalizer(t).mask == t.mask
-    a3 = next(lat.subgroup(i) for i in range(len(lat)) if lat.subgroup(i).order == 3)
-    assert is_normal(a3)
+    assert lat.subgroup(lat.normalizer_index(lat.top_index)).is_whole
+    assert lat.normalizer_index(1) == 1
+    a3 = next(i for i in range(len(lat)) if lat.subgroup(i).order == 3)
+    assert lat.is_normal_index(a3)
 
 
 def test_normals_closed_under_meet_and_join():
     for desc in ORACLE_DESCRIPTORS:
         lat = enumerate_subgroups(build_group(desc))
-        normals = [lat.subgroup(i) for i in bits_of(lat.normal_bits)]
+        normals = list(bits_of(lat.normal_bits))
         for a in normals:
             for b in normals:
-                assert is_normal(meet(a, b))
-                assert is_normal(join(a, b))
+                assert lat.is_normal_index(lat.meet_index(a, b))
+                assert lat.is_normal_index(lat.join_index(a, b))
 
 
 def test_commutator_examples():
     g, lat = _s3()
-    full = lat.subgroup(lat.top_index)
-    one = lat.subgroup(0)
-    assert commutator_subgroup(full, one).order == 1
-    derived = commutator_subgroup(full, full)
+    top = lat.top_index
+    assert lat.subgroup(lat.commutator_index(top, 0)).order == 1
+    derived = lat.subgroup(lat.commutator_index(top, top))
     assert derived.order == 3
-    q8 = build_group("quaternion:8")
-    q8full = Subgroup(q8, q8.full_mask)
-    assert commutator_subgroup(q8full, q8full).members == (0, 1)
+    q8 = enumerate_subgroups(build_group("quaternion:8"))
+    q8top = q8.top_index
+    assert q8.subgroup(q8.commutator_index(q8top, q8top)).members == (0, 1)
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
@@ -249,8 +246,8 @@ def test_commutator_index_matches_all_element_pairs(desc):
 def test_commutator_inside_join(desc, data):
     lat = enumerate_subgroups(build_group(desc))
     pick = st.integers(0, len(lat) - 1)
-    a, b = lat.subgroup(data.draw(pick)), lat.subgroup(data.draw(pick))
-    assert commutator_subgroup(a, b).is_subset_of(join(a, b))
+    a, b = data.draw(pick), data.draw(pick)
+    assert lat.leq(lat.commutator_index(a, b), lat.join_index(a, b))
 
 
 def test_automorphism_counts():
@@ -277,10 +274,10 @@ def test_automorphism_set_is_a_group():
 def test_characteristic_examples():
     v4 = build_group("abelian:2x2")
     lat = enumerate_subgroups(v4)
-    assert is_characteristic(lat.subgroup(0))
-    assert is_characteristic(lat.subgroup(lat.top_index))
+    assert is_characteristic(lat, 0)
+    assert is_characteristic(lat, lat.top_index)
     for i in range(1, lat.top_index):
-        assert not is_characteristic(lat.subgroup(i))
+        assert not is_characteristic(lat, i)
 
 
 # the default catalog and the one wide group inside the automorphism cap
@@ -288,8 +285,9 @@ def test_characteristic_examples():
 def test_characteristic_matches_image_definition(desc):
     group = build_group(desc)
     auts = automorphisms(group)
-    for sub in enumerate_subgroups(group).subgroups:
-        assert is_characteristic(sub) == all(phi.image_mask(sub.mask) == sub.mask for phi in auts)
+    lat = enumerate_subgroups(group)
+    for i, sub in enumerate(lat.subgroups):
+        assert is_characteristic(lat, i) == all(phi.image_mask(sub.mask) == sub.mask for phi in auts)
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_DESCRIPTORS)
@@ -312,12 +310,12 @@ def test_normal_bits_match_is_normal_index_and_conjugation(desc):
 
 
 def test_verbal_residual_examples():
-    v4 = build_group("abelian:2x2")
-    assert verbal_residual(v4, "abelian").order == 1
-    s3 = build_group("sym:3")
-    assert verbal_residual(s3, "abelian").order == 3
-    z4 = build_group("cyclic:4")
-    assert verbal_residual(z4, "exponent:2").members == (0, 2)
+    v4 = enumerate_subgroups(build_group("abelian:2x2"))
+    assert v4.subgroup(verbal_residual(v4, "abelian")).order == 1
+    s3 = enumerate_subgroups(build_group("sym:3"))
+    assert s3.subgroup(verbal_residual(s3, "abelian")).order == 3
+    z4 = enumerate_subgroups(build_group("cyclic:4"))
+    assert z4.subgroup(verbal_residual(z4, "exponent:2")).members == (0, 2)
     with pytest.raises(UnsupportedVarietyError):
         verbal_residual(z4, "exponent:5")
     with pytest.raises(UnsupportedVarietyError):
@@ -328,7 +326,7 @@ def test_verbal_residual_is_least_normal_with_quotient_in_variety():
     for desc in ("sym:3", "quaternion:8", "cyclic:6", "dihedral:4"):
         g = build_group(desc)
         lat = enumerate_subgroups(g)
-        derived = verbal_residual(g, "abelian")
+        derived = lat.subgroup(verbal_residual(lat, "abelian"))
         for i in bits_of(lat.normal_bits):
             n = lat.subgroup(i)
             # G/N abelian iff every commutator [a,b] = ab(ba)^-1 lies in N
@@ -342,23 +340,19 @@ def test_verbal_residual_is_least_normal_with_quotient_in_variety():
 
 def test_minimal_cover_examples():
     g, lat = _s3()
-    one = lat.subgroup(0)
-    family = [lat.subgroup(1)]
-    got = minimal_cover(one, family)
+    one = lat.mask(0)
+    got = minimal_cover(one, [lat.mask(1)])
     assert got == CoverResult((0,), True)
     # the four maximal cyclic subgroups cover S3 minimally
-    cyclics = [lat.subgroup(i) for i in (1, 2, 3, 4)]
-    full = lat.subgroup(lat.top_index)
-    got = minimal_cover(full, cyclics + [one])
+    cyclics = [lat.mask(i) for i in (1, 2, 3, 4)]
+    got = minimal_cover(lat.mask(lat.top_index), cyclics + [one])
     assert got.exact and len(got.positions) == 4 and 4 not in got.positions
-    a3 = lat.subgroup(4)
-    assert minimal_cover(a3, [lat.subgroup(1)]) is None
+    assert minimal_cover(lat.mask(4), [lat.mask(1)]) is None
 
 
 def test_minimal_cover_greedy_past_limit():
     g, lat = _s3()
-    full = lat.subgroup(lat.top_index)
-    family = [lat.subgroup(1), lat.subgroup(2), lat.subgroup(3), lat.subgroup(4)] + [lat.subgroup(0)] * 18
-    got = minimal_cover(full, family)
+    family = [lat.mask(1), lat.mask(2), lat.mask(3), lat.mask(4)] + [lat.mask(0)] * 18
+    got = minimal_cover(lat.mask(lat.top_index), family)
     assert not got.exact
     assert set(got.positions) >= {0, 1, 2, 3}
