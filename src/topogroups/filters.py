@@ -16,7 +16,7 @@ silently trusting it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
@@ -92,12 +92,12 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
         return ValidationReport(False, (ValidationFailure("non-trivial", (0,), "trivial subgroup is not allowed"),))
     if lattice.top_index not in members:
         return ValidationReport(False, (ValidationFailure("whole-group", (lattice.top_index,), "whole group missing"),))
-    for i in members:
+    ordered = sorted(members)
+    for i in ordered:
         mi = lattice.mask(i)
         for j in range(len(lattice)):
             if j not in members and mi & lattice.mask(j) == mi:
                 return ValidationReport(False, (ValidationFailure("upward", (i, j), "superset missing"),))
-    ordered = sorted(members)
     for pos, i in enumerate(ordered):
         for j in ordered[pos:]:
             mm = lattice.meet_index(i, j)
@@ -236,8 +236,9 @@ def all_filters(lattice: SubgroupLattice) -> tuple[frozenset[int], ...]:
 ULTRAFILTER_ORACLE_LIMIT = 6
 
 
+@cache
 def enumerate_ultrafilters(lattice: SubgroupLattice) -> tuple[SubgroupFilter, ...]:
-    """All subgroup ultrafilters: ↑⟨x⟩, one per cyclic subgroup ⟨x⟩ ≠ 1.
+    """All subgroup ultrafilters: ↑⟨x⟩, one per cyclic subgroup ⟨x⟩ ≠ 1; once per lattice.
 
     Each is named by the least element generating its kernel.  On lattices
     with at most ULTRAFILTER_ORACLE_LIMIT subgroups the answer is compared

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from math import prod
 
 from .report import ValidationFailure, ValidationReport
 
@@ -114,9 +115,6 @@ class FiniteGroup:
             element_names = tuple(str(i) for i in range(self.order))
         self.element_names: tuple[str, ...] = tuple(element_names)
         self.inverse: tuple[int, ...] = tuple(self.table[a].index(0) for a in range(self.order))
-        self._element_orders: tuple[int, ...] | None = None
-        self._lattice = None
-        self._automorphisms: dict[int, tuple] = {}
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -137,16 +135,18 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    @cached_property
+    def _element_orders(self) -> tuple[int, ...]:
+        orders = []
+        for y in range(self.order):
+            acc, n = y, 1
+            while acc != 0:
+                acc = self.table[acc][y]
+                n += 1
+            orders.append(n)
+        return tuple(orders)
+
     def element_order(self, x: int) -> int:
-        if self._element_orders is None:
-            orders = []
-            for y in range(self.order):
-                acc, n = y, 1
-                while acc != 0:
-                    acc = self.table[acc][y]
-                    n += 1
-                orders.append(n)
-            self._element_orders = tuple(orders)
         return self._element_orders[x]
 
     def name(self, x: int) -> str:
@@ -442,15 +442,15 @@ def _parse_int(text: str, what: str) -> int:
     return v
 
 
-def build_group(descriptor: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    """Build a catalog group from its descriptor string.
+def build_group(descriptor: str) -> FiniteGroup:
+    """Build a catalog group from its descriptor string, once per normalized descriptor.
 
     Grammar: ``cyclic:n``, ``abelian:n1xn2x...``, ``dihedral:n``, ``sym:n``,
-    ``alt:n``, ``quaternion:8``, ``product(D1,D2,...)``.
+    ``alt:n``, ``quaternion:8``, ``product(D1,D2,...)``.  Orders past
+    DEFAULT_ORDER_CAP raise OrderCapExceededError.
     """
     desc = descriptor.replace(" ", "").lower()
-    key = (desc, cap)
-    cached = _GROUP_CACHE.get(key)
+    cached = _GROUP_CACHE.get(desc)
     if cached is not None:
         return cached
 
@@ -458,19 +458,23 @@ def build_group(descriptor: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         inner = _split_top_level(desc[len("product(") : -1])
         if len(inner) < 1 or any(not p for p in inner):
             raise UnknownKindError(f"bad product descriptor: {descriptor!r}")
-        factors = [build_group(p, cap) for p in inner]
-        total = 1
-        for f in factors:
-            total *= f.order
-        if total > cap:
-            raise OrderCapExceededError(f"product order {total} exceeds cap {cap}")
-        group = _bare_product(factors, desc)
+        factors = [build_group(p) for p in inner]
+        orders = [f.order for f in factors]
+        total = prod(orders)
+        if total > DEFAULT_ORDER_CAP:
+            raise OrderCapExceededError(f"product order {total} exceeds cap {DEFAULT_ORDER_CAP}")
+        table, _ = _mixed_radix_tables(orders, lambda k, a, b: factors[k].table[a][b])
+        names = tuple(
+            "(" + ",".join(f.name(c) for f, c in zip(factors, mixed_radix_decode(orders, i))) + ")"
+            for i in range(total)
+        )
+        group = FiniteGroup(table, desc, names)
     else:
         kind, _, arg = desc.partition(":")
         if kind == "cyclic":
             n = _parse_int(arg, "order")
-            if n > cap:
-                raise OrderCapExceededError(f"order {n} exceeds cap {cap}")
+            if n > DEFAULT_ORDER_CAP:
+                raise OrderCapExceededError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
             group = FiniteGroup(_cyclic_table(n), desc)
         elif kind == "abelian":
             ns = [_parse_int(p, "factor order") for p in arg.split("x") if p != ""]
@@ -479,23 +483,22 @@ def build_group(descriptor: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             total = 1
             for n in ns:
                 total *= n
-            if total > cap:
-                raise OrderCapExceededError(f"order {total} exceeds cap {cap}")
+            if total > DEFAULT_ORDER_CAP:
+                raise OrderCapExceededError(f"order {total} exceeds cap {DEFAULT_ORDER_CAP}")
             table, names = _mixed_radix_tables(ns, lambda k, a, b: (a + b) % ns[k])
             group = FiniteGroup(table, desc, names)
         elif kind == "dihedral":
             n = _parse_int(arg, "degree")
-            if 2 * n > cap:
-                raise OrderCapExceededError(f"order {2 * n} exceeds cap {cap}")
+            if 2 * n > DEFAULT_ORDER_CAP:
+                raise OrderCapExceededError(f"order {2 * n} exceeds cap {DEFAULT_ORDER_CAP}")
             table, names = _dihedral_table(n)
             group = FiniteGroup(table, desc, names)
         elif kind in ("sym", "alt"):
+            # degree 4 keeps the order at 24, inside DEFAULT_ORDER_CAP
             n = _parse_int(arg, "degree")
             if n > PERMUTATION_DEGREE_CAP:
                 raise OrderCapExceededError(f"degree {n} exceeds the permutation degree cap {PERMUTATION_DEGREE_CAP}")
             table, names = _permutation_table(n, even_only=(kind == "alt"))
-            if len(table) > cap:
-                raise OrderCapExceededError(f"order {len(table)} exceeds cap {cap}")
             group = FiniteGroup(table, desc, names)
         elif kind == "quaternion":
             if arg != "8":
@@ -507,20 +510,8 @@ def build_group(descriptor: str, cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     report = verify_group_axioms(group.table)
     if not report.passed:
         raise TopoGroupError(f"internal error: constructed table for {desc!r} fails {report.first_failure()}")
-    _GROUP_CACHE[key] = group
+    _GROUP_CACHE[desc] = group
     return group
 
 
-def _bare_product(factors: list[FiniteGroup], desc: str) -> FiniteGroup:
-    orders = [f.order for f in factors]
-    def mul(k, a, b):
-        return factors[k].table[a][b]
-    table, _ = _mixed_radix_tables(orders, mul)
-    names = tuple(
-        "(" + ",".join(f.name(c) for f, c in zip(factors, mixed_radix_decode(orders, i))) + ")"
-        for i in range(len(table))
-    )
-    return FiniteGroup(table, desc, names)
-
-
-_GROUP_CACHE: dict[tuple[str, int], FiniteGroup] = {}
+_GROUP_CACHE: dict[str, FiniteGroup] = {}

@@ -12,7 +12,7 @@ stores subgroup sets as bitsets over these canonical indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -245,8 +245,9 @@ class SubgroupLattice:
         return f"#{i}(order {sub.order}: {{{names}}})"
 
 
-def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> SubgroupLattice:
-    """Enumerate the complete subgroup lattice (memoized per group instance).
+@cache
+def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
+    """Enumerate the complete subgroup lattice; equal groups share one lattice.
 
     Cyclic extension (Neubüser, 1960): breadth first from the trivial
     subgroup, each subgroup found is extended by each cyclic subgroup not
@@ -254,10 +255,8 @@ def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Sub
     each subgroup keeps the generators of its first-found, hence shortest,
     extension chain.
     """
-    if group._lattice is not None:
-        return group._lattice
-    if group.order > cap:
-        raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {cap}")
+    if group.order > DEFAULT_ORDER_CAP:
+        raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {DEFAULT_ORDER_CAP}")
     cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
     cyclics: dict[int, int] = {}
     for x, m in enumerate(cyclic_masks):
@@ -273,9 +272,7 @@ def enumerate_subgroups(group: FiniteGroup, cap: int = DEFAULT_ORDER_CAP) -> Sub
             if j not in generators:
                 generators[j] = gens + (x,)
                 queue.append(j)
-    lattice = SubgroupLattice(group, generators, cyclic_masks)
-    group._lattice = lattice
-    return lattice
+    return SubgroupLattice(group, generators, cyclic_masks)
 
 
 def brute_force_subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
@@ -331,23 +328,19 @@ def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | Non
     return mapping
 
 
-def automorphisms(group: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[Homomorphism, ...]:
-    """All invertible self-maps, by backtracking over generator images.
+@cache
+def automorphisms(group: FiniteGroup) -> tuple[Homomorphism, ...]:
+    """All invertible self-maps, by backtracking over generator images; once per group.
 
     Candidates are pruned on element-order mismatch; a full bijection search
     is infeasible past order 8.
     """
-    if group.order > cap:
-        raise OrderCapExceededError(f"group order {group.order} exceeds automorphism cap {cap}")
-    cached = group._automorphisms.get(cap)
-    if cached is not None:
-        return cached
+    if group.order > AUTOMORPHISM_CAP:
+        raise OrderCapExceededError(f"group order {group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}")
     lattice = enumerate_subgroups(group)
     gens = lattice.generators[lattice.top_index]
     if not gens:
-        result = (make_homomorphism(group, group, (0,)),)
-        group._automorphisms[cap] = result
-        return result
+        return (make_homomorphism(group, group, (0,)),)
     candidates = [
         [h for h in group.elements() if group.element_order(h) == group.element_order(g)] for g in gens
     ]
@@ -366,16 +359,14 @@ def automorphisms(group: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[Homo
             imgs.pop()
 
     search(0, [])
-    result = tuple(found)
-    group._automorphisms[cap] = result
-    return result
+    return tuple(found)
 
 
-def is_characteristic(lattice: SubgroupLattice, i: int, cap: int = AUTOMORPHISM_CAP) -> bool:
+def is_characteristic(lattice: SubgroupLattice, i: int) -> bool:
     # φ(H) ⊆ H once φ maps the generators of H inside, and φ is injective,
     # so the orders match and φ(H) = H
     mask, gens = lattice.mask(i), lattice.generators[i]
-    return all(all(mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(lattice.group, cap))
+    return all(all(mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(lattice.group))
 
 
 def verbal_residual(lattice: SubgroupLattice, variety: str) -> int:

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iter_product
 
 from .groups import (
-    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Homomorphism,
-    OrderCapExceededError,
     TopoGroupError,
-    _bare_product,
     bits_of,
+    build_group,
     closure_mask,
     make_homomorphism,
     mask_of,
@@ -54,24 +53,17 @@ class ProductGroup:
         return mixed_radix_encode([f.order for f in self.factors], components)
 
 
-_PRODUCT_CACHE: dict[tuple[str, ...], ProductGroup] = {}
-
-
-def direct_product(factors, cap: int = DEFAULT_ORDER_CAP) -> ProductGroup:
+def direct_product(factors) -> ProductGroup:
+    """The product of the factors; its group is ``build_group("product(...)")``."""
     factors = tuple(factors)
     if not factors:
         raise BadParameterError("a product needs at least one factor")
-    key = tuple(f.descriptor for f in factors)
-    cached = _PRODUCT_CACHE.get(key)
-    if cached is not None and cached.factors == factors:
-        return cached
-    total = 1
-    for f in factors:
-        total *= f.order
-    if total > cap:
-        raise OrderCapExceededError(f"product order {total} exceeds cap {cap}")
-    desc = "product(" + ",".join(key) + ")"
-    group = _bare_product(list(factors), desc)
+    return _direct_product(factors)
+
+
+@cache
+def _direct_product(factors: tuple[FiniteGroup, ...]) -> ProductGroup:
+    group = build_group("product(" + ",".join(f.descriptor for f in factors) + ")")
     orders = [f.order for f in factors]
     projections = tuple(
         make_homomorphism(group, factors[i], tuple(mixed_radix_decode(orders, x)[i] for x in group.elements()))
@@ -85,9 +77,7 @@ def direct_product(factors, cap: int = DEFAULT_ORDER_CAP) -> ProductGroup:
             tup[i] = a
             maps.append(mixed_radix_encode(orders, tup))
         embeddings.append(make_homomorphism(f, group, tuple(maps)))
-    result = ProductGroup(factors, group, projections, tuple(embeddings))
-    _PRODUCT_CACHE[key] = result
-    return result
+    return ProductGroup(factors, group, projections, tuple(embeddings))
 
 
 def product_subgroup_mask(product: ProductGroup, factor_masks) -> int:

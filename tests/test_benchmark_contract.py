@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
 
@@ -35,11 +37,15 @@ def test_theorem_workloads_match_their_pins():
     assert workloads["run_and_check"]("ladder", 0) == []
 
 
-def test_traced_matrix_pass_passes_its_self_checks():
+@pytest.mark.parametrize("workload", ["matrix", "wide", "ladder"])
+def test_traced_pass_passes_its_self_checks(workload):
     # the tracer wraps program functions by name and reads each
-    # build_toposys result's member set, so run one traced pass end to end
+    # build_toposys result's member set, so run one traced pass end to end;
+    # the self-checks need a span for every function the workload calls:
+    # the ultrafilter oracle's all_filters on wide, the cached lattice and
+    # automorphism constructors on ladder
     proc = subprocess.run(
-        [sys.executable, "-B", str(PERFBENCH / "run.py"), "--workload", "matrix", "--seed", "0", "--trace", "1"],
+        [sys.executable, "-B", str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "0", "--trace", "1"],
         capture_output=True, text=True, timeout=170,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -182,6 +182,21 @@ def test_config_file_bad_max_order_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and "max-order" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_order_below_one_exits_2(capsys, value):
+    code, out, err = run(capsys, "theorems", f"--max-order={value}")
+    assert code == 2 and not out
+    assert err == f"error: max-order must be at least 1, got {value}\n"
+
+
+def test_config_file_max_order_below_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("max-order = 0\n")
+    code, out, err = run(capsys, "theorems", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err == "error: max-order must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("value,shown", [("yes", True), ("1", True), ("no", False), ("false", False)])
 def test_config_file_timings_values(tmp_path, capsys, value, shown):
     cfg = tmp_path / "suite.cfg"

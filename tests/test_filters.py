@@ -3,13 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from topogroups.groups import bits_of, build_group, mask_of
+from topogroups import filters
+from topogroups.groups import FiniteGroup, bits_of, build_group, mask_of
 from topogroups.lattice import enumerate_subgroups
 from topogroups.toposystems import BadParameterError, build_toposys
 from topogroups.filters import (
     IdentityNotAllowedError,
     NoFipError,
     NotAFilterError,
+    OracleMismatchError,
     OrdinaryFilter,
     SubgroupFilter,
     all_filters,
@@ -30,6 +32,8 @@ from topogroups.filters import (
     theorem_checks,
 )
 from topogroups.products import direct_product
+from topogroups.report import FAIL
+from topogroups.suites import ultrafilter_cell
 from oracles import quotient_group
 
 SMALL_LATTICE_DESCRIPTORS = ("cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8")
@@ -463,3 +467,25 @@ def test_filter_kernel_must_be_non_trivial():
             SubgroupFilter(lat, k)
     with pytest.raises(NotAFilterError):
         filter_from_members(lat, {1, 2, lat.top_index})
+
+
+def test_upward_witness_names_the_least_member():
+    # README tie-break: witnesses name the least index; on sym:4 both #5 and
+    # #9 miss a superset, and #5 ⊆ #14 is the first such pair
+    failure = filter_axiom_report(_lat("sym:4"), {5, 9, 29}).first_failure()
+    assert failure.kind == "upward" and failure.witness == (5, 14)
+
+
+def test_ultrafilters_are_listed_once_per_lattice():
+    lat = _lat("sym:4")
+    assert enumerate_ultrafilters(lat) is enumerate_ultrafilters(lat)
+
+
+def test_oracle_mismatch_raises_and_fails_the_ultrafilter_cell(monkeypatch):
+    # a group built by hand, so no ultrafilter list is cached for its lattice
+    group = FiniteGroup(build_group("cyclic:4").table, "cyclic:4|oracle-mismatch")
+    lat = enumerate_subgroups(group)
+    monkeypatch.setattr(filters, "is_ultrafilter_bruteforce", lambda f: (not is_ultrafilter(f)[0], None))
+    with pytest.raises(OracleMismatchError, match="criterion and family enumeration disagree"):
+        enumerate_ultrafilters(lat)
+    assert ultrafilter_cell(lat) == (FAIL, "criterion and family enumeration disagree")

@@ -1,12 +1,24 @@
 """Lattice enumeration against the brute-force oracle, and the subgroup algebra."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
 import topogroups
 from topogroups import groups, lattice
-from topogroups.groups import bits_of, build_group, closure_mask, mask_of, subgroup_generated
+from topogroups.groups import (
+    DEFAULT_ORDER_CAP,
+    FiniteGroup,
+    OrderCapExceededError,
+    bits_of,
+    build_group,
+    closure_mask,
+    mask_of,
+    subgroup_generated,
+)
 from topogroups.lattice import (
+    AUTOMORPHISM_CAP,
     CoverResult,
     UnsupportedVarietyError,
     automorphisms,
@@ -16,6 +28,7 @@ from topogroups.lattice import (
     minimal_cover,
     verbal_residual,
 )
+from topogroups.products import direct_product
 from topogroups.suites import DEFAULT_CATALOG
 
 EXPECTED_COUNTS = {
@@ -356,3 +369,41 @@ def test_minimal_cover_greedy_past_limit():
     got = minimal_cover(lat.mask(lat.top_index), family)
     assert not got.exact
     assert set(got.positions) >= {0, 1, 2, 3}
+
+
+# --- one constructor and one cache per object --------------------------------
+
+
+def test_constructors_take_no_cap():
+    for fn in (build_group, enumerate_subgroups, automorphisms, is_characteristic, direct_product):
+        assert "cap" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_lattice_and_automorphisms_are_built_once_per_group():
+    g = build_group("sym:3")
+    assert not hasattr(g, "_lattice") and not hasattr(g, "_automorphisms")
+    assert build_group(" Sym:3 ") is g
+    assert enumerate_subgroups(g) is enumerate_subgroups(build_group("sym:3"))
+    assert automorphisms(g) is automorphisms(build_group("sym:3"))
+    # an equal group built by hand shares the lattice
+    twin = FiniteGroup(g.table, g.descriptor, g.element_names)
+    assert twin is not g and enumerate_subgroups(twin) is enumerate_subgroups(g)
+
+
+def test_order_caps_still_raise():
+    with pytest.raises(OrderCapExceededError):
+        build_group(f"cyclic:{DEFAULT_ORDER_CAP + 1}")
+    with pytest.raises(OrderCapExceededError):
+        build_group("product(cyclic:8,cyclic:9)")
+    with pytest.raises(OrderCapExceededError):
+        direct_product([build_group("cyclic:8"), build_group("cyclic:9")])
+    n = DEFAULT_ORDER_CAP + 1
+    big = FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)], f"cyclic:{n}|by-hand")
+    for _ in range(2):
+        with pytest.raises(OrderCapExceededError):
+            enumerate_subgroups(big)
+    past = build_group(f"cyclic:{AUTOMORPHISM_CAP + 1}")
+    with pytest.raises(OrderCapExceededError):
+        automorphisms(past)
+    with pytest.raises(OrderCapExceededError):
+        is_characteristic(enumerate_subgroups(past), 1)

@@ -21,6 +21,14 @@ def _product(*descs):
     return direct_product([build_group(d) for d in descs])
 
 
+def test_one_product_group_and_lattice_per_descriptor():
+    p = _product("cyclic:2", "cyclic:3")
+    g = build_group("product(cyclic:2,cyclic:3)")
+    assert p.group is g and _product("cyclic:2", "cyclic:3") is p
+    assert enumerate_subgroups(p.group) is enumerate_subgroups(g)
+    assert p.group.element_names == g.element_names
+
+
 def test_single_factor_product():
     p = _product("cyclic:3")
     assert p.group.order == 3
