@@ -34,7 +34,6 @@ from .toposystems import (
     induced_toposys,
     interior_boundary,
     is_hausdorff,
-    is_star_open,
     is_topomorphism,
     quotient_toposys,
     star_topology_checks,

@@ -51,26 +51,30 @@ TIMINGS_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": Fal
 
 def _load_config_file(path: str) -> dict:
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise TopoGroupError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in ("max-order", "groups", "suites", "format", "timings"):
-                raise TopoGroupError(f"{path}:{lineno}: unknown config key {key!r}")
-            value = value.strip()
-            if key == "max-order":
-                try:
-                    int(value)
-                except ValueError:
-                    raise TopoGroupError(f"{path}:{lineno}: max-order must be an integer, got {value!r}") from None
-            if key == "timings" and value not in TIMINGS_VALUES:
-                raise TopoGroupError(f"{path}:{lineno}: timings must be 1/true/yes or 0/false/no, got {value!r}")
-            values[key] = value
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise TopoGroupError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise TopoGroupError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in ("max-order", "groups", "suites", "format", "timings"):
+            raise TopoGroupError(f"{path}:{lineno}: unknown config key {key!r}")
+        value = value.strip()
+        if key == "max-order":
+            try:
+                int(value)
+            except ValueError:
+                raise TopoGroupError(f"{path}:{lineno}: max-order must be an integer, got {value!r}") from None
+        if key == "timings" and value not in TIMINGS_VALUES:
+            raise TopoGroupError(f"{path}:{lineno}: timings must be 1/true/yes or 0/false/no, got {value!r}")
+        values[key] = value
     return values
 
 
@@ -217,7 +221,7 @@ def _cmd_product(args) -> int:
                     continue
                 print(
                     f"  {f.provenance}: converges at {product.decode(cert.point)}"
-                    f" ({len(cert.replays)} topens replayed)"
+                    f" ({len(cert.replayed)} topens replayed)"
                 )
     return code
 

@@ -93,11 +93,13 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
     if lattice.top_index not in members:
         return ValidationReport(False, (ValidationFailure("whole-group", (lattice.top_index,), "whole group missing"),))
     ordered = sorted(members)
+    bits = mask_of(ordered)
     for i in ordered:
-        mi = lattice.mask(i)
-        for j in range(len(lattice)):
-            if j not in members and mi & lattice.mask(j) == mi:
-                return ValidationReport(False, (ValidationFailure("upward", (i, j), "superset missing"),))
+        # the subgroups above i that are not members, least index first
+        missing = lattice.above[i] & ~bits
+        if missing:
+            j = (missing & -missing).bit_length() - 1
+            return ValidationReport(False, (ValidationFailure("upward", (i, j), "superset missing"),))
     for pos, i in enumerate(ordered):
         for j in ordered[pos:]:
             mm = lattice.meet_index(i, j)

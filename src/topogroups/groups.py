@@ -22,13 +22,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import prod
 
 from .report import ValidationFailure, ValidationReport
 
 DEFAULT_ORDER_CAP = 64
 PERMUTATION_DEGREE_CAP = 4
+# product(...) nesting depth; far above any real descriptor, far below the recursion limit
+PRODUCT_NESTING_CAP = 32
 
 
 class TopoGroupError(Exception):
@@ -447,7 +449,8 @@ def build_group(descriptor: str) -> FiniteGroup:
 
     Grammar: ``cyclic:n``, ``abelian:n1xn2x...``, ``dihedral:n``, ``sym:n``,
     ``alt:n``, ``quaternion:8``, ``product(D1,D2,...)``.  Orders past
-    DEFAULT_ORDER_CAP raise OrderCapExceededError.
+    DEFAULT_ORDER_CAP raise OrderCapExceededError, and product nesting past
+    PRODUCT_NESTING_CAP raises UnknownKindError before any recursion.
     """
     desc = descriptor.replace(" ", "").lower()
     cached = _GROUP_CACHE.get(desc)
@@ -455,6 +458,8 @@ def build_group(descriptor: str) -> FiniteGroup:
         return cached
 
     if desc.startswith("product(") and desc.endswith(")"):
+        if max(accumulate((ch == "(") - (ch == ")") for ch in desc)) > PRODUCT_NESTING_CAP:
+            raise UnknownKindError(f"product descriptor nested deeper than {PRODUCT_NESTING_CAP}")
         inner = _split_top_level(desc[len("product(") : -1])
         if len(inner) < 1 or any(not p for p in inner):
             raise UnknownKindError(f"bad product descriptor: {descriptor!r}")

@@ -165,26 +165,16 @@ class FactorRecord:
 
 
 @dataclass(frozen=True)
-class TopenReplay:
-    index: int
-    factor_indices: tuple[int, ...]
-    preimages_in_filter: bool
-    intersection_matches: bool
-    member_of_filter: bool
-
-
-@dataclass(frozen=True)
 class TychonoffCertificate:
-    """Full replay trail of the product-compactness proof for one ultrafilter."""
+    """Replay trail of the product-compactness proof for one ultrafilter.
+
+    ``replayed`` lists the product topens around the point; each passed every step.
+    """
 
     point: int
     point_components: tuple[int, ...]
     factor_records: tuple[FactorRecord, ...]
-    replays: tuple[TopenReplay, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.preimages_in_filter and r.intersection_matches and r.member_of_filter for r in self.replays)
+    replayed: tuple[int, ...]
 
 
 def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffCertificate:
@@ -225,23 +215,20 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
         records.append(FactorRecord(i, pushed.member_indices, cs.points, x_i))
 
     x = product.encode(components)
-    replays = []
+    replayed = []
     for a in ptop.system.member_indices:
         amask = plattice.mask(a)
         if not amask >> x & 1:
             continue
         combo = ptop.member_factors[a]
-        pre_ok = all(ai in pushed for pushed, ai in zip(pushed_list, combo))
+        if not all(ai in pushed for pushed, ai in zip(pushed_list, combo)):
+            raise CertificateFailureError("factor-preimage", (a, combo))
         inter = product.group.full_mask
         for projection, sys_i, ai in zip(product.projections, ptop.factor_systems, combo):
             inter &= projection.preimage_mask(sys_i.lattice.mask(ai))
-        inter_ok = inter == amask
-        member_ok = a in f
-        replays.append(TopenReplay(a, combo, pre_ok, inter_ok, member_ok))
-        if not pre_ok:
-            raise CertificateFailureError("factor-preimage", (a, combo))
-        if not inter_ok:
+        if inter != amask:
             raise CertificateFailureError("intersection-identity", (a, combo))
-        if not member_ok:
+        if a not in f:
             raise CertificateFailureError("membership", (a,))
-    return TychonoffCertificate(x, tuple(components), tuple(records), tuple(replays))
+        replayed.append(a)
+    return TychonoffCertificate(x, tuple(components), tuple(records), tuple(replayed))

@@ -409,7 +409,7 @@ def star_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | 
     report = star_topology_checks(system)
     if report.passed:
         return PASS, None
-    f = report.failures[0]
+    f = report.first_failure()
     return FAIL, f"{f.kind}@{f.witness}"
 
 

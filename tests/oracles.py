@@ -21,11 +21,11 @@ from topogroups.groups import FiniteGroup, Homomorphism, bits_of, mask_of
 from topogroups.lattice import enumerate_subgroups, is_characteristic, verbal_residual
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
+    UNION_SAMPLE_LIMIT,
     TopoSystem,
     _split_literals,
     generate_toposys,
     is_hausdorff,
-    is_star_open,
     is_topomorphism,
     resolve_subgroup_literal,
     verify_toposys,
@@ -140,8 +140,23 @@ def quotient_by_quotient_group(parent: TopoSystem, n: int):
     return members, verify_toposys(qlattice, system.member_bits), system, natural
 
 
-def star_topology_failures(system: TopoSystem, union_sample_limit: int = 12) -> list[ValidationFailure]:
-    """The subspace-compatibility failures, checked in L(h) for every subgroup h."""
+def is_star_open(system: TopoSystem, xmask: int) -> bool:
+    """An element bitset is star-open iff it equals the union of topens inside it."""
+    lattice = system.lattice
+    union = 0
+    for a in system.member_indices:
+        m = lattice.mask(a)
+        if m & xmask == m:
+            union |= m
+    return union == xmask
+
+
+def star_topology_failures(system: TopoSystem) -> list[ValidationFailure]:
+    """The subspace-compatibility failures, checked in L(h) for every subgroup h.
+
+    L(h) is built as a group of its own, and the induced system there is
+    generated from the traces, so the induced-trace check is a real one here.
+    """
     lattice = system.lattice
     member_list = system.member_indices
     failures = []
@@ -156,12 +171,22 @@ def star_topology_failures(system: TopoSystem, union_sample_limit: int = 12) -> 
 
         if any(hlattice.index_of(localize(lattice.mask(a))) not in induced.members for a in member_list):
             failures.append(ValidationFailure("induced-trace", (h,), "a topen trace is not induced-topen"))
-        if len(member_list) <= union_sample_limit:
+        if len(member_list) <= UNION_SAMPLE_LIMIT:
             for pos, a in enumerate(member_list):
                 for b in member_list[pos:]:
                     if not is_star_open(induced, localize(lattice.mask(a) | lattice.mask(b))):
                         failures.append(ValidationFailure("union-trace", (a, b, h), "union trace is not star-open"))
     return failures
+
+
+def upward_witness_by_scan(lattice, members) -> tuple[int, int] | None:
+    """The first (member i, non-member j above i), scanning element masks in index order."""
+    for i in sorted(members):
+        mi = lattice.mask(i)
+        for j in range(len(lattice)):
+            if j not in members and mi & lattice.mask(j) == mi:
+                return i, j
+    return None
 
 
 def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremReport:

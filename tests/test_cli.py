@@ -147,10 +147,23 @@ def test_theorems_json_is_byte_identical_across_reruns(capsys):
     assert out1 == out2
 
 
-def test_unknown_group_kind_exits_2(capsys):
-    code, _, err = run(capsys, "theorems", "--groups", "nonsense:9")
+# bad CLI inputs; CONFIG stands for a config file holding the given bytes
+BAD_INPUTS = {
+    "unknown-kind": (["theorems", "--groups", "nonsense:9"], None),
+    "config-not-utf8": (["theorems", "--config", "CONFIG"], b"max-order=\xff\n"),
+    "product-nested-500-deep": (["lattice", "--group", "product(" * 500 + "cyclic:1" + ")" * 500], None),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_unknown_group_kind_exits_2(tmp_path, capsys, case):
+    argv, config = BAD_INPUTS[case]
+    cfg = tmp_path / "bad.cfg"
+    if config is not None:
+        cfg.write_bytes(config)
+    code, _, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error:")
 
 
 def test_unknown_subcommand_exits_2(capsys):

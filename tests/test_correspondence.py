@@ -12,13 +12,16 @@ import pytest
 from topogroups.filters import theorem_checks
 from topogroups.groups import bits_of, build_group, closure_mask, mask_of
 from topogroups.lattice import SubgroupLattice, enumerate_subgroups
-from topogroups.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun
+from topogroups import toposystems
+from topogroups.report import FAIL
+from topogroups.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun, suite_star_topology
 from topogroups.toposystems import (
     TopoSystem,
     build_toposys,
     induced_toposys,
     quotient_toposys,
     star_topology_checks,
+    verify_toposys,
 )
 from oracles import (
     induced_by_subgroup_group,
@@ -170,3 +173,69 @@ def test_star_topology_matches_subgroup_groups_on_every_matrix_cell():
     for system in _matrix_systems():
         report = star_topology_checks(system)
         assert report.passed and list(report.failures) == star_topology_failures(system)
+
+
+# topo-systems per catalog group with at most 10 subgroups; 439 in all
+EXHAUSTIVE_COUNTS = {
+    "cyclic:2": 1,
+    "cyclic:3": 1,
+    "cyclic:4": 2,
+    "abelian:2x2": 8,
+    "cyclic:6": 4,
+    "sym:3": 16,
+    "cyclic:8": 4,
+    "abelian:2x4": 33,
+    "dihedral:4": 92,
+    "quaternion:8": 12,
+    "cyclic:9": 2,
+    "dihedral:5": 64,
+    "alt:4": 192,
+    "cyclic:16": 8,
+}
+
+
+def _every_toposys(lat):
+    """Every member set holding 1 and G that passes verify_toposys."""
+    inner = [i for i in range(len(lat)) if i not in (0, lat.top_index)]
+    systems = []
+    for chosen in range(1 << len(inner)):
+        bits = mask_of(i for k, i in enumerate(inner) if chosen >> k & 1) | 1 | 1 << lat.top_index
+        if verify_toposys(lat, bits).passed:
+            systems.append(TopoSystem(lat, bits, f"exhaustive#{chosen}"))
+    return systems
+
+
+def test_star_topology_matches_subgroup_groups_on_every_small_toposys():
+    small = [desc for desc in DEFAULT_CATALOG if len(_lat(desc)) <= 10]
+    assert {desc: len(_every_toposys(_lat(desc))) for desc in small} == EXHAUSTIVE_COUNTS
+    for desc in small:
+        for system in _every_toposys(_lat(desc)):
+            report = star_topology_checks(system)
+            assert report.passed and list(report.failures) == star_topology_failures(system)
+
+
+def test_star_topology_builds_no_induced_system(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("star_topology_checks built an induced system")
+
+    monkeypatch.setattr(toposystems, "induced_toposys", refuse)
+    monkeypatch.setattr(toposystems, "_closure", refuse)
+    for desc in ("sym:3", "dihedral:4", "abelian:2x2x2x2"):
+        for family in ("discrete", "trivial", "normal", "principal:gen{1}"):
+            assert star_topology_checks(build_toposys(_lat(desc), family)).passed
+
+
+def test_a_lying_meet_fails_the_union_trace_check(monkeypatch):
+    run = SuiteRun(SuiteConfig(groups=("sym:3",), suites=("star-topology",)))
+    cells = run.cells
+    lat = run.lattices[0]
+    top = lat.top_index
+    meet = lat.meet_index
+    # the trace of G on #1 is reported as the trivial subgroup
+    monkeypatch.setattr(lat, "meet_index", lambda i, j: 0 if (i, j) == (top, 1) else meet(i, j))
+    report = star_topology_checks(cells[0][1])
+    assert not report.passed
+    assert report.first_failure().kind == "union-trace" and report.first_failure().witness == (0, top, 1)
+    rows = suite_star_topology(run)
+    assert len(rows) == len(cells)
+    assert all(r.status == FAIL and r.witness == f"union-trace@(0, {top}, 1)" for r in rows)

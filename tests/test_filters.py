@@ -34,7 +34,7 @@ from topogroups.filters import (
 from topogroups.products import direct_product
 from topogroups.report import FAIL
 from topogroups.suites import ultrafilter_cell
-from oracles import quotient_group
+from oracles import quotient_group, upward_witness_by_scan
 
 SMALL_LATTICE_DESCRIPTORS = ("cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8")
 
@@ -474,6 +474,23 @@ def test_upward_witness_names_the_least_member():
     # #9 miss a superset, and #5 ⊆ #14 is the first such pair
     failure = filter_axiom_report(_lat("sym:4"), {5, 9, 29}).first_failure()
     assert failure.kind == "upward" and failure.witness == (5, 14)
+
+
+@pytest.mark.parametrize(
+    "desc", ["sym:3", "abelian:2x2", "quaternion:8", "dihedral:4", "alt:4", "abelian:2x4", "dihedral:5"]
+)
+def test_upward_witness_matches_the_element_mask_scan(desc):
+    # every candidate member set: the whole group and no trivial subgroup
+    lat = _lat(desc)
+    inner = list(range(1, lat.top_index))
+    for chosen in range(1 << len(inner)):
+        members = {i for k, i in enumerate(inner) if chosen >> k & 1} | {lat.top_index}
+        failure = filter_axiom_report(lat, members).first_failure()
+        expected = upward_witness_by_scan(lat, members)
+        if expected is None:
+            assert failure is None or failure.kind == "meet"
+        else:
+            assert failure.kind == "upward" and failure.witness == expected
 
 
 def test_ultrafilters_are_listed_once_per_lattice():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from topogroups.groups import (
+    PRODUCT_NESTING_CAP,
     NotAHomomorphismError,
     OrderCapExceededError,
     Subgroup,
@@ -206,6 +207,15 @@ def test_product_descriptor_matches_direct_encoding():
     assert p.order == 6
     # (1,1) = 1*3 + 1 = id 4, and has order 6
     assert p.element_order(4) == 6
+
+
+def test_product_nesting_is_capped_before_recursion():
+    def nested(depth):
+        return "product(" * depth + "cyclic:2" + ")" * depth
+
+    assert build_group(nested(PRODUCT_NESTING_CAP)).order == 2
+    with pytest.raises(UnknownKindError, match=f"nested deeper than {PRODUCT_NESTING_CAP}"):
+        build_group(nested(PRODUCT_NESTING_CAP + 1))
 
 
 def test_every_catalog_group_passes_axioms():

@@ -94,29 +94,46 @@ def test_product_identity_spot_values():
     assert joined == expected
 
 
+def _replayed_every_topen_around_the_point(ptop, cert) -> bool:
+    """A returned certificate replayed each product topen that holds its point, in index order."""
+    plattice = ptop.system.lattice
+    return cert.replayed == tuple(a for a in ptop.system.member_indices if plattice.mask(a) >> cert.point & 1)
+
+
 def test_tychonoff_certificate_examples():
     p = _product("cyclic:3")
     lat = enumerate_subgroups(p.group)
     d = [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors]
     pt = product_toposys(p, d)
     cert = tychonoff_certificate(pt, principal_filter(lat, 1))
-    assert cert.ok and cert.point == 1
+    assert _replayed_every_topen_around_the_point(pt, cert) and cert.point == 1
 
     p23 = _product("cyclic:2", "cyclic:3")
     lat23 = enumerate_subgroups(p23.group)
     pt23 = product_toposys(p23, [build_toposys(enumerate_subgroups(f), "discrete") for f in p23.factors])
     f = principal_filter(lat23, p23.encode((1, 1)))
     cert = tychonoff_certificate(pt23, f)
-    assert cert.ok
+    assert _replayed_every_topen_around_the_point(pt23, cert)
     assert cert.point_components == (1, 1)
-    assert all(r.preimages_in_filter and r.intersection_matches and r.member_of_filter for r in cert.replays)
+    # every replayed topen is a member of the filter, as the membership step checked
+    assert cert.replayed and all(a in f for a in cert.replayed)
 
     p22 = _product("cyclic:2", "cyclic:2")
     lat22 = enumerate_subgroups(p22.group)
     pt22 = product_toposys(p22, [build_toposys(enumerate_subgroups(f), "discrete") for f in p22.factors])
     diag = principal_filter(lat22, p22.encode((1, 1)))
     cert = tychonoff_certificate(pt22, diag)
-    assert cert.ok and cert.point_components == (1, 1)
+    assert _replayed_every_topen_around_the_point(pt22, cert) and cert.point_components == (1, 1)
+
+
+def test_certificate_carries_no_always_true_flags():
+    from topogroups import products
+
+    p = _product("cyclic:2", "cyclic:2")
+    pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors])
+    cert = tychonoff_certificate(pt, enumerate_ultrafilters(enumerate_subgroups(p.group))[0])
+    assert not hasattr(cert, "ok") and not hasattr(products, "TopenReplay")
+    assert all(type(a) is int for a in cert.replayed)
 
 
 def test_tychonoff_requires_an_ultrafilter():
@@ -140,7 +157,7 @@ def test_tychonoff_certificate_all_ultrafilters_small_products():
                 p, [build_toposys(enumerate_subgroups(f), k) for f, k in zip(p.factors, kinds)]
             )
             for f in enumerate_ultrafilters(plat):
-                assert tychonoff_certificate(pt, f).ok
+                assert _replayed_every_topen_around_the_point(pt, tychonoff_certificate(pt, f))
 
 
 def test_tychonoff_degenerate_pushforward_is_a_certificate_failure():

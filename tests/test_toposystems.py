@@ -1,9 +1,14 @@
 """Topo-system families, the interior/closure calculus, separation and covers."""
 
+import inspect
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
+
+import topogroups
+from topogroups import toposystems
+from topogroups.report import ValidationReport
 
 from topogroups.groups import bits_of, build_group, mask_of, subgroup_generated
 from topogroups.lattice import AUTOMORPHISM_CAP, NotNormalError, enumerate_subgroups
@@ -17,7 +22,6 @@ from topogroups.toposystems import (
     induced_toposys,
     interior_boundary,
     is_hausdorff,
-    is_star_open,
     is_topomorphism,
     quotient_toposys,
     resolve_subgroup_literal,
@@ -27,7 +31,7 @@ from topogroups.toposystems import (
 )
 from topogroups.groups import OrderCapExceededError, make_homomorphism
 from topogroups.suites import DEFAULT_CATALOG, FAMILY_NAMES, family_instance_descriptors
-from oracles import family_members_by_scan, quotient_lattice
+from oracles import family_members_by_scan, is_star_open, quotient_lattice
 from test_correspondence import WIDE_GROUPS
 from test_lattice import ORACLE_DESCRIPTORS
 
@@ -334,6 +338,13 @@ def test_star_topology_examples():
     assert not is_star_open(tn, mask_of((0, 3, 4, 1)))
     report = star_topology_checks(tn)
     assert report.passed
+
+
+def test_star_topology_checks_take_only_the_system():
+    assert list(inspect.signature(star_topology_checks).parameters) == ["system"]
+    assert type(star_topology_checks(_sys("sym:3", "normal")[1])) is ValidationReport
+    for gone in ("is_star_open", "StarTopologyReport"):
+        assert not hasattr(toposystems, gone) and not hasattr(topogroups, gone)
 
 
 @pytest.mark.parametrize("desc", CATALOG)
