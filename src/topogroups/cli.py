@@ -190,6 +190,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    if args.tychonoff and not args.sys:
+        raise BadParameterError("--tychonoff needs --sys, one topo-system per factor")
     spec = args.groups.replace(" ", "")
     if spec.startswith("product(") and spec.endswith(")"):
         factor_descs = [p for p in _split_top_level(spec[len("product(") : -1]) if p]

@@ -195,9 +195,8 @@ def is_ultrafilter(f: SubgroupFilter) -> tuple[bool, int | None]:
     a subgroup that contains x, hence a member.  The equivalence with the
     family-quantified definition is cross-checked in the test suite.
     """
-    lattice, k = f.lattice, f.kernel
-    # cyclic extension lists each cyclic subgroup with one generator
-    if any(lattice.cyclic_index(g) == k for g in lattice.generators[k]):
+    k = f.kernel
+    if f.lattice.cyclic_bits >> k & 1:
         return True, None
     return False, k
 

@@ -482,9 +482,8 @@ def build_group(descriptor: str) -> FiniteGroup:
                 raise OrderCapExceededError(f"order {n} exceeds cap {DEFAULT_ORDER_CAP}")
             group = FiniteGroup(_cyclic_table(n), desc)
         elif kind == "abelian":
-            ns = [_parse_int(p, "factor order") for p in arg.split("x") if p != ""]
-            if not ns:
-                raise UnknownKindError(f"bad abelian descriptor: {descriptor!r}")
+            # an empty factor ("2x", "2xx3", "x2") is rejected, so each group has one spelling
+            ns = [_parse_int(p, "factor order") for p in arg.split("x")]
             total = 1
             for n in ns:
                 total *= n

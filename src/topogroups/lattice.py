@@ -1,12 +1,14 @@
 """Complete subgroup lattices of small finite groups, plus the subgroup algebra.
 
-Enumeration is by cyclic extension: starting from the trivial subgroup, every
-subgroup found is extended by every cyclic subgroup not inside it.  This is
-complete because each subgroup is the join of its own cyclic subgroups, and
-it records a small generating set for each subgroup on the way.  The
-canonical order is (order, then membership lexicographic), so index 0 is the
-trivial subgroup and the last index is the whole group.  Every other module
-stores subgroup sets as bitsets over these canonical indices.
+Enumeration is by cyclic extension in prime-index steps: starting from the
+trivial subgroup, a subgroup h is extended by an x that normalizes it and
+whose least power inside h is x^p with p prime, so h⟨x⟩ is a union of p
+cosets of h.  This reaches every subgroup of a solvable group, which every group the
+descriptor grammar accepts under the order cap is, and it records a small
+generating set for each subgroup on the way.  The canonical order is (order,
+then membership lexicographic), so index 0 is the trivial subgroup and the
+last index is the whole group.  Every other module stores subgroup sets as
+bitsets over these canonical indices.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ class SubgroupLattice:
         """Canonical index of the cyclic subgroup generated by element x."""
         return self._cyclic[x]
 
+    @cached_property
+    def cyclic_bits(self) -> int:
+        """Bitset of the cyclic subgroups."""
+        return mask_of(self._cyclic)
+
     def conjugate_mask(self, mask: int, g: int) -> int:
         group = self.group
         return mask_of(group.conjugate(g, x) for x in bits_of(mask))
@@ -247,31 +254,59 @@ class SubgroupLattice:
 
 @cache
 def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
-    """Enumerate the complete subgroup lattice; equal groups share one lattice.
+    """Enumerate the complete subgroup lattice of a solvable group; equal groups share one lattice.
 
-    Cyclic extension (Neubüser, 1960): breadth first from the trivial
-    subgroup, each subgroup found is extended by each cyclic subgroup not
-    inside it.  That is one closure per (subgroup, cyclic subgroup) pair, and
-    each subgroup keeps the generators of its first-found, hence shortest,
-    extension chain.
+    Cyclic extension by prime-index steps (Neubüser, 1960; Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005): breadth first
+    from the trivial subgroup, h is extended only by an x that normalizes h
+    and whose least power inside h is x^p with p prime.  Then h⟨x⟩ is the
+    union of the p cosets h·x^i, read off the table with no closure, and no
+    subgroup lies strictly between h and h⟨x⟩, so every x inside h⟨x⟩ is
+    skipped for this h.  Every subgroup K ≠ 1 of a solvable group has a
+    normal subgroup H of prime index and is H⟨x⟩ for any x in K outside H, so
+    this reaches every subgroup.  A group that is not solvable has no such
+    chain up to itself and raises TopoGroupError.  The generators of h⟨x⟩ are
+    those of h that ⟨x⟩ does not contain, then x.
     """
     if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {DEFAULT_ORDER_CAP}")
+    table, inverse = group.table, group.inverse
     cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
-    cyclics: dict[int, int] = {}
+    least: dict[int, int] = {}
     for x, m in enumerate(cyclic_masks):
-        cyclics.setdefault(m, x)
+        least.setdefault(m, x)
+    # the least generator of each non-trivial cyclic subgroup, ascending
+    reps = list(least.values())[1:]
     generators: dict[int, tuple[int, ...]] = {1: ()}
     queue = [1]
     for h in queue:
-        gens = generators[h]
-        for c, x in cyclics.items():
-            if c & h == c:
+        gens, elems = generators[h], list(bits_of(h))
+        reached = h
+        for x in reps:
+            # x in h, or in an h⟨y⟩ already found from h, which x would only reach again
+            if reached >> x & 1:
                 continue
-            j = closure_mask(group, gens + (x,))
+            row, xi = table[x], inverse[x]
+            if not all(h >> table[row[g]][xi] & 1 for g in gens):
+                continue
+            # x, ..., x^(p-1) lie outside h and x^p is the least power inside
+            powers = [x]
+            while not h >> (y := table[powers[-1]][x]) & 1:
+                powers.append(y)
+            p = len(powers) + 1
+            if any(p % d == 0 for d in range(2, p)):
+                continue
+            # x normalizes h, so the left cosets x^i·h are the right ones
+            cosets = [table[y][e] for y in powers for e in elems]
+            j = h | mask_of(cosets)
+            reached |= j
             if j not in generators:
-                generators[j] = gens + (x,)
+                generators[j] = tuple(g for g in gens if not cyclic_masks[x] >> g & 1) + (x,)
                 queue.append(j)
+    if group.full_mask not in generators:
+        raise TopoGroupError(
+            f"{group.descriptor} is not solvable: prime-index cyclic extension never reaches the whole group"
+        )
     return SubgroupLattice(group, generators, cyclic_masks)
 
 

@@ -17,7 +17,7 @@ from topogroups.filters import (
     is_ultrafilter,
     pushforward,
 )
-from topogroups.groups import FiniteGroup, Homomorphism, bits_of, mask_of
+from topogroups.groups import FiniteGroup, Homomorphism, bits_of, closure_mask, mask_of
 from topogroups.lattice import enumerate_subgroups, is_characteristic, verbal_residual
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
@@ -30,6 +30,20 @@ from topogroups.toposystems import (
     resolve_subgroup_literal,
     verify_toposys,
 )
+
+
+# the groups of the benchmark's wide and ladder workloads
+WIDE_GROUPS = ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3")
+LADDER_GROUPS = (
+    "dihedral:32",
+    "product(sym:4,cyclic:2)",
+    "abelian:2x2x2x2x2",
+    "product(abelian:2x2,sym:3)",
+    "abelian:2x2x2x3",
+    "abelian:2x2x4",
+)
+# both, each group once
+WIDE_AND_LADDER_GROUPS = tuple(dict.fromkeys(WIDE_GROUPS + LADDER_GROUPS))
 
 
 def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
@@ -66,6 +80,31 @@ def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
     else:
         raise ValueError(f"no oracle for {descriptor!r}")
     return frozenset(members)
+
+
+def subgroup_masks_by_cyclic_extension(group: FiniteGroup) -> tuple[int, ...]:
+    """The subgroup masks in canonical order, by plain cyclic extension.
+
+    Breadth first from the trivial subgroup, every subgroup found is extended
+    by every cyclic subgroup not inside it, with one closure per pair.  This
+    is complete for every finite group, since each subgroup is the join of
+    its cyclic subgroups.
+    """
+    cyclics: dict[int, int] = {}
+    for x in group.elements():
+        cyclics.setdefault(closure_mask(group, (x,)), x)
+    generators: dict[int, tuple[int, ...]] = {1: ()}
+    queue = [1]
+    for h in queue:
+        gens = generators[h]
+        for c, x in cyclics.items():
+            if c & h == c:
+                continue
+            j = closure_mask(group, gens + (x,))
+            if j not in generators:
+                generators[j] = gens + (x,)
+                queue.append(j)
+    return tuple(sorted(generators, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
 
 
 def subgroup_group(group: FiniteGroup, mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:

@@ -152,6 +152,10 @@ BAD_INPUTS = {
     "unknown-kind": (["theorems", "--groups", "nonsense:9"], None),
     "config-not-utf8": (["theorems", "--config", "CONFIG"], b"max-order=\xff\n"),
     "product-nested-500-deep": (["lattice", "--group", "product(" * 500 + "cyclic:1" + ")" * 500], None),
+    "abelian-trailing-x": (["lattice", "--group", "abelian:2x"], None),
+    "abelian-double-x": (["lattice", "--group", "abelian:2xx3"], None),
+    "abelian-leading-x": (["lattice", "--group", "abelian:x2"], None),
+    "tychonoff-without-sys": (["product", "--groups", "cyclic:2;cyclic:3", "--tychonoff"], None),
 }
 
 

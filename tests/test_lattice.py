@@ -11,6 +11,7 @@ from topogroups.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
     OrderCapExceededError,
+    TopoGroupError,
     bits_of,
     build_group,
     closure_mask,
@@ -30,6 +31,7 @@ from topogroups.lattice import (
 )
 from topogroups.products import direct_product
 from topogroups.suites import DEFAULT_CATALOG
+from oracles import LADDER_GROUPS, WIDE_AND_LADDER_GROUPS, WIDE_GROUPS, subgroup_masks_by_cyclic_extension
 
 EXPECTED_COUNTS = {
     "cyclic:4": 3,
@@ -48,7 +50,6 @@ ORACLE_DESCRIPTORS = (
     "abelian:2x2x2",
     "alt:4",
 )
-WIDE_DESCRIPTORS = ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3")
 
 
 # lattices past the brute-force oracle's reach, up to the order-64 cap
@@ -93,7 +94,12 @@ def test_join_index_matches_closure_of_union(desc):
             assert lat.mask(lat.join_index(i, j)) == closure_mask(group, lat.mask(i) | lat.mask(j))
 
 
-@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+# the catalog, wide and ladder groups, and the order-64 group; the cyclic
+# indices are checked against closure_mask, as plain cyclic extension builds them
+DIFFERENTIAL_GROUPS = DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS + ("abelian:2x2x2x2x2x2",)
+
+
+@pytest.mark.parametrize("desc", DIFFERENTIAL_GROUPS)
 def test_generators_and_cyclic_indices(desc):
     group = build_group(desc)
     lat = enumerate_subgroups(group)
@@ -126,6 +132,58 @@ def test_enumeration_matches_brute_force(desc):
     group = build_group(desc)
     enumerated = {s.mask for s in enumerate_subgroups(group).subgroups}
     assert enumerated == set(brute_force_subgroup_masks(group))
+
+
+@pytest.mark.parametrize("desc", DIFFERENTIAL_GROUPS)
+def test_prime_steps_match_cyclic_extension(desc):
+    group = build_group(desc)
+    lat = enumerate_subgroups(group)
+    assert tuple(lat.mask(i) for i in range(len(lat))) == subgroup_masks_by_cyclic_extension(group)
+
+
+# the generators of h<x> are those of h outside <x>, then x; these are the
+# tuples the normalizer, core, commutator and automorphism searches loop over
+TOP_GENERATOR_COUNTS = {
+    "dihedral:32": 2,
+    "product(sym:4,cyclic:2)": 5,
+    "abelian:2x2x2x2x2": 5,
+    "product(abelian:2x2,sym:3)": 4,
+    "abelian:2x2x2x3": 4,
+    "abelian:2x2x4": 3,
+}
+
+
+@pytest.mark.parametrize("desc,count", TOP_GENERATOR_COUNTS.items())
+def test_top_generator_counts_on_the_ladder(desc, count):
+    lat = enumerate_subgroups(build_group(desc))
+    assert len(lat.generators[lat.top_index]) == count
+
+
+@pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))
+def test_enumeration_makes_at_most_one_closure_per_element(monkeypatch, desc):
+    # one closure per cyclic subgroup of an element; the prime steps read
+    # cosets off the table, so one closure per (subgroup, cyclic subgroup)
+    # pair would fail here
+    group = build_group(desc)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return closure_mask(*args)
+
+    monkeypatch.setattr(lattice, "closure_mask", counting)
+    lat = enumerate_subgroups.__wrapped__(group)
+    assert len(calls) <= group.order
+    assert len(lat) == len(enumerate_subgroups(group))
+
+
+def test_non_solvable_group_is_refused_by_name():
+    # A5 is the smallest group that is not solvable; the grammar caps alt at
+    # degree 4, so it is built by hand
+    table, names = groups._permutation_table(5, even_only=True)
+    a5 = FiniteGroup(table, "a5-by-hand", names)
+    with pytest.raises(TopoGroupError, match="not solvable"):
+        enumerate_subgroups(a5)
 
 
 def test_canonical_order_trivial_first_group_last():
@@ -303,7 +361,7 @@ def test_characteristic_matches_image_definition(desc):
         assert is_characteristic(lat, i) == all(phi.image_mask(sub.mask) == sub.mask for phi in auts)
 
 
-@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_DESCRIPTORS)
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_GROUPS)
 def test_disjoint_and_leq_match_masks(desc):
     lat = enumerate_subgroups(build_group(desc))
     for k in range(len(lat)):
@@ -313,7 +371,7 @@ def test_disjoint_and_leq_match_masks(desc):
             assert lat.leq(k, b) == (meet == lat.mask(k))
 
 
-@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_DESCRIPTORS)
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_GROUPS)
 def test_normal_bits_match_is_normal_index_and_conjugation(desc):
     lat = enumerate_subgroups(build_group(desc))
     assert lat.normal_bits is lat.normal_bits
