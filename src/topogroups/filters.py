@@ -100,12 +100,16 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
         if missing:
             j = (missing & -missing).bit_length() - 1
             return ValidationReport(False, (ValidationFailure("upward", (i, j), "superset missing"),))
-    for pos, i in enumerate(ordered):
-        for j in ordered[pos:]:
-            mm = lattice.meet_index(i, j)
-            if mm not in members:
-                detail = "meet is trivial" if mm == lattice.trivial_index else "meet missing"
-                return ValidationReport(False, (ValidationFailure("meet", (i, j, mm), detail),))
+    # an upward-closed family holds ↑k for its least member k and is a filter
+    # iff it is no more; else the least member j outside ↑k meets k below k,
+    # outside the family, and (k, j) is the first failing pair in index order
+    k = ordered[0]
+    outside = bits & ~lattice.above[k]
+    if outside:
+        j = (outside & -outside).bit_length() - 1
+        mm = lattice.meet_index(k, j)
+        detail = "meet is trivial" if mm == lattice.trivial_index else "meet missing"
+        return ValidationReport(False, (ValidationFailure("meet", (k, j, mm), detail),))
     return ValidationReport(True)
 
 
@@ -356,24 +360,21 @@ class TheoremReport:
     hausdorff: bool
     equivalence_ok: bool
     multi_point_witness: str | None
-    continuity_ok: bool
-    continuity_witness: str | None
     findings: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
-        return self.compactness_ok and self.equivalence_ok and self.continuity_ok
+        return self.compactness_ok and self.equivalence_ok
 
 
 def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremReport:
-    """Run the convergence/uniqueness/continuity battery on one cell.
+    """Run the convergence/uniqueness battery on one cell.
 
     (i) every ultrafilter converges somewhere (the compactness direction; a
     finite group is always topo-compact), (ii) Hausdorff holds iff no
-    ultrafilter converges to two cyclically distinct points, (iii) along each
-    verified quotient topomorphism, convergence pushes forward pointwise.
-    Degenerate pushforwards (kernel in the filter) and quotient member sets
-    that fail the axioms are reported as findings, not failures.
+    ultrafilter converges to two cyclically distinct points.  Quotient
+    member sets that fail the axioms, quotient maps that are not
+    topomorphisms and degenerate pushforwards are findings, not failures.
 
     Quotients stay on the parent lattice: the preimage of K/N is K, so the
     natural map is a topomorphism iff each a ∨ N is a topen.  q(↑⟨x⟩) is
@@ -397,7 +398,6 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
     equivalence_ok = hausdorff == (multi_witness is None)
 
     findings: list[str] = []
-    continuity_witness = None
     for n_index, quotient in system.quotients.items():
         if n_index == lattice.top_index:
             # the one-point quotient has no non-trivial subgroups, hence no
@@ -414,22 +414,10 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
         above_n = lattice.above[n_index] & ~(1 << n_index)
         atom = (above_n & -above_n).bit_length() - 1
         single_atom = above_n & ~lattice.above[atom] == 0
-        for f, points in zip(ultrafilters, limits):
-            # the pushforward's kernel is (⟨x⟩ ∨ N)/N
-            if lattice.join_index(f.kernel, n_index) == n_index and not single_atom:
-                findings.append(f"pushforward-degenerate({f.provenance})@#{n_index}")
-            # the pointwise implication needs no filter structure: a topen
-            # K/N around q(x) pulls back to the topen K around x, which is in f
-            for x in points:
-                outside = quotient.member_bits & lattice.containing[x] & ~f.member_bits
-                if outside:
-                    target = lattice.quotient_index(n_index, (outside & -outside).bit_length() - 1)
-                    continuity_witness = f"{f.provenance}->x={x}@#{n_index}:target#{target}"
-                    break
-            if continuity_witness:
-                break
-        if continuity_witness:
-            break
+        if not single_atom:
+            # the pushforward of ↑⟨x⟩ has kernel (⟨x⟩ ∨ N)/N, trivial when ⟨x⟩ ≤ N
+            degenerate = (f for f in ultrafilters if lattice.leq(f.kernel, n_index))
+            findings += (f"pushforward-degenerate({f.provenance})@#{n_index}" for f in degenerate)
 
     return TheoremReport(
         compactness_ok=compactness_witness is None,
@@ -437,8 +425,6 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
         hausdorff=hausdorff,
         equivalence_ok=equivalence_ok,
         multi_point_witness=multi_witness,
-        continuity_ok=continuity_witness is None,
-        continuity_witness=continuity_witness,
         findings=tuple(findings),
     )
 

@@ -59,7 +59,8 @@ class SubgroupLattice:
     topo-systems answer their point-wise queries, and ``above[k]`` is the
     bitset of the subgroups that contain subgroup k.  ``below[k]`` (inside k)
     and ``disjoint[k]`` (meeting k only in the identity) are the two relations
-    the topo-system calculus reads.
+    the topo-system calculus reads; ``normalized_by(x)`` is the one
+    normalizer relation, which normality, ``conj`` and commutators read.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -90,6 +91,7 @@ class SubgroupLattice:
         self.above: tuple[int, ...] = tuple(above)
         self._normalizers: dict[int, int] = {}
         self._cores: dict[int, int] = {}
+        self._normalized_by: dict[int, int] = {}
         self._commutators: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
@@ -183,35 +185,42 @@ class SubgroupLattice:
     def is_normal_index(self, i: int) -> bool:
         return self.normalizer_index(i) == self.top_index
 
-    @cached_property
+    def normalized_by(self, x: int) -> int:
+        """Bitset of the subgroups whose normalizer contains subgroup x."""
+        got = self._normalized_by.get(x)
+        if got is None:
+            up = self.above[x]
+            got = mask_of(k for k in range(len(self.subgroups)) if up >> self.normalizer_index(k) & 1)
+            self._normalized_by[x] = got
+        return got
+
+    @property
     def normal_bits(self) -> int:
-        """Bitset of the normal subgroups."""
-        return mask_of(i for i in range(len(self.subgroups)) if self.is_normal_index(i))
+        """Bitset of the normal subgroups: those the whole group normalizes."""
+        return self.normalized_by(self.top_index)
 
     def commutator_index(self, i: int, j: int) -> int:
         """[H, K]: the normal closure in <H, K> of the generator commutators.
 
-        With H = <X> and K = <Y>, [H, K] is the smallest subgroup containing
-        every [x, y] (x in X, y in Y) that X and Y normalize; a finite
-        subgroup is normalized by g once g maps its generators inside.
+        With H = <X> and K = <Y>, [H, K] is the least subgroup that contains
+        every [x, y] (x in X, y in Y) and that <H, K> normalizes (Holt, Eick
+        and O'Brien, *Handbook of Computational Group Theory*, 2005).  Those
+        subgroups are the ones above the join c of the cyclic subgroups
+        <[x, y]> that normalized_by(<H, K>) holds, and the least of them has
+        the least order, so the least index.
         """
         # [b, a] inverts [a, b], so the generated subgroup is symmetric in (i, j)
         key = (i, j) if i < j else (j, i)
         got = self._commutators.get(key)
         if got is None:
-            group = self.group
-            table, inverse = group.table, group.inverse
-            xs, ys = self.generators[i], self.generators[j]
-            gens = [table[table[a][b]][table[inverse[a]][inverse[b]]] for a in xs for b in ys]
-            mask = closure_mask(group, gens)
-            while True:
-                new = {group.conjugate(g, n) for g in xs + ys for n in gens}
-                new = [n for n in new if not mask >> n & 1]
-                if not new:
-                    break
-                gens += sorted(new)
-                mask = closure_mask(group, gens)
-            got = self._index_by_mask[mask]
+            table, inverse = self.group.table, self.group.inverse
+            c = self.join_of(
+                self._cyclic[table[table[a][b]][table[inverse[a]][inverse[b]]]]
+                for a in self.generators[i]
+                for b in self.generators[j]
+            )
+            common = self.above[c] & self.normalized_by(self.join_index(i, j))
+            got = (common & -common).bit_length() - 1
             self._commutators[key] = got
         return got
 
@@ -423,7 +432,7 @@ def verbal_residual(lattice: SubgroupLattice, variety: str) -> int:
         if n not in SUPPORTED_EXPONENTS:
             raise UnsupportedVarietyError(f"exponent {n} not in supported set {SUPPORTED_EXPONENTS}")
         group = lattice.group
-        return lattice.index_of(closure_mask(group, (group.power(x, n) for x in group.elements())))
+        return lattice.join_of(lattice.cyclic_index(group.power(x, n)) for x in group.elements())
     raise UnsupportedVarietyError(f"unknown variety {variety!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import Homomorphism, TopoGroupError, bits_of, closure_mask, mask_of
+from .groups import Homomorphism, TopoGroupError, bits_of, mask_of
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
@@ -94,7 +94,7 @@ def resolve_subgroup_literal(lattice: SubgroupLattice, text: str) -> int:
                 if not 0 <= e < lattice.group.order:
                     raise BadParameterError(f"element id {e} out of range")
                 ids.append(e)
-        return lattice.index_of(closure_mask(lattice.group, ids))
+        return lattice.join_of(lattice.cyclic_index(e) for e in ids)
     raise BadParameterError(f"bad subgroup literal {text!r} (expected gen{{..}} or #k)")
 
 
@@ -186,7 +186,8 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
     """The member set a descriptor names (see build_toposys), not yet verified.
 
     Every family is read off the lattice's bitsets: ``above[k]`` is the set
-    of subgroups containing k, and ``normal_bits`` the normal subgroups.
+    of subgroups containing k, and ``normalized_by(h)`` the subgroups that h
+    normalizes (``normal_bits`` when h is the whole group).
     """
     desc = descriptor.replace(" ", "")
     kind, _, arg = desc.partition(":")
@@ -223,9 +224,7 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
         bits = mask_of(i for i in range(len(lattice)) if above[lattice.commutator_index(i, k)] >> h & 1)
         bits |= 1 << top
     elif kind == "conj":
-        # the subgroups whose normalizer contains h
-        up = above[resolve_subgroup_literal(lattice, arg)]
-        bits = mask_of(i for i in range(len(lattice)) if up >> lattice.normalizer_index(i) & 1)
+        bits = lattice.normalized_by(resolve_subgroup_literal(lattice, arg))
     elif kind == "generated":
         seed = mask_of(resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))
         return generate_toposys(lattice, seed, provenance=desc)

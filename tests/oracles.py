@@ -4,8 +4,9 @@ The runtime keeps induced and quotient systems on the parent lattice (↓H for
 a subgroup H, the interval [N, G] for a quotient G/N).  The paths here build
 the subgroup or quotient as a group of its own, enumerate its lattice and
 work there, as the runtime once did; the tests compare the two.  The runtime
-reads the family member sets off the lattice's bitsets; the set
-comprehensions here test each subgroup against its definition instead.
+reads the family member sets and commutator subgroups off the lattice's
+bitsets; the set comprehensions and closures here test each subgroup
+against its definition instead.
 """
 
 from topogroups.filters import (
@@ -218,18 +219,51 @@ def star_topology_failures(system: TopoSystem) -> list[ValidationFailure]:
     return failures
 
 
-def upward_witness_by_scan(lattice, members) -> tuple[int, int] | None:
-    """The first (member i, non-member j above i), scanning element masks in index order."""
+def filter_failure_by_scan(lattice, members) -> ValidationFailure | None:
+    """The first failure of a candidate member set holding the whole group and not the trivial subgroup.
+
+    Upward closure is scanned on element masks: the first (member i,
+    non-member j above i) in index order.  Then every pair i <= j of members
+    is met in index order, the first meet outside the family failing.
+    """
     for i in sorted(members):
         mi = lattice.mask(i)
         for j in range(len(lattice)):
             if j not in members and mi & lattice.mask(j) == mi:
-                return i, j
+                return ValidationFailure("upward", (i, j), "superset missing")
+    ordered = sorted(members)
+    for pos, i in enumerate(ordered):
+        for j in ordered[pos:]:
+            mm = lattice.meet_index(i, j)
+            if mm not in members:
+                detail = "meet is trivial" if mm == lattice.trivial_index else "meet missing"
+                return ValidationFailure("meet", (i, j, mm), detail)
     return None
 
 
+def commutator_mask_by_closure(lattice, i: int, j: int) -> int:
+    """[H, K] as a mask: the generator commutators, closed and conjugated by the generators until stable."""
+    group = lattice.group
+    xs, ys = lattice.generators[i], lattice.generators[j]
+    gens = [group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b))) for a in xs for b in ys]
+    mask = closure_mask(group, gens)
+    while True:
+        new = {group.conjugate(g, n) for g in xs + ys for n in gens}
+        new = [n for n in new if not mask >> n & 1]
+        if not new:
+            return mask
+        gens += sorted(new)
+        mask = closure_mask(group, gens)
+
+
 def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremReport:
-    """The theorem battery with every quotient built as a group of its own."""
+    """The theorem battery with every quotient built as a group of its own.
+
+    Along each quotient topomorphism it also pushes every ultrafilter forward
+    and checks convergence pointwise, which the runtime does not: the
+    pullback of a topen around q(x) is a topen around x.  An AssertionError
+    names the first case where that fails.
+    """
     ultrafilters = enumerate_ultrafilters(lattice)
     limits = [convergence_set(f, system).points for f in ultrafilters]
     compactness_witness = next((f.provenance for f, points in zip(ultrafilters, limits) if not points), None)
@@ -241,7 +275,6 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
             multi_witness = f"{f.provenance}->{pair}"
             break
     findings: list[str] = []
-    continuity_witness = None
     for n in bits_of(lattice.normal_bits):
         if n == lattice.top_index:
             continue
@@ -258,29 +291,17 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
         for f, points in zip(ultrafilters, limits):
             try:
                 ok, witness = is_ultrafilter(pushforward(natural, f))
-                if not ok:
-                    continuity_witness = f"pushforward({f.provenance})@#{n} not ultra at #{witness}"
-                    break
+                assert ok, f"pushforward({f.provenance})@#{n} not ultra at #{witness}"
             except NotAFilterError:
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n}")
             for x in points:
                 for b in qsystem.topens_containing(natural(x)):
-                    if pulled_back[b] not in f:
-                        continuity_witness = f"{f.provenance}->x={x}@#{n}:target#{b}"
-                        break
-                if continuity_witness:
-                    break
-            if continuity_witness:
-                break
-        if continuity_witness:
-            break
+                    assert pulled_back[b] in f, f"{f.provenance}->x={x}@#{n}:target#{b}"
     return TheoremReport(
         compactness_ok=compactness_witness is None,
         compactness_witness=compactness_witness,
         hausdorff=hausdorff,
         equivalence_ok=hausdorff == (multi_witness is None),
         multi_point_witness=multi_witness,
-        continuity_ok=continuity_witness is None,
-        continuity_witness=continuity_witness,
         findings=tuple(findings),
     )

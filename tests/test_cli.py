@@ -156,6 +156,8 @@ BAD_INPUTS = {
     "abelian-double-x": (["lattice", "--group", "abelian:2xx3"], None),
     "abelian-leading-x": (["lattice", "--group", "abelian:x2"], None),
     "tychonoff-without-sys": (["product", "--groups", "cyclic:2;cyclic:3", "--tychonoff"], None),
+    "groups-names-none": (["theorems", "--groups", ","], None),
+    "config-groups-names-none": (["theorems", "--config", "CONFIG"], b"groups = ,\n"),
 }
 
 
@@ -168,6 +170,17 @@ def test_unknown_group_kind_exits_2(tmp_path, capsys, case):
     code, _, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_a_group_named_twice_is_one_matrix_row(capsys):
+    once = run(capsys, "theorems", "--groups", "sym:3")
+    twice = run(capsys, "theorems", "--groups", "sym:3,sym:3")
+    spelled = run(capsys, "theorems", "--groups", "sym:3, SYM:3")
+    assert once[0] == 0 and twice == once and spelled == once
+    # 100 sym:3 rows and 100 tychonoff rows, however often sym:3 is named
+    rows = once[1].splitlines()
+    assert sum("group=sym:3" in line for line in rows) == 100
+    assert rows[-1] == "summary: 196 pass, 0 fail, 4 finding"
 
 
 def test_unknown_subcommand_exits_2(capsys):

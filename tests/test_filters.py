@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from topogroups import filters
+from topogroups import filters, suites
 from topogroups.groups import FiniteGroup, bits_of, build_group, mask_of
 from topogroups.lattice import enumerate_subgroups
 from topogroups.toposystems import BadParameterError, build_toposys
@@ -34,7 +34,7 @@ from topogroups.filters import (
 from topogroups.products import direct_product
 from topogroups.report import FAIL
 from topogroups.suites import ultrafilter_cell
-from oracles import WIDE_AND_LADDER_GROUPS, quotient_group, upward_witness_by_scan
+from oracles import WIDE_AND_LADDER_GROUPS, filter_failure_by_scan, quotient_group
 
 SMALL_LATTICE_DESCRIPTORS = ("cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8")
 
@@ -482,17 +482,17 @@ def test_upward_witness_names_the_least_member():
     "desc", ["sym:3", "abelian:2x2", "quaternion:8", "dihedral:4", "alt:4", "abelian:2x4", "dihedral:5"]
 )
 def test_upward_witness_matches_the_element_mask_scan(desc):
-    # every candidate member set: the whole group and no trivial subgroup
+    # every candidate member set: the whole group and no trivial subgroup;
+    # upward failures, then the kernel test against the pairwise meet scan
     lat = _lat(desc)
     inner = list(range(1, lat.top_index))
+    kinds = set()
     for chosen in range(1 << len(inner)):
         members = {i for k, i in enumerate(inner) if chosen >> k & 1} | {lat.top_index}
         failure = filter_axiom_report(lat, members).first_failure()
-        expected = upward_witness_by_scan(lat, members)
-        if expected is None:
-            assert failure is None or failure.kind == "meet"
-        else:
-            assert failure.kind == "upward" and failure.witness == expected
+        assert failure == filter_failure_by_scan(lat, members)
+        kinds.add(failure and failure.kind)
+    assert "meet" in kinds
 
 
 def test_ultrafilters_are_listed_once_per_lattice():
@@ -508,3 +508,13 @@ def test_oracle_mismatch_raises_and_fails_the_ultrafilter_cell(monkeypatch):
     with pytest.raises(OracleMismatchError, match="criterion and family enumeration disagree"):
         enumerate_ultrafilters(lat)
     assert ultrafilter_cell(lat) == (FAIL, "criterion and family enumeration disagree")
+
+
+def test_ultrafilter_cell_names_the_first_kernel_with_a_broken_extension(monkeypatch):
+    # every kernel is checked, not only the ultrafilters: an "extension" that
+    # returns the filter itself first breaks on the least non-cyclic kernel
+    lat = _lat("dihedral:24")
+    assert len(lat) == 68
+    monkeypatch.setattr(suites, "extend_to_ultrafilter", lambda f: f)
+    broken = next(k for k in range(1, len(lat)) if not lat.cyclic_bits >> k & 1)
+    assert ultrafilter_cell(lat) == (FAIL, f"extension broken for kernel #{broken}")

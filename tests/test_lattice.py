@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import topogroups
-from topogroups import groups, lattice
+from topogroups import filters, groups, lattice, products, suites, toposystems
 from topogroups.groups import (
     DEFAULT_ORDER_CAP,
     FiniteGroup,
@@ -31,7 +31,14 @@ from topogroups.lattice import (
 )
 from topogroups.products import direct_product
 from topogroups.suites import DEFAULT_CATALOG
-from oracles import LADDER_GROUPS, WIDE_AND_LADDER_GROUPS, WIDE_GROUPS, subgroup_masks_by_cyclic_extension
+from topogroups.toposystems import build_toposys
+from oracles import (
+    LADDER_GROUPS,
+    WIDE_AND_LADDER_GROUPS,
+    WIDE_GROUPS,
+    commutator_mask_by_closure,
+    subgroup_masks_by_cyclic_extension,
+)
 
 EXPECTED_COUNTS = {
     "cyclic:4": 3,
@@ -311,6 +318,70 @@ def test_commutator_index_matches_all_element_pairs(desc):
                 for b in bits_of(lat.mask(j))
             ]
             assert lat.mask(lat.commutator_index(i, j)) == closure_mask(group, pairs)
+
+
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_GROUPS)
+def test_commutator_index_matches_the_closure_oracle_on_every_pair(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            assert lat.mask(lat.commutator_index(i, j)) == commutator_mask_by_closure(lat, i, j)
+
+
+@pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))
+def test_commutator_index_with_the_whole_group_matches_the_closure_oracle(desc):
+    # the pairs (i, top) are the ones the thk:#0:#top cell reads
+    lat = enumerate_subgroups(build_group(desc))
+    top = lat.top_index
+    for i in range(len(lat)):
+        assert lat.mask(lat.commutator_index(i, top)) == commutator_mask_by_closure(lat, i, top)
+
+
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS)
+def test_normalized_by_matches_the_normalizer_scan(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for h in range(len(lat)):
+        want = mask_of(k for k in range(len(lat)) if lat.leq(h, lat.normalizer_index(k)))
+        assert lat.normalized_by(h) == want
+    assert lat.normal_bits == lat.normalized_by(lat.top_index)
+
+
+@pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
+def test_normalized_by_matches_conjugation_by_every_element(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for h in range(len(lat)):
+        want = mask_of(
+            k
+            for k in range(len(lat))
+            if all(lat.conjugate_mask(lat.mask(k), g) == lat.mask(k) for g in bits_of(lat.mask(h)))
+        )
+        assert lat.normalized_by(h) == want
+
+
+def test_families_on_a_built_lattice_make_no_closure(monkeypatch):
+    # commutators, normalizers, verbal residuals and gen{..} literals are read
+    # off the lattice's bitsets; closure runs only while the lattice is built
+    built = [enumerate_subgroups.__wrapped__(build_group(d)) for d in DEFAULT_CATALOG + WIDE_GROUPS]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return closure_mask(*args)
+
+    for module in (groups, lattice, toposystems, filters, products, suites):
+        if hasattr(module, "closure_mask"):
+            monkeypatch.setattr(module, "closure_mask", counting)
+    for lat in built:
+        last = lat.group.order - 1
+        for desc in (
+            f"thk:#0:#{lat.top_index}",
+            "variety:abelian",
+            "variety:exponent-2",
+            "conj:gen{1}",
+            f"principal:gen{{1,{last}}}",
+        ):
+            build_toposys(lat, desc)
+    assert calls == []
 
 
 @given(st.sampled_from(ORACLE_DESCRIPTORS), st.data())
