@@ -15,6 +15,7 @@ from .groups import TopoGroupError, _split_top_level, build_group
 from .lattice import enumerate_subgroups
 from .toposystems import (
     BadParameterError,
+    _split_literals,
     build_toposys,
     closure_and_limits,
     find_finite_subcover,
@@ -72,6 +73,8 @@ def _load_config_file(path: str) -> dict:
                 int(value)
             except ValueError:
                 raise TopoGroupError(f"{path}:{lineno}: max-order must be an integer, got {value!r}") from None
+        if key == "format" and value not in ("text", "json"):
+            raise TopoGroupError(f"{path}:{lineno}: format must be text or json, got {value!r}")
         if key == "timings" and value not in TIMINGS_VALUES:
             raise TopoGroupError(f"{path}:{lineno}: timings must be 1/true/yes or 0/false/no, got {value!r}")
         values[key] = value
@@ -153,7 +156,7 @@ def _cmd_cover(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
     target = resolve_subgroup_literal(lattice, args.target) if args.target else lattice.top_index
-    cover = [resolve_subgroup_literal(lattice, p) for p in args.cover.split(",") if p]
+    cover = [resolve_subgroup_literal(lattice, p) for p in _split_literals(args.cover)]
     certificate = find_finite_subcover(system, target, cover)
     if certificate is None:
         print("not a cover")
@@ -232,7 +235,11 @@ def _cmd_theorems(args) -> int:
     values = _load_config_file(args.config) if args.config else {}
     max_order = args.max_order if args.max_order is not None else int(values.get("max-order", 24))
     group_spec = args.groups or values.get("groups", "")
-    groups = tuple(_split_top_level(group_spec)) if group_spec else DEFAULT_CATALOG
+    # a named group above max-order is an error; the default catalog is cut there
+    if group_spec:
+        groups = tuple(_split_top_level(group_spec))
+    else:
+        groups = tuple(d for d in DEFAULT_CATALOG if build_group(d).order <= max_order)
     suites = tuple(args.suite) if args.suite else tuple(
         values.get("suites", "").split(",") if values.get("suites") else SUITE_NAMES
     )
@@ -242,7 +249,6 @@ def _cmd_theorems(args) -> int:
         max_group_order=max_order,
         groups=tuple(g for g in groups if g),
         suites=tuple(s for s in suites if s),
-        fmt=fmt,
     )
     result = run_suite(config)
     _emit(result.reports, fmt, timings)

@@ -27,7 +27,6 @@ from .groups import (
     TopoGroupError,
     bits_of,
     closure_mask,
-    make_homomorphism,
     mask_of,
 )
 
@@ -90,7 +89,6 @@ class SubgroupLattice:
             above.append(up)
         self.above: tuple[int, ...] = tuple(above)
         self._normalizers: dict[int, int] = {}
-        self._cores: dict[int, int] = {}
         self._normalized_by: dict[int, int] = {}
         self._commutators: dict[tuple[int, int], int] = {}
 
@@ -149,26 +147,18 @@ class SubgroupLattice:
         """Bitset of the cyclic subgroups."""
         return mask_of(self._cyclic)
 
-    def conjugate_mask(self, mask: int, g: int) -> int:
-        group = self.group
-        return mask_of(group.conjugate(g, x) for x in bits_of(mask))
-
     def core_index(self, i: int) -> int:
-        got = self._cores.get(i)
-        if got is None:
-            # K <- K ∩ gKg⁻¹ over the generators of G until stable: the fixpoint
-            # is normalized by the generators, hence normal, and every step
-            # keeps the core, so it is the largest normal subgroup inside K
-            mask, stable = self.subgroups[i].mask, False
-            while not stable:
-                stable = True
-                for g in self.generators[self.top_index]:
-                    conj = mask & self.conjugate_mask(mask, g)
-                    if conj != mask:
-                        mask, stable = conj, False
-            got = self._index_by_mask[mask]
-            self._cores[i] = got
-        return got
+        # K <- K ∧ gKg⁻¹ over the generators g of G until stable, gKg⁻¹ the join of the
+        # cyclic subgroups of the conjugated generators of K: the fixpoint is normalized
+        # by the generators, hence normal, and every step keeps the core
+        conjugate, k, stable = self.group.conjugate, i, False
+        while not stable:
+            stable = True
+            for g in self.generators[self.top_index]:
+                meet = self.meet_index(k, self.join_of(self._cyclic[conjugate(g, x)] for x in self.generators[k]))
+                if meet != k:
+                    k, stable = meet, False
+        return k
 
     def normalizer_index(self, i: int) -> int:
         got = self._normalizers.get(i)
@@ -353,8 +343,9 @@ def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | Non
 
     The map is carried along the orbit of the identity under right
     multiplication by the generators, as in closure_mask; f(a*g) = f(a)*f(g)
-    for every reached a and generator g makes it a homomorphism.  Returns None
-    as soon as these equations become inconsistent.
+    for every reached a and generator g makes it a homomorphism.  With fewer
+    images than generators, only the generators that have one are used.
+    Returns None as soon as these equations become inconsistent.
     """
     table = group.table
     mapping = {0: 0}
@@ -374,35 +365,34 @@ def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | Non
 
 @cache
 def automorphisms(group: FiniteGroup) -> tuple[Homomorphism, ...]:
-    """All invertible self-maps, by backtracking over generator images; once per group.
+    """All automorphisms, extending generator images in ascending order (Holt, Eick and O'Brien 2005); once per group.
 
-    Candidates are pruned on element-order mismatch; a full bijection search
-    is infeasible past order 8.
+    Each prefix is closed once, and that closure is the homomorphism check; a
+    complete map closes over G, which the generators generate, and is kept when injective.
     """
     if group.order > AUTOMORPHISM_CAP:
         raise OrderCapExceededError(f"group order {group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}")
     lattice = enumerate_subgroups(group)
     gens = lattice.generators[lattice.top_index]
-    if not gens:
-        return (make_homomorphism(group, group, (0,)),)
     candidates = [
         [h for h in group.elements() if group.element_order(h) == group.element_order(g)] for g in gens
     ]
     found: list[Homomorphism] = []
 
-    def search(depth: int, imgs: list[int]):
-        if depth == len(gens):
-            mapping = _close_generator_map(group, gens, imgs)
-            if mapping is not None and len(mapping) == group.order and len(set(mapping.values())) == group.order:
-                found.append(make_homomorphism(group, group, tuple(mapping[x] for x in group.elements())))
+    def search(imgs: list[int]):
+        mapping = _close_generator_map(group, gens, imgs)
+        if mapping is None:
             return
-        for h in candidates[depth]:
+        if len(imgs) == len(gens):
+            if len(set(mapping.values())) == group.order:
+                found.append(Homomorphism(group, group, tuple(mapping[x] for x in group.elements())))
+            return
+        for h in candidates[len(imgs)]:
             imgs.append(h)
-            if _close_generator_map(group, gens[: depth + 1], imgs) is not None:
-                search(depth + 1, imgs)
+            search(imgs)
             imgs.pop()
 
-    search(0, [])
+    search([])
     return tuple(found)
 
 

@@ -119,7 +119,6 @@ class SuiteConfig:
     max_group_order: int = 24
     groups: tuple[str, ...] = DEFAULT_CATALOG
     suites: tuple[str, ...] = SUITE_NAMES
-    fmt: str = "text"
 
 
 def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
@@ -166,8 +165,6 @@ class SuiteRun:
         for s in config.suites:
             if s not in SUITE_NAMES:
                 raise BadParameterError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
-        if config.fmt not in ("text", "json"):
-            raise BadParameterError(f"unknown format {config.fmt!r}")
         if config.max_group_order < 1:
             raise BadParameterError(f"max-order must be at least 1, got {config.max_group_order}")
         if not config.groups:
@@ -176,9 +173,12 @@ class SuiteRun:
         # every descriptor is built, so a bad one is rejected even past the
         # order cap; a group named twice is one matrix row
         groups = dict.fromkeys(build_group(d) for d in config.groups)
-        self.groups = sorted(
-            (g for g in groups if g.order <= config.max_group_order), key=lambda g: (g.order, g.descriptor)
-        )
+        for g in groups:
+            if g.order > config.max_group_order:
+                raise BadParameterError(
+                    f"group {g.descriptor} has order {g.order}, above max-order {config.max_group_order}"
+                )
+        self.groups = sorted(groups, key=lambda g: (g.order, g.descriptor))
         self.verdicts: dict[tuple[str, int], str | None] = {}
         self.results: dict = {}
 

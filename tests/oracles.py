@@ -6,7 +6,9 @@ the subgroup or quotient as a group of its own, enumerate its lattice and
 work there, as the runtime once did; the tests compare the two.  The runtime
 reads the family member sets and commutator subgroups off the lattice's
 bitsets; the set comprehensions and closures here test each subgroup
-against its definition instead.
+against its definition instead.  Automorphisms and cores are read through
+generating sets at runtime; the pairwise homomorphism check and the
+conjugation of whole element masks are kept here.
 """
 
 from topogroups.filters import (
@@ -18,8 +20,8 @@ from topogroups.filters import (
     is_ultrafilter,
     pushforward,
 )
-from topogroups.groups import FiniteGroup, Homomorphism, bits_of, closure_mask, mask_of
-from topogroups.lattice import enumerate_subgroups, is_characteristic, verbal_residual
+from topogroups.groups import FiniteGroup, Homomorphism, bits_of, closure_mask, make_homomorphism, mask_of
+from topogroups.lattice import _close_generator_map, enumerate_subgroups, is_characteristic, verbal_residual
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     UNION_SAMPLE_LIMIT,
@@ -254,6 +256,51 @@ def commutator_mask_by_closure(lattice, i: int, j: int) -> int:
             return mask
         gens += sorted(new)
         mask = closure_mask(group, gens)
+
+
+def conjugate_mask(group: FiniteGroup, mask: int, g: int) -> int:
+    """g·X·g⁻¹ for the element set X of a mask."""
+    return mask_of(group.conjugate(g, x) for x in bits_of(mask))
+
+
+def core_mask_by_conjugation(lattice, i: int) -> int:
+    """The core of subgroup i as a mask: K <- K ∩ gKg⁻¹ over the generators of G until stable."""
+    group = lattice.group
+    mask, stable = lattice.mask(i), False
+    while not stable:
+        stable = True
+        for g in lattice.generators[lattice.top_index]:
+            conj = mask & conjugate_mask(group, mask, g)
+            if conj != mask:
+                mask, stable = conj, False
+    return mask
+
+
+def automorphisms_by_backtracking(group: FiniteGroup) -> tuple[Homomorphism, ...]:
+    """Every automorphism, each complete generator map closed again and checked on all |G|² pairs."""
+    lattice = enumerate_subgroups(group)
+    gens = lattice.generators[lattice.top_index]
+    if not gens:
+        return (make_homomorphism(group, group, (0,)),)
+    candidates = [
+        [h for h in group.elements() if group.element_order(h) == group.element_order(g)] for g in gens
+    ]
+    found: list[Homomorphism] = []
+
+    def search(depth: int, imgs: list[int]):
+        if depth == len(gens):
+            mapping = _close_generator_map(group, gens, imgs)
+            if mapping is not None and len(mapping) == group.order and len(set(mapping.values())) == group.order:
+                found.append(make_homomorphism(group, group, tuple(mapping[x] for x in group.elements())))
+            return
+        for h in candidates[depth]:
+            imgs.append(h)
+            if _close_generator_map(group, gens[: depth + 1], imgs) is not None:
+                search(depth + 1, imgs)
+            imgs.pop()
+
+    search(0, [])
+    return tuple(found)
 
 
 def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremReport:

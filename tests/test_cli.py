@@ -65,6 +65,10 @@ def test_cover_subcommand(capsys):
     assert "minimal subcover (exact)" in out
     code, out, _ = run(capsys, "cover", "--group", "sym:3", "--sys", "discrete", "--cover", "#4")
     assert code == 1
+    # a gen{..} literal keeps its inner comma
+    code, out, _ = run(capsys, "cover", "--group", "sym:3", "--sys", "discrete", "--cover", "gen{1,2},#1")
+    assert code == 0
+    assert out == "minimal subcover (exact): #5\n"
 
 
 def test_filters_and_converge(capsys):
@@ -85,7 +89,7 @@ def test_readme_cli_examples_run(capsys):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
         block = f.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("topogroups ")]
-    assert len(lines) == 10
+    assert len(lines) == 11
     for argv in lines:
         code = run_command(argv)
         capsys.readouterr()
@@ -158,6 +162,9 @@ BAD_INPUTS = {
     "tychonoff-without-sys": (["product", "--groups", "cyclic:2;cyclic:3", "--tychonoff"], None),
     "groups-names-none": (["theorems", "--groups", ","], None),
     "config-groups-names-none": (["theorems", "--config", "CONFIG"], b"groups = ,\n"),
+    "group-above-max-order": (["theorems", "--groups", "dihedral:32"], None),
+    "config-group-above-max-order": (["theorems", "--config", "CONFIG"], b"max-order = 8\ngroups = sym:4\n"),
+    "config-bad-format": (["theorems", "--config", "CONFIG"], b"format = xml\n"),
 }
 
 
@@ -170,6 +177,20 @@ def test_unknown_group_kind_exits_2(tmp_path, capsys, case):
     code, _, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_a_named_group_above_max_order_exits_2(capsys):
+    code, out, err = run(capsys, "theorems", "--max-order", "8", "--groups", "sym:3,sym:4")
+    assert code == 2 and not out
+    assert err == "error: group sym:4 has order 24, above max-order 8\n"
+
+
+def test_config_file_bad_format_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("suites = lattice-completeness\nformat = xml\n")
+    code, out, err = run(capsys, "theorems", "--config", str(cfg))
+    assert code == 2 and not out
+    assert err == f"error: {cfg}:2: format must be text or json, got 'xml'\n"
 
 
 def test_a_group_named_twice_is_one_matrix_row(capsys):
