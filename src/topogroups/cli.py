@@ -202,18 +202,20 @@ def _cmd_product(args) -> int:
         factor_descs = [p for p in spec.split(";") if p]
     factors = [build_group(d) for d in factor_descs]
     product = direct_product(factors)
+    # every input error is raised before the first line is printed
+    ptop = None
+    if args.sys:
+        kinds = [p for p in args.sys.split(";") if p]
+        if len(kinds) != len(factors):
+            raise BadParameterError("one topo-system per factor is required")
+        ptop = product_toposys(product, [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)])
     print(f"product group {product.group.descriptor}: order {product.group.order}")
     code = 0
     if args.identities:
         report = product_identities_check(product)
         print(f"component identities: {'pass' if report.passed else 'fail'}")
         code = max(code, 0 if report.passed else 1)
-    if args.sys:
-        kinds = [p for p in args.sys.split(";") if p]
-        if len(kinds) != len(factors):
-            raise BadParameterError("one topo-system per factor is required")
-        systems = [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)]
-        ptop = product_toposys(product, systems)
+    if ptop is not None:
         print(f"product system: {ptop.system.member_bits.bit_count()} topens")
         if args.tychonoff:
             plattice = enumerate_subgroups(product.group)
@@ -240,6 +242,8 @@ def _cmd_theorems(args) -> int:
         groups = tuple(_split_top_level(group_spec))
     else:
         groups = tuple(d for d in DEFAULT_CATALOG if build_group(d).order <= max_order)
+        if not groups and max_order >= 1:
+            raise BadParameterError(f"no default-catalog group has order at most {max_order}")
     suites = tuple(args.suite) if args.suite else tuple(
         values.get("suites", "").split(",") if values.get("suites") else SUITE_NAMES
     )

@@ -32,7 +32,8 @@ from .groups import (
 
 AUTOMORPHISM_CAP = 24
 # Subgroup count past which the theorem suites skip the per-subgroup family
-# sweeps (principal, conj, thk): they build and verify O(S) to O(S^2) systems.
+# sweeps (principal, conj, thk): they build and verify O(S) to O(S^2) systems,
+# and the thk sweep computes S commutators per k, S^2 in all.
 FAMILY_SWEEP_CAP = 128
 
 
@@ -90,7 +91,7 @@ class SubgroupLattice:
         self.above: tuple[int, ...] = tuple(above)
         self._normalizers: dict[int, int] = {}
         self._normalized_by: dict[int, int] = {}
-        self._commutators: dict[tuple[int, int], int] = {}
+        self._commutator_rows: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -199,20 +200,34 @@ class SubgroupLattice:
         <[x, y]> that normalized_by(<H, K>) holds, and the least of them has
         the least order, so the least index.
         """
-        # [b, a] inverts [a, b], so the generated subgroup is symmetric in (i, j)
-        key = (i, j) if i < j else (j, i)
-        got = self._commutators.get(key)
-        if got is None:
-            table, inverse = self.group.table, self.group.inverse
-            c = self.join_of(
-                self._cyclic[table[table[a][b]][table[inverse[a]][inverse[b]]]]
-                for a in self.generators[i]
-                for b in self.generators[j]
-            )
-            common = self.above[c] & self.normalized_by(self.join_index(i, j))
-            got = (common & -common).bit_length() - 1
-            self._commutators[key] = got
-        return got
+        table, inverse = self.group.table, self.group.inverse
+        c = self.join_of(
+            self._cyclic[table[table[a][b]][table[inverse[a]][inverse[b]]]]
+            for a in self.generators[i]
+            for b in self.generators[j]
+        )
+        common = self.above[c] & self.normalized_by(self.join_index(i, j))
+        return (common & -common).bit_length() - 1
+
+    def commutators_inside(self, h: int, k: int) -> int:
+        """Bitset of the subgroups i with [i, k] inside subgroup h.
+
+        The row of k, the buckets c -> {i : [i, k] = c}, is built once from S
+        commutators; the answer is the union of the buckets whose c lies in ↓h.
+        """
+        row = self._commutator_rows.get(k)
+        if row is None:
+            row = {}
+            for i in range(len(self.subgroups)):
+                c = self.commutator_index(i, k)
+                row[c] = row.get(c, 0) | 1 << i
+            self._commutator_rows[k] = row
+        inside = self.below[h]
+        bits = 0
+        for c, bucket in row.items():
+            if inside >> c & 1:
+                bits |= bucket
+        return bits
 
     @cached_property
     def below(self) -> tuple[int, ...]:

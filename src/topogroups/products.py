@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iter_product
 
@@ -38,13 +38,17 @@ class ProductGroup:
     """Tuple group over the factors, with validated projections and embeddings.
 
     Element ids use mixed radix with factor 0 most significant, so the
-    all-identities tuple is id 0.
+    all-identities tuple is id 0.  ``factor_steps`` holds the Tychonoff
+    factor steps, which every product system of the product shares: the
+    checked pushforward per (factor, ultrafilter) and the convergence points
+    per (factor, factor system's member bits, pushed kernel).
     """
 
     factors: tuple[FiniteGroup, ...]
     group: FiniteGroup
     projections: tuple[Homomorphism, ...]
     embeddings: tuple[Homomorphism, ...]
+    factor_steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return mixed_radix_decode([f.order for f in self.factors], idx)
@@ -177,6 +181,35 @@ class TychonoffCertificate:
     replayed: tuple[int, ...]
 
 
+def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter) -> SubgroupFilter:
+    """The pushforward of f along projection i, checked ultra; once per (product, i, f)."""
+    key = (i, f)
+    got = product.factor_steps.get(key)
+    if got is None:
+        try:
+            pushed = pushforward(product.projections[i], f)
+        except NotAFilterError as exc:
+            got = (f"pushforward[{i}]", exc.failure)
+        else:
+            ultra, uw = is_ultrafilter(pushed)
+            got = pushed if ultra else (f"pushforward-ultra[{i}]", uw)
+        product.factor_steps[key] = got
+    if isinstance(got, tuple):
+        raise CertificateFailureError(*got)
+    return got
+
+
+def _factor_record(product: ProductGroup, i: int, system: TopoSystem, pushed: SubgroupFilter) -> FactorRecord:
+    """The convergence step of factor i; one convergence set per (factor system, pushed kernel)."""
+    key = (i, system.member_bits, pushed.kernel)
+    points = product.factor_steps.get(key)
+    if points is None:
+        points = product.factor_steps[key] = convergence_set(pushed, system).points
+    if not points:
+        raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
+    return FactorRecord(i, pushed.member_indices, points, min(points))
+
+
 def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffCertificate:
     """Replay the product-compactness argument step by step for one ultrafilter.
 
@@ -185,7 +218,9 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
     for every product topen around the assembled point that each factor
     preimage is a member, that the preimages intersect to exactly the topen,
     and that the topen itself is a member.  Any failed step raises
-    CertificateFailureError with the step name and witness.
+    CertificateFailureError with the step name and witness.  The factor
+    steps depend on the product, the factor system and f, not on the other
+    factors' systems, so every product system of one product shares them.
     """
     product = ptop.product
     plattice = ptop.system.lattice
@@ -196,30 +231,17 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
         raise BadParameterError(f"certificate requires an ultrafilter; witness #{witness}")
 
     records = []
-    components = []
     pushed_list = []
-    for i, projection in enumerate(product.projections):
-        try:
-            pushed = pushforward(projection, f)
-        except NotAFilterError as exc:
-            raise CertificateFailureError(f"pushforward[{i}]", exc.failure) from exc
-        ultra, uw = is_ultrafilter(pushed)
-        if not ultra:
-            raise CertificateFailureError(f"pushforward-ultra[{i}]", uw)
-        cs = convergence_set(pushed, ptop.factor_systems[i])
-        if cs.is_empty:
-            raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
-        x_i = min(cs.points)
-        components.append(x_i)
+    for i, sys_i in enumerate(ptop.factor_systems):
+        pushed = _pushed_ultrafilter(product, i, f)
+        records.append(_factor_record(product, i, sys_i, pushed))
         pushed_list.append(pushed)
-        records.append(FactorRecord(i, pushed.member_indices, cs.points, x_i))
 
+    components = tuple(r.chosen_point for r in records)
     x = product.encode(components)
     replayed = []
-    for a in ptop.system.member_indices:
+    for a in bits_of(ptop.system.incidence[x]):
         amask = plattice.mask(a)
-        if not amask >> x & 1:
-            continue
         combo = ptop.member_factors[a]
         if not all(ai in pushed for pushed, ai in zip(pushed_list, combo)):
             raise CertificateFailureError("factor-preimage", (a, combo))
@@ -231,4 +253,4 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
         if a not in f:
             raise CertificateFailureError("membership", (a,))
         replayed.append(a)
-    return TychonoffCertificate(x, tuple(components), tuple(records), tuple(replayed))
+    return TychonoffCertificate(x, components, tuple(records), tuple(replayed))

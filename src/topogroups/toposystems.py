@@ -220,9 +220,7 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
         k = resolve_subgroup_literal(lattice, parts[1])
         if not lattice.leq(h, k):
             raise BadParameterError("thk requires the first subgroup to lie inside the second")
-        # the subgroups i with [i, k] inside h
-        bits = mask_of(i for i in range(len(lattice)) if above[lattice.commutator_index(i, k)] >> h & 1)
-        bits |= 1 << top
+        bits = lattice.commutators_inside(h, k) | 1 << top
     elif kind == "conj":
         bits = lattice.normalized_by(resolve_subgroup_literal(lattice, arg))
     elif kind == "generated":

@@ -8,7 +8,11 @@ reads the family member sets and commutator subgroups off the lattice's
 bitsets; the set comprehensions and closures here test each subgroup
 against its definition instead.  Automorphisms and cores are read through
 generating sets at runtime; the pairwise homomorphism check and the
-conjugation of whole element masks are kept here.
+conjugation of whole element masks are kept here.  The runtime reads thk
+member sets off one commutator row per k, checks associativity on
+generators only and shares the Tychonoff factor steps across the product
+systems of a product; the full scans and the step-by-step replay are kept
+here.
 """
 
 from topogroups.filters import (
@@ -22,6 +26,7 @@ from topogroups.filters import (
 )
 from topogroups.groups import FiniteGroup, Homomorphism, bits_of, closure_mask, make_homomorphism, mask_of
 from topogroups.lattice import _close_generator_map, enumerate_subgroups, is_characteristic, verbal_residual
+from topogroups.products import CertificateFailureError, FactorRecord, ProductToposys, TychonoffCertificate
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     UNION_SAMPLE_LIMIT,
@@ -258,6 +263,25 @@ def commutator_mask_by_closure(lattice, i: int, j: int) -> int:
         mask = closure_mask(group, gens)
 
 
+def thk_bits_by_scan(lattice, h: int, k: int) -> int:
+    """The subgroups i with [i, k] inside h, one commutator per subgroup."""
+    return mask_of(i for i in range(len(lattice)) if lattice.above[lattice.commutator_index(i, k)] >> h & 1)
+
+
+def associativity_failure_by_scan(table) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with (a·b)·c ≠ a·(b·c), scanning every triple."""
+    n = len(table)
+    for a in range(n):
+        ta = table[a]
+        for b in range(n):
+            tab = table[ta[b]]
+            tb = table[b]
+            for c in range(n):
+                if tab[c] != ta[tb[c]]:
+                    return a, b, c
+    return None
+
+
 def conjugate_mask(group: FiniteGroup, mask: int, g: int) -> int:
     """g·X·g⁻¹ for the element set X of a mask."""
     return mask_of(group.conjugate(g, x) for x in bits_of(mask))
@@ -352,3 +376,49 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
         multi_point_witness=multi_witness,
         findings=tuple(findings),
     )
+
+
+def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertificate:
+    """The Tychonoff replay with every factor step recomputed, scanning every product topen.
+
+    Assumes f is an ultrafilter on the product group.
+    """
+    product = ptop.product
+    plattice = ptop.system.lattice
+    records = []
+    components = []
+    pushed_list = []
+    for i, projection in enumerate(product.projections):
+        try:
+            pushed = pushforward(projection, f)
+        except NotAFilterError as exc:
+            raise CertificateFailureError(f"pushforward[{i}]", exc.failure) from exc
+        ultra, uw = is_ultrafilter(pushed)
+        if not ultra:
+            raise CertificateFailureError(f"pushforward-ultra[{i}]", uw)
+        cs = convergence_set(pushed, ptop.factor_systems[i])
+        if cs.is_empty:
+            raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
+        x_i = min(cs.points)
+        components.append(x_i)
+        pushed_list.append(pushed)
+        records.append(FactorRecord(i, pushed.member_indices, cs.points, x_i))
+
+    x = product.encode(components)
+    replayed = []
+    for a in ptop.system.member_indices:
+        amask = plattice.mask(a)
+        if not amask >> x & 1:
+            continue
+        combo = ptop.member_factors[a]
+        if not all(ai in pushed for pushed, ai in zip(pushed_list, combo)):
+            raise CertificateFailureError("factor-preimage", (a, combo))
+        inter = product.group.full_mask
+        for projection, sys_i, ai in zip(product.projections, ptop.factor_systems, combo):
+            inter &= projection.preimage_mask(sys_i.lattice.mask(ai))
+        if inter != amask:
+            raise CertificateFailureError("intersection-identity", (a, combo))
+        if a not in f:
+            raise CertificateFailureError("membership", (a,))
+        replayed.append(a)
+    return TychonoffCertificate(x, tuple(components), tuple(records), tuple(replayed))

@@ -165,6 +165,8 @@ BAD_INPUTS = {
     "group-above-max-order": (["theorems", "--groups", "dihedral:32"], None),
     "config-group-above-max-order": (["theorems", "--config", "CONFIG"], b"max-order = 8\ngroups = sym:4\n"),
     "config-bad-format": (["theorems", "--config", "CONFIG"], b"format = xml\n"),
+    "product-sys-count": (["product", "--groups", "cyclic:2;cyclic:3", "--sys", "discrete", "--tychonoff"], None),
+    "product-sys-kind": (["product", "--groups", "cyclic:2;cyclic:3", "--sys", "discrete;bogus"], None),
 }
 
 
@@ -174,8 +176,8 @@ def test_unknown_group_kind_exits_2(tmp_path, capsys, case):
     cfg = tmp_path / "bad.cfg"
     if config is not None:
         cfg.write_bytes(config)
-    code, _, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
-    assert code == 2
+    code, out, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
+    assert code == 2 and not out
     assert err.startswith("error:")
 
 
@@ -183,6 +185,12 @@ def test_a_named_group_above_max_order_exits_2(capsys):
     code, out, err = run(capsys, "theorems", "--max-order", "8", "--groups", "sym:3,sym:4")
     assert code == 2 and not out
     assert err == "error: group sym:4 has order 24, above max-order 8\n"
+
+
+def test_a_max_order_below_every_catalog_group_names_that_cause(capsys):
+    code, out, err = run(capsys, "theorems", "--max-order", "1")
+    assert code == 2 and not out
+    assert err == "error: no default-catalog group has order at most 1\n"
 
 
 def test_config_file_bad_format_exits_2(tmp_path, capsys):

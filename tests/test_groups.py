@@ -15,10 +15,12 @@ from topogroups.groups import (
     closure_mask,
     make_homomorphism,
     mask_of,
+    right_generators,
     subgroup_generated,
     verify_group_axioms,
 )
-from oracles import quotient_group, subgroup_group
+from topogroups.report import ValidationFailure
+from oracles import LADDER_GROUPS, WIDE_AND_LADDER_GROUPS, associativity_failure_by_scan, quotient_group, subgroup_group
 
 SMALL_DESCRIPTORS = (
     "cyclic:4",
@@ -223,3 +225,86 @@ def test_every_catalog_group_passes_axioms():
 
     for desc in DEFAULT_CATALOG:
         assert verify_group_axioms(build_group(desc).table).passed
+
+
+@pytest.mark.parametrize("desc", WIDE_AND_LADDER_GROUPS)
+def test_every_wide_and_ladder_group_passes_axioms(desc):
+    table = build_group(desc).table
+    assert verify_group_axioms(table).passed and associativity_failure_by_scan(table) is None
+
+
+@pytest.mark.parametrize("desc", LADDER_GROUPS)
+def test_light_test_needs_at_most_log2_n_generators(desc):
+    group = build_group(desc)
+    gens = right_generators(group.table)
+    assert closure_mask(group, gens) == group.full_mask
+    assert len(gens) <= (group.order - 1).bit_length()
+
+
+def _swapped(desc, *swaps):
+    """A group table with two entries of a row swapped, per (row, column, column).
+
+    No swapped entry is the identity, so the identity and every two-sided
+    inverse stay; associativity breaks.
+    """
+    table = [list(r) for r in build_group(desc).table]
+    for row, c1, c2 in swaps:
+        assert 0 not in (table[row][c1], table[row][c2]) and 0 not in (row, c1, c2)
+        table[row][c1], table[row][c2] = table[row][c2], table[row][c1]
+    return table
+
+
+# (group, swaps) -> the first failing (a, b, c)
+NON_ASSOCIATIVE_TABLES = {
+    ("cyclic:5", ((3, 1, 3),)): (1, 2, 1),
+    ("cyclic:5", ((1, 2, 3),)): (1, 1, 1),
+    ("sym:3", ((3, 1, 2),)): (1, 3, 1),
+    ("sym:3", ((2, 3, 4), (3, 2, 5))): (1, 2, 3),
+    ("quaternion:8", ((6, 1, 2),)): (1, 6, 1),
+    ("abelian:2x4", ((3, 2, 3),)): (1, 2, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_ASSOCIATIVE_TABLES))
+def test_non_associative_table_gives_the_scan_witness(case):
+    desc, swaps = case
+    table = _swapped(desc, *swaps)
+    report = verify_group_axioms(table)
+    assert not report.passed
+    assert report.first_failure().kind == "associativity"
+    assert report.first_failure().witness == associativity_failure_by_scan(table) == NON_ASSOCIATIVE_TABLES[case]
+
+
+def test_a_non_associative_table_can_fail_first_at_a_non_generator():
+    # the generator check finds that the table is not associative; the
+    # witness comes from the full scan, whose first b need not be a generator
+    misses = [
+        (desc, swaps)
+        for (desc, swaps), (_, b, _) in NON_ASSOCIATIVE_TABLES.items()
+        if b not in right_generators(_swapped(desc, *swaps))
+    ]
+    assert ("cyclic:5", ((3, 1, 3),)) in misses and ("sym:3", ((3, 1, 2),)) in misses
+
+
+def test_a_table_associative_at_its_first_generator_fails_at_its_second():
+    table = _swapped("sym:3", (2, 3, 4), (3, 2, 5))
+    assert right_generators(table) == [1, 2]
+    assert all(table[table[a][1]][c] == table[a][table[1][c]] for a in range(6) for c in range(6))
+    assert verify_group_axioms(table).first_failure().witness == (1, 2, 3)
+
+
+@given(
+    desc=st.sampled_from(("cyclic:5", "cyclic:6", "sym:3", "quaternion:8", "abelian:2x4", "dihedral:4")),
+    data=st.data(),
+)
+def test_swapped_tables_match_the_associativity_scan(desc, data):
+    group = build_group(desc)
+    row = data.draw(st.integers(1, group.order - 1))
+    cols = [c for c in range(1, group.order) if group.table[row][c] != 0]
+    c1, c2 = data.draw(st.lists(st.sampled_from(cols), min_size=2, max_size=2, unique=True))
+    table = _swapped(desc, (row, c1, c2))
+    report = verify_group_axioms(table)
+    witness = associativity_failure_by_scan(table)
+    assert report.passed == (witness is None)
+    if witness is not None:
+        assert report.first_failure() == ValidationFailure("associativity", witness, "")

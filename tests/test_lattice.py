@@ -32,7 +32,7 @@ from topogroups.lattice import (
 )
 from topogroups.products import direct_product
 from topogroups.suites import DEFAULT_CATALOG
-from topogroups.toposystems import build_toposys
+from topogroups.toposystems import build_toposys, family_members
 from oracles import (
     LADDER_GROUPS,
     WIDE_AND_LADDER_GROUPS,
@@ -42,6 +42,7 @@ from oracles import (
     conjugate_mask,
     core_mask_by_conjugation,
     subgroup_masks_by_cyclic_extension,
+    thk_bits_by_scan,
 )
 
 EXPECTED_COUNTS = {
@@ -337,6 +338,30 @@ def test_commutator_index_matches_the_closure_oracle_on_every_pair(desc):
     for i in range(len(lat)):
         for j in range(len(lat)):
             assert lat.mask(lat.commutator_index(i, j)) == commutator_mask_by_closure(lat, i, j)
+
+
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_GROUPS + ("dihedral:32",))
+def test_commutators_inside_matches_the_scan_on_every_nested_pair(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for k in range(len(lat)):
+        for h in bits_of(lat.below[k]):
+            assert lat.commutators_inside(h, k) == thk_bits_by_scan(lat, h, k)
+
+
+def test_a_thk_sweep_computes_one_commutator_row_per_k(monkeypatch):
+    # a fresh lattice, so no row is cached; a scan per (h, k) pair would
+    # compute S commutators for each of the nested pairs
+    lat = enumerate_subgroups.__wrapped__(build_group("product(sym:4,cyclic:2)"))
+    real = lattice.SubgroupLattice.commutator_index
+    calls = []
+    monkeypatch.setattr(
+        lattice.SubgroupLattice, "commutator_index", lambda self, i, j: calls.append((i, j)) or real(self, i, j)
+    )
+    descs = suites.family_instance_descriptors(lat, "thk")
+    for desc in descs:
+        family_members(lat, desc)
+    assert len(lat) == 98 and len(descs) > len(lat)
+    assert len(calls) <= len(lat) ** 2 == 9604
 
 
 @pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))

@@ -1,5 +1,7 @@
 """Direct products, the product system, component identities, Tychonoff replay."""
 
+from itertools import product as iter_product
+
 import pytest
 
 from topogroups.groups import build_group, subgroup_generated
@@ -15,6 +17,8 @@ from topogroups.products import (
     product_toposys,
     tychonoff_certificate,
 )
+from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS
+from oracles import tychonoff_certificate_by_replay
 
 
 def _product(*descs):
@@ -170,6 +174,30 @@ def test_tychonoff_degenerate_pushforward_is_a_certificate_failure():
     with pytest.raises(CertificateFailureError) as exc:
         tychonoff_certificate(pt, f)
     assert exc.value.step == "pushforward[0]"
+
+
+def _outcome(certify, ptop, f):
+    try:
+        return certify(ptop, f)
+    except CertificateFailureError as exc:
+        return exc.step, exc.witness
+
+
+@pytest.mark.parametrize("descs", IDENTITY_PRODUCTS)
+def test_certificates_match_the_replay_oracle_on_every_combination(descs):
+    # every kind combination of one product shares its factor steps; the
+    # oracle recomputes them for each certificate
+    p = _product(*descs)
+    ultrafilters = enumerate_ultrafilters(enumerate_subgroups(p.group))
+    failures = 0
+    for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)):
+        pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), k) for f, k in zip(p.factors, combo)])
+        for f in ultrafilters:
+            got = _outcome(tychonoff_certificate, pt, f)
+            assert got == _outcome(tychonoff_certificate_by_replay, pt, f)
+            failures += type(got) is tuple
+    # a factor with two minimal subgroups makes some pushforwards degenerate
+    assert bool(failures) == any(d in ("cyclic:6", "sym:3") for d in descs)
 
 
 @pytest.mark.parametrize(

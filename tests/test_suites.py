@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
-from topogroups import suites, toposystems
+import oracles
+from topogroups import products, suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, build_group, mask_of
+from topogroups.filters import ConvergenceSet, NotAFilterError, enumerate_ultrafilters
 from topogroups.lattice import enumerate_subgroups
 from topogroups.report import FAIL, PASS, ValidationFailure, ValidationReport
 from topogroups.suites import (
@@ -105,6 +107,75 @@ def test_tychonoff_builds_each_factor_system_and_product_ultrafilter_list_once(m
         for combo in suites.iter_product(suites.FACTOR_SYSTEM_KINDS, repeat=len(descs))
     ]
     assert all(r.status == PASS for r in reports)
+
+
+def fresh_products(monkeypatch):
+    """A product cache of the test's own, so no factor step is shared with another test."""
+    monkeypatch.setattr(products, "_direct_product", functools.cache(products._direct_product.__wrapped__))
+
+
+def tychonoff_rows(run: SuiteRun) -> list[tuple[str, str, str, str | None]]:
+    reports = suites.suite_tychonoff(run)
+    return [(r.group, r.toposys, r.status, r.witness) for r in reports if r.check == "tychonoff-certificate"]
+
+
+def test_tychonoff_pushes_each_ultrafilter_along_each_projection_once(monkeypatch):
+    fresh_products(monkeypatch)
+    calls = Counter()
+    count_calls(monkeypatch, calls, products, "pushforward")
+    count_calls(monkeypatch, calls, products, "convergence_set")
+    rows = tychonoff_rows(SuiteRun(SuiteConfig()))
+    assert len(rows) == 90 and all(status == PASS for _, _, status, _ in rows)
+    # one pushforward per (product, factor, ultrafilter), not one per kind combination as well
+    pushes = sum(
+        len(descs) * len(enumerate_ultrafilters(enumerate_subgroups(build_group(f"product({','.join(descs)})"))))
+        for descs in suites.TYCHONOFF_PRODUCTS
+    )
+    assert calls["pushforward"] == pushes == 91
+    # one convergence set per (factor, factor member set, pushed kernel) of
+    # each product; one per certificate and factor would be 1,197
+    assert calls["convergence_set"] == 29
+
+
+def _break_pushforward():
+    # projection 1 of product(cyclic:4,cyclic:2) fails on its third ultrafilter
+    target = build_group("product(cyclic:4,cyclic:2)")
+    third = enumerate_ultrafilters(enumerate_subgroups(target))[2]
+    real = products.pushforward
+
+    def pushforward(hom, f):
+        if hom.source is target and hom.target.descriptor == "cyclic:2" and f == third:
+            raise NotAFilterError(ValidationFailure("meet", (1, 2, 0), "forced"))
+        return real(hom, f)
+
+    return pushforward, "pushforward[1]"
+
+
+def _break_convergence():
+    # the trivial system of cyclic:4 converges nowhere for the kernel #1
+    real = products.convergence_set
+    trivial = build_toposys(enumerate_subgroups(build_group("cyclic:4")), "trivial")
+
+    def convergence_set(f, system):
+        if system.lattice is trivial.lattice and system.member_bits == trivial.member_bits and f.kernel == 1:
+            return ConvergenceSet((), ())
+        return real(f, system)
+
+    return convergence_set, "factor-convergence"
+
+
+@pytest.mark.parametrize("breaker", [_break_pushforward, _break_convergence])
+def test_a_failing_factor_step_gives_the_replay_row(monkeypatch, breaker):
+    broken, step = breaker()
+    name = broken.__name__
+    monkeypatch.setattr(products, name, broken)
+    monkeypatch.setattr(oracles, name, broken)
+    fresh_products(monkeypatch)
+    got = tychonoff_rows(SuiteRun(SuiteConfig()))
+    monkeypatch.setattr(suites, "tychonoff_certificate", oracles.tychonoff_certificate_by_replay)
+    assert got == tychonoff_rows(SuiteRun(SuiteConfig()))
+    failed = [witness for _, _, status, witness in got if status == FAIL]
+    assert failed and all(step in witness for witness in failed)
 
 
 def test_toposys_axioms_verifies_each_member_set_once_per_group(monkeypatch):
