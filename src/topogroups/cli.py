@@ -209,6 +209,7 @@ def _cmd_product(args) -> int:
         if len(kinds) != len(factors):
             raise BadParameterError("one topo-system per factor is required")
         ptop = product_toposys(product, [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)])
+    ultrafilters = enumerate_ultrafilters(enumerate_subgroups(product.group)) if args.tychonoff else ()
     print(f"product group {product.group.descriptor}: order {product.group.order}")
     code = 0
     if args.identities:
@@ -217,19 +218,17 @@ def _cmd_product(args) -> int:
         code = max(code, 0 if report.passed else 1)
     if ptop is not None:
         print(f"product system: {ptop.system.member_bits.bit_count()} topens")
-        if args.tychonoff:
-            plattice = enumerate_subgroups(product.group)
-            for f in enumerate_ultrafilters(plattice):
-                try:
-                    cert = tychonoff_certificate(ptop, f)
-                except CertificateFailureError as exc:
-                    print(f"  {f.provenance}: step {exc.step} failed (witness {exc.witness})")
-                    code = 1
-                    continue
-                print(
-                    f"  {f.provenance}: converges at {product.decode(cert.point)}"
-                    f" ({len(cert.replayed)} topens replayed)"
-                )
+        for f in ultrafilters:
+            try:
+                cert = tychonoff_certificate(ptop, f)
+            except CertificateFailureError as exc:
+                print(f"  {f.provenance}: step {exc.step} failed (witness {exc.witness})")
+                code = 1
+                continue
+            print(
+                f"  {f.provenance}: converges at {product.decode(cert.point)}"
+                f" ({len(cert.replayed)} topens replayed)"
+            )
     return code
 
 

@@ -162,14 +162,22 @@ class SubgroupLattice:
         return k
 
     def normalizer_index(self, i: int) -> int:
+        """Index of N(H) for subgroup i = H; the whole group when its generators normalize H.
+
+        g normalizes a finite subgroup once it maps its generators inside.  When
+        every top generator does, G normalizes H; otherwise every element is
+        tested.
+        """
         got = self._normalizers.get(i)
         if got is None:
-            # g normalizes a finite subgroup once it maps its generators inside
             mask = self.subgroups[i].mask
             gens = self.generators[i]
             conjugate = self.group.conjugate
-            nm = mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
-            got = self._index_by_mask[nm]
+            if all(mask >> conjugate(g, x) & 1 for g in self.generators[self.top_index] for x in gens):
+                got = self.top_index
+            else:
+                nm = mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
+                got = self._index_by_mask[nm]
             self._normalizers[i] = got
         return got
 
@@ -378,37 +386,85 @@ def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | Non
     return mapping
 
 
+def _automorphism_levels(group: FiniteGroup) -> list[tuple[list[tuple[int, ...]], dict[int, tuple[int, ...]]]]:
+    """Sims' generating set of Aut(G) over the top generators g_1..g_m, level by level.
+
+    Entry d holds the automorphisms found at level d, each fixing g_1..g_{d-1}
+    (0-based: gens[:d]), and the orbit of g_d under every automorphism found
+    at level d or deeper, as a transversal: orbit point c -> an automorphism
+    sending g_d to c.  Levels run from the deepest up, so the automorphisms
+    found so far all fix gens[:d] and generate the stabilizer of gens[:d+1];
+    a same-order candidate outside the orbit is searched depth first for one
+    automorphism that fixes gens[:d] and sends g_d there.  Each search node
+    closes its generator prefix once and is pruned when that map is
+    inconsistent or not injective on the subgroup the prefix generates (Sims,
+    1970; Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
+    The transversal maps are permutations of the element ids.
+    """
+    lattice = enumerate_subgroups(group)
+    gens = lattice.generators[lattice.top_index]
+    order = group.element_order
+    candidates = [[h for h in group.elements() if order(h) == order(g)] for g in gens]
+    identity = tuple(group.elements())
+
+    def search(imgs: list[int]) -> tuple[int, ...] | None:
+        mapping = _close_generator_map(group, gens, imgs)
+        if mapping is None or len(set(mapping.values())) < len(mapping):
+            return None
+        if len(imgs) == len(gens):
+            return tuple(mapping[x] for x in group.elements())
+        for h in candidates[len(imgs)]:
+            imgs.append(h)
+            found = search(imgs)
+            imgs.pop()
+            if found is not None:
+                return found
+        return None
+
+    found: list[tuple[int, ...]] = []
+    levels = []
+    for d in reversed(range(len(gens))):
+        new, orbit = [], {gens[d]: identity}
+        for c in candidates[d]:
+            if c in orbit:
+                continue
+            phi = search(list(gens[:d]) + [c])
+            if phi is None:
+                continue
+            new.append(phi)
+            found.append(phi)
+            points = list(orbit)
+            for point in points:
+                rep = orbit[point]
+                for s in found:
+                    y = s[point]
+                    if y not in orbit:
+                        orbit[y] = tuple(s[x] for x in rep)
+                        points.append(y)
+        levels.append((new, orbit))
+    levels.reverse()
+    return levels
+
+
 @cache
 def automorphisms(group: FiniteGroup) -> tuple[Homomorphism, ...]:
-    """All automorphisms, extending generator images in ascending order (Holt, Eick and O'Brien 2005); once per group.
+    """All automorphisms, in ascending order of their top-generator images; once per group.
 
-    Each prefix is closed once, and that closure is the homomorphism check; a
-    complete map closes over G, which the generators generate, and is kept when injective.
+    ``_automorphism_levels`` finds a generating set of Aut(G) by Sims'
+    backtrack, so |Aut(G)| is the product of its orbit lengths.  Every
+    automorphism is t_1∘t_2∘…∘t_m for exactly one transversal map t_d per
+    level, so the expansion makes no duplicate; sorting by the generator
+    images gives the order of a search over ascending images.
     """
     if group.order > AUTOMORPHISM_CAP:
         raise OrderCapExceededError(f"group order {group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}")
     lattice = enumerate_subgroups(group)
     gens = lattice.generators[lattice.top_index]
-    candidates = [
-        [h for h in group.elements() if group.element_order(h) == group.element_order(g)] for g in gens
-    ]
-    found: list[Homomorphism] = []
-
-    def search(imgs: list[int]):
-        mapping = _close_generator_map(group, gens, imgs)
-        if mapping is None:
-            return
-        if len(imgs) == len(gens):
-            if len(set(mapping.values())) == group.order:
-                found.append(Homomorphism(group, group, tuple(mapping[x] for x in group.elements())))
-            return
-        for h in candidates[len(imgs)]:
-            imgs.append(h)
-            search(imgs)
-            imgs.pop()
-
-    search([])
-    return tuple(found)
+    perms = [tuple(group.elements())]
+    for _, orbit in reversed(_automorphism_levels(group)):
+        perms = [tuple(t[x] for x in p) for t in orbit.values() for p in perms]
+    perms.sort(key=lambda p: [p[g] for g in gens])
+    return tuple(Homomorphism(group, group, p) for p in perms)
 
 
 def is_characteristic(lattice: SubgroupLattice, i: int) -> bool:

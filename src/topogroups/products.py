@@ -41,7 +41,11 @@ class ProductGroup:
     all-identities tuple is id 0.  ``factor_steps`` holds the Tychonoff
     factor steps, which every product system of the product shares: the
     checked pushforward per (factor, ultrafilter) and the convergence points
-    per (factor, factor system's member bits, pushed kernel).
+    per (factor, factor system's member bits, pushed kernel).  It also holds
+    the product's subgroup index per tuple of factor subgroup masks
+    (``("product-index", masks)``) and marks each product member set that
+    passed ``verify_toposys`` (``("verified", bits)``), so each distinct
+    set is verified once.
     """
 
     factors: tuple[FiniteGroup, ...]
@@ -120,18 +124,23 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
         if sys_i.lattice.group != f:
             raise BadParameterError("factor system does not live on the matching factor")
     plattice = enumerate_subgroups(product.group)
+    steps = product.factor_steps
     member_factors: dict[int, tuple[int, ...]] = {}
     bits = 0
     for combo in iter_product(*[s.member_indices for s in factor_systems]):
-        masks = [s.lattice.mask(i) for s, i in zip(factor_systems, combo)]
-        index = plattice.index_of(product_subgroup_mask(product, masks))
+        key = ("product-index", tuple(s.lattice.mask(i) for s, i in zip(factor_systems, combo)))
+        index = steps.get(key)
+        if index is None:
+            index = steps[key] = plattice.index_of(product_subgroup_mask(product, key[1]))
         member_factors[index] = combo
         bits |= 1 << index
     provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
     system = TopoSystem(plattice, bits, provenance)
-    report = verify_toposys(plattice, bits)
-    if not report.passed:
-        raise TopoGroupError(f"internal error: product system fails axioms: {report.first_failure()}")
+    if ("verified", bits) not in steps:
+        report = verify_toposys(plattice, bits)
+        if not report.passed:
+            raise TopoGroupError(f"internal error: product system fails axioms: {report.first_failure()}")
+        steps["verified", bits] = True
     return ProductToposys(product, system, factor_systems, member_factors)
 
 

@@ -7,8 +7,10 @@ work there, as the runtime once did; the tests compare the two.  The runtime
 reads the family member sets and commutator subgroups off the lattice's
 bitsets; the set comprehensions and closures here test each subgroup
 against its definition instead.  Automorphisms and cores are read through
-generating sets at runtime; the pairwise homomorphism check and the
-conjugation of whole element masks are kept here.  The runtime reads thk
+generating sets at runtime, and a normalizer is the whole group once the
+top generators normalize the subgroup; the full search over generator
+images with its pairwise homomorphism check, the element-by-element
+normalizer scan and the conjugation of whole element masks are kept here.  The runtime reads thk
 member sets off one commutator row per k, checks associativity on
 generators only and shares the Tychonoff factor steps across the product
 systems of a product; the full scans and the step-by-step replay are kept
@@ -298,6 +300,14 @@ def core_mask_by_conjugation(lattice, i: int) -> int:
             if conj != mask:
                 mask, stable = conj, False
     return mask
+
+
+def normalizer_by_scan(lattice, i: int) -> int:
+    """Index of the normalizer of subgroup i: every element tested against every generator of it."""
+    mask, gens, conjugate = lattice.mask(i), lattice.generators[i], lattice.group.conjugate
+    return lattice.index_of(
+        mask_of(g for g in lattice.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
+    )
 
 
 def automorphisms_by_backtracking(group: FiniteGroup) -> tuple[Homomorphism, ...]:

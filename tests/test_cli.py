@@ -167,6 +167,11 @@ BAD_INPUTS = {
     "config-bad-format": (["theorems", "--config", "CONFIG"], b"format = xml\n"),
     "product-sys-count": (["product", "--groups", "cyclic:2;cyclic:3", "--sys", "discrete", "--tychonoff"], None),
     "product-sys-kind": (["product", "--groups", "cyclic:2;cyclic:3", "--sys", "discrete;bogus"], None),
+    "tychonoff-trivial-product": (
+        ["product", "--groups", "cyclic:1;cyclic:1", "--sys", "discrete;discrete", "--tychonoff"],
+        None,
+    ),
+    "tychonoff-trivial-factor": (["product", "--groups", "cyclic:1", "--sys", "discrete", "--tychonoff"], None),
 }
 
 

@@ -1,12 +1,14 @@
 """Direct products, the product system, component identities, Tychonoff replay."""
 
+from dataclasses import replace
 from itertools import product as iter_product
 
 import pytest
 
 from topogroups.groups import build_group, subgroup_generated
 from topogroups.lattice import enumerate_subgroups
-from topogroups.toposystems import build_toposys
+from topogroups import products
+from topogroups.toposystems import build_toposys, verify_toposys
 from topogroups.filters import enumerate_ultrafilters, principal_filter
 from topogroups.products import (
     CertificateFailureError,
@@ -17,7 +19,7 @@ from topogroups.products import (
     product_toposys,
     tychonoff_certificate,
 )
-from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS
+from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
 from oracles import tychonoff_certificate_by_replay
 
 
@@ -198,6 +200,29 @@ def test_certificates_match_the_replay_oracle_on_every_combination(descs):
             failures += type(got) is tuple
     # a factor with two minimal subgroups makes some pushforwards degenerate
     assert bool(failures) == any(d in ("cyclic:6", "sym:3") for d in descs)
+
+
+@pytest.mark.parametrize("descs", TYCHONOFF_PRODUCTS)
+def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
+    # the combinations of one product share its product indices and verify
+    # each distinct member set once; each must match a build from nothing
+    p = replace(_product(*descs), factor_steps={})
+    combos = list(iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)))
+    systems = {combo: [build_toposys(enumerate_subgroups(f), k) for f, k in zip(p.factors, combo)] for combo in combos}
+    verified = []
+
+    def counting(lattice, bits):
+        verified.append(bits)
+        return verify_toposys(lattice, bits)
+
+    monkeypatch.setattr(products, "verify_toposys", counting)
+    shared = [product_toposys(p, systems[combo]) for combo in combos]
+    monkeypatch.undo()
+    assert sorted(verified) == sorted({pt.system.member_bits for pt in shared})
+    for combo, pt in zip(combos, shared):
+        fresh = product_toposys(replace(p, factor_steps={}), systems[combo])
+        assert pt.system.member_bits == fresh.system.member_bits
+        assert pt.member_factors == fresh.member_factors
 
 
 @pytest.mark.parametrize(
