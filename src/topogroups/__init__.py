@@ -10,7 +10,6 @@ from .groups import (
     UnknownKindError,
     build_group,
     make_homomorphism,
-    subgroup_generated,
     verify_group_axioms,
 )
 from .lattice import (
@@ -31,10 +30,8 @@ from .toposystems import (
     closure_and_limits,
     find_finite_subcover,
     generate_toposys,
-    induced_toposys,
     interior_boundary,
     is_hausdorff,
-    is_topomorphism,
     quotient_toposys,
     star_topology_checks,
     t_closed_checks,
@@ -44,20 +41,16 @@ from .filters import (
     IdentityNotAllowedError,
     NoFipError,
     NotAFilterError,
-    OrdinaryFilter,
     SubgroupFilter,
     TrivialGroupError,
     convergence_set,
-    converges_to,
     enumerate_ultrafilters,
     extend_to_ultrafilter,
     filter_from_members,
     generate_filter,
     is_ultrafilter,
-    ordinary_bridge,
     principal_filter,
     pushforward,
-    restrict_ordinary,
     theorem_checks,
 )
 from .products import (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, mask_of
+from .groups import Homomorphism, TopoGroupError, bits_of, mask_of
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
 from .toposystems import BadParameterError, TopoSystem, _split_literals, resolve_subgroup_literal
@@ -157,39 +157,6 @@ def principal_filter(lattice: SubgroupLattice, x: int) -> SubgroupFilter:
     return SubgroupFilter(lattice, lattice.cyclic_index(x), f"principal:{x}")
 
 
-@dataclass(frozen=True)
-class OrdinaryFilter:
-    """An ordinary filter of point sets, given by a base of element masks."""
-
-    group: FiniteGroup
-    base: tuple[int, ...]
-
-    def contains(self, subset) -> bool:
-        m = subset if isinstance(subset, int) else mask_of(subset)
-        return any(b & m == b for b in self.base)
-
-
-def ordinary_bridge(f: SubgroupFilter) -> OrdinaryFilter:
-    """The ordinary filter whose members are the oversets of filter members."""
-    # ascending indices sort the masks by (order, elements), the canonical order
-    base = tuple(f.lattice.mask(i) for i in f.member_indices)
-    return OrdinaryFilter(f.lattice.group, base)
-
-
-def restrict_ordinary(lattice: SubgroupLattice, f1: OrdinaryFilter) -> SubgroupFilter:
-    """Restrict an ordinary filter to the non-trivial subgroups it contains.
-
-    The restriction can fail the meet axiom when the ordinary filter reaches
-    below every non-trivial subgroup (e.g. a principal ultrafilter at the
-    identity on a group with two minimal subgroups); this is validated rather
-    than assumed.
-    """
-    if any(b == 0 for b in f1.base):
-        raise BadParameterError("ordinary filter base may not contain the empty set")
-    members = (i for i in range(1, len(lattice)) if f1.contains(lattice.mask(i)))
-    return filter_from_members(lattice, members, "restricted")
-
-
 def is_ultrafilter(f: SubgroupFilter) -> tuple[bool, int | None]:
     """↑K is an ultrafilter iff K is cyclic; otherwise the witness is K.
 
@@ -290,51 +257,23 @@ def pushforward(f_hom: Homomorphism, f: SubgroupFilter) -> SubgroupFilter:
 
 
 @dataclass(frozen=True)
-class ConvergenceCertificate:
-    """Witness that every topen containing the target is a filter member."""
-
-    filter: SubgroupFilter
-    system: TopoSystem
-    target: int
-    checked: tuple[int, ...]
-
-
-def _require_same_group(f: SubgroupFilter, system: TopoSystem):
-    if f.lattice is not system.lattice and f.lattice.group != system.lattice.group:
-        raise BadParameterError("filter and system live on different lattices")
-
-
-def converges_to(f: SubgroupFilter, system: TopoSystem, y: int) -> tuple[bool, ConvergenceCertificate | None]:
-    """True iff every topen containing y belongs to the filter.
-
-    That is the bitset test T(y) & ~F == 0, with T(y) the system's incidence
-    of y and F the filter's member bits; the certificate lists T(y)
-    ascending.  The identity can never be a limit: the trivial subgroup is
-    always a topen containing it, and filters exclude the trivial subgroup.
-    """
-    _require_same_group(f, system)
-    topens = system.incidence[y]
-    if topens & ~f.member_bits:
-        return False, None
-    return True, ConvergenceCertificate(f, system, y, tuple(bits_of(topens)))
-
-
-@dataclass(frozen=True)
 class ConvergenceSet:
     """Convergence points partitioned into equal-cyclic-subgroup classes."""
 
     points: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...]
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.points
-
 
 def convergence_set(f: SubgroupFilter, system: TopoSystem) -> ConvergenceSet:
-    """Every point the filter converges to (see converges_to)."""
-    _require_same_group(f, system)
+    """Every point y the filter converges to: every topen containing y is a member.
+
+    That is the bitset test T(y) & ~F == 0, with T(y) the system's incidence
+    of y and F the filter's member bits.  The identity is never a limit: the
+    trivial subgroup is a topen containing it, and filters exclude it.
+    """
     lattice = system.lattice
+    if f.lattice is not lattice and f.lattice.group != lattice.group:
+        raise BadParameterError("filter and system live on different lattices")
     outside = ~f.member_bits
     points = tuple(y for y, topens in enumerate(system.incidence) if not topens & outside)
     by_class: dict[int, list[int]] = {}

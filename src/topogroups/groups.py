@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, permutations
+from itertools import product as iter_product
 from math import prod
 
 from .report import ValidationFailure, ValidationReport
@@ -223,13 +224,6 @@ class Subgroup:
     def __contains__(self, x: int) -> bool:
         return bool(self.mask >> x & 1)
 
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        return self.mask & other.mask == self.mask
-
-    @property
-    def is_whole(self) -> bool:
-        return self.mask == self.group.full_mask
-
     def __repr__(self):
         names = ",".join(self.group.name(x) for x in self.members)
         return f"Subgroup({self.group.descriptor}; {{{names}}})"
@@ -272,11 +266,6 @@ def closure_mask(group: FiniteGroup, seed) -> int:
     return mask
 
 
-def subgroup_generated(group: FiniteGroup, gens) -> Subgroup:
-    """Smallest subgroup of *group* containing the given element ids."""
-    return Subgroup(group, closure_mask(group, gens))
-
-
 @dataclass(frozen=True)
 class Homomorphism:
     """A total, verified group homomorphism between two Cayley-table groups."""
@@ -305,20 +294,6 @@ class Homomorphism:
         for t in bits_of(target_mask):
             acc |= fibers[t]
         return acc
-
-    @property
-    def kernel_mask(self) -> int:
-        return self.fibers[0]
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.source.order == self.target.order and len(set(self.mapping)) == self.source.order
-
-    def compose(self, other: "Homomorphism") -> "Homomorphism":
-        """self after other (apply *other* first)."""
-        if other.target is not self.source and other.target != self.source:
-            raise TopoGroupError("composition domain mismatch")
-        return Homomorphism(other.source, self.target, tuple(self.mapping[v] for v in other.mapping))
 
 
 def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homomorphism:
@@ -356,19 +331,18 @@ def mixed_radix_encode(orders, digits) -> int:
     return idx
 
 
-def _mixed_radix_tables(orders: list[int], mul_component):
-    total = 1
-    for o in orders:
-        total *= o
-    tuples = [mixed_radix_decode(orders, i) for i in range(total)]
-    table = [
-        [
-            mixed_radix_encode(orders, (mul_component(k, a[k], b[k]) for k in range(len(orders))))
-            for b in tuples
-        ]
-        for a in tuples
-    ]
-    names = tuple("(" + ",".join(str(t) for t in tup) + ")" for tup in tuples)
+def _product_table(tables, name_lists):
+    """Cayley table and element names of the direct product of the factor tables.
+
+    Ids are factor tuples in mixed radix, first factor most significant, so
+    the table is the Kronecker product of the factor tables, built one row
+    block per factor.
+    """
+    table = [[0]]
+    for t in tables:
+        n = len(t)
+        table = [[pb * n + tj for pb in pa for tj in ti] for pa in table for ti in t]
+    names = tuple("(" + ",".join(combo) + ")" for combo in iter_product(*name_lists))
     return table, names
 
 
@@ -497,15 +471,10 @@ def build_group(descriptor: str) -> FiniteGroup:
         if len(inner) < 1 or any(not p for p in inner):
             raise UnknownKindError(f"bad product descriptor: {descriptor!r}")
         factors = [build_group(p) for p in inner]
-        orders = [f.order for f in factors]
-        total = prod(orders)
+        total = prod(f.order for f in factors)
         if total > DEFAULT_ORDER_CAP:
             raise OrderCapExceededError(f"product order {total} exceeds cap {DEFAULT_ORDER_CAP}")
-        table, _ = _mixed_radix_tables(orders, lambda k, a, b: factors[k].table[a][b])
-        names = tuple(
-            "(" + ",".join(f.name(c) for f, c in zip(factors, mixed_radix_decode(orders, i))) + ")"
-            for i in range(total)
-        )
+        table, names = _product_table([f.table for f in factors], [f.element_names for f in factors])
         group = FiniteGroup(table, desc, names)
     else:
         kind, _, arg = desc.partition(":")
@@ -517,12 +486,10 @@ def build_group(descriptor: str) -> FiniteGroup:
         elif kind == "abelian":
             # an empty factor ("2x", "2xx3", "x2") is rejected, so each group has one spelling
             ns = [_parse_int(p, "factor order") for p in arg.split("x")]
-            total = 1
-            for n in ns:
-                total *= n
+            total = prod(ns)
             if total > DEFAULT_ORDER_CAP:
                 raise OrderCapExceededError(f"order {total} exceeds cap {DEFAULT_ORDER_CAP}")
-            table, names = _mixed_radix_tables(ns, lambda k, a, b: (a + b) % ns[k])
+            table, names = _product_table([_cyclic_table(n) for n in ns], [map(str, range(n)) for n in ns])
             group = FiniteGroup(table, desc, names)
         elif kind == "dihedral":
             n = _parse_int(arg, "degree")

@@ -35,7 +35,7 @@ class CertificateFailureError(TopoGroupError):
 
 @dataclass(frozen=True)
 class ProductGroup:
-    """Tuple group over the factors, with validated projections and embeddings.
+    """Tuple group over the factors, with validated projections.
 
     Element ids use mixed radix with factor 0 most significant, so the
     all-identities tuple is id 0.  ``factor_steps`` holds the Tychonoff
@@ -51,7 +51,6 @@ class ProductGroup:
     factors: tuple[FiniteGroup, ...]
     group: FiniteGroup
     projections: tuple[Homomorphism, ...]
-    embeddings: tuple[Homomorphism, ...]
     factor_steps: dict = field(default_factory=dict, compare=False, repr=False)
 
     def decode(self, idx: int) -> tuple[int, ...]:
@@ -77,29 +76,13 @@ def _direct_product(factors: tuple[FiniteGroup, ...]) -> ProductGroup:
         make_homomorphism(group, factors[i], tuple(mixed_radix_decode(orders, x)[i] for x in group.elements()))
         for i in range(len(factors))
     )
-    embeddings = []
-    for i, f in enumerate(factors):
-        maps = []
-        for a in f.elements():
-            tup = [0] * len(factors)
-            tup[i] = a
-            maps.append(mixed_radix_encode(orders, tup))
-        embeddings.append(make_homomorphism(f, group, tuple(maps)))
-    return ProductGroup(factors, group, projections, tuple(embeddings))
+    return ProductGroup(factors, group, projections)
 
 
 def product_subgroup_mask(product: ProductGroup, factor_masks) -> int:
     """Mask of the product-form subgroup with the given factor masks."""
     member_lists = [list(bits_of(m)) for m in factor_masks]
     return mask_of(product.encode(tup) for tup in iter_product(*member_lists))
-
-
-def decompose_product_subgroup(product: ProductGroup, mask: int) -> tuple[int, ...] | None:
-    """Factor masks with ``prod(pi_i(A)) == A``, or None for non-product form."""
-    images = tuple(p.image_mask(mask) for p in product.projections)
-    if product_subgroup_mask(product, images) != mask:
-        return None
-    return images
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import Homomorphism, TopoGroupError, bits_of, mask_of
+from .groups import TopoGroupError, bits_of, mask_of
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
@@ -62,10 +62,6 @@ class TopoSystem:
 
     def __contains__(self, index: int) -> bool:
         return bool(self.member_bits >> index & 1)
-
-    def topens_containing(self, x: int) -> tuple[int, ...]:
-        """Topens containing element x, ascending."""
-        return tuple(bits_of(self.incidence[x]))
 
     def __repr__(self):
         return f"TopoSystem({self.lattice.group.descriptor}; {self.provenance}; {self.member_bits.bit_count()} topens)"
@@ -133,12 +129,12 @@ def verify_toposys(lattice: SubgroupLattice, bits: int, n: int = 0) -> Validatio
     return ValidationReport(True)
 
 
-def _closure(lattice: SubgroupLattice, bits: int, space: int) -> int:
-    """Least join/meet-closed bitset containing bits, inside the down-set space.
+def _closure(lattice: SubgroupLattice, bits: int) -> int:
+    """Least join/meet-closed bitset containing bits.
 
-    A seed that is the whole down-set is closed already.
+    A seed that is the whole lattice is closed already.
     """
-    if bits == space:
+    if bits == lattice.above[0]:
         return bits
     queue = list(bits_of(bits))
     i = 0
@@ -155,7 +151,7 @@ def _closure(lattice: SubgroupLattice, bits: int, space: int) -> int:
 
 def generate_toposys(lattice: SubgroupLattice, seed: int, provenance: str | None = None) -> TopoSystem:
     """Least topo-system containing the seed bitset (pairwise fixpoint)."""
-    bits = _closure(lattice, seed | 1 | 1 << lattice.top_index, lattice.above[0])
+    bits = _closure(lattice, seed | 1 | 1 << lattice.top_index)
     if provenance is None:
         provenance = "generated:" + ",".join(f"#{s}" for s in bits_of(seed))
     return TopoSystem(lattice, bits, provenance)
@@ -250,39 +246,13 @@ def _split_literals(arg: str) -> list[str]:
 
 
 @dataclass(frozen=True)
-class InducedToposys:
-    """The topo-system induced on subgroup h, on the parent lattice.
-
-    L(h) is the down-set ↓h of the parent lattice, with the parent's joins
-    and meets.  ``system`` holds the induced topens as parent indices, so
-    its whole group is h, not the lattice's top; ``trace_bits`` is the
-    bitset of the traces a ∧ h of the parent topens.
-    """
-
-    system: TopoSystem
-    h: int
-    trace_bits: int
-
-
-def induced_toposys(parent: TopoSystem, h: int) -> InducedToposys:
-    """The least join/meet-closed set in ↓h holding 1, h and the traces of the parent topens."""
-    lattice = parent.lattice
-    # every trace lies in ↓h, and a topen inside h is its own trace
-    traces = lattice.below[h]
-    if traces & ~parent.member_bits:
-        traces = mask_of(lattice.meet_index(a, h) for a in parent.member_indices)
-    bits = _closure(lattice, traces | 1 | 1 << h, lattice.below[h])
-    return InducedToposys(TopoSystem(lattice, bits, f"induced({parent.provenance})@#{h}"), h, traces)
-
-
-@dataclass(frozen=True)
 class QuotientToposys:
     """Image of a topo-system on G/N, on the parent lattice, plus its axiom report.
 
     The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
     K/N with K in the interval [N, G].  ``member_bits`` is the bitset of the
-    parent indices a ∨ N; ``quotient_indices`` gives them as indices of
-    L(G/N), which the witnesses use (see SubgroupLattice.quotient_index).
+    parent indices a ∨ N; the witnesses give them as indices of L(G/N)
+    (see SubgroupLattice.quotient_index).
     Closure of the image set under intersection is not obvious in general,
     so the verifier runs on every produced quotient and the report travels
     with the system instead of being assumed.
@@ -292,11 +262,6 @@ class QuotientToposys:
     normal: int
     member_bits: int
     report: ValidationReport
-
-    @property
-    def quotient_indices(self) -> tuple[int, ...]:
-        """The members as indices of L(G/N), ascending."""
-        return tuple(self.parent.lattice.quotient_index(self.normal, k) for k in bits_of(self.member_bits))
 
 
 def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
@@ -432,16 +397,6 @@ def find_finite_subcover(system: TopoSystem, x: int, cover) -> SubcoverCertifica
     if result is None:
         return None
     return SubcoverCertificate(tuple(cover[p] for p in result.positions), result.exact)
-
-
-def is_topomorphism(f: Homomorphism, source_sys: TopoSystem, target_sys: TopoSystem) -> tuple[bool, int | None]:
-    """True iff every topen of the target pulls back to a topen of the source."""
-    src_lattice = source_sys.lattice
-    for b in target_sys.member_indices:
-        pre = f.preimage_mask(target_sys.lattice.mask(b))
-        if src_lattice.index_of(pre) not in source_sys:
-            return False, b
-    return True, None
 
 
 # pairwise union traces are checked only on systems with at most this many topens

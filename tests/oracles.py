@@ -1,6 +1,6 @@
 """Reference constructions the runtime no longer uses, kept as differential oracles.
 
-The runtime keeps induced and quotient systems on the parent lattice (↓H for
+The runtime works on the parent lattice for subgroups and quotients (↓H for
 a subgroup H, the interval [N, G] for a quotient G/N).  The paths here build
 the subgroup or quotient as a group of its own, enumerate its lattice and
 work there, as the runtime once did; the tests compare the two.  The runtime
@@ -14,15 +14,19 @@ normalizer scan and the conjugation of whole element masks are kept here.  The r
 member sets off one commutator row per k, checks associativity on
 generators only and shares the Tychonoff factor steps across the product
 systems of a product; the full scans and the step-by-step replay are kept
-here.
+here, and so are the paper's topomorphism and ordinary-filter definitions.
 """
+
+from dataclasses import dataclass
 
 from topogroups.filters import (
     NotAFilterError,
+    SubgroupFilter,
     TheoremReport,
     _cyclically_distinct_pair,
     convergence_set,
     enumerate_ultrafilters,
+    filter_from_members,
     is_ultrafilter,
     pushforward,
 )
@@ -32,11 +36,11 @@ from topogroups.products import CertificateFailureError, FactorRecord, ProductTo
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     UNION_SAMPLE_LIMIT,
+    BadParameterError,
     TopoSystem,
     _split_literals,
     generate_toposys,
     is_hausdorff,
-    is_topomorphism,
     resolve_subgroup_literal,
     verify_toposys,
 )
@@ -187,6 +191,49 @@ def quotient_by_quotient_group(parent: TopoSystem, n: int):
     members = frozenset(qlattice.index_of(natural.image_mask(lattice.mask(a))) for a in parent.member_indices)
     system = TopoSystem(qlattice, mask_of(members), f"quotient({parent.provenance})@#{n}")
     return members, verify_toposys(qlattice, system.member_bits), system, natural
+
+
+def is_topomorphism(f: Homomorphism, source_sys: TopoSystem, target_sys: TopoSystem) -> tuple[bool, int | None]:
+    """True iff every topen of the target pulls back to a topen of the source."""
+    src_lattice = source_sys.lattice
+    for b in target_sys.member_indices:
+        pre = f.preimage_mask(target_sys.lattice.mask(b))
+        if src_lattice.index_of(pre) not in source_sys:
+            return False, b
+    return True, None
+
+
+@dataclass(frozen=True)
+class OrdinaryFilter:
+    """An ordinary filter of point sets, given by a base of element masks."""
+
+    group: FiniteGroup
+    base: tuple[int, ...]
+
+    def contains(self, subset) -> bool:
+        m = subset if isinstance(subset, int) else mask_of(subset)
+        return any(b & m == b for b in self.base)
+
+
+def ordinary_bridge(f: SubgroupFilter) -> OrdinaryFilter:
+    """The ordinary filter whose members are the oversets of filter members."""
+    # ascending indices sort the masks by (order, elements), the canonical order
+    base = tuple(f.lattice.mask(i) for i in f.member_indices)
+    return OrdinaryFilter(f.lattice.group, base)
+
+
+def restrict_ordinary(lattice, f1: OrdinaryFilter) -> SubgroupFilter:
+    """Restrict an ordinary filter to the non-trivial subgroups it contains.
+
+    The restriction can fail the meet axiom when the ordinary filter reaches
+    below every non-trivial subgroup (e.g. a principal ultrafilter at the
+    identity on a group with two minimal subgroups); this is validated rather
+    than assumed.
+    """
+    if any(b == 0 for b in f1.base):
+        raise BadParameterError("ordinary filter base may not contain the empty set")
+    members = (i for i in range(1, len(lattice)) if f1.contains(lattice.mask(i)))
+    return filter_from_members(lattice, members, "restricted")
 
 
 def is_star_open(system: TopoSystem, xmask: int) -> bool:
@@ -376,7 +423,7 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
             except NotAFilterError:
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n}")
             for x in points:
-                for b in qsystem.topens_containing(natural(x)):
+                for b in bits_of(qsystem.incidence[natural(x)]):
                     assert pulled_back[b] in f, f"{f.provenance}->x={x}@#{n}:target#{b}"
     return TheoremReport(
         compactness_ok=compactness_witness is None,
@@ -407,7 +454,7 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
         if not ultra:
             raise CertificateFailureError(f"pushforward-ultra[{i}]", uw)
         cs = convergence_set(pushed, ptop.factor_systems[i])
-        if cs.is_empty:
+        if not cs.points:
             raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
         x_i = min(cs.points)
         components.append(x_i)

@@ -151,7 +151,8 @@ def test_theorems_json_is_byte_identical_across_reruns(capsys):
     assert out1 == out2
 
 
-# bad CLI inputs; CONFIG stands for a config file holding the given bytes
+# bad CLI inputs; CONFIG stands for a config file holding the given bytes,
+# MISSING for a path that does not exist and DIR for a directory
 BAD_INPUTS = {
     "unknown-kind": (["theorems", "--groups", "nonsense:9"], None),
     "config-not-utf8": (["theorems", "--config", "CONFIG"], b"max-order=\xff\n"),
@@ -172,6 +173,23 @@ BAD_INPUTS = {
         None,
     ),
     "tychonoff-trivial-factor": (["product", "--groups", "cyclic:1", "--sys", "discrete", "--tychonoff"], None),
+    "config-line-without-equals": (["theorems", "--config", "CONFIG"], b"max-order 8\n"),
+    "config-unknown-suite": (["theorems", "--config", "CONFIG"], b"suites = bogus\n"),
+    "config-missing": (["theorems", "--config", "MISSING"], None),
+    "config-is-a-directory": (["theorems", "--config", "DIR"], None),
+    "cyclic-zero": (["lattice", "--group", "cyclic:0"], None),
+    "abelian-zero-factor": (["lattice", "--group", "abelian:0x2"], None),
+    "product-empty-factor": (["lattice", "--group", "product(cyclic:2,)"], None),
+    "abelian-above-cap": (["lattice", "--group", "abelian:4x4x8"], None),
+    "dihedral-above-cap": (["lattice", "--group", "dihedral:33"], None),
+    **{
+        f"sys-{value}": (["toposys", "--group", "sym:3", "--sys", value], None)
+        for value in ("principal:#abc", "principal:gen{a}", "principal:gen{99}", "thk:#0", "variety:exponent-x")
+    },
+    **{
+        f"filter-{value}": (["filters", "--group", "sym:3", "--filter", value], None)
+        for value in ("principal:x", "bogus", "generated:#0", "principal:99")
+    },
 }
 
 
@@ -181,9 +199,10 @@ def test_unknown_group_kind_exits_2(tmp_path, capsys, case):
     cfg = tmp_path / "bad.cfg"
     if config is not None:
         cfg.write_bytes(config)
-    code, out, err = run(capsys, *(str(cfg) if a == "CONFIG" else a for a in argv))
+    paths = {"CONFIG": cfg, "MISSING": tmp_path / "missing.cfg", "DIR": tmp_path}
+    code, out, err = run(capsys, *(str(paths.get(a, a)) for a in argv))
     assert code == 2 and not out
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_a_named_group_above_max_order_exits_2(capsys):

@@ -17,8 +17,8 @@ from topogroups.report import FAIL
 from topogroups.suites import DEFAULT_CATALOG, SuiteConfig, SuiteRun, suite_star_topology
 from topogroups.toposystems import (
     TopoSystem,
+    _closure,
     build_toposys,
-    induced_toposys,
     quotient_toposys,
     star_topology_checks,
     verify_toposys,
@@ -44,6 +44,13 @@ def _lat(desc):
 def _matrix_systems():
     """Every distinct system of the default theorem matrix."""
     return list({id(system): system for _, system in SuiteRun(SuiteConfig()).cells}.values())
+
+
+def _induced_on_parent(system, h):
+    """(member bits, trace bits) of the induced system on h: the traces a ∧ h closed in ↓h of the parent lattice."""
+    lat = system.lattice
+    traces = mask_of(lat.meet_index(a, h) for a in system.member_indices)
+    return _closure(lat, traces | 1 | 1 << h), traces
 
 
 def _hand_built(desc, count=40, seed=0):
@@ -74,11 +81,11 @@ def test_induced_members_match_subgroup_group(desc, family):
     lat = _lat(desc)
     system = build_toposys(lat, family)
     for h in range(len(lat)):
-        induced = induced_toposys(system, h)
+        induced, trace_bits = _induced_on_parent(system, h)
         members, traces, _, _ = induced_by_subgroup_group(system, h)
-        assert induced.system.members == members
-        assert induced.trace_bits == mask_of(traces)
-        assert induced.system.member_bits & ~lat.below[h] == 0
+        assert induced == mask_of(members)
+        assert trace_bits == mask_of(traces)
+        assert induced & ~lat.below[h] == 0
 
 
 @pytest.mark.parametrize("desc", HAND_BUILT)
@@ -86,7 +93,7 @@ def test_induced_members_of_hand_built_systems_match_subgroup_group(desc):
     for system in _hand_built(desc, count=10):
         for h in range(len(system.lattice)):
             members, traces, _, _ = induced_by_subgroup_group(system, h)
-            assert induced_toposys(system, h).system.members == members
+            assert _induced_on_parent(system, h)[0] == mask_of(members)
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_GROUPS)
@@ -110,30 +117,27 @@ def test_quotient_members_and_report_match_quotient_group(desc):
         for n in bits_of(lat.normal_bits):
             quotient = quotient_toposys(system, n)
             members, report, _, _ = quotient_by_quotient_group(system, n)
-            assert quotient.quotient_indices == tuple(sorted(members))
+            assert tuple(lat.quotient_index(n, k) for k in bits_of(quotient.member_bits)) == tuple(sorted(members))
             assert quotient.report == report
 
 
-def test_discrete_images_and_traces_need_no_join_or_meet(monkeypatch):
+def test_discrete_images_need_no_join(monkeypatch):
     # every subgroup of an abelian group is normal, so each one has a quotient
     lat = _lat("abelian:2x2x2x2")
     discrete, trivial = build_toposys(lat, "discrete"), build_toposys(lat, "trivial")
     calls = []
-    for name in ("join_index", "meet_index"):
+    join = SubgroupLattice.join_index
 
-        def counted(self, i, j, method=getattr(SubgroupLattice, name), name=name):
-            calls.append(name)
-            return method(self, i, j)
+    def counted(self, i, j):
+        calls.append((i, j))
+        return join(self, i, j)
 
-        monkeypatch.setattr(SubgroupLattice, name, counted)
+    monkeypatch.setattr(SubgroupLattice, "join_index", counted)
     for k in range(len(lat)):
         assert quotient_toposys(discrete, k).member_bits == lat.above[k]
-        assert induced_toposys(discrete, k).trace_bits == lat.below[k]
     assert calls == []
     quotient_toposys(trivial, 0)
-    assert "join_index" in calls
-    induced_toposys(trivial, lat.top_index)
-    assert "meet_index" in calls
+    assert calls
 
 
 def test_quotient_failure_witnesses_match_quotient_group():
@@ -144,7 +148,7 @@ def test_quotient_failure_witnesses_match_quotient_group():
             for n in bits_of(lat.normal_bits):
                 quotient = quotient_toposys(system, n)
                 members, report, _, _ = quotient_by_quotient_group(system, n)
-                assert quotient.quotient_indices == tuple(sorted(members))
+                assert tuple(lat.quotient_index(n, k) for k in bits_of(quotient.member_bits)) == tuple(sorted(members))
                 assert quotient.report == report
                 if not report.passed and n:
                     kinds.add(report.first_failure().kind)
@@ -218,7 +222,6 @@ def test_star_topology_builds_no_induced_system(monkeypatch):
     def refuse(*args):
         raise AssertionError("star_topology_checks built an induced system")
 
-    monkeypatch.setattr(toposystems, "induced_toposys", refuse)
     monkeypatch.setattr(toposystems, "_closure", refuse)
     for desc in ("sym:3", "dihedral:4", "abelian:2x2x2x2"):
         for family in ("discrete", "trivial", "normal", "principal:gen{1}"):

@@ -11,15 +11,18 @@ from topogroups.groups import (
     OrderCapExceededError,
     Subgroup,
     UnknownKindError,
+    _split_top_level,
     build_group,
     closure_mask,
     make_homomorphism,
     mask_of,
+    mixed_radix_decode,
+    mixed_radix_encode,
     right_generators,
-    subgroup_generated,
     verify_group_axioms,
 )
 from topogroups.report import ValidationFailure
+from topogroups.suites import DEFAULT_CATALOG, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
 from oracles import LADDER_GROUPS, WIDE_AND_LADDER_GROUPS, associativity_failure_by_scan, quotient_group, subgroup_group
 
 SMALL_DESCRIPTORS = (
@@ -120,21 +123,19 @@ def test_dihedral_reflection_relations():
 
 def test_subgroup_generated_examples():
     z4 = build_group("cyclic:4")
-    assert subgroup_generated(z4, []).members == (0,)
-    assert subgroup_generated(z4, [2]).members == (0, 2)
+    assert closure_mask(z4, []) == 1
+    assert closure_mask(z4, [2]) == mask_of((0, 2))
     s3 = build_group("sym:3")
     transpositions = [x for x in s3.elements() if s3.element_order(x) == 2]
-    full = subgroup_generated(s3, transpositions[:2])
-    assert full.order == 6
+    assert closure_mask(s3, transpositions[:2]) == s3.full_mask
 
 
 @given(st.sampled_from(SMALL_DESCRIPTORS), st.data())
 def test_subgroup_generated_idempotent(desc, data):
     g = build_group(desc)
     ids = data.draw(st.lists(st.integers(0, g.order - 1), max_size=3))
-    sub = subgroup_generated(g, ids)
-    again = subgroup_generated(g, sub.members)
-    assert again.mask == sub.mask
+    mask = closure_mask(g, ids)
+    assert closure_mask(g, mask) == mask
 
 
 @given(st.sampled_from(SMALL_DESCRIPTORS), st.data())
@@ -147,12 +148,12 @@ def test_element_order_divides_group_order(desc, data):
 def test_make_homomorphism_identity_and_sign():
     s3 = build_group("sym:3")
     ident = make_homomorphism(s3, s3, tuple(range(6)))
-    assert ident.is_bijective
+    assert ident.mapping == tuple(range(6))
     z2 = build_group("cyclic:2")
     # sign: even permutations are e, the two 3-cycles
     even = {x for x in s3.elements() if s3.element_order(x) in (1, 3)}
     sign = make_homomorphism(s3, z2, tuple(0 if x in even else 1 for x in s3.elements()))
-    assert sign.kernel_mask == mask_of(even)
+    assert sign.fibers[0] == mask_of(even)
 
 
 def test_make_homomorphism_rejects_with_witness():
@@ -209,6 +210,31 @@ def test_product_descriptor_matches_direct_encoding():
     assert p.order == 6
     # (1,1) = 1*3 + 1 = id 4, and has order 6
     assert p.element_order(4) == 6
+
+
+# every abelian: and product(...) group that the catalog, the benchmark
+# workloads and the product suites build
+PRODUCT_TABLE_GROUPS = tuple(
+    dict.fromkeys(
+        [d for d in DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS if d.startswith(("abelian:", "product("))]
+        + ["product(" + ",".join(descs) + ")" for descs in TYCHONOFF_PRODUCTS + IDENTITY_PRODUCTS]
+    )
+)
+
+
+@pytest.mark.parametrize("desc", PRODUCT_TABLE_GROUPS)
+def test_product_tables_multiply_componentwise(desc):
+    group = build_group(desc)
+    if desc.startswith("abelian:"):
+        factors = [build_group(f"cyclic:{n}") for n in desc[len("abelian:") :].split("x")]
+    else:
+        factors = [build_group(d) for d in _split_top_level(desc[len("product(") : -1])]
+    orders = [f.order for f in factors]
+    digits = [mixed_radix_decode(orders, x) for x in group.elements()]
+    for x, a in enumerate(digits):
+        want = [mixed_radix_encode(orders, [f.table[i][j] for f, i, j in zip(factors, a, b)]) for b in digits]
+        assert list(group.table[x]) == want
+    assert group.element_names == tuple("(" + ",".join(f.name(c) for f, c in zip(factors, a)) + ")" for a in digits)
 
 
 def test_product_nesting_is_capped_before_recursion():

@@ -5,14 +5,13 @@ from itertools import product as iter_product
 
 import pytest
 
-from topogroups.groups import build_group, subgroup_generated
+from topogroups.groups import bits_of, build_group, closure_mask, make_homomorphism
 from topogroups.lattice import enumerate_subgroups
 from topogroups import products
 from topogroups.toposystems import build_toposys, verify_toposys
 from topogroups.filters import enumerate_ultrafilters, principal_filter
 from topogroups.products import (
     CertificateFailureError,
-    decompose_product_subgroup,
     direct_product,
     product_identities_check,
     product_subgroup_mask,
@@ -20,7 +19,7 @@ from topogroups.products import (
     tychonoff_certificate,
 )
 from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
-from oracles import tychonoff_certificate_by_replay
+from oracles import is_topomorphism, tychonoff_certificate_by_replay
 
 
 def _product(*descs):
@@ -39,7 +38,6 @@ def test_single_factor_product():
     p = _product("cyclic:3")
     assert p.group.order == 3
     assert p.projections[0].mapping == (0, 1, 2)
-    assert p.projections[0].is_bijective
 
 
 def test_mixed_radix_encoding_and_element_orders():
@@ -52,18 +50,22 @@ def test_mixed_radix_encoding_and_element_orders():
 
 def test_projection_embedding_composition():
     p = _product("cyclic:4", "cyclic:2")
-    for i, (proj, emb) in enumerate(zip(p.projections, p.embeddings)):
-        composed = proj.compose(emb)
-        assert composed.mapping == tuple(range(p.factors[i].order))
+    for i, (proj, factor) in enumerate(zip(p.projections, p.factors)):
+        axis = [tuple(a if k == i else 0 for k in range(len(p.factors))) for a in factor.elements()]
+        emb = make_homomorphism(factor, p.group, [p.encode(t) for t in axis])
+        assert tuple(proj(emb(a)) for a in factor.elements()) == tuple(range(factor.order))
 
 
 def test_klein_diagonal_is_not_product_form():
     p = _product("cyclic:2", "cyclic:2")
-    diag = subgroup_generated(p.group, [p.encode((1, 1))])
-    assert decompose_product_subgroup(p, diag.mask) is None
-    axis = subgroup_generated(p.group, [p.encode((1, 0))])
-    got = decompose_product_subgroup(p, axis.mask)
-    assert got is not None and got[1] == 1
+
+    def product_of_images(mask):
+        return product_subgroup_mask(p, [proj.image_mask(mask) for proj in p.projections])
+
+    diag = closure_mask(p.group, [p.encode((1, 1))])
+    assert product_of_images(diag) != diag
+    axis = closure_mask(p.group, [p.encode((1, 0))])
+    assert product_of_images(axis) == axis and p.projections[1].image_mask(axis) == 1
 
 
 def test_product_toposys_member_counts():
@@ -95,7 +97,7 @@ def test_product_identity_spot_values():
     a = product_subgroup_mask(p, [l1.mask(l1.cyclic_index(2)), 1])
     b = product_subgroup_mask(p, [1, l2.mask(l2.cyclic_index(3))])
     assert a & b == 1  # meet identity on the pair from the componentwise sides
-    joined = subgroup_generated(p.group, [p.encode((2, 0)), p.encode((0, 3))]).mask
+    joined = closure_mask(p.group, [p.encode((2, 0)), p.encode((0, 3))])
     expected = product_subgroup_mask(p, [l1.mask(l1.cyclic_index(2)), l2.mask(l2.cyclic_index(3))])
     assert joined == expected
 
@@ -229,8 +231,6 @@ def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
     "descs", [("cyclic:4", "cyclic:2"), ("cyclic:2", "cyclic:3"), ("cyclic:3", "cyclic:3")]
 )
 def test_projections_are_topomorphisms_from_product_system(descs):
-    from topogroups.toposystems import is_topomorphism
-
     p = _product(*descs)
     for kind in ("discrete", "trivial", "normal"):
         systems = [build_toposys(enumerate_subgroups(f), kind) for f in p.factors]
@@ -243,7 +243,7 @@ def test_convergence_pushes_forward_componentwise():
     # every factor topen around the projected point pulls back to a member;
     # full typed convergence additionally needs the component to be a
     # non-identity element, since filters never contain the trivial subgroup
-    from topogroups.filters import convergence_set, converges_to, pushforward
+    from topogroups.filters import convergence_set, pushforward
 
     p = _product("cyclic:4", "cyclic:3")
     plat = enumerate_subgroups(p.group)
@@ -256,10 +256,10 @@ def test_convergence_pushes_forward_componentwise():
             flat = enumerate_subgroups(p.factors[i])
             for x in points:
                 xi = p.decode(x)[i]
-                for b in systems[i].topens_containing(xi):
+                for b in bits_of(systems[i].incidence[xi]):
                     if b == flat.trivial_index:
                         assert plat.index_of(proj.preimage_mask(flat.mask(b))) in f.members
                     else:
                         assert b in pushed.members
                 if xi != 0:
-                    assert converges_to(pushed, systems[i], xi)[0]
+                    assert xi in convergence_set(pushed, systems[i]).points
