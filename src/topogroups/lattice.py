@@ -33,7 +33,7 @@ from .groups import (
 AUTOMORPHISM_CAP = 24
 # Subgroup count past which the theorem suites skip the per-subgroup family
 # sweeps (principal, conj, thk): they build and verify O(S) to O(S^2) systems,
-# and the thk sweep computes S commutators per k, S^2 in all.
+# and the thk sweep builds one row per k from |G|·|k| element commutators.
 FAMILY_SWEEP_CAP = 128
 
 
@@ -60,7 +60,7 @@ class SubgroupLattice:
     bitset of the subgroups that contain subgroup k.  ``below[k]`` (inside k)
     and ``disjoint[k]`` (meeting k only in the identity) are the two relations
     the topo-system calculus reads; ``normalized_by(x)`` is the one
-    normalizer relation, which normality, ``conj`` and commutators read.
+    normalizer relation, which normality, ``conj`` and ``commutator_index`` read.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -220,21 +220,31 @@ class SubgroupLattice:
     def commutators_inside(self, h: int, k: int) -> int:
         """Bitset of the subgroups i with [i, k] inside subgroup h.
 
-        The row of k, the buckets c -> {i : [i, k] = c}, is built once from S
-        commutators; the answer is the union of the buckets whose c lies in ↓h.
+        [I, K] is generated by the element commutators [x, y], x in I and y in K
+        (Robinson, *A Course in the Theory of Groups*, 5.1.7), so [i, k] ≤ h
+        exactly when c(x) = ⟨[x, y] : y ∈ k⟩ lies in h for every x in i.  The
+        row of k maps each such c to the bitset of the subgroups holding an x
+        with c(x) = c; it is built once, in one pass over G × k, and the answer
+        is every subgroup outside the buckets whose c is not in ↓h.
         """
         row = self._commutator_rows.get(k)
         if row is None:
+            table, inverse, above, cyclic = self.group.table, self.group.inverse, self.above, self._cyclic
+            ys = [(y, inverse[y]) for y in bits_of(self.subgroups[k].mask)]
             row = {}
-            for i in range(len(self.subgroups)):
-                c = self.commutator_index(i, k)
-                row[c] = row.get(c, 0) | 1 << i
+            for x in self.group.elements():
+                row_x, row_xi = table[x], table[inverse[x]]
+                common = -1
+                for y, yi in ys:
+                    common &= above[cyclic[table[row_x[y]][row_xi[yi]]]]
+                c = (common & -common).bit_length() - 1
+                row[c] = row.get(c, 0) | self.containing[x]
             self._commutator_rows[k] = row
         inside = self.below[h]
-        bits = 0
+        bits = self.above[0]
         for c, bucket in row.items():
-            if inside >> c & 1:
-                bits |= bucket
+            if not inside >> c & 1:
+                bits &= ~bucket
         return bits
 
     @cached_property

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
 
-from .groups import TopoGroupError, build_group
+from .groups import TopoGroupError, bits_of, build_group
 from .lattice import (
     AUTOMORPHISM_CAP,
     FAMILY_SWEEP_CAP,
@@ -31,6 +31,7 @@ from .toposystems import (
     require_axioms,
     star_topology_checks,
     t_closed_checks,
+    thk_bits,
 )
 from .filters import (
     OracleMismatchError,
@@ -255,9 +256,7 @@ def family_instance_descriptors(lattice: SubgroupLattice, family: str) -> tuple[
     if family == "variety":
         return ("variety:abelian",) + tuple(f"variety:exponent-{k}" for k in (2, 3, 4, 6))
     if family == "thk":
-        return tuple(
-            f"thk:#{h}:#{k}" for h in range(n) for k in range(n) if lattice.leq(h, k)
-        )
+        return tuple(f"thk:#{h}:#{k}" for h in range(n) for k in bits_of(lattice.above[h]))
     if family == "conj":
         return tuple(f"conj:#{h}" for h in range(n))
     raise BadParameterError(f"unknown family {family!r}")
@@ -270,6 +269,8 @@ def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
     if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
+    if family == "thk":
+        return _check_thk(lattice, verdicts)
     for desc in family_instance_descriptors(lattice, family):
         try:
             system = family_members(lattice, desc)
@@ -278,6 +279,24 @@ def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple
         witness = verdict(verdicts, system)
         if witness is not None:
             return FAIL, witness
+    return PASS, None
+
+
+def _check_thk(lattice: SubgroupLattice, verdicts: dict) -> tuple[str, str | None]:
+    """The thk sweep over nested index pairs, in the order of its descriptors.
+
+    A member set already in ``verdicts`` needs no system; a new one is named
+    ``thk:#h:#k`` by the first pair that reaches it, as the descriptor sweep would.
+    """
+    group = lattice.group.descriptor
+    for h in range(len(lattice)):
+        for k in bits_of(lattice.above[h]):
+            bits = thk_bits(lattice, h, k)
+            key = (group, bits)
+            if key not in verdicts:
+                verdict(verdicts, TopoSystem(lattice, bits, f"thk:#{h}:#{k}"))
+            if verdicts[key] is not None:
+                return FAIL, verdicts[key]
     return PASS, None
 
 

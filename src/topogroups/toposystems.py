@@ -216,7 +216,7 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
         k = resolve_subgroup_literal(lattice, parts[1])
         if not lattice.leq(h, k):
             raise BadParameterError("thk requires the first subgroup to lie inside the second")
-        bits = lattice.commutators_inside(h, k) | 1 << top
+        bits = thk_bits(lattice, h, k)
     elif kind == "conj":
         bits = lattice.normalized_by(resolve_subgroup_literal(lattice, arg))
     elif kind == "generated":
@@ -226,6 +226,11 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
         raise BadParameterError(f"unknown topo-system kind {descriptor!r}")
 
     return TopoSystem(lattice, bits, desc, notes)
+
+
+def thk_bits(lattice: SubgroupLattice, h: int, k: int) -> int:
+    """Member set of ``thk:#h:#k``: the subgroups L with [L, k] inside h, and G."""
+    return lattice.commutators_inside(h, k) | 1 << lattice.top_index
 
 
 def _split_literals(arg: str) -> list[str]:
@@ -240,9 +245,8 @@ def _split_literals(arg: str) -> list[str]:
             cur = []
         else:
             cur.append(ch)
-    if cur or not parts:
-        parts.append("".join(cur))
-    return [p for p in parts if p != ""]
+    parts.append("".join(cur))
+    return parts
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -88,8 +89,12 @@ def test_filter_generated_by_a_gen_literal_with_commas(capsys):
 def test_readme_cli_examples_run(capsys):
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as f:
         block = f.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
-    lines = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("topogroups ")]
+    # a comment starts at a "#" that begins a word, as in the shell: the "#" in
+    # generated:#1,#2 or '#1,#2' is part of its argument
+    commands = [line for line in block.splitlines() if line.startswith("topogroups ")]
+    lines = [shlex.split(re.sub(r"(?<!\S)#.*", "", line))[1:] for line in commands]
     assert len(lines) == 11
+    assert lines[1][-2:] == ["generated:#1,#2", "--verify"]
     for argv in lines:
         code = run_command(argv)
         capsys.readouterr()
@@ -184,11 +189,21 @@ BAD_INPUTS = {
     "dihedral-above-cap": (["lattice", "--group", "dihedral:33"], None),
     **{
         f"sys-{value}": (["toposys", "--group", "sym:3", "--sys", value], None)
-        for value in ("principal:#abc", "principal:gen{a}", "principal:gen{99}", "thk:#0", "variety:exponent-x")
+        for value in (
+            "principal:#abc",
+            "principal:gen{a}",
+            "principal:gen{99}",
+            "thk:#0",
+            "variety:exponent-x",
+            "thk:#0::#5",
+            "generated:",
+            "generated:,",
+            "generated:#1,,#2",
+        )
     },
     **{
         f"filter-{value}": (["filters", "--group", "sym:3", "--filter", value], None)
-        for value in ("principal:x", "bogus", "generated:#0", "principal:99")
+        for value in ("principal:x", "bogus", "generated:#0", "principal:99", "generated:")
     },
 }
 

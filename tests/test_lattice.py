@@ -33,7 +33,7 @@ from topogroups.lattice import (
 )
 from topogroups.products import direct_product
 from topogroups.suites import DEFAULT_CATALOG
-from topogroups.toposystems import build_toposys, family_members
+from topogroups.toposystems import build_toposys
 from oracles import (
     LADDER_GROUPS,
     WIDE_AND_LADDER_GROUPS,
@@ -342,7 +342,9 @@ def test_commutator_index_matches_the_closure_oracle_on_every_pair(desc):
             assert lat.mask(lat.commutator_index(i, j)) == commutator_mask_by_closure(lat, i, j)
 
 
-@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_GROUPS + ("dihedral:32",))
+@pytest.mark.parametrize(
+    "desc", DEFAULT_CATALOG + WIDE_GROUPS + ("dihedral:32", "product(sym:4,cyclic:2)", "product(abelian:2x2,sym:3)")
+)
 def test_commutators_inside_matches_the_scan_on_every_nested_pair(desc):
     lat = enumerate_subgroups(build_group(desc))
     for k in range(len(lat)):
@@ -350,20 +352,34 @@ def test_commutators_inside_matches_the_scan_on_every_nested_pair(desc):
             assert lat.commutators_inside(h, k) == thk_bits_by_scan(lat, h, k)
 
 
-def test_a_thk_sweep_computes_one_commutator_row_per_k(monkeypatch):
-    # a fresh lattice, so no row is cached; a scan per (h, k) pair would
-    # compute S commutators for each of the nested pairs
+class _CountingRows(dict):
+    def __init__(self):
+        super().__init__()
+        self.built = []
+
+    def __setitem__(self, k, row):
+        self.built.append(k)
+        super().__setitem__(k, row)
+
+
+def test_a_thk_sweep_builds_one_row_per_k_from_element_commutators(monkeypatch):
+    # a fresh lattice, so no row and no normalizer is cached
     lat = enumerate_subgroups.__wrapped__(build_group("product(sym:4,cyclic:2)"))
-    real = lattice.SubgroupLattice.commutator_index
+    lat._commutator_rows = rows = _CountingRows()
     calls = []
-    monkeypatch.setattr(
-        lattice.SubgroupLattice, "commutator_index", lambda self, i, j: calls.append((i, j)) or real(self, i, j)
-    )
-    descs = suites.family_instance_descriptors(lat, "thk")
-    for desc in descs:
-        family_members(lat, desc)
-    assert len(lat) == 98 and len(descs) > len(lat)
-    assert len(calls) <= len(lat) ** 2 == 9604
+    for name in ("commutator_index", "normalizer_index"):
+        monkeypatch.setattr(lattice.SubgroupLattice, name, lambda self, *a, name=name: calls.append(name))
+    assert suites.check_family(lat, "thk", {}) == ("pass", None)
+    assert len(lat) == 98 and sorted(rows.built) == list(range(len(lat)))
+    assert calls == []
+
+
+def test_the_uncapped_thk_sweep_of_an_elementary_abelian_group_has_one_bucket(monkeypatch):
+    monkeypatch.setattr(suites, "FAMILY_SWEEP_CAP", 1000)
+    lat = enumerate_subgroups.__wrapped__(build_group("abelian:2x2x2x2x2"))
+    assert suites.check_family(lat, "thk", {}) == ("pass", None)
+    # every commutator is the identity, so every element falls in bucket 0
+    assert len(lat) == 374 and lat._commutator_rows == {k: {0: lat.above[0]} for k in range(len(lat))}
 
 
 @pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))

@@ -60,6 +60,14 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
         return real_members(lattice, desc)
 
     monkeypatch.setattr(suites, "family_members", members)
+    swept = Counter()
+    real_thk_bits = suites.thk_bits
+
+    def thk_bits(lattice, h, k):
+        swept[lattice.group.descriptor, f"thk:#{h}:#{k}"] += 1
+        return real_thk_bits(lattice, h, k)
+
+    monkeypatch.setattr(suites, "thk_bits", thk_bits)
     result = run_suite(SuiteConfig())
 
     lattices = [enumerate_subgroups(build_group(d)) for d in SuiteConfig().groups]
@@ -75,14 +83,21 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     assert calls["is_hausdorff"] == 69
     # every normal subgroup of each distinct system, read by the theorem checks and the probe
     assert calls["quotient_toposys"] == sum(lat.normal_bits.bit_count() for lat in distinct.values()) == 371
-    # no family is skipped on the default catalog, so every sweep descriptor is resolved once more
+    # no family is skipped on the default catalog, so every sweep descriptor is resolved once
+    # more, except that the thk sweep reads each nested pair by index, once
     sweeps = Counter(
-        (lat.group.descriptor, d) for lat in lattices for f in FAMILY_NAMES for d in family_instance_descriptors(lat, f)
+        (lat.group.descriptor, d)
+        for lat in lattices
+        for f in FAMILY_NAMES
+        if f != "thk"
+        for d in family_instance_descriptors(lat, f)
     )
     assert resolved == cells + sweeps
+    thk_pairs = Counter((lat.group.descriptor, d) for lat in lattices for d in family_instance_descriptors(lat, "thk"))
+    assert swept == thk_pairs
     # the sweeps and the cells share one verification record
     lattice_of = {lat.group.descriptor: lat for lat in lattices}
-    named = {(g, family_members(lattice_of[g], d).members) for g, d in resolved}
+    named = {(g, family_members(lattice_of[g], d).members) for g, d in resolved + swept}
     assert calls["require_axioms"] == len(named)
     # rows are still one per descriptor
     assert sum(r.check == "star-topology" for r in result.reports) == 185
