@@ -11,11 +11,10 @@ import argparse
 import json
 import sys
 
-from .groups import TopoGroupError, _split_top_level, build_group
+from .groups import TopoGroupError, build_group, split_top_level
 from .lattice import enumerate_subgroups
 from .toposystems import (
     BadParameterError,
-    _split_literals,
     build_toposys,
     closure_and_limits,
     find_finite_subcover,
@@ -156,7 +155,7 @@ def _cmd_cover(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
     target = resolve_subgroup_literal(lattice, args.target) if args.target else lattice.top_index
-    cover = [resolve_subgroup_literal(lattice, p) for p in _split_literals(args.cover)]
+    cover = [resolve_subgroup_literal(lattice, p) for p in split_top_level(args.cover, ":,")]
     certificate = find_finite_subcover(system, target, cover)
     if certificate is None:
         print("not a cover")
@@ -197,15 +196,15 @@ def _cmd_product(args) -> int:
         raise BadParameterError("--tychonoff needs --sys, one topo-system per factor")
     spec = args.groups.replace(" ", "")
     if spec.startswith("product(") and spec.endswith(")"):
-        factor_descs = [p for p in _split_top_level(spec[len("product(") : -1]) if p]
+        factor_descs = split_top_level(spec[len("product(") : -1])
     else:
-        factor_descs = [p for p in spec.split(";") if p]
+        factor_descs = spec.split(";")
     factors = [build_group(d) for d in factor_descs]
     product = direct_product(factors)
     # every input error is raised before the first line is printed
     ptop = None
     if args.sys:
-        kinds = [p for p in args.sys.split(";") if p]
+        kinds = args.sys.split(";")
         if len(kinds) != len(factors):
             raise BadParameterError("one topo-system per factor is required")
         ptop = product_toposys(product, [build_toposys(enumerate_subgroups(f), k) for f, k in zip(factors, kinds)])
@@ -238,7 +237,7 @@ def _cmd_theorems(args) -> int:
     group_spec = args.groups or values.get("groups", "")
     # a named group above max-order is an error; the default catalog is cut there
     if group_spec:
-        groups = tuple(_split_top_level(group_spec))
+        groups = tuple(split_top_level(group_spec))
     else:
         groups = tuple(d for d in DEFAULT_CATALOG if build_group(d).order <= max_order)
         if not groups and max_order >= 1:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 
-from .groups import Homomorphism, TopoGroupError, bits_of, mask_of
+from .groups import Homomorphism, TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure, ValidationReport
-from .toposystems import BadParameterError, TopoSystem, _split_literals, resolve_subgroup_literal
+from .toposystems import BadParameterError, TopoSystem, resolve_subgroup_literal
 
 
 class NoFipError(TopoGroupError):
@@ -379,7 +379,7 @@ def parse_filter(lattice: SubgroupLattice, text: str) -> SubgroupFilter:
             raise BadParameterError(f"bad element id {arg!r}") from None
         return principal_filter(lattice, x)
     if kind == "generated":
-        seed = [resolve_subgroup_literal(lattice, p) for p in _split_literals(arg)]
+        seed = [resolve_subgroup_literal(lattice, p) for p in split_top_level(arg, ":,")]
         return generate_filter(lattice, seed)
     if kind == "cofinite":
         # on a finite group every subgroup has finite index, so this is all of

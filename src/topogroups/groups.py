@@ -425,14 +425,15 @@ def _dihedral_table(n: int):
     return table, names
 
 
-def _split_top_level(text: str) -> list[str]:
+def split_top_level(text: str, separators: str = ",") -> list[str]:
+    """Split text at the separators outside every (), {} bracket, keeping empty parts."""
     parts, depth, cur = [], 0, []
     for ch in text:
-        if ch == "(":
+        if ch in "({":
             depth += 1
-        elif ch == ")":
+        elif ch in ")}":
             depth -= 1
-        if ch == "," and depth == 0:
+        if ch in separators and depth == 0:
             parts.append("".join(cur))
             cur = []
         else:
@@ -467,7 +468,7 @@ def build_group(descriptor: str) -> FiniteGroup:
     if desc.startswith("product(") and desc.endswith(")"):
         if max(accumulate((ch == "(") - (ch == ")") for ch in desc)) > PRODUCT_NESTING_CAP:
             raise UnknownKindError(f"product descriptor nested deeper than {PRODUCT_NESTING_CAP}")
-        inner = _split_top_level(desc[len("product(") : -1])
+        inner = split_top_level(desc[len("product(") : -1])
         if len(inner) < 1 or any(not p for p in inner):
             raise UnknownKindError(f"bad product descriptor: {descriptor!r}")
         factors = [build_group(p) for p in inner]

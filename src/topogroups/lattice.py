@@ -59,8 +59,10 @@ class SubgroupLattice:
     topo-systems answer their point-wise queries, and ``above[k]`` is the
     bitset of the subgroups that contain subgroup k.  ``below[k]`` (inside k)
     and ``disjoint[k]`` (meeting k only in the identity) are the two relations
-    the topo-system calculus reads; ``normalized_by(x)`` is the one
-    normalizer relation, which normality, ``conj`` and ``commutator_index`` read.
+    the topo-system calculus reads.  ``normalizers[k]`` is the one normalizer
+    table, which ``normal_bits`` and ``normalized_by[x]`` read, and the
+    commutator row of k is the one commutator table, which
+    ``commutator_index`` and ``commutators_inside`` read.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -89,8 +91,6 @@ class SubgroupLattice:
                 up &= containing[g]
             above.append(up)
         self.above: tuple[int, ...] = tuple(above)
-        self._normalizers: dict[int, int] = {}
-        self._normalized_by: dict[int, int] = {}
         self._commutator_rows: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
@@ -166,66 +166,57 @@ class SubgroupLattice:
 
         g normalizes a finite subgroup once it maps its generators inside.  When
         every top generator does, G normalizes H; otherwise every element is
-        tested.
+        tested.  Uncached: ``normalizers`` keeps one answer per subgroup.
         """
-        got = self._normalizers.get(i)
-        if got is None:
-            mask = self.subgroups[i].mask
-            gens = self.generators[i]
-            conjugate = self.group.conjugate
-            if all(mask >> conjugate(g, x) & 1 for g in self.generators[self.top_index] for x in gens):
-                got = self.top_index
-            else:
-                nm = mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
-                got = self._index_by_mask[nm]
-            self._normalizers[i] = got
-        return got
+        mask = self.subgroups[i].mask
+        gens = self.generators[i]
+        conjugate = self.group.conjugate
+        if all(mask >> conjugate(g, x) & 1 for g in self.generators[self.top_index] for x in gens):
+            return self.top_index
+        return self._index_by_mask[
+            mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
+        ]
 
-    def is_normal_index(self, i: int) -> bool:
-        return self.normalizer_index(i) == self.top_index
+    @cached_property
+    def normalizers(self) -> tuple[int, ...]:
+        """normalizers[k]: index of the normalizer of subgroup k."""
+        return tuple(self.normalizer_index(k) for k in range(len(self.subgroups)))
 
-    def normalized_by(self, x: int) -> int:
-        """Bitset of the subgroups whose normalizer contains subgroup x."""
-        got = self._normalized_by.get(x)
-        if got is None:
-            up = self.above[x]
-            got = mask_of(k for k in range(len(self.subgroups)) if up >> self.normalizer_index(k) & 1)
-            self._normalized_by[x] = got
-        return got
-
-    @property
+    @cached_property
     def normal_bits(self) -> int:
         """Bitset of the normal subgroups: those the whole group normalizes."""
-        return self.normalized_by(self.top_index)
+        top = self.top_index
+        return mask_of(k for k, n in enumerate(self.normalizers) if n == top)
 
-    def commutator_index(self, i: int, j: int) -> int:
-        """[H, K]: the normal closure in <H, K> of the generator commutators.
+    def is_normal_index(self, i: int) -> bool:
+        return bool(self.normal_bits >> i & 1)
 
-        With H = <X> and K = <Y>, [H, K] is the least subgroup that contains
-        every [x, y] (x in X, y in Y) and that <H, K> normalizes (Holt, Eick
-        and O'Brien, *Handbook of Computational Group Theory*, 2005).  Those
-        subgroups are the ones above the join c of the cyclic subgroups
-        <[x, y]> that normalized_by(<H, K>) holds, and the least of them has
-        the least order, so the least index.
+    @cached_property
+    def normalized_by(self) -> tuple[int, ...]:
+        """normalized_by[x]: bitset of the subgroups whose normalizer contains subgroup x.
+
+        The subgroups are grouped by their normalizer n, and the row of x ORs
+        the groups whose n lies above x.
         """
-        table, inverse = self.group.table, self.group.inverse
-        c = self.join_of(
-            self._cyclic[table[table[a][b]][table[inverse[a]][inverse[b]]]]
-            for a in self.generators[i]
-            for b in self.generators[j]
-        )
-        common = self.above[c] & self.normalized_by(self.join_index(i, j))
-        return (common & -common).bit_length() - 1
+        by_normalizer: dict[int, int] = {}
+        for k, n in enumerate(self.normalizers):
+            by_normalizer[n] = by_normalizer.get(n, 0) | 1 << k
+        rows = []
+        for up in self.above:
+            row = 0
+            for n, ks in by_normalizer.items():
+                if up >> n & 1:
+                    row |= ks
+            rows.append(row)
+        return tuple(rows)
 
-    def commutators_inside(self, h: int, k: int) -> int:
-        """Bitset of the subgroups i with [i, k] inside subgroup h.
+    def _commutator_row(self, k: int) -> dict[int, int]:
+        """The commutator row of subgroup k: each c(x) = ⟨[x, y] : y ∈ k⟩ mapped to its bucket.
 
-        [I, K] is generated by the element commutators [x, y], x in I and y in K
-        (Robinson, *A Course in the Theory of Groups*, 5.1.7), so [i, k] ≤ h
-        exactly when c(x) = ⟨[x, y] : y ∈ k⟩ lies in h for every x in i.  The
-        row of k maps each such c to the bitset of the subgroups holding an x
-        with c(x) = c; it is built once, in one pass over G × k, and the answer
-        is every subgroup outside the buckets whose c is not in ↓h.
+        The bucket of c is the OR of ``containing[x]`` over the x in G with
+        c(x) = c, that is, the bitset of the subgroups holding such an x.  c(x)
+        is the least subgroup above every cyclic ⟨[x, y]⟩, the lowest bit of
+        the AND of their ``above``.  A row is built once, in one pass over G × k.
         """
         row = self._commutator_rows.get(k)
         if row is None:
@@ -240,9 +231,26 @@ class SubgroupLattice:
                 c = (common & -common).bit_length() - 1
                 row[c] = row.get(c, 0) | self.containing[x]
             self._commutator_rows[k] = row
+        return row
+
+    def commutator_index(self, i: int, j: int) -> int:
+        """[H, K] for subgroups i = H and j = K: the join of c(x) over x in H.
+
+        [H, K] is generated by the element commutators [x, y], x in H and y in
+        K (Robinson, *A Course in the Theory of Groups*, 5.1.7), so it is the
+        join of the bucket keys c of the row of K whose bucket holds H.
+        """
+        return self.join_of(c for c, bucket in self._commutator_row(j).items() if bucket >> i & 1)
+
+    def commutators_inside(self, h: int, k: int) -> int:
+        """Bitset of the subgroups i with [i, k] inside subgroup h.
+
+        [i, k] ≤ h exactly when c(x) lies in h for every x in i, so the answer
+        is every subgroup outside the buckets of the row of k whose c is not in ↓h.
+        """
         inside = self.below[h]
         bits = self.above[0]
-        for c, bucket in row.items():
+        for c, bucket in self._commutator_row(k).items():
             if not inside >> c & 1:
                 bits &= ~bucket
         return bits

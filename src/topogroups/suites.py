@@ -246,57 +246,54 @@ def lattice_completeness_cell(lattice: SubgroupLattice) -> tuple[str, str | None
     return PASS, None
 
 
-def family_instance_descriptors(lattice: SubgroupLattice, family: str) -> tuple[str, ...]:
-    """Full parameter sweep of one constructor family on one lattice."""
+def family_instances(lattice: SubgroupLattice, family: str):
+    """(descriptor, member bits) for each instance of one family's sweep, in sweep order.
+
+    The swept families are read off the lattice by index; the others go
+    through family_members, and a build error names its descriptor.
+    """
     n = len(lattice)
-    if family in ("discrete", "trivial", "cofinite", "normal", "characteristic"):
-        return (family,)
     if family == "principal":
-        return tuple(f"principal:#{b}" for b in range(n))
-    if family == "variety":
-        return ("variety:abelian",) + tuple(f"variety:exponent-{k}" for k in (2, 3, 4, 6))
-    if family == "thk":
-        return tuple(f"thk:#{h}:#{k}" for h in range(n) for k in bits_of(lattice.above[h]))
-    if family == "conj":
-        return tuple(f"conj:#{h}" for h in range(n))
-    raise BadParameterError(f"unknown family {family!r}")
+        for b in range(n):
+            yield f"principal:#{b}", lattice.above[b] | 1
+    elif family == "conj":
+        for h in range(n):
+            yield f"conj:#{h}", lattice.normalized_by[h]
+    elif family == "thk":
+        for h in range(n):
+            for k in bits_of(lattice.above[h]):
+                yield f"thk:#{h}:#{k}", thk_bits(lattice, h, k)
+    else:
+        varieties = ("variety:abelian",) + tuple(f"variety:exponent-{k}" for k in (2, 3, 4, 6))
+        for desc in varieties if family == "variety" else (family,):
+            try:
+                bits = family_members(lattice, desc).member_bits
+            except TopoGroupError as exc:
+                raise TopoGroupError(f"{desc}:{exc}") from exc
+            yield desc, bits
 
 
 def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple[str, str | None]:
-    """Verify every member set a family sweep names, recording each outcome in ``verdicts``."""
+    """Verify every member set a family sweep names, recording each outcome in ``verdicts``.
+
+    A member set already in ``verdicts`` needs no system; a new one is named
+    by the first descriptor that reaches it.
+    """
     # skips must surface as findings with a reason, never silently
     if family == "characteristic" and lattice.group.order > AUTOMORPHISM_CAP:
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
     if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
-    if family == "thk":
-        return _check_thk(lattice, verdicts)
-    for desc in family_instance_descriptors(lattice, family):
-        try:
-            system = family_members(lattice, desc)
-        except TopoGroupError as exc:
-            return FAIL, f"{desc}:{exc}"
-        witness = verdict(verdicts, system)
-        if witness is not None:
-            return FAIL, witness
-    return PASS, None
-
-
-def _check_thk(lattice: SubgroupLattice, verdicts: dict) -> tuple[str, str | None]:
-    """The thk sweep over nested index pairs, in the order of its descriptors.
-
-    A member set already in ``verdicts`` needs no system; a new one is named
-    ``thk:#h:#k`` by the first pair that reaches it, as the descriptor sweep would.
-    """
     group = lattice.group.descriptor
-    for h in range(len(lattice)):
-        for k in bits_of(lattice.above[h]):
-            bits = thk_bits(lattice, h, k)
+    try:
+        for desc, bits in family_instances(lattice, family):
             key = (group, bits)
             if key not in verdicts:
-                verdict(verdicts, TopoSystem(lattice, bits, f"thk:#{h}:#{k}"))
+                verdict(verdicts, TopoSystem(lattice, bits, desc))
             if verdicts[key] is not None:
                 return FAIL, verdicts[key]
+    except TopoGroupError as exc:
+        return FAIL, str(exc)
     return PASS, None
 
 
@@ -312,8 +309,7 @@ def check_interior_core(lattice: SubgroupLattice) -> tuple[str, str | None]:
 def prime_order_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[bool, bool, str | None]:
     """(implication holds, antecedent holds, witness element)."""
     group = lattice.group
-    cyclic_indices = sorted({lattice.cyclic_index(x) for x in group.elements()})
-    antecedent = all(t_closed_checks(system, c).is_t_closed for c in cyclic_indices)
+    antecedent = all(t_closed_checks(system, c).is_t_closed for c in bits_of(lattice.cyclic_bits))
     if not antecedent:
         return True, False, None
     for x in range(1, group.order):

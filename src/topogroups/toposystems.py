@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .groups import TopoGroupError, bits_of, mask_of
+from .groups import TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
 from .report import ValidationFailure, ValidationReport
 
@@ -182,8 +182,8 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
     """The member set a descriptor names (see build_toposys), not yet verified.
 
     Every family is read off the lattice's bitsets: ``above[k]`` is the set
-    of subgroups containing k, and ``normalized_by(h)`` the subgroups that h
-    normalizes (``normal_bits`` when h is the whole group).
+    of subgroups containing k, ``normalized_by[h]`` the subgroups that h
+    normalizes, and ``normal_bits`` the normal subgroups.
     """
     desc = descriptor.replace(" ", "")
     kind, _, arg = desc.partition(":")
@@ -209,7 +209,7 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
     elif kind == "variety":
         bits = lattice.normal_bits & above[verbal_residual(lattice, arg)] | 1
     elif kind == "thk":
-        parts = _split_literals(arg)
+        parts = split_top_level(arg, ":,")
         if len(parts) != 2:
             raise BadParameterError(f"thk needs two subgroup literals, got {descriptor!r}")
         h = resolve_subgroup_literal(lattice, parts[0])
@@ -218,9 +218,9 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
             raise BadParameterError("thk requires the first subgroup to lie inside the second")
         bits = thk_bits(lattice, h, k)
     elif kind == "conj":
-        bits = lattice.normalized_by(resolve_subgroup_literal(lattice, arg))
+        bits = lattice.normalized_by[resolve_subgroup_literal(lattice, arg)]
     elif kind == "generated":
-        seed = mask_of(resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))
+        seed = mask_of(resolve_subgroup_literal(lattice, p) for p in split_top_level(arg, ":,"))
         return generate_toposys(lattice, seed, provenance=desc)
     else:
         raise BadParameterError(f"unknown topo-system kind {descriptor!r}")
@@ -231,22 +231,6 @@ def family_members(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
 def thk_bits(lattice: SubgroupLattice, h: int, k: int) -> int:
     """Member set of ``thk:#h:#k``: the subgroups L with [L, k] inside h, and G."""
     return lattice.commutators_inside(h, k) | 1 << lattice.top_index
-
-
-def _split_literals(arg: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in arg:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        if ch in ":," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 @dataclass(frozen=True)

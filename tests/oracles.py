@@ -11,12 +11,13 @@ generating sets at runtime, and a normalizer is the whole group once the
 top generators normalize the subgroup; the full search over generator
 images with its pairwise homomorphism check, the element-by-element
 normalizer scan and the conjugation of whole element masks are kept here.  The runtime reads thk
-member sets off one commutator row per k, checks associativity on
+member sets and [H, K] off one commutator row per k, checks associativity on
 generators only and shares the Tychonoff factor steps across the product
 systems of a product; the full scans and the step-by-step replay are kept
 here, and so are the paper's topomorphism and ordinary-filter definitions.
 """
 
+import functools
 from dataclasses import dataclass
 
 from topogroups.filters import (
@@ -30,7 +31,15 @@ from topogroups.filters import (
     is_ultrafilter,
     pushforward,
 )
-from topogroups.groups import FiniteGroup, Homomorphism, bits_of, closure_mask, make_homomorphism, mask_of
+from topogroups.groups import (
+    FiniteGroup,
+    Homomorphism,
+    bits_of,
+    closure_mask,
+    make_homomorphism,
+    mask_of,
+    split_top_level,
+)
 from topogroups.lattice import _close_generator_map, enumerate_subgroups, is_characteristic, verbal_residual
 from topogroups.products import CertificateFailureError, FactorRecord, ProductToposys, TychonoffCertificate
 from topogroups.report import ValidationFailure
@@ -38,7 +47,6 @@ from topogroups.toposystems import (
     UNION_SAMPLE_LIMIT,
     BadParameterError,
     TopoSystem,
-    _split_literals,
     generate_toposys,
     is_hausdorff,
     resolve_subgroup_literal,
@@ -81,13 +89,8 @@ def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
         rmask = lattice.mask(verbal_residual(lattice, arg))
         members = {i for i in normal if rmask & lattice.mask(i) == rmask} | {0}
     elif kind == "thk":
-        h, k = (resolve_subgroup_literal(lattice, p) for p in _split_literals(arg))
-        hmask = lattice.mask(h)
-        members = {
-            i
-            for i in all_indices
-            if lattice.mask(lattice.commutator_index(i, k)) & hmask == lattice.mask(lattice.commutator_index(i, k))
-        } | {top}
+        h, k = (resolve_subgroup_literal(lattice, p) for p in split_top_level(arg, ":,"))
+        members = set(bits_of(thk_bits_by_scan(lattice, h, k))) | {top}
     elif kind == "conj":
         hmask = lattice.mask(resolve_subgroup_literal(lattice, arg))
         members = {i for i in all_indices if hmask & lattice.mask(lattice.normalizer_index(i)) == hmask}
@@ -312,9 +315,15 @@ def commutator_mask_by_closure(lattice, i: int, j: int) -> int:
         mask = closure_mask(group, gens)
 
 
+@functools.cache
+def _commutator_masks_by_closure(lattice, k: int) -> tuple[int, ...]:
+    return tuple(commutator_mask_by_closure(lattice, i, k) for i in range(len(lattice)))
+
+
 def thk_bits_by_scan(lattice, h: int, k: int) -> int:
-    """The subgroups i with [i, k] inside h, one commutator per subgroup."""
-    return mask_of(i for i in range(len(lattice)) if lattice.above[lattice.commutator_index(i, k)] >> h & 1)
+    """The subgroups i with [i, k] inside h, one closure-oracle commutator per subgroup."""
+    hmask = lattice.mask(h)
+    return mask_of(i for i, c in enumerate(_commutator_masks_by_closure(lattice, k)) if c & ~hmask == 0)
 
 
 def associativity_failure_by_scan(table) -> tuple[int, int, int] | None:

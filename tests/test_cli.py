@@ -205,6 +205,16 @@ BAD_INPUTS = {
         f"filter-{value}": (["filters", "--group", "sym:3", "--filter", value], None)
         for value in ("principal:x", "bogus", "generated:#0", "principal:99", "generated:")
     },
+    **{
+        f"product-empty-part-{name}": (["product", *args], None)
+        for name, args in (
+            ("groups", ["--groups", "cyclic:2;;cyclic:3", "--identities"]),
+            ("groups-trailing", ["--groups", "cyclic:2;cyclic:3;", "--identities"]),
+            ("product-factor", ["--groups", "product(cyclic:2,,cyclic:3)"]),
+            ("sys", ["--groups", "cyclic:2;cyclic:3", "--sys", "discrete;;normal"]),
+            ("sys-trailing", ["--groups", "cyclic:2;cyclic:3", "--sys", "discrete;normal;"]),
+        )
+    },
 }
 
 
@@ -363,12 +373,15 @@ def test_check_family_reports_a_build_failure_as_a_fail_row(monkeypatch):
 
     monkeypatch.setattr(suites, "family_members", broken)
     lattice = enumerate_subgroups(build_group("sym:3"))
-    assert suites.check_family(lattice, "principal", {}) == ("fail", "principal:#0:fails axioms")
+    assert suites.check_family(lattice, "variety", {}) == ("fail", "variety:abelian:fails axioms")
+    assert suites.check_family(lattice, "normal", {}) == ("fail", "normal:fails axioms")
+    # the swept families are read off the lattice by index, with no descriptor to resolve
+    assert suites.check_family(lattice, "principal", {}) == ("pass", None)
 
 
 def test_check_family_verifies_each_distinct_member_set_once(monkeypatch):
     lattice = enumerate_subgroups(build_group("dihedral:4"))
-    descs = suites.family_instance_descriptors(lattice, "thk")
+    descs = [d for d, _ in suites.family_instances(lattice, "thk")]
     distinct = {toposystems.family_members(lattice, d).members for d in descs}
     assert len(distinct) < len(descs)
     verified = []
@@ -379,7 +392,7 @@ def test_check_family_verifies_each_distinct_member_set_once(monkeypatch):
 
 def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
     lattice = enumerate_subgroups(build_group("dihedral:4"))
-    descs = suites.family_instance_descriptors(lattice, "thk")
+    descs = [d for d, _ in suites.family_instances(lattice, "thk")]
     systems = [toposystems.family_members(lattice, d) for d in descs]
     # fail the member set that the most descriptors share; it is verified once,
     # at its first descriptor, which the row must name

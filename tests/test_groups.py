@@ -11,7 +11,6 @@ from topogroups.groups import (
     OrderCapExceededError,
     Subgroup,
     UnknownKindError,
-    _split_top_level,
     build_group,
     closure_mask,
     make_homomorphism,
@@ -19,6 +18,7 @@ from topogroups.groups import (
     mixed_radix_decode,
     mixed_radix_encode,
     right_generators,
+    split_top_level,
     verify_group_axioms,
 )
 from topogroups.report import ValidationFailure
@@ -228,7 +228,7 @@ def test_product_tables_multiply_componentwise(desc):
     if desc.startswith("abelian:"):
         factors = [build_group(f"cyclic:{n}") for n in desc[len("abelian:") :].split("x")]
     else:
-        factors = [build_group(d) for d in _split_top_level(desc[len("product(") : -1])]
+        factors = [build_group(d) for d in split_top_level(desc[len("product(") : -1])]
     orders = [f.order for f in factors]
     digits = [mixed_radix_decode(orders, x) for x in group.elements()]
     for x, a in enumerate(digits):

@@ -417,10 +417,26 @@ def test_normal_bits_conjugate_only_the_generators(monkeypatch):
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS)
 def test_normalized_by_matches_the_normalizer_scan(desc):
     lat = enumerate_subgroups(build_group(desc))
+    normalizers = [lat.normalizer_index(k) for k in range(len(lat))]
+    assert lat.normalizers == tuple(normalizers)
     for h in range(len(lat)):
-        want = mask_of(k for k in range(len(lat)) if lat.leq(h, lat.normalizer_index(k)))
-        assert lat.normalized_by(h) == want
-    assert lat.normal_bits == lat.normalized_by(lat.top_index)
+        want = mask_of(k for k, n in enumerate(normalizers) if lat.leq(h, n))
+        assert lat.normalized_by[h] == want
+    assert lat.normal_bits == lat.normalized_by[lat.top_index]
+
+
+def test_a_conj_sweep_computes_each_normalizer_once(monkeypatch):
+    # a fresh lattice, so no normalizer table is cached
+    lat = enumerate_subgroups.__wrapped__(build_group("dihedral:24"))
+    real, calls = lattice.SubgroupLattice.normalizer_index, []
+
+    def counting(self, i):
+        calls.append(i)
+        return real(self, i)
+
+    monkeypatch.setattr(lattice.SubgroupLattice, "normalizer_index", counting)
+    assert suites.check_family(lat, "conj", {}) == ("pass", None)
+    assert sorted(calls) == list(range(len(lat)))
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)
@@ -432,7 +448,7 @@ def test_normalized_by_matches_conjugation_by_every_element(desc):
             for k in range(len(lat))
             if all(conjugate_mask(lat.group, lat.mask(k), g) == lat.mask(k) for g in bits_of(lat.mask(h)))
         )
-        assert lat.normalized_by(h) == want
+        assert lat.normalized_by[h] == want
 
 
 def test_families_on_a_built_lattice_make_no_closure(monkeypatch):

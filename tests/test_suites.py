@@ -10,14 +10,16 @@ from topogroups import products, suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, build_group, mask_of
 from topogroups.filters import ConvergenceSet, NotAFilterError, enumerate_ultrafilters
-from topogroups.lattice import enumerate_subgroups
-from topogroups.report import FAIL, PASS, ValidationFailure, ValidationReport
+from topogroups.lattice import AUTOMORPHISM_CAP, FAMILY_SWEEP_CAP, enumerate_subgroups
+from topogroups.report import FAIL, FINDING, PASS, ValidationFailure, ValidationReport
 from topogroups.suites import (
+    DEFAULT_CATALOG,
     FAMILY_NAMES,
     SuiteConfig,
     SuiteRun,
+    SWEPT_FAMILIES,
     cell_system_descriptors,
-    family_instance_descriptors,
+    family_instances,
     run_suite,
 )
 from topogroups.toposystems import build_toposys, family_members
@@ -61,14 +63,17 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
 
     monkeypatch.setattr(suites, "family_members", members)
     swept = Counter()
-    real_thk_bits = suites.thk_bits
+    real_instances = suites.family_instances
 
-    def thk_bits(lattice, h, k):
-        swept[lattice.group.descriptor, f"thk:#{h}:#{k}"] += 1
-        return real_thk_bits(lattice, h, k)
+    def instances(lattice, family):
+        for desc, bits in real_instances(lattice, family):
+            swept[lattice.group.descriptor, desc, bits] += 1
+            yield desc, bits
 
-    monkeypatch.setattr(suites, "thk_bits", thk_bits)
+    monkeypatch.setattr(suites, "family_instances", instances)
     result = run_suite(SuiteConfig())
+    # a copy, since the oracle sweeps below resolve descriptors through the patched family_members
+    resolved_by_run = Counter(resolved)
 
     lattices = [enumerate_subgroups(build_group(d)) for d in SuiteConfig().groups]
     cells = Counter((lat.group.descriptor, d) for lat in lattices for d in cell_system_descriptors(lat))
@@ -83,21 +88,18 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     assert calls["is_hausdorff"] == 69
     # every normal subgroup of each distinct system, read by the theorem checks and the probe
     assert calls["quotient_toposys"] == sum(lat.normal_bits.bit_count() for lat in distinct.values()) == 371
-    # no family is skipped on the default catalog, so every sweep descriptor is resolved once
-    # more, except that the thk sweep reads each nested pair by index, once
-    sweeps = Counter(
-        (lat.group.descriptor, d)
-        for lat in lattices
-        for f in FAMILY_NAMES
-        if f != "thk"
-        for d in family_instance_descriptors(lat, f)
+    # no family is skipped on the default catalog, so every sweep instance is read once; the
+    # swept families are read by index, and each other descriptor is resolved once more
+    instances_of = Counter(
+        (lat.group.descriptor, d, bits) for lat in lattices for f in FAMILY_NAMES for d, bits in real_instances(lat, f)
     )
-    assert resolved == cells + sweeps
-    thk_pairs = Counter((lat.group.descriptor, d) for lat in lattices for d in family_instance_descriptors(lat, "thk"))
-    assert swept == thk_pairs
+    assert swept == instances_of
+    unswept = Counter((g, d) for g, d, _ in instances_of if d.partition(":")[0] not in SWEPT_FAMILIES)
+    assert resolved_by_run == cells + unswept
     # the sweeps and the cells share one verification record
     lattice_of = {lat.group.descriptor: lat for lat in lattices}
-    named = {(g, family_members(lattice_of[g], d).members) for g, d in resolved + swept}
+    named = {(g, family_members(lattice_of[g], d).member_bits) for g, d in cells}
+    named |= {(g, bits) for g, _, bits in swept}
     assert calls["require_axioms"] == len(named)
     # rows are still one per descriptor
     assert sum(r.check == "star-topology" for r in result.reports) == 185
@@ -193,11 +195,23 @@ def test_a_failing_factor_step_gives_the_replay_row(monkeypatch, breaker):
     assert failed and all(step in witness for witness in failed)
 
 
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + oracles.WIDE_AND_LADDER_GROUPS)
+def test_family_instances_match_their_descriptors(desc):
+    lattice = enumerate_subgroups(build_group(desc))
+    for family in FAMILY_NAMES:
+        if (family == "characteristic" and lattice.group.order > AUTOMORPHISM_CAP) or (
+            family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP
+        ):
+            status, witness = suites.check_family(lattice, family, {})
+            assert status == FINDING and witness.startswith("skipped: ")
+            continue
+        for d, bits in family_instances(lattice, family):
+            assert bits == family_members(lattice, d).member_bits, d
+
+
 def test_toposys_axioms_verifies_each_member_set_once_per_group(monkeypatch):
     lattice = enumerate_subgroups(build_group("abelian:2x2x2"))
-    sweeps = {
-        f: [family_members(lattice, d).members for d in family_instance_descriptors(lattice, f)] for f in FAMILY_NAMES
-    }
+    sweeps = {f: [family_members(lattice, d).members for d, _ in family_instances(lattice, f)] for f in FAMILY_NAMES}
     distinct = {m for sets in sweeps.values() for m in sets}
     full = frozenset(range(len(lattice)))
     assert sum(map(len, sweeps.values())) == 108 and len(distinct) == 16
@@ -218,7 +232,7 @@ def test_toposys_axioms_repeats_a_stored_failure_in_every_row_naming_the_set(mon
     with_full = [
         f
         for f in FAMILY_NAMES
-        if any(family_members(lattice, d).members == full for d in family_instance_descriptors(lattice, f))
+        if any(family_members(lattice, d).members == full for d, _ in family_instances(lattice, f))
     ]
     verified = []
     real = suites.require_axioms
