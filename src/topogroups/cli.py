@@ -147,7 +147,8 @@ def _cmd_hausdorff(args) -> int:
     if ok:
         print("hausdorff: true")
         return 0
-    print(f"hausdorff: false (inseparable pair x={witness.x}, y={witness.y})")
+    x, y = witness
+    print(f"hausdorff: false (inseparable pair x={x}, y={y})")
     return 1
 
 
@@ -184,10 +185,14 @@ def _cmd_converge(args) -> int:
     group, lattice = _lattice_for(args)
     system = build_toposys(lattice, args.sys)
     f = parse_filter(lattice, args.filter)
-    cs = convergence_set(f, system)
-    print(f"{f.provenance} (kernel #{f.kernel}) on {system.provenance}: converges to {list(cs.points)}")
-    for cls in cs.classes:
-        print(f"  class {list(cls)} (cyclic subgroup #{lattice.cyclic_index(cls[0])})")
+    points = convergence_set(f, system)
+    print(f"{f.provenance} (kernel #{f.kernel}) on {system.provenance}: converges to {list(points)}")
+    # the points ascend, so each class is sorted and the classes come in order of their least point
+    classes: dict[int, list[int]] = {}
+    for y in points:
+        classes.setdefault(lattice.cyclic_index(y), []).append(y)
+    for c, members in classes.items():
+        print(f"  class {members} (cyclic subgroup #{c})")
     return 0
 
 
@@ -247,11 +252,7 @@ def _cmd_theorems(args) -> int:
     )
     fmt = args.format or values.get("format", "text")
     timings = args.timings or TIMINGS_VALUES.get(values.get("timings"), False)
-    config = SuiteConfig(
-        max_group_order=max_order,
-        groups=tuple(g for g in groups if g),
-        suites=tuple(s for s in suites if s),
-    )
+    config = SuiteConfig(max_group_order=max_order, groups=groups, suites=suites)
     result = run_suite(config)
     _emit(result.reports, fmt, timings)
     summary = {

@@ -256,15 +256,7 @@ def pushforward(f_hom: Homomorphism, f: SubgroupFilter) -> SubgroupFilter:
     return filter_from_members(target, range(1, len(target)), provenance)
 
 
-@dataclass(frozen=True)
-class ConvergenceSet:
-    """Convergence points partitioned into equal-cyclic-subgroup classes."""
-
-    points: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-def convergence_set(f: SubgroupFilter, system: TopoSystem) -> ConvergenceSet:
+def convergence_set(f: SubgroupFilter, system: TopoSystem) -> tuple[int, ...]:
     """Every point y the filter converges to: every topen containing y is a member.
 
     That is the bitset test T(y) & ~F == 0, with T(y) the system's incidence
@@ -275,12 +267,7 @@ def convergence_set(f: SubgroupFilter, system: TopoSystem) -> ConvergenceSet:
     if f.lattice is not lattice and f.lattice.group != lattice.group:
         raise BadParameterError("filter and system live on different lattices")
     outside = ~f.member_bits
-    points = tuple(y for y, topens in enumerate(system.incidence) if not topens & outside)
-    by_class: dict[int, list[int]] = {}
-    for y in points:
-        by_class.setdefault(lattice.cyclic_index(y), []).append(y)
-    classes = tuple(tuple(sorted(v)) for v in sorted(by_class.values(), key=min))
-    return ConvergenceSet(points, classes)
+    return tuple(y for y, topens in enumerate(system.incidence) if not topens & outside)
 
 
 def _cyclically_distinct_pair(lattice: SubgroupLattice, points) -> tuple[int, int] | None:
@@ -321,7 +308,7 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
     non-trivial subgroup of G/N, a filter iff (N, G] has a single atom.
     """
     ultrafilters = enumerate_ultrafilters(lattice)
-    limits = [convergence_set(f, system).points for f in ultrafilters]
+    limits = [convergence_set(f, system) for f in ultrafilters]
     compactness_witness = None
     for f, points in zip(ultrafilters, limits):
         if not points:

@@ -152,12 +152,6 @@ class FiniteGroup:
         self.element_names: tuple[str, ...] = tuple(element_names)
         self.inverse: tuple[int, ...] = tuple(self.table[a].index(0) for a in range(self.order))
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.table[self.table[g][x]][self.inverse[g]]

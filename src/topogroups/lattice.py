@@ -13,7 +13,6 @@ bitsets over these canonical indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
 from typing import Sequence
@@ -518,20 +517,13 @@ def verbal_residual(lattice: SubgroupLattice, variety: str) -> int:
 EXACT_COVER_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class CoverResult:
-    """Positions into the supplied family; exact=False marks a greedy answer."""
-
-    positions: tuple[int, ...]
-    exact: bool
-
-
-def minimal_cover(universe: int, masks: Sequence[int]) -> CoverResult | None:
+def minimal_cover(universe: int, masks: Sequence[int]) -> tuple[tuple[int, ...], bool] | None:
     """Minimum-cardinality subfamily of element masks whose union covers universe, or None.
 
-    Exact branch-and-bound up to EXACT_COVER_LIMIT family members, greedy with
-    ``exact=False`` beyond that.  Tie-breaking is deterministic (lowest
-    positions win), so witnesses are reproducible.
+    The answer is (positions into masks, exact).  Exact branch-and-bound up
+    to EXACT_COVER_LIMIT family members, greedy with ``exact`` False beyond
+    that.  Tie-breaking is deterministic (lowest positions win), so witnesses
+    are reproducible.
     """
     if not masks:
         return None
@@ -542,7 +534,7 @@ def minimal_cover(universe: int, masks: Sequence[int]) -> CoverResult | None:
     if covered != universe:
         return None
     if len(masks) > EXACT_COVER_LIMIT:
-        return CoverResult(_greedy_cover(universe, masks), exact=False)
+        return _greedy_cover(universe, masks), False
     covers_elem: dict[int, list[int]] = {}
     for e in bits_of(universe):
         covers_elem[e] = [p for p, m in enumerate(masks) if m >> e & 1]
@@ -564,7 +556,7 @@ def minimal_cover(universe: int, masks: Sequence[int]) -> CoverResult | None:
             chosen.pop()
 
     search([], 0)
-    return CoverResult(tuple(sorted(best[0])), exact=True)
+    return tuple(sorted(best[0])), True
 
 
 def _greedy_cover(universe: int, masks: list[int]) -> tuple[int, ...]:

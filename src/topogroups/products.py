@@ -149,15 +149,7 @@ def product_identities_check(product: ProductGroup) -> ValidationReport:
                 failures.append(ValidationFailure("join-identity", (a, b), ""))
             if failures:
                 return ValidationReport(False, tuple(failures))
-    return ValidationReport(True, notes=(f"{len(combos)} factor tuples checked pairwise",))
-
-
-@dataclass(frozen=True)
-class FactorRecord:
-    index: int
-    pushforward_members: tuple[int, ...]
-    convergence_points: tuple[int, ...]
-    chosen_point: int
+    return ValidationReport(True)
 
 
 @dataclass(frozen=True)
@@ -168,8 +160,6 @@ class TychonoffCertificate:
     """
 
     point: int
-    point_components: tuple[int, ...]
-    factor_records: tuple[FactorRecord, ...]
     replayed: tuple[int, ...]
 
 
@@ -191,15 +181,15 @@ def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter) -> Sub
     return got
 
 
-def _factor_record(product: ProductGroup, i: int, system: TopoSystem, pushed: SubgroupFilter) -> FactorRecord:
-    """The convergence step of factor i; one convergence set per (factor system, pushed kernel)."""
+def _factor_point(product: ProductGroup, i: int, system: TopoSystem, pushed: SubgroupFilter) -> int:
+    """The least convergence point of factor i; one convergence set per (factor system, pushed kernel)."""
     key = (i, system.member_bits, pushed.kernel)
     points = product.factor_steps.get(key)
     if points is None:
-        points = product.factor_steps[key] = convergence_set(pushed, system).points
+        points = product.factor_steps[key] = convergence_set(pushed, system)
     if not points:
         raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
-    return FactorRecord(i, pushed.member_indices, points, min(points))
+    return min(points)
 
 
 def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffCertificate:
@@ -222,14 +212,13 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
     if not ok:
         raise BadParameterError(f"certificate requires an ultrafilter; witness #{witness}")
 
-    records = []
+    components = []
     pushed_list = []
     for i, sys_i in enumerate(ptop.factor_systems):
         pushed = _pushed_ultrafilter(product, i, f)
-        records.append(_factor_record(product, i, sys_i, pushed))
+        components.append(_factor_point(product, i, sys_i, pushed))
         pushed_list.append(pushed)
 
-    components = tuple(r.chosen_point for r in records)
     x = product.encode(components)
     replayed = []
     for a in bits_of(ptop.system.incidence[x]):
@@ -245,4 +234,4 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
         if a not in f:
             raise CertificateFailureError("membership", (a,))
         replayed.append(a)
-    return TychonoffCertificate(x, components, tuple(records), tuple(replayed))
+    return TychonoffCertificate(x, tuple(replayed))

@@ -20,7 +20,6 @@ class ValidationReport:
 
     passed: bool
     failures: tuple[ValidationFailure, ...] = ()
-    notes: tuple[str, ...] = ()
 
     def first_failure(self) -> ValidationFailure | None:
         return self.failures[0] if self.failures else None

@@ -17,6 +17,7 @@ from .groups import TopoGroupError, bits_of, build_group
 from .lattice import (
     AUTOMORPHISM_CAP,
     FAMILY_SWEEP_CAP,
+    SUPPORTED_EXPONENTS,
     SubgroupLattice,
     brute_force_subgroup_masks,
     enumerate_subgroups,
@@ -264,7 +265,7 @@ def family_instances(lattice: SubgroupLattice, family: str):
             for k in bits_of(lattice.above[h]):
                 yield f"thk:#{h}:#{k}", thk_bits(lattice, h, k)
     else:
-        varieties = ("variety:abelian",) + tuple(f"variety:exponent-{k}" for k in (2, 3, 4, 6))
+        varieties = ("variety:abelian",) + tuple(f"variety:exponent-{k}" for k in SUPPORTED_EXPONENTS)
         for desc in varieties if family == "variety" else (family,):
             try:
                 bits = family_members(lattice, desc).member_bits

@@ -15,6 +15,10 @@ member sets and [H, K] off one commutator row per k, checks associativity on
 generators only and shares the Tychonoff factor steps across the product
 systems of a product; the full scans and the step-by-step replay are kept
 here, and so are the paper's topomorphism and ordinary-filter definitions.
+The runtime's star-topology check tests only never-Hausdorff, since each
+trace is induced-open by construction and union traces are traces by
+distributivity; both subspace checks run here, in L(h) built as a group of
+its own.
 """
 
 import functools
@@ -41,10 +45,9 @@ from topogroups.groups import (
     split_top_level,
 )
 from topogroups.lattice import _close_generator_map, enumerate_subgroups, is_characteristic, verbal_residual
-from topogroups.products import CertificateFailureError, FactorRecord, ProductToposys, TychonoffCertificate
+from topogroups.products import CertificateFailureError, ProductToposys, TychonoffCertificate
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
-    UNION_SAMPLE_LIMIT,
     BadParameterError,
     TopoSystem,
     generate_toposys,
@@ -66,6 +69,8 @@ LADDER_GROUPS = (
 )
 # both, each group once
 WIDE_AND_LADDER_GROUPS = tuple(dict.fromkeys(WIDE_GROUPS + LADDER_GROUPS))
+# star_topology_failures checks pairwise union traces only on systems with at most this many topens
+UNION_SAMPLE_LIMIT = 12
 
 
 def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
@@ -304,7 +309,8 @@ def commutator_mask_by_closure(lattice, i: int, j: int) -> int:
     """[H, K] as a mask: the generator commutators, closed and conjugated by the generators until stable."""
     group = lattice.group
     xs, ys = lattice.generators[i], lattice.generators[j]
-    gens = [group.mul(group.mul(a, b), group.mul(group.inv(a), group.inv(b))) for a in xs for b in ys]
+    table, inverse = group.table, group.inverse
+    gens = [table[table[a][b]][table[inverse[a]][inverse[b]]] for a in xs for b in ys]
     mask = closure_mask(group, gens)
     while True:
         new = {group.conjugate(g, n) for g in xs + ys for n in gens}
@@ -402,7 +408,7 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
     names the first case where that fails.
     """
     ultrafilters = enumerate_ultrafilters(lattice)
-    limits = [convergence_set(f, system).points for f in ultrafilters]
+    limits = [convergence_set(f, system) for f in ultrafilters]
     compactness_witness = next((f.provenance for f, points in zip(ultrafilters, limits) if not points), None)
     hausdorff, _ = is_hausdorff(system)
     multi_witness = None
@@ -451,7 +457,6 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
     """
     product = ptop.product
     plattice = ptop.system.lattice
-    records = []
     components = []
     pushed_list = []
     for i, projection in enumerate(product.projections):
@@ -462,13 +467,11 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
         ultra, uw = is_ultrafilter(pushed)
         if not ultra:
             raise CertificateFailureError(f"pushforward-ultra[{i}]", uw)
-        cs = convergence_set(pushed, ptop.factor_systems[i])
-        if not cs.points:
+        points = convergence_set(pushed, ptop.factor_systems[i])
+        if not points:
             raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
-        x_i = min(cs.points)
-        components.append(x_i)
+        components.append(min(points))
         pushed_list.append(pushed)
-        records.append(FactorRecord(i, pushed.member_indices, cs.points, x_i))
 
     x = product.encode(components)
     replayed = []
@@ -487,4 +490,4 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
         if a not in f:
             raise CertificateFailureError("membership", (a,))
         replayed.append(a)
-    return TychonoffCertificate(x, tuple(components), tuple(records), tuple(replayed))
+    return TychonoffCertificate(x, tuple(replayed))

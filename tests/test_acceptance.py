@@ -114,7 +114,7 @@ def test_c08_hausdorff_equivalence_with_witness_cell():
     ok, witness = is_hausdorff(normal)
     assert not ok and witness is not None
     three_cycle = next(x for x in lattice.group.elements() if lattice.group.element_order(x) == 3)
-    points = convergence_set(principal_filter(lattice, three_cycle), normal).points
+    points = convergence_set(principal_filter(lattice, three_cycle), normal)
     transpositions = [x for x in points if lattice.group.element_order(x) == 2]
     assert len(transpositions) >= 2
     x, y = transpositions[:2]

@@ -80,6 +80,37 @@ def test_filters_and_converge(capsys):
     assert "converges to [1, 2, 3, 4, 5]" in out
 
 
+GOLDEN_LINES = {
+    ("converge", "--group", "sym:3", "--sys", "normal", "--filter", "principal:3"): (
+        0,
+        "principal:3 (kernel #4) on normal: converges to [1, 2, 3, 4, 5]\n"
+        "  class [1] (cyclic subgroup #1)\n"
+        "  class [2] (cyclic subgroup #2)\n"
+        "  class [3, 4] (cyclic subgroup #4)\n"
+        "  class [5] (cyclic subgroup #3)\n",
+    ),
+    ("hausdorff", "--group", "sym:3", "--sys", "normal"): (1, "hausdorff: false (inseparable pair x=1, y=2)\n"),
+    ("cover", "--group", "sym:3", "--sys", "discrete", "--cover", "#1,#2,#3,#4,#5", "--target", "#4"): (
+        0,
+        "minimal subcover (exact): #4\n",
+    ),
+    ("product", "--groups", "cyclic:2;cyclic:3", "--sys", "discrete;trivial", "--tychonoff"): (
+        0,
+        "product group product(cyclic:2,cyclic:3): order 6\n"
+        "product system: 4 topens\n"
+        "  principal:1: converges at (1, 1) (1 topens replayed)\n"
+        "  principal:3: converges at (1, 1) (1 topens replayed)\n"
+        "  principal:4: converges at (1, 1) (1 topens replayed)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_LINES), ids=lambda argv: argv[0])
+def test_result_record_commands_print_their_pinned_lines(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (*GOLDEN_LINES[argv], "")
+
+
 def test_filter_generated_by_a_gen_literal_with_commas(capsys):
     code, out, _ = run(capsys, "filters", "--group", "sym:3", "--filter", "generated:gen{1,2}")
     assert code == 0
@@ -168,6 +199,13 @@ BAD_INPUTS = {
     "tychonoff-without-sys": (["product", "--groups", "cyclic:2;cyclic:3", "--tychonoff"], None),
     "groups-names-none": (["theorems", "--groups", ","], None),
     "config-groups-names-none": (["theorems", "--config", "CONFIG"], b"groups = ,\n"),
+    **{
+        f"groups-empty-part-{name}": (["theorems", "--groups", spec], None)
+        for name, spec in (("middle", "sym:3,,cyclic:2"), ("trailing", "cyclic:2,"), ("leading", ",cyclic:2"))
+    },
+    "config-groups-empty-part": (["theorems", "--config", "CONFIG"], b"groups = cyclic:2,\n"),
+    "config-suites-empty-part": (["theorems", "--config", "CONFIG"], b"suites = lattice-completeness,,prime-order\n"),
+    "config-suites-names-none": (["theorems", "--config", "CONFIG"], b"suites = ,\n"),
     "group-above-max-order": (["theorems", "--groups", "dihedral:32"], None),
     "config-group-above-max-order": (["theorems", "--config", "CONFIG"], b"max-order = 8\ngroups = sym:4\n"),
     "config-bad-format": (["theorems", "--config", "CONFIG"], b"format = xml\n"),

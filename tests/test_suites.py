@@ -9,7 +9,7 @@ import oracles
 from topogroups import products, suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, build_group, mask_of
-from topogroups.filters import ConvergenceSet, NotAFilterError, enumerate_ultrafilters
+from topogroups.filters import NotAFilterError, enumerate_ultrafilters
 from topogroups.lattice import AUTOMORPHISM_CAP, FAMILY_SWEEP_CAP, enumerate_subgroups
 from topogroups.report import FAIL, FINDING, PASS, ValidationFailure, ValidationReport
 from topogroups.suites import (
@@ -175,7 +175,7 @@ def _break_convergence():
 
     def convergence_set(f, system):
         if system.lattice is trivial.lattice and system.member_bits == trivial.member_bits and f.kernel == 1:
-            return ConvergenceSet((), ())
+            return ()
         return real(f, system)
 
     return convergence_set, "factor-convergence"
