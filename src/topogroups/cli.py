@@ -36,11 +36,15 @@ from .products import product_toposys, tychonoff_certificate
 from .suites import DEFAULT_CATALOG, SUITE_NAMES, SuiteConfig, run_suite
 
 
-def _emit(reports, fmt: str, timings: bool, out=None):
-    out = out or sys.stdout
+# one encoder for every JSON line: json.dumps(..., sort_keys=True) builds a new one per call
+_to_json = json.JSONEncoder(sort_keys=True).encode
+
+
+def _emit(reports, fmt: str, timings: bool):
+    out = sys.stdout
     if fmt == "json":
         for r in reports:
-            out.write(json.dumps(r.to_dict(timings), sort_keys=True) + "\n")
+            out.write(_to_json(r.to_dict(timings)) + "\n")
     else:
         for r in reports:
             out.write(r.text_line(timings) + "\n")
@@ -97,7 +101,7 @@ def _cmd_lattice(args) -> int:
                 "names": [group.name(x) for x in sub.members],
                 "normal": lattice.is_normal_index(i),
             }
-            print(json.dumps(record, sort_keys=True))
+            print(_to_json(record))
     else:
         print(f"{group.descriptor}: order {group.order}, {len(lattice)} subgroups")
         for i in range(len(lattice)):
@@ -263,7 +267,7 @@ def _cmd_theorems(args) -> int:
         }
     }
     if fmt == "json":
-        print(json.dumps(summary, sort_keys=True))
+        print(_to_json(summary))
     else:
         c = summary["summary"]
         print(f"summary: {c['pass']} pass, {c['fail']} fail, {c['finding']} finding")

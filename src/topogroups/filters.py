@@ -15,9 +15,9 @@ silently trusting it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import combinations
+from typing import NamedTuple
 
 from .groups import Homomorphism, TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import SubgroupLattice, enumerate_subgroups
@@ -51,21 +51,32 @@ class OracleMismatchError(TopoGroupError):
     """A derived shortcut disagreed with its exhaustive oracle."""
 
 
-@dataclass(frozen=True)
 class SubgroupFilter:
     """The filter ↑K of the subgroups containing its non-trivial kernel K.
 
     ``kernel`` is K's lattice index; the members are read off the lattice's
-    upper-bound bitset ``above[K]``.
+    upper-bound bitset ``above[K]``.  Filters are equal when their lattice,
+    kernel and provenance are; the Tychonoff factor steps key on them.
     """
 
     lattice: SubgroupLattice
     kernel: int
-    provenance: str = ""
+    provenance: str
 
-    def __post_init__(self):
-        if not 0 < self.kernel < len(self.lattice):
-            raise BadParameterError(f"filter kernel #{self.kernel} is not a non-trivial subgroup index")
+    def __init__(self, lattice: SubgroupLattice, kernel: int, provenance: str = ""):
+        if not 0 < kernel < len(lattice):
+            raise BadParameterError(f"filter kernel #{kernel} is not a non-trivial subgroup index")
+        self.lattice = lattice
+        self.kernel = kernel
+        self.provenance = provenance
+
+    def __eq__(self, other):
+        if not isinstance(other, SubgroupFilter):
+            return NotImplemented
+        return (self.lattice, self.kernel, self.provenance) == (other.lattice, other.kernel, other.provenance)
+
+    def __hash__(self):
+        return hash((self.lattice, self.kernel, self.provenance))
 
     @property
     def member_bits(self) -> int:
@@ -277,8 +288,7 @@ def _cyclically_distinct_pair(lattice: SubgroupLattice, points) -> tuple[int, in
     return None
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Per-cell outcome of the convergence and uniqueness theorem checks."""
 
     compactness_ok: bool

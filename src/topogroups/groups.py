@@ -20,11 +20,11 @@ intersections are single ``&`` operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, permutations
 from itertools import product as iter_product
 from math import prod
+from typing import NamedTuple
 
 from .report import ValidationFailure, ValidationReport
 
@@ -200,8 +200,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     """An element-indexed membership set over a parent group."""
 
     group: FiniteGroup
@@ -260,13 +259,17 @@ def closure_mask(group: FiniteGroup, seed) -> int:
     return mask
 
 
-@dataclass(frozen=True)
 class Homomorphism:
     """A total, verified group homomorphism between two Cayley-table groups."""
 
     source: FiniteGroup
     target: FiniteGroup
     mapping: tuple[int, ...]
+
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, mapping: tuple[int, ...]):
+        self.source = source
+        self.target = target
+        self.mapping = mapping
 
     def __call__(self, x: int) -> int:
         return self.mapping[x]

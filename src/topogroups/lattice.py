@@ -147,15 +147,19 @@ class SubgroupLattice:
         """Bitset of the cyclic subgroups."""
         return mask_of(self._cyclic)
 
+    def conjugate_index(self, g: int, k: int) -> int:
+        """Index of gKg⁻¹ for subgroup k = K: the join of the cyclic subgroups of the conjugated generators of K."""
+        conjugate, cyclic = self.group.conjugate, self._cyclic
+        return self.join_of(cyclic[conjugate(g, x)] for x in self.generators[k])
+
     def core_index(self, i: int) -> int:
-        # K <- K ∧ gKg⁻¹ over the generators g of G until stable, gKg⁻¹ the join of the
-        # cyclic subgroups of the conjugated generators of K: the fixpoint is normalized
-        # by the generators, hence normal, and every step keeps the core
-        conjugate, k, stable = self.group.conjugate, i, False
+        # K <- K ∧ gKg⁻¹ over the generators g of G until stable: the fixpoint is
+        # normalized by the generators, hence normal, and every step keeps the core
+        k, stable = i, False
         while not stable:
             stable = True
             for g in self.generators[self.top_index]:
-                meet = self.meet_index(k, self.join_of(self._cyclic[conjugate(g, x)] for x in self.generators[k]))
+                meet = self.meet_index(k, self.conjugate_index(g, k))
                 if meet != k:
                     k, stable = meet, False
         return k
@@ -165,7 +169,8 @@ class SubgroupLattice:
 
         g normalizes a finite subgroup once it maps its generators inside.  When
         every top generator does, G normalizes H; otherwise every element is
-        tested.  Uncached: ``normalizers`` keeps one answer per subgroup.
+        tested.  Uncached: ``normalizers`` keeps one answer per subgroup and
+        calls this once per conjugacy class.
         """
         mask = self.subgroups[i].mask
         gens = self.generators[i]
@@ -178,8 +183,30 @@ class SubgroupLattice:
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
-        """normalizers[k]: index of the normalizer of subgroup k."""
-        return tuple(self.normalizer_index(k) for k in range(len(self.subgroups)))
+        """normalizers[k]: index of the normalizer of subgroup k, one normalizer_index per conjugacy class.
+
+        The class of a non-normal H is walked from H by conjugating with the
+        top generators.  Each point gHg⁻¹ keeps one g, and its normalizer is
+        N(gHg⁻¹) = gN(H)g⁻¹.
+        """
+        table, top = self.group.table, self.top_index
+        normalizers: list[int | None] = [None] * len(self.subgroups)
+        for k in range(len(normalizers)):
+            if normalizers[k] is not None:
+                continue
+            n = normalizers[k] = self.normalizer_index(k)
+            if n == top:
+                continue
+            # the points of k's class, each with an element conjugating k onto it
+            orbit = [(k, 0)]
+            for point, g in orbit:
+                for t in self.generators[top]:
+                    image = self.conjugate_index(t, point)
+                    if normalizers[image] is None:
+                        tg = table[t][g]
+                        normalizers[image] = self.conjugate_index(tg, n)
+                        orbit.append((image, tg))
+        return tuple(normalizers)
 
     @cached_property
     def normal_bits(self) -> int:

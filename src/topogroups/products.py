@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .groups import (
     FiniteGroup,
@@ -33,7 +33,6 @@ class CertificateFailureError(TopoGroupError):
         super().__init__(f"certificate step {step!r} failed with witness {witness!r}")
 
 
-@dataclass(frozen=True)
 class ProductGroup:
     """Tuple group over the factors, with validated projections.
 
@@ -51,7 +50,13 @@ class ProductGroup:
     factors: tuple[FiniteGroup, ...]
     group: FiniteGroup
     projections: tuple[Homomorphism, ...]
-    factor_steps: dict = field(default_factory=dict, compare=False, repr=False)
+    factor_steps: dict
+
+    def __init__(self, factors: tuple[FiniteGroup, ...], group: FiniteGroup, projections: tuple[Homomorphism, ...]):
+        self.factors = factors
+        self.group = group
+        self.projections = projections
+        self.factor_steps = {}
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return mixed_radix_decode([f.order for f in self.factors], idx)
@@ -85,8 +90,7 @@ def product_subgroup_mask(product: ProductGroup, factor_masks) -> int:
     return mask_of(product.encode(tup) for tup in iter_product(*member_lists))
 
 
-@dataclass(frozen=True)
-class ProductToposys:
+class ProductToposys(NamedTuple):
     """Product system: exactly the products of factor topens.
 
     The index set is finite, so the almost-all-full condition on factor
@@ -152,8 +156,7 @@ def product_identities_check(product: ProductGroup) -> ValidationReport:
     return ValidationReport(True)
 
 
-@dataclass(frozen=True)
-class TychonoffCertificate:
+class TychonoffCertificate(NamedTuple):
     """Replay trail of the product-compactness proof for one ultrafilter.
 
     ``replayed`` lists the product topens around the point; each passed every step.

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ValidationFailure:
+class ValidationFailure(NamedTuple):
     """A single violated law together with a concrete witness."""
 
     kind: str
@@ -14,8 +13,7 @@ class ValidationFailure:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a report-based verifier; failures carry witnesses."""
 
     passed: bool
@@ -34,8 +32,7 @@ FAIL = "fail"
 FINDING = "finding"
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """One suite check on one (group, topo-system) cell."""
 
     check: str

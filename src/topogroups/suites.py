@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
+from typing import NamedTuple
 
 from .groups import TopoGroupError, bits_of, build_group
 from .lattice import (
@@ -116,8 +116,7 @@ FAMILY_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     max_group_order: int = 24
     groups: tuple[str, ...] = DEFAULT_CATALOG
     suites: tuple[str, ...] = SUITE_NAMES
@@ -502,10 +501,9 @@ def suite_star_topology(run: SuiteRun) -> list[CheckReport]:
 _SUITE_FUNCTIONS = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     reports: tuple[CheckReport, ...]
-    counts: dict = field(default_factory=dict)
+    counts: dict
 
     @property
     def exit_code(self) -> int:

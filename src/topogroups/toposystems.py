@@ -10,8 +10,8 @@ set is stored as a bitset over canonical lattice indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .groups import TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
@@ -22,7 +22,6 @@ class BadParameterError(TopoGroupError):
     pass
 
 
-@dataclass(frozen=True)
 class TopoSystem:
     """A verified set of topen subgroups over a canonical lattice.
 
@@ -35,7 +34,13 @@ class TopoSystem:
     lattice: SubgroupLattice
     member_bits: int
     provenance: str
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(self, lattice: SubgroupLattice, member_bits: int, provenance: str, notes: tuple[str, ...] = ()):
+        self.lattice = lattice
+        self.member_bits = member_bits
+        self.provenance = provenance
+        self.notes = notes
 
     @cached_property
     def member_indices(self) -> tuple[int, ...]:
@@ -233,8 +238,7 @@ def thk_bits(lattice: SubgroupLattice, h: int, k: int) -> int:
     return lattice.commutators_inside(h, k) | 1 << lattice.top_index
 
 
-@dataclass(frozen=True)
-class QuotientToposys:
+class QuotientToposys(NamedTuple):
     """Image of a topo-system on G/N, on the parent lattice, plus its axiom report.
 
     The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
@@ -310,8 +314,7 @@ def closure_and_limits(system: TopoSystem, x: int) -> tuple[frozenset[int], int]
     return limits, closure
 
 
-@dataclass(frozen=True)
-class TClosedReport:
+class TClosedReport(NamedTuple):
     is_t_closed: bool
     t_closed_witness: int | None
     is_weak_t_closed: bool
@@ -358,8 +361,7 @@ def is_hausdorff(system: TopoSystem) -> tuple[bool, tuple[int, int] | None]:
     return True, None
 
 
-@dataclass(frozen=True)
-class SubcoverCertificate:
+class SubcoverCertificate(NamedTuple):
     """Minimal subcover of a topen cover; finite groups are always topo-compact."""
 
     selected: tuple[int, ...]

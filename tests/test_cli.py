@@ -498,6 +498,36 @@ def test_a_failed_tychonoff_step_is_one_fail_row(capsys, monkeypatch):
     assert got == want
 
 
+def test_record_reprs_in_the_output(capsys):
+    code, out, err = run(capsys, "converge", "--group", "sym:3", "--sys", "discrete", "--filter", "cofinite")
+    assert code == 2 and not out
+    assert err == (
+        "error: family is not a subgroup filter: "
+        "ValidationFailure(kind='meet', witness=(1, 2, 0), detail='meet is trivial')\n"
+    )
+    code, out, err = run(
+        capsys, "product", "--groups", "sym:3;cyclic:2", "--sys", "discrete;discrete", "--tychonoff"
+    )
+    assert code == 1 and not err
+    assert out.splitlines()[2] == (
+        "  principal:1: step pushforward[0] failed "
+        "(witness ValidationFailure(kind='meet', witness=(1, 2, 0), detail='meet is trivial'))"
+    )
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # a fresh interpreter without site, since pytest itself loads these modules
+    src = os.path.dirname(os.path.dirname(os.path.abspath(topogroups.__file__)))
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    probe = f"import sys, topogroups.cli; print(sorted(set({heavy!r}) & sys.modules.keys()))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(topogroups.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

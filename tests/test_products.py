@@ -1,6 +1,5 @@
 """Direct products, the product system, component identities, Tychonoff replay."""
 
-from dataclasses import replace
 from itertools import product as iter_product
 
 import pytest
@@ -9,9 +8,10 @@ from topogroups.groups import bits_of, build_group, closure_mask, make_homomorph
 from topogroups.lattice import enumerate_subgroups
 from topogroups import products
 from topogroups.toposystems import build_toposys, verify_toposys
-from topogroups.filters import enumerate_ultrafilters, principal_filter
+from topogroups.filters import SubgroupFilter, enumerate_ultrafilters, principal_filter
 from topogroups.products import (
     CertificateFailureError,
+    ProductGroup,
     direct_product,
     product_identities_check,
     product_subgroup_mask,
@@ -24,6 +24,11 @@ from oracles import is_topomorphism, tychonoff_certificate_by_replay
 
 def _product(*descs):
     return direct_product([build_group(d) for d in descs])
+
+
+def _unshared(p):
+    """The same product with an empty factor_steps memo of its own."""
+    return ProductGroup(p.factors, p.group, p.projections)
 
 
 def test_one_product_group_and_lattice_per_descriptor():
@@ -180,6 +185,21 @@ def test_tychonoff_degenerate_pushforward_is_a_certificate_failure():
     assert exc.value.step == "pushforward[0]"
 
 
+def test_factor_steps_find_a_filter_by_value():
+    # the pushforward memo keys on (factor, filter): an equal filter built
+    # apart hits the entry, and a different kernel or provenance does not
+    p = _unshared(_product("cyclic:4", "cyclic:2"))
+    plat = enumerate_subgroups(p.group)
+    pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors])
+    f = principal_filter(plat, p.encode((1, 1)))
+    twin = SubgroupFilter(plat, f.kernel, f.provenance)
+    assert twin is not f and twin == f and hash(twin) == hash(f)
+    assert SubgroupFilter(plat, f.kernel, "other") != f and SubgroupFilter(plat, 1, f.provenance) != f
+    tychonoff_certificate(pt, f)
+    assert {(0, twin), (1, twin)} <= p.factor_steps.keys()
+    assert (0, SubgroupFilter(plat, f.kernel)) not in p.factor_steps
+
+
 def _outcome(certify, ptop, f):
     try:
         return certify(ptop, f)
@@ -208,7 +228,7 @@ def test_certificates_match_the_replay_oracle_on_every_combination(descs):
 def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
     # the combinations of one product share its product indices and verify
     # each distinct member set once; each must match a build from nothing
-    p = replace(_product(*descs), factor_steps={})
+    p = _unshared(_product(*descs))
     combos = list(iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)))
     systems = {combo: [build_toposys(enumerate_subgroups(f), k) for f, k in zip(p.factors, combo)] for combo in combos}
     verified = []
@@ -222,7 +242,7 @@ def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
     monkeypatch.undo()
     assert sorted(verified) == sorted({pt.system.member_bits for pt in shared})
     for combo, pt in zip(combos, shared):
-        fresh = product_toposys(replace(p, factor_steps={}), systems[combo])
+        fresh = product_toposys(_unshared(p), systems[combo])
         assert pt.system.member_bits == fresh.system.member_bits
         assert pt.member_factors == fresh.member_factors
 
