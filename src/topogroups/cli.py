@@ -121,9 +121,9 @@ def _cmd_toposys(args) -> int:
     for i in system.member_indices:
         print(f"  {lattice.describe(i)}")
     if args.verify:
-        report = verify_toposys(lattice, system.member_bits)
-        print(f"axioms: {'pass' if report.passed else f'fail {report.first_failure()}'}")
-        return 0 if report.passed else 1
+        failure = verify_toposys(lattice, system.member_bits)
+        print(f"axioms: {'pass' if failure is None else f'fail {failure}'}")
+        return 0 if failure is None else 1
     return 0
 
 
@@ -139,8 +139,8 @@ def _cmd_closure(args) -> int:
     print(f"boundary: {sorted(boundary)}")
     print(f"limit points: {sorted(limits)}")
     print(f"closure: {lattice.describe(closure)}")
-    print(f"t-closed: {closed.is_t_closed} (witness {closed.t_closed_witness})")
-    print(f"weak-t-closed: {closed.is_weak_t_closed} (witness {closed.weak_witness})")
+    print(f"t-closed: {closed.t_closed_witness is None} (witness {closed.t_closed_witness})")
+    print(f"weak-t-closed: {closed.weak_witness is None} (witness {closed.weak_witness})")
     return 0
 
 
@@ -174,9 +174,9 @@ def _cmd_filters(args) -> int:
     group, lattice = _lattice_for(args)
     if args.filter:
         f = parse_filter(lattice, args.filter)
-        ultra, witness = is_ultrafilter(f)
+        ultra = is_ultrafilter(f)
         print(f"filter {f.provenance}: kernel #{f.kernel}, members {[f'#{i}' for i in f.member_indices]}")
-        print(f"ultrafilter: {ultra}" + (f" (non-cyclic kernel #{witness})" if not ultra else ""))
+        print(f"ultrafilter: {ultra}" + ("" if ultra else f" (non-cyclic kernel #{f.kernel})"))
         ext = extend_to_ultrafilter(f)
         print(f"extension: {ext.provenance} with kernel #{ext.kernel}, members {[f'#{i}' for i in ext.member_indices]}")
     else:
@@ -221,9 +221,9 @@ def _cmd_product(args) -> int:
     print(f"product group {product.group.descriptor}: order {product.group.order}")
     code = 0
     if args.identities:
-        report = product_identities_check(product)
-        print(f"component identities: {'pass' if report.passed else 'fail'}")
-        code = max(code, 0 if report.passed else 1)
+        failure = product_identities_check(product)
+        print(f"component identities: {'pass' if failure is None else 'fail'}")
+        code = max(code, 0 if failure is None else 1)
     if ptop is not None:
         print(f"product system: {ptop.system.member_bits.bit_count()} topens")
         for f in ultrafilters:
@@ -251,9 +251,12 @@ def _cmd_theorems(args) -> int:
         groups = tuple(d for d in DEFAULT_CATALOG if build_group(d).order <= max_order)
         if not groups and max_order >= 1:
             raise BadParameterError(f"no default-catalog group has order at most {max_order}")
-    suites = tuple(args.suite) if args.suite else tuple(
-        values.get("suites", "").split(",") if values.get("suites") else SUITE_NAMES
-    )
+    if args.suite:
+        suites = tuple(args.suite)
+    elif values.get("suites"):
+        suites = tuple(name.strip() for name in split_top_level(values["suites"]))
+    else:
+        suites = SUITE_NAMES
     fmt = args.format or values.get("format", "text")
     timings = args.timings or TIMINGS_VALUES.get(values.get("timings"), False)
     config = SuiteConfig(max_group_order=max_order, groups=groups, suites=suites)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .groups import Homomorphism, TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import SubgroupLattice, enumerate_subgroups
-from .report import ValidationFailure, ValidationReport
+from .report import ValidationFailure
 from .toposystems import BadParameterError, TopoSystem, resolve_subgroup_literal
 
 
@@ -55,8 +55,7 @@ class SubgroupFilter:
     """The filter ↑K of the subgroups containing its non-trivial kernel K.
 
     ``kernel`` is K's lattice index; the members are read off the lattice's
-    upper-bound bitset ``above[K]``.  Filters are equal when their lattice,
-    kernel and provenance are; the Tychonoff factor steps key on them.
+    upper-bound bitset ``above[K]``.
     """
 
     lattice: SubgroupLattice
@@ -70,14 +69,6 @@ class SubgroupFilter:
         self.kernel = kernel
         self.provenance = provenance
 
-    def __eq__(self, other):
-        if not isinstance(other, SubgroupFilter):
-            return NotImplemented
-        return (self.lattice, self.kernel, self.provenance) == (other.lattice, other.kernel, other.provenance)
-
-    def __hash__(self):
-        return hash((self.lattice, self.kernel, self.provenance))
-
     @property
     def member_bits(self) -> int:
         return self.lattice.above[self.kernel]
@@ -86,10 +77,6 @@ class SubgroupFilter:
     def member_indices(self) -> tuple[int, ...]:
         return tuple(bits_of(self.member_bits))
 
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.member_indices)
-
     def __contains__(self, index: int) -> bool:
         return bool(self.member_bits >> index & 1)
 
@@ -97,12 +84,13 @@ class SubgroupFilter:
         return f"SubgroupFilter({self.lattice.group.descriptor}; {self.provenance or self.member_indices})"
 
 
-def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
+def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationFailure | None:
+    """The first violated filter axiom of a family of subgroup indices, or None."""
     members = frozenset(members)
     if lattice.trivial_index in members:
-        return ValidationReport(False, (ValidationFailure("non-trivial", (0,), "trivial subgroup is not allowed"),))
+        return ValidationFailure("non-trivial", (0,), "trivial subgroup is not allowed")
     if lattice.top_index not in members:
-        return ValidationReport(False, (ValidationFailure("whole-group", (lattice.top_index,), "whole group missing"),))
+        return ValidationFailure("whole-group", (lattice.top_index,), "whole group missing")
     ordered = sorted(members)
     bits = mask_of(ordered)
     for i in ordered:
@@ -110,7 +98,7 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
         missing = lattice.above[i] & ~bits
         if missing:
             j = (missing & -missing).bit_length() - 1
-            return ValidationReport(False, (ValidationFailure("upward", (i, j), "superset missing"),))
+            return ValidationFailure("upward", (i, j), "superset missing")
     # an upward-closed family holds ↑k for its least member k and is a filter
     # iff it is no more; else the least member j outside ↑k meets k below k,
     # outside the family, and (k, j) is the first failing pair in index order
@@ -120,16 +108,16 @@ def filter_axiom_report(lattice: SubgroupLattice, members) -> ValidationReport:
         j = (outside & -outside).bit_length() - 1
         mm = lattice.meet_index(k, j)
         detail = "meet is trivial" if mm == lattice.trivial_index else "meet missing"
-        return ValidationReport(False, (ValidationFailure("meet", (k, j, mm), detail),))
-    return ValidationReport(True)
+        return ValidationFailure("meet", (k, j, mm), detail)
+    return None
 
 
 def filter_from_members(lattice: SubgroupLattice, members, provenance: str = "") -> SubgroupFilter:
     """The filter with exactly the given members; NotAFilterError if they are not one."""
     members = frozenset(members)
-    report = filter_axiom_report(lattice, members)
-    if not report.passed:
-        raise NotAFilterError(report.first_failure())
+    failure = filter_axiom_report(lattice, members)
+    if failure is not None:
+        raise NotAFilterError(failure)
     # the meet of a meet-closed family is its member of least order, which
     # the canonical order puts at the least index
     return SubgroupFilter(lattice, min(members), provenance)
@@ -168,8 +156,8 @@ def principal_filter(lattice: SubgroupLattice, x: int) -> SubgroupFilter:
     return SubgroupFilter(lattice, lattice.cyclic_index(x), f"principal:{x}")
 
 
-def is_ultrafilter(f: SubgroupFilter) -> tuple[bool, int | None]:
-    """↑K is an ultrafilter iff K is cyclic; otherwise the witness is K.
+def is_ultrafilter(f: SubgroupFilter) -> bool:
+    """↑K is an ultrafilter iff K is cyclic; a non-cyclic kernel is its own witness.
 
     K is the union of its cyclic subgroups, none of which is a member unless
     one of them is K itself, so a non-cyclic K is a member covered by
@@ -177,10 +165,7 @@ def is_ultrafilter(f: SubgroupFilter) -> tuple[bool, int | None]:
     a subgroup that contains x, hence a member.  The equivalence with the
     family-quantified definition is cross-checked in the test suite.
     """
-    k = f.kernel
-    if f.lattice.cyclic_bits >> k & 1:
-        return True, None
-    return False, k
+    return bool(f.lattice.cyclic_bits >> f.kernel & 1)
 
 
 def is_ultrafilter_bruteforce(f: SubgroupFilter) -> tuple[bool, tuple[int, ...] | None]:
@@ -211,7 +196,7 @@ def all_filters(lattice: SubgroupLattice) -> tuple[frozenset[int], ...]:
     for r in range(len(non_trivial) + 1):
         for extra in combinations(non_trivial, r):
             members = frozenset(extra) | {lattice.top_index}
-            if filter_axiom_report(lattice, members).passed:
+            if filter_axiom_report(lattice, members) is None:
                 results.append(members)
     return tuple(sorted(results, key=sorted))
 
@@ -239,7 +224,7 @@ def enumerate_ultrafilters(lattice: SubgroupLattice) -> tuple[SubgroupFilter, ..
         expected = set()
         for members in all_filters(lattice):
             candidate = filter_from_members(lattice, members)
-            ultra = is_ultrafilter(candidate)[0]
+            ultra = is_ultrafilter(candidate)
             if ultra != is_ultrafilter_bruteforce(candidate)[0]:
                 raise OracleMismatchError("criterion and family enumeration disagree")
             if ultra:
@@ -291,16 +276,10 @@ def _cyclically_distinct_pair(lattice: SubgroupLattice, points) -> tuple[int, in
 class TheoremReport(NamedTuple):
     """Per-cell outcome of the convergence and uniqueness theorem checks."""
 
-    compactness_ok: bool
     compactness_witness: str | None
-    hausdorff: bool
     equivalence_ok: bool
     multi_point_witness: str | None
     findings: tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.compactness_ok and self.equivalence_ok
 
 
 def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremReport:
@@ -319,19 +298,14 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
     """
     ultrafilters = enumerate_ultrafilters(lattice)
     limits = [convergence_set(f, system) for f in ultrafilters]
-    compactness_witness = None
-    for f, points in zip(ultrafilters, limits):
-        if not points:
-            compactness_witness = f.provenance
-            break
-    hausdorff, _ = system.hausdorff
+    compactness_witness = next((f.provenance for f, points in zip(ultrafilters, limits) if not points), None)
     multi_witness = None
     for f, points in zip(ultrafilters, limits):
         pair = _cyclically_distinct_pair(lattice, points)
         if pair is not None:
             multi_witness = f"{f.provenance}->{pair}"
             break
-    equivalence_ok = hausdorff == (multi_witness is None)
+    equivalence_ok = system.hausdorff == (multi_witness is None)
 
     findings: list[str] = []
     for n_index, quotient in system.quotients.items():
@@ -339,8 +313,8 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
             # the one-point quotient has no non-trivial subgroups, hence no
             # filters; nothing to push forward
             continue
-        if not quotient.report.passed:
-            findings.append(f"quotient-axioms@#{n_index}:{quotient.report.first_failure().kind}")
+        if quotient.failure is not None:
+            findings.append(f"quotient-axioms@#{n_index}:{quotient.failure.kind}")
             continue
         offending = quotient.member_bits & ~system.member_bits
         if offending:
@@ -356,9 +330,7 @@ def theorem_checks(lattice: SubgroupLattice, system: TopoSystem) -> TheoremRepor
             findings += (f"pushforward-degenerate({f.provenance})@#{n_index}" for f in degenerate)
 
     return TheoremReport(
-        compactness_ok=compactness_witness is None,
         compactness_witness=compactness_witness,
-        hausdorff=hausdorff,
         equivalence_ok=equivalence_ok,
         multi_point_witness=multi_witness,
         findings=tuple(findings),

@@ -26,7 +26,7 @@ from itertools import product as iter_product
 from math import prod
 from typing import NamedTuple
 
-from .report import ValidationFailure, ValidationReport
+from .report import ValidationFailure
 
 DEFAULT_ORDER_CAP = 64
 PERMUTATION_DEGREE_CAP = 4
@@ -94,28 +94,28 @@ def right_generators(table) -> list[int]:
     return gens
 
 
-def verify_group_axioms(table) -> ValidationReport:
+def verify_group_axioms(table) -> ValidationFailure | None:
     """Check that a square table over [0, n) is a Cayley table with identity 0.
 
-    Report-based: never raises; a failing report carries a witness (the
-    offending cell, element, or triple).
+    Never raises: returns the first failure, whose witness is the offending
+    cell, element or triple, or None when the table is a group.
     """
     n = len(table)
     for i, row in enumerate(table):
         if len(row) != n:
-            return ValidationReport(False, (ValidationFailure("shape", (i,), "row length mismatch"),))
+            return ValidationFailure("shape", (i,), "row length mismatch")
         for j, v in enumerate(row):
             if not isinstance(v, int) or not 0 <= v < n:
-                return ValidationReport(False, (ValidationFailure("range", (i, j), f"entry {v!r} out of range"),))
+                return ValidationFailure("range", (i, j), f"entry {v!r} out of range")
     for j in range(n):
         if table[0][j] != j:
-            return ValidationReport(False, (ValidationFailure("identity", (0, j), "left identity broken"),))
+            return ValidationFailure("identity", (0, j), "left identity broken")
     for i in range(n):
         if table[i][0] != i:
-            return ValidationReport(False, (ValidationFailure("identity", (i, 0), "right identity broken"),))
+            return ValidationFailure("identity", (i, 0), "right identity broken")
     for a in range(n):
         if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
-            return ValidationReport(False, (ValidationFailure("inverse", (a,), "no two-sided inverse"),))
+            return ValidationFailure("inverse", (a,), "no two-sided inverse")
     # Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
     # 1961, §1.2): the b with (a·b)·c = a·(b·c) for all a, c are closed under
     # products, so checking generators suffices; the full scan only names the
@@ -131,8 +131,8 @@ def verify_group_axioms(table) -> ValidationReport:
                 for c in range(n)
                 if table[table[a][b]][c] != table[a][table[b][c]]
             )
-            return ValidationReport(False, (ValidationFailure("associativity", witness, ""),))
-    return ValidationReport(True)
+            return ValidationFailure("associativity", witness, "")
+    return None
 
 
 class FiniteGroup:
@@ -509,9 +509,9 @@ def build_group(descriptor: str) -> FiniteGroup:
         else:
             raise UnknownKindError(f"unknown group kind: {descriptor!r}")
 
-    report = verify_group_axioms(group.table)
-    if not report.passed:
-        raise TopoGroupError(f"internal error: constructed table for {desc!r} fails {report.first_failure()}")
+    failure = verify_group_axioms(group.table)
+    if failure is not None:
+        raise TopoGroupError(f"internal error: constructed table for {desc!r} fails {failure}")
     _GROUP_CACHE[desc] = group
     return group
 

@@ -18,8 +18,8 @@ from .groups import (
     mixed_radix_decode,
     mixed_radix_encode,
 )
-from .lattice import enumerate_subgroups
-from .report import ValidationFailure, ValidationReport
+from .lattice import SubgroupLattice, enumerate_subgroups
+from .report import ValidationFailure
 from .toposystems import BadParameterError, TopoSystem, verify_toposys
 from .filters import NotAFilterError, SubgroupFilter, convergence_set, is_ultrafilter, pushforward
 
@@ -39,7 +39,7 @@ class ProductGroup:
     Element ids use mixed radix with factor 0 most significant, so the
     all-identities tuple is id 0.  ``factor_steps`` holds the Tychonoff
     factor steps, which every product system of the product shares: the
-    checked pushforward per (factor, ultrafilter) and the convergence points
+    checked pushforward per (factor, ultrafilter kernel) and the convergence points
     per (factor, factor system's member bits, pushed kernel).  It also holds
     the product's subgroup index per tuple of factor subgroup masks
     (``("product-index", masks)``) and marks each product member set that
@@ -124,36 +124,35 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
     provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
     system = TopoSystem(plattice, bits, provenance)
     if ("verified", bits) not in steps:
-        report = verify_toposys(plattice, bits)
-        if not report.passed:
-            raise TopoGroupError(f"internal error: product system fails axioms: {report.first_failure()}")
+        failure = verify_toposys(plattice, bits)
+        if failure is not None:
+            raise TopoGroupError(f"internal error: product system fails axioms: {failure}")
         steps["verified", bits] = True
     return ProductToposys(product, system, factor_systems, member_factors)
 
 
-def product_identities_check(product: ProductGroup) -> ValidationReport:
-    """Verify the componentwise meet and join identities, both sides computed
-    independently (componentwise in the factors vs directly in the product)."""
+def product_identities_check(product: ProductGroup) -> ValidationFailure | None:
+    """The first pair breaking the componentwise meet or join identity, or None.
+
+    Both sides are computed independently: componentwise in the factors and
+    directly in the product."""
     lattices = [enumerate_subgroups(f) for f in product.factors]
     combos = list(iter_product(*[range(len(lat)) for lat in lattices]))
     pmask = {
         combo: product_subgroup_mask(product, [lat.mask(i) for lat, i in zip(lattices, combo)])
         for combo in combos
     }
-    failures = []
     for pos, a in enumerate(combos):
         for b in combos[pos:]:
             meet_direct = pmask[a] & pmask[b]
             meet_factorwise = pmask[tuple(lat.meet_index(i, j) for lat, i, j in zip(lattices, a, b))]
             if meet_direct != meet_factorwise:
-                failures.append(ValidationFailure("meet-identity", (a, b), ""))
+                return ValidationFailure("meet-identity", (a, b), "")
             join_direct = closure_mask(product.group, pmask[a] | pmask[b])
             join_factorwise = pmask[tuple(lat.join_index(i, j) for lat, i, j in zip(lattices, a, b))]
             if join_direct != join_factorwise:
-                failures.append(ValidationFailure("join-identity", (a, b), ""))
-            if failures:
-                return ValidationReport(False, tuple(failures))
-    return ValidationReport(True)
+                return ValidationFailure("join-identity", (a, b), "")
+    return None
 
 
 class TychonoffCertificate(NamedTuple):
@@ -166,9 +165,14 @@ class TychonoffCertificate(NamedTuple):
     replayed: tuple[int, ...]
 
 
-def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter) -> SubgroupFilter:
-    """The pushforward of f along projection i, checked ultra; once per (product, i, f)."""
-    key = (i, f)
+def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter, target: SubgroupLattice) -> SubgroupFilter:
+    """The pushforward of f along projection i onto factor lattice target, checked ultra.
+
+    It depends on f only through its kernel, so the memo holds the pushed
+    kernel or the failed step once per (product, i, f.kernel), and each
+    result is named after its own f.
+    """
+    key = (i, f.kernel)
     got = product.factor_steps.get(key)
     if got is None:
         try:
@@ -176,12 +180,11 @@ def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter) -> Sub
         except NotAFilterError as exc:
             got = (f"pushforward[{i}]", exc.failure)
         else:
-            ultra, uw = is_ultrafilter(pushed)
-            got = pushed if ultra else (f"pushforward-ultra[{i}]", uw)
+            got = pushed.kernel if is_ultrafilter(pushed) else (f"pushforward-ultra[{i}]", pushed.kernel)
         product.factor_steps[key] = got
     if isinstance(got, tuple):
         raise CertificateFailureError(*got)
-    return got
+    return SubgroupFilter(target, got, f"pushforward({f.provenance})")
 
 
 def _factor_point(product: ProductGroup, i: int, system: TopoSystem, pushed: SubgroupFilter) -> int:
@@ -211,14 +214,13 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
     plattice = ptop.system.lattice
     if f.lattice.group != product.group:
         raise BadParameterError("filter does not live on the product group")
-    ok, witness = is_ultrafilter(f)
-    if not ok:
-        raise BadParameterError(f"certificate requires an ultrafilter; witness #{witness}")
+    if not is_ultrafilter(f):
+        raise BadParameterError(f"certificate requires an ultrafilter; witness #{f.kernel}")
 
     components = []
     pushed_list = []
     for i, sys_i in enumerate(ptop.factor_systems):
-        pushed = _pushed_ultrafilter(product, i, f)
+        pushed = _pushed_ultrafilter(product, i, f, sys_i.lattice)
         components.append(_factor_point(product, i, sys_i, pushed))
         pushed_list.append(pushed)
 

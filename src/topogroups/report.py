@@ -6,26 +6,15 @@ from typing import NamedTuple
 
 
 class ValidationFailure(NamedTuple):
-    """A single violated law together with a concrete witness."""
+    """A single violated law together with a concrete witness.
+
+    Every verifier returns its first failure, or None when the check passes.
+    """
 
     kind: str
     witness: tuple
     detail: str = ""
 
-
-class ValidationReport(NamedTuple):
-    """Outcome of a report-based verifier; failures carry witnesses."""
-
-    passed: bool
-    failures: tuple[ValidationFailure, ...] = ()
-
-    def first_failure(self) -> ValidationFailure | None:
-        return self.failures[0] if self.failures else None
-
-
-# Field order is the serialization order; reruns must be byte-identical,
-# so elapsed_ms is emitted as null unless timings are explicitly requested.
-CHECK_FIELDS = ("check", "group", "toposys", "status", "witness", "elapsed_ms")
 
 PASS = "pass"
 FAIL = "fail"
@@ -40,10 +29,12 @@ class CheckReport(NamedTuple):
     toposys: str
     status: str
     witness: str | None = None
+    # reruns must be byte-identical, so elapsed_ms is emitted as null unless
+    # timings are explicitly requested
     elapsed_ms: float | None = None
 
     def to_dict(self, timings: bool = False) -> dict:
-        out = {
+        return {
             "check": self.check,
             "group": self.group,
             "toposys": self.toposys,
@@ -51,7 +42,6 @@ class CheckReport(NamedTuple):
             "witness": self.witness,
             "elapsed_ms": round(self.elapsed_ms, 3) if timings and self.elapsed_ms is not None else None,
         }
-        return out
 
     def text_line(self, timings: bool = False) -> str:
         head = f"{self.status.upper():7s} {self.check} group={self.group}"

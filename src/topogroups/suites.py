@@ -309,7 +309,7 @@ def check_interior_core(lattice: SubgroupLattice) -> tuple[str, str | None]:
 def prime_order_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[bool, bool, str | None]:
     """(implication holds, antecedent holds, witness element)."""
     group = lattice.group
-    antecedent = all(t_closed_checks(system, c).is_t_closed for c in bits_of(lattice.cyclic_bits))
+    antecedent = all(t_closed_checks(system, c).t_closed_witness is None for c in bits_of(lattice.cyclic_bits))
     if not antecedent:
         return True, False, None
     for x in range(1, group.order):
@@ -325,13 +325,12 @@ def prime_order_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]
 
 
 def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
-    hausdorff, _ = system.hausdorff
-    if not hausdorff:
+    if not system.hausdorff:
         return PASS, None
     for i in range(len(lattice)):
-        report = t_closed_checks(system, i)
-        if not report.is_weak_t_closed:
-            return FAIL, f"subgroup #{i} stuck at element {report.weak_witness}"
+        witness = t_closed_checks(system, i).weak_witness
+        if witness is not None:
+            return FAIL, f"subgroup #{i} stuck at element {witness}"
     return PASS, None
 
 
@@ -353,7 +352,7 @@ def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
     # every filter is ↑K for its kernel K
     for k in range(1, len(lattice)):
         extended = extend_to_ultrafilter(SubgroupFilter(lattice, k))
-        if lattice.above[k] & ~extended.member_bits or not is_ultrafilter(extended)[0]:
+        if lattice.above[k] & ~extended.member_bits or not is_ultrafilter(extended):
             return FAIL, f"extension broken for kernel #{k}"
     return PASS, None
 
@@ -361,10 +360,10 @@ def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
 def compactness_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
     if system.lattice.group.order == 1:
         return NO_FILTERS
-    report = cell_theorem_report(run, system)
-    if report.compactness_ok:
+    witness = cell_theorem_report(run, system).compactness_witness
+    if witness is None:
         return PASS, None
-    return FAIL, report.compactness_witness
+    return FAIL, witness
 
 
 def hausdorff_equivalence_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
@@ -379,10 +378,9 @@ def hausdorff_equivalence_row(run: SuiteRun, system: TopoSystem) -> tuple[str, s
 
 
 def identities_cell(product) -> tuple[str, str | None]:
-    report = product_identities_check(product)
-    if report.passed:
+    f = product_identities_check(product)
+    if f is None:
         return PASS, None
-    f = report.first_failure()
     return FAIL, f"{f.kind}@{f.witness}"
 
 
@@ -404,10 +402,10 @@ def _products(catalog, budget: int) -> list:
 def quotient_probe_cell(lattice: SubgroupLattice, system: TopoSystem) -> list[tuple[str, str | None]]:
     out = []
     for n_index, quotient in system.quotients.items():
-        if quotient.report.passed:
+        failure = quotient.failure
+        if failure is None:
             out.append((PASS, None))
         else:
-            failure = quotient.report.first_failure()
             out.append((FINDING, f"N=#{n_index}:{failure.kind}@{failure.witness}"))
     return out
 
@@ -417,10 +415,9 @@ def quotient_probe_row(run: SuiteRun, system: TopoSystem) -> list[tuple[str, str
 
 
 def star_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
-    report = star_topology_checks(system)
-    if report.passed:
+    f = star_topology_checks(system)
+    if f is None:
         return PASS, None
-    f = report.first_failure()
     return FAIL, f"{f.kind}@{f.witness}"
 
 

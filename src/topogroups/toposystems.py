@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .groups import TopoGroupError, bits_of, mask_of, split_top_level
 from .lattice import NotNormalError, SubgroupLattice, is_characteristic, minimal_cover, verbal_residual
-from .report import ValidationFailure, ValidationReport
+from .report import ValidationFailure
 
 
 class BadParameterError(TopoGroupError):
@@ -61,9 +61,9 @@ class TopoSystem:
         return {n: quotient_toposys(self, n) for n in bits_of(self.lattice.normal_bits)}
 
     @cached_property
-    def hausdorff(self) -> tuple[bool, tuple[int, int] | None]:
-        """is_hausdorff(self), computed once per system."""
-        return is_hausdorff(self)
+    def hausdorff(self) -> bool:
+        """Whether is_hausdorff(self) holds, computed once per system."""
+        return is_hausdorff(self)[0]
 
     def __contains__(self, index: int) -> bool:
         return bool(self.member_bits >> index & 1)
@@ -99,8 +99,8 @@ def resolve_subgroup_literal(lattice: SubgroupLattice, text: str) -> int:
     raise BadParameterError(f"bad subgroup literal {text!r} (expected gen{{..}} or #k)")
 
 
-def verify_toposys(lattice: SubgroupLattice, bits: int, n: int = 0) -> ValidationReport:
-    """Check the three topo-system axioms on a candidate member bitset.
+def verify_toposys(lattice: SubgroupLattice, bits: int, n: int = 0) -> ValidationFailure | None:
+    """The first violated topo-system axiom of a candidate member bitset, or None.
 
     Pairwise join/meet closure is checked; this is equivalent to closure
     under arbitrary families because the member set is finite.  The set of
@@ -112,26 +112,21 @@ def verify_toposys(lattice: SubgroupLattice, bits: int, n: int = 0) -> Validatio
     With a subgroup index n, members above n are checked on the interval
     [n, G] instead, with trivial subgroup n (see quotient_toposys).
     """
-    failures = []
     for required in (n, lattice.top_index):
         if not bits >> required & 1:
-            failures.append(ValidationFailure("axiom-a", (required,), "trivial subgroup or whole group missing"))
-    if failures:
-        return ValidationReport(False, tuple(failures))
+            return ValidationFailure("axiom-a", (required,), "trivial subgroup or whole group missing")
     if bits == lattice.above[n]:
-        return ValidationReport(True)
+        return None
     for i in bits_of(bits):
         # members after i that do not contain it
         for j in bits_of(bits & ~lattice.above[i] & -(2 << i)):
             jj = lattice.join_index(i, j)
             if not bits >> jj & 1:
-                failures.append(ValidationFailure("join-closure", (i, j, jj), "join of members is not a member"))
+                return ValidationFailure("join-closure", (i, j, jj), "join of members is not a member")
             mm = lattice.meet_index(i, j)
             if not bits >> mm & 1:
-                failures.append(ValidationFailure("meet-closure", (i, j, mm), "meet of members is not a member"))
-            if failures:
-                return ValidationReport(False, tuple(failures))
-    return ValidationReport(True)
+                return ValidationFailure("meet-closure", (i, j, mm), "meet of members is not a member")
+    return None
 
 
 def _closure(lattice: SubgroupLattice, bits: int) -> int:
@@ -174,11 +169,11 @@ def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
 
 def require_axioms(system: TopoSystem) -> TopoSystem:
     """The system itself once verify_toposys passes; TopoGroupError otherwise."""
-    report = verify_toposys(system.lattice, system.member_bits)
-    if not report.passed:
+    failure = verify_toposys(system.lattice, system.member_bits)
+    if failure is not None:
         raise TopoGroupError(
             f"internal error: family {system.provenance!r} on {system.lattice.group.descriptor} "
-            f"fails axioms: {report.first_failure()}"
+            f"fails axioms: {failure}"
         )
     return system
 
@@ -239,19 +234,19 @@ def thk_bits(lattice: SubgroupLattice, h: int, k: int) -> int:
 
 
 class QuotientToposys(NamedTuple):
-    """Image of a topo-system on G/N, on the parent lattice, plus its axiom report.
+    """Image of a topo-system on G/N, on the parent lattice, plus its first axiom failure.
 
     The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
     K/N with K in the interval [N, G].  ``member_bits`` is the bitset of the
     parent indices a ∨ N; the witnesses give them as indices of L(G/N)
     (see SubgroupLattice.quotient_index).
     Closure of the image set under intersection is not obvious in general,
-    so the verifier runs on every produced quotient and the report travels
-    with the system instead of being assumed.
+    so the verifier runs on every produced quotient and its first failure,
+    or None, travels with the system instead of being assumed.
     """
 
     member_bits: int
-    report: ValidationReport
+    failure: ValidationFailure | None
 
 
 def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
@@ -267,12 +262,11 @@ def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
     bits = lattice.above[n]
     if bits & ~parent.member_bits:
         bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
-    report = verify_toposys(lattice, bits, n)
-    failures = tuple(
-        ValidationFailure(f.kind, tuple(lattice.quotient_index(n, k) for k in f.witness), f.detail)
-        for f in report.failures
-    )
-    return QuotientToposys(bits, ValidationReport(report.passed, failures))
+    failure = verify_toposys(lattice, bits, n)
+    if failure is not None:
+        witness = tuple(lattice.quotient_index(n, k) for k in failure.witness)
+        failure = ValidationFailure(failure.kind, witness, failure.detail)
+    return QuotientToposys(bits, failure)
 
 
 def interior_boundary(system: TopoSystem, x: int) -> tuple[int, frozenset[int]]:
@@ -315,9 +309,9 @@ def closure_and_limits(system: TopoSystem, x: int) -> tuple[frozenset[int], int]
 
 
 class TClosedReport(NamedTuple):
-    is_t_closed: bool
+    """The least stuck point of each check; a is (weak) T-closed when it is None."""
+
     t_closed_witness: int | None
-    is_weak_t_closed: bool
     weak_witness: int | None
 
 
@@ -334,7 +328,7 @@ def t_closed_checks(system: TopoSystem, a: int) -> TClosedReport:
     stuck = _limits(system, a)
     t_witness = min((x for x in stuck if not lattice.mask(a) >> x & 1), default=None)
     weak_witness = min((x for x in stuck if lattice.disjoint[a] >> lattice.cyclic_index(x) & 1), default=None)
-    return TClosedReport(t_witness is None, t_witness, weak_witness is None, weak_witness)
+    return TClosedReport(t_witness, weak_witness)
 
 
 def is_hausdorff(system: TopoSystem) -> tuple[bool, tuple[int, int] | None]:
@@ -382,8 +376,8 @@ def find_finite_subcover(system: TopoSystem, x: int, cover) -> SubcoverCertifica
     return SubcoverCertificate(tuple(cover[p] for p in positions), exact)
 
 
-def star_topology_checks(system: TopoSystem) -> ValidationReport:
-    """Checks for the point topology whose basis is the topen set, on the lattice's meets.
+def star_topology_checks(system: TopoSystem) -> ValidationFailure | None:
+    """The first failing check for the point topology whose basis is the topen set, or None.
 
     * never-Hausdorff: every topen contains the identity, so every non-empty
       union of topens does too; that is, T(identity) is the whole member set.
@@ -393,7 +387,6 @@ def star_topology_checks(system: TopoSystem) -> ValidationReport:
       intersection, so (a ∪ b) ∩ h is the union of two traces by
       distributivity; the tests check both in L(h) built as a group of its own.
     """
-    failures = []
     if system.incidence[0] != system.member_bits:
-        failures.append(ValidationFailure("never-hausdorff", (), "a topen misses the identity"))
-    return ValidationReport(not failures, tuple(failures))
+        return ValidationFailure("never-hausdorff", (), "a topen misses the identity")
+    return None

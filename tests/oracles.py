@@ -69,7 +69,7 @@ LADDER_GROUPS = (
 )
 # both, each group once
 WIDE_AND_LADDER_GROUPS = tuple(dict.fromkeys(WIDE_GROUPS + LADDER_GROUPS))
-# star_topology_failures checks pairwise union traces only on systems with at most this many topens
+# star_topology_failure checks pairwise union traces only on systems with at most this many topens
 UNION_SAMPLE_LIMIT = 12
 
 
@@ -193,7 +193,7 @@ def induced_by_subgroup_group(parent: TopoSystem, h: int):
 
 
 def quotient_by_quotient_group(parent: TopoSystem, n: int):
-    """(members as quotient indices, axiom report, quotient system, natural map) in L(G/N)."""
+    """(members as quotient indices, first axiom failure or None, quotient system, natural map) in L(G/N)."""
     lattice = parent.lattice
     qlattice, natural = quotient_lattice(lattice, n)
     members = frozenset(qlattice.index_of(natural.image_mask(lattice.mask(a))) for a in parent.member_indices)
@@ -255,15 +255,14 @@ def is_star_open(system: TopoSystem, xmask: int) -> bool:
     return union == xmask
 
 
-def star_topology_failures(system: TopoSystem) -> list[ValidationFailure]:
-    """The subspace-compatibility failures, checked in L(h) for every subgroup h.
+def star_topology_failure(system: TopoSystem) -> ValidationFailure | None:
+    """The first subspace-compatibility failure, checked in L(h) for every subgroup h, or None.
 
     L(h) is built as a group of its own, and the induced system there is
     generated from the traces, so the induced-trace check is a real one here.
     """
     lattice = system.lattice
     member_list = system.member_indices
-    failures = []
     for h in range(len(lattice)):
         _, _, induced, embed = induced_by_subgroup_group(system, h)
         hmask = lattice.mask(h)
@@ -274,13 +273,13 @@ def star_topology_failures(system: TopoSystem) -> list[ValidationFailure]:
             return mask_of(local_of[e] for e in bits_of(parent_mask & hmask))
 
         if any(hlattice.index_of(localize(lattice.mask(a))) not in induced.members for a in member_list):
-            failures.append(ValidationFailure("induced-trace", (h,), "a topen trace is not induced-topen"))
+            return ValidationFailure("induced-trace", (h,), "a topen trace is not induced-topen")
         if len(member_list) <= UNION_SAMPLE_LIMIT:
             for pos, a in enumerate(member_list):
                 for b in member_list[pos:]:
                     if not is_star_open(induced, localize(lattice.mask(a) | lattice.mask(b))):
-                        failures.append(ValidationFailure("union-trace", (a, b, h), "union trace is not star-open"))
-    return failures
+                        return ValidationFailure("union-trace", (a, b, h), "union trace is not star-open")
+    return None
 
 
 def filter_failure_by_scan(lattice, members) -> ValidationFailure | None:
@@ -410,7 +409,6 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
     ultrafilters = enumerate_ultrafilters(lattice)
     limits = [convergence_set(f, system) for f in ultrafilters]
     compactness_witness = next((f.provenance for f, points in zip(ultrafilters, limits) if not points), None)
-    hausdorff, _ = is_hausdorff(system)
     multi_witness = None
     for f, points in zip(ultrafilters, limits):
         pair = _cyclically_distinct_pair(lattice, points)
@@ -421,9 +419,9 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
     for n in bits_of(lattice.normal_bits):
         if n == lattice.top_index:
             continue
-        _, report, qsystem, natural = quotient_by_quotient_group(system, n)
-        if not report.passed:
-            findings.append(f"quotient-axioms@#{n}:{report.first_failure().kind}")
+        _, failure, qsystem, natural = quotient_by_quotient_group(system, n)
+        if failure is not None:
+            findings.append(f"quotient-axioms@#{n}:{failure.kind}")
             continue
         topo_ok, offending = is_topomorphism(natural, system, qsystem)
         if not topo_ok:
@@ -433,18 +431,16 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
         pulled_back = {b: lattice.index_of(natural.preimage_mask(qlattice.mask(b))) for b in qsystem.member_indices}
         for f, points in zip(ultrafilters, limits):
             try:
-                ok, witness = is_ultrafilter(pushforward(natural, f))
-                assert ok, f"pushforward({f.provenance})@#{n} not ultra at #{witness}"
+                pushed = pushforward(natural, f)
+                assert is_ultrafilter(pushed), f"pushforward({f.provenance})@#{n} not ultra at #{pushed.kernel}"
             except NotAFilterError:
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n}")
             for x in points:
                 for b in bits_of(qsystem.incidence[natural(x)]):
                     assert pulled_back[b] in f, f"{f.provenance}->x={x}@#{n}:target#{b}"
     return TheoremReport(
-        compactness_ok=compactness_witness is None,
         compactness_witness=compactness_witness,
-        hausdorff=hausdorff,
-        equivalence_ok=hausdorff == (multi_witness is None),
+        equivalence_ok=is_hausdorff(system)[0] == (multi_witness is None),
         multi_point_witness=multi_witness,
         findings=tuple(findings),
     )
@@ -464,9 +460,8 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
             pushed = pushforward(projection, f)
         except NotAFilterError as exc:
             raise CertificateFailureError(f"pushforward[{i}]", exc.failure) from exc
-        ultra, uw = is_ultrafilter(pushed)
-        if not ultra:
-            raise CertificateFailureError(f"pushforward-ultra[{i}]", uw)
+        if not is_ultrafilter(pushed):
+            raise CertificateFailureError(f"pushforward-ultra[{i}]", pushed.kernel)
         points = convergence_set(pushed, ptop.factor_systems[i])
         if not points:
             raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)

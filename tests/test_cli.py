@@ -16,7 +16,7 @@ from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, build_group, mask_of
 from topogroups.lattice import enumerate_subgroups
 from topogroups.products import CertificateFailureError
-from topogroups.report import CHECK_FIELDS, ValidationFailure, ValidationReport
+from topogroups.report import CheckReport, ValidationFailure
 
 
 def run(capsys, *argv):
@@ -175,7 +175,7 @@ def test_theorems_single_cell(capsys):
     assert summary["summary"]["fail"] == 0
     for line in lines[:-1]:
         record = json.loads(line)
-        assert tuple(sorted(record)) == tuple(sorted(CHECK_FIELDS))
+        assert tuple(sorted(record)) == tuple(sorted(CheckReport._fields))
         assert record["elapsed_ms"] is None
 
 
@@ -335,6 +335,14 @@ def test_max_order_below_one_exits_2(capsys, value):
     assert err == f"error: max-order must be at least 1, got {value}\n"
 
 
+def test_config_suites_with_spaces_run_as_the_same_flags(tmp_path, capsys):
+    cfg = tmp_path / "spaced.cfg"
+    cfg.write_text("groups = cyclic:2, sym:3\nsuites = prime-order, star-topology\n")
+    flags = ("--groups", "cyclic:2,sym:3", "--suite", "prime-order", "--suite", "star-topology")
+    spaced = run(capsys, "theorems", "--config", str(cfg))
+    assert spaced[0] == 0 and spaced == run(capsys, "theorems", *flags)
+
+
 def test_config_file_max_order_below_one_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("max-order = 0\n")
@@ -440,7 +448,7 @@ def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
 
     def verify(lat, bits):
         if bits == mask_of(bad):
-            return ValidationReport(False, (ValidationFailure("join-closure", (1, 2, 3), "forced"),))
+            return ValidationFailure("join-closure", (1, 2, 3), "forced")
         return real(lat, bits)
 
     monkeypatch.setattr(toposystems, "verify_toposys", verify)

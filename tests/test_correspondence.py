@@ -26,7 +26,7 @@ from oracles import (
     induced_by_subgroup_group,
     quotient_by_quotient_group,
     quotient_lattice,
-    star_topology_failures,
+    star_topology_failure,
     theorem_checks_by_quotient_groups,
 )
 
@@ -115,9 +115,9 @@ def test_quotient_members_and_report_match_quotient_group(desc):
         system = build_toposys(lat, family)
         for n in bits_of(lat.normal_bits):
             quotient = quotient_toposys(system, n)
-            members, report, _, _ = quotient_by_quotient_group(system, n)
+            members, failure, _, _ = quotient_by_quotient_group(system, n)
             assert tuple(lat.quotient_index(n, k) for k in bits_of(quotient.member_bits)) == tuple(sorted(members))
-            assert quotient.report == report
+            assert quotient.failure == failure
 
 
 def test_discrete_images_need_no_join(monkeypatch):
@@ -146,11 +146,11 @@ def test_quotient_failure_witnesses_match_quotient_group():
         for system in _hand_built(desc):
             for n in bits_of(lat.normal_bits):
                 quotient = quotient_toposys(system, n)
-                members, report, _, _ = quotient_by_quotient_group(system, n)
+                members, failure, _, _ = quotient_by_quotient_group(system, n)
                 assert tuple(lat.quotient_index(n, k) for k in bits_of(quotient.member_bits)) == tuple(sorted(members))
-                assert quotient.report == report
-                if not report.passed and n:
-                    kinds.add(report.first_failure().kind)
+                assert quotient.failure == failure
+                if failure is not None and n:
+                    kinds.add(failure.kind)
     # every witness kind is renumbered on a non-trivial N
     assert kinds == {"axiom-a", "join-closure", "meet-closure"}
 
@@ -174,8 +174,7 @@ def test_theorem_checks_match_quotient_groups_on_hand_built_systems(desc):
 
 def test_star_topology_matches_subgroup_groups_on_every_matrix_cell():
     for system in _matrix_systems():
-        report = star_topology_checks(system)
-        assert report.passed and list(report.failures) == star_topology_failures(system)
+        assert star_topology_checks(system) is None and star_topology_failure(system) is None
 
 
 # topo-systems per catalog group with at most 10 subgroups; 439 in all
@@ -203,7 +202,7 @@ def _every_toposys(lat):
     systems = []
     for chosen in range(1 << len(inner)):
         bits = mask_of(i for k, i in enumerate(inner) if chosen >> k & 1) | 1 | 1 << lat.top_index
-        if verify_toposys(lat, bits).passed:
+        if verify_toposys(lat, bits) is None:
             systems.append(TopoSystem(lat, bits, f"exhaustive#{chosen}"))
     return systems
 
@@ -213,8 +212,7 @@ def test_star_topology_matches_subgroup_groups_on_every_small_toposys():
     assert {desc: len(_every_toposys(_lat(desc))) for desc in small} == EXHAUSTIVE_COUNTS
     for desc in small:
         for system in _every_toposys(_lat(desc)):
-            report = star_topology_checks(system)
-            assert report.passed and list(report.failures) == star_topology_failures(system)
+            assert star_topology_checks(system) is None and star_topology_failure(system) is None
 
 
 def test_star_topology_builds_no_induced_system(monkeypatch):
@@ -224,5 +222,5 @@ def test_star_topology_builds_no_induced_system(monkeypatch):
     monkeypatch.setattr(toposystems, "_closure", refuse)
     for desc in ("sym:3", "dihedral:4", "abelian:2x2x2x2"):
         for family in ("discrete", "trivial", "normal", "principal:gen{1}"):
-            assert star_topology_checks(build_toposys(_lat(desc), family)).passed
+            assert star_topology_checks(build_toposys(_lat(desc), family)) is None
 

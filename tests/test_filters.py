@@ -63,7 +63,7 @@ def test_generate_filter_outputs_satisfy_axioms():
                 f = generate_filter(lat, seed)
             except NoFipError:
                 continue
-            assert filter_axiom_report(lat, f.members).passed
+            assert filter_axiom_report(lat, f.member_indices) is None
 
 
 def test_principal_filter_examples():
@@ -81,9 +81,9 @@ def test_ordinary_bridge_round_trip():
     lat = _lat("sym:3")
     for x in range(1, 6):
         f = principal_filter(lat, x)
-        assert restrict_ordinary(lat, ordinary_bridge(f)).members == f.members
+        assert restrict_ordinary(lat, ordinary_bridge(f)).member_bits == f.member_bits
     g = filter_from_members(lat, {lat.top_index})
-    assert restrict_ordinary(lat, ordinary_bridge(g)).members == g.members
+    assert restrict_ordinary(lat, ordinary_bridge(g)).member_bits == g.member_bits
 
 
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
@@ -91,14 +91,14 @@ def test_ordinary_bridge_round_trip_on_all_small_filters(desc):
     lat = _lat(desc)
     for members in all_filters(lat):
         f = filter_from_members(lat, members)
-        assert restrict_ordinary(lat, ordinary_bridge(f)).members == members
+        assert restrict_ordinary(lat, ordinary_bridge(f)).member_bits == mask_of(members)
 
 
 def test_restrict_of_principal_ordinary_ultrafilter():
     lat = _lat("sym:3")
     for x in range(1, 6):
         point = OrdinaryFilter(lat.group, (1 << x,))
-        assert restrict_ordinary(lat, point).members == principal_filter(lat, x).members
+        assert restrict_ordinary(lat, point).member_bits == principal_filter(lat, x).member_bits
 
 
 def test_restrict_can_reject_identity_anchored_ultrafilter():
@@ -112,12 +112,11 @@ def test_restrict_can_reject_identity_anchored_ultrafilter():
 
 def test_is_ultrafilter_examples():
     latv = _lat("abelian:2x2")
-    ok, witness = is_ultrafilter(filter_from_members(latv, {latv.top_index}))
-    assert not ok and witness == latv.top_index
+    assert not is_ultrafilter(filter_from_members(latv, {latv.top_index}))
     lat = _lat("sym:3")
-    assert is_ultrafilter(principal_filter(lat, 1))[0]
+    assert is_ultrafilter(principal_filter(lat, 1))
     lat4 = _lat("cyclic:4")
-    assert is_ultrafilter(filter_from_members(lat4, {lat4.top_index}))[0]
+    assert is_ultrafilter(filter_from_members(lat4, {lat4.top_index}))
 
 
 def _ultra_by_union(f):
@@ -128,7 +127,7 @@ def _ultra_by_union(f):
         union = 0
         for a in range(len(lat)):
             am = lat.mask(a)
-            if a not in f.members and am & cmask == am:
+            if a not in f and am & cmask == am:
                 union |= am
         if union == cmask:
             return False, c
@@ -142,9 +141,9 @@ def test_ultrafilter_criterion_agrees_with_family_oracle(desc):
     for members in all_filters(lat):
         f = filter_from_members(lat, members)
         got = is_ultrafilter(f)
-        assert got == _ultra_by_union(f)
+        assert _ultra_by_union(f) == ((True, None) if got else (False, f.kernel))
         ok, family = is_ultrafilter_bruteforce(f)
-        assert ok == got[0]
+        assert ok == got
         if not ok:
             # a family of non-members whose union is a member
             union = 0
@@ -159,14 +158,14 @@ def test_extension_contains_input_and_is_ultra(desc):
     for members in all_filters(lat):
         f = filter_from_members(lat, members)
         extended = extend_to_ultrafilter(f)
-        assert f.members <= extended.members
-        assert is_ultrafilter(extended)[0]
+        assert f.member_bits & ~extended.member_bits == 0
+        assert is_ultrafilter(extended)
 
 
 def test_extension_examples():
     lat = _lat("sym:3")
     f = generate_filter(lat, [4])  # {A3, S3}
-    assert extend_to_ultrafilter(f).members == f.members
+    assert extend_to_ultrafilter(f).member_bits == f.member_bits
     latv = _lat("abelian:2x2")
     ext = extend_to_ultrafilter(filter_from_members(latv, {latv.top_index}))
     assert ext.provenance == "principal:1"
@@ -186,7 +185,7 @@ def test_enumeration_equals_bruteforce_ultrafilters(desc):
         for members in all_filters(lat)
         if is_ultrafilter_bruteforce(filter_from_members(lat, members))[0]
     }
-    assert {f.members for f in enumerate_ultrafilters(lat)} == expected
+    assert {frozenset(f.member_indices) for f in enumerate_ultrafilters(lat)} == expected
 
 
 def test_pushforward_examples():
@@ -196,19 +195,19 @@ def test_pushforward_examples():
 
     ident = make_homomorphism(g, g, tuple(range(6)))
     f = principal_filter(lat, 1)
-    assert pushforward(ident, f).members == f.members
+    assert pushforward(ident, f).member_bits == f.member_bits
     z2 = build_group("cyclic:2")
     even = {x for x in g.elements() if g.element_order(x) in (1, 3)}
     sign = make_homomorphism(g, z2, tuple(0 if x in even else 1 for x in g.elements()))
     pushed = pushforward(sign, f)
     assert pushed.member_indices == (1,)
-    assert is_ultrafilter(pushed)[0]
+    assert is_ultrafilter(pushed)
     # projection pi_1 on Z2 x Z3 maps the filter at (1,1) to the filter at 1
     p = direct_product([z2, build_group("cyclic:3")])
     plat = enumerate_subgroups(p.group)
     f11 = principal_filter(plat, p.encode((1, 1)))
     pushed = pushforward(p.projections[0], f11)
-    assert pushed.members == principal_filter(enumerate_subgroups(z2), 1).members
+    assert pushed.member_bits == principal_filter(enumerate_subgroups(z2), 1).member_bits
 
 
 def test_pushforward_preserves_ultra_on_catalog_homomorphisms():
@@ -217,8 +216,7 @@ def test_pushforward_preserves_ultra_on_catalog_homomorphisms():
     plat = enumerate_subgroups(p.group)
     for f in enumerate_ultrafilters(plat):
         for hom in p.projections:
-            pushed = pushforward(hom, f)
-            assert is_ultrafilter(pushed)[0]
+            assert is_ultrafilter(pushforward(hom, f))
 
 
 def test_pushforward_degenerate_case_is_rejected():
@@ -239,7 +237,7 @@ def test_convergence_examples():
     for x in range(1, 6):
         f = principal_filter(lat, x)
         assert x in convergence_set(f, tn)
-        assert all(i in f.members for i in bits_of(tn.incidence[x]))
+        assert all(i in f for i in bits_of(tn.incidence[x]))
     f3 = principal_filter(lat, 3)
     assert convergence_set(f3, tn) == (1, 2, 3, 4, 5)
     f1 = principal_filter(lat, 1)
@@ -258,15 +256,15 @@ def test_theorem_checks_cells():
     lat = _lat("sym:3")
     ds = build_toposys(lat, "discrete")
     report = theorem_checks(lat, ds)
-    assert report.passed and report.hausdorff
+    assert report.compactness_witness is None and report.equivalence_ok and ds.hausdorff
     tn = build_toposys(lat, "normal")
     report = theorem_checks(lat, tn)
-    assert report.passed and not report.hausdorff
+    assert report.compactness_witness is None and report.equivalence_ok and not tn.hausdorff
     assert report.multi_point_witness is not None
     lat4 = _lat("cyclic:4")
     tv = build_toposys(lat4, "trivial")
     report = theorem_checks(lat4, tv)
-    assert report.passed and report.hausdorff
+    assert report.compactness_witness is None and report.equivalence_ok and tv.hausdorff
     # every non-identity point is a limit of F_1, but no pair is cyclically distinct
     f1 = principal_filter(lat4, 1)
     assert convergence_set(f1, tv) == (1, 2, 3)
@@ -290,7 +288,7 @@ CONVERGENCE_FAMILIES = ("discrete", "trivial", "normal", "variety:abelian", "pri
 def _converges_by_definition(f, system, y):
     """Every topen containing y is a filter member."""
     lat = system.lattice
-    return all(i in f.members for i in system.members if lat.mask(i) >> y & 1)
+    return all(i in f for i in system.members if lat.mask(i) >> y & 1)
 
 
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
@@ -301,7 +299,6 @@ def test_convergence_matches_definition_on_every_filter(desc):
     for family in CONVERGENCE_FAMILIES:
         system = build_toposys(lat, family)
         for f in filters:
-            assert f.member_indices == tuple(sorted(f.members))
             want = tuple(y for y in lat.group.elements() if _converges_by_definition(f, system, y))
             assert convergence_set(f, system) == want
 
@@ -342,11 +339,11 @@ def _pushforward_by_scan(hom, f):
     source = f.lattice
     target = enumerate_subgroups(hom.target)
     members = frozenset(
-        b for b in range(1, len(target)) if source.index_of(hom.preimage_mask(target.mask(b))) in f.members
+        b for b in range(1, len(target)) if source.index_of(hom.preimage_mask(target.mask(b))) in f
     )
-    report = filter_axiom_report(target, members)
-    if not report.passed:
-        raise NotAFilterError(report.first_failure())
+    failure = filter_axiom_report(target, members)
+    if failure is not None:
+        raise NotAFilterError(failure)
     return members
 
 
@@ -374,7 +371,7 @@ def test_pushforward_matches_member_scan(lat, hom):
             assert got.value.failure == expected.failure
             continue
         pushed = pushforward(hom, f)
-        assert pushed.members == want
+        assert pushed.member_bits == mask_of(want)
         assert pushed.lattice is enumerate_subgroups(hom.target)
 
 
@@ -402,8 +399,8 @@ def test_is_ultrafilter_matches_union_criterion_on_every_kernel(desc):
     cyclic = {lat.cyclic_index(x) for x in lat.group.elements()}
     for k in range(1, len(lat)):
         f = SubgroupFilter(lat, k)
-        assert is_ultrafilter(f) == _ultra_by_union(f)
-        assert is_ultrafilter(f)[0] == (k in cyclic)
+        assert _ultra_by_union(f) == ((True, None) if is_ultrafilter(f) else (False, k))
+        assert is_ultrafilter(f) == (k in cyclic)
 
 
 def _generate_by_upward_closure(lat, seed):
@@ -436,8 +433,8 @@ def test_generate_filter_matches_upward_closure(desc, data):
         assert got.value.witness == expected.witness
         return
     f = generate_filter(lat, seed)
-    assert f.members == want
-    assert filter_axiom_report(lat, want).passed
+    assert f.member_bits == mask_of(want)
+    assert filter_axiom_report(lat, want) is None
 
 
 @pytest.mark.parametrize("desc", SMALL_LATTICE_DESCRIPTORS)
@@ -447,7 +444,7 @@ def test_every_filter_is_principal_on_its_kernel(desc):
     assert {mask_of(members) for members in filters} == {lat.above[k] for k in range(1, len(lat))}
     for members in filters:
         f = filter_from_members(lat, members)
-        assert f.member_bits == mask_of(members) and f.members == members
+        assert f.member_bits == mask_of(members)
         assert f.kernel == min(members)
 
 
@@ -463,7 +460,7 @@ def test_filter_kernel_must_be_non_trivial():
 def test_upward_witness_names_the_least_member():
     # README tie-break: witnesses name the least index; on sym:4 both #5 and
     # #9 miss a superset, and #5 ⊆ #14 is the first such pair
-    failure = filter_axiom_report(_lat("sym:4"), {5, 9, 29}).first_failure()
+    failure = filter_axiom_report(_lat("sym:4"), {5, 9, 29})
     assert failure.kind == "upward" and failure.witness == (5, 14)
 
 
@@ -478,7 +475,7 @@ def test_upward_witness_matches_the_element_mask_scan(desc):
     kinds = set()
     for chosen in range(1 << len(inner)):
         members = {i for k, i in enumerate(inner) if chosen >> k & 1} | {lat.top_index}
-        failure = filter_axiom_report(lat, members).first_failure()
+        failure = filter_axiom_report(lat, members)
         assert failure == filter_failure_by_scan(lat, members)
         kinds.add(failure and failure.kind)
     assert "meet" in kinds
@@ -493,7 +490,7 @@ def test_oracle_mismatch_raises_and_fails_the_ultrafilter_cell(monkeypatch):
     # a group built by hand, so no ultrafilter list is cached for its lattice
     group = FiniteGroup(build_group("cyclic:4").table, "cyclic:4|oracle-mismatch")
     lat = enumerate_subgroups(group)
-    monkeypatch.setattr(filters, "is_ultrafilter_bruteforce", lambda f: (not is_ultrafilter(f)[0], None))
+    monkeypatch.setattr(filters, "is_ultrafilter_bruteforce", lambda f: (not is_ultrafilter(f), None))
     with pytest.raises(OracleMismatchError, match="criterion and family enumeration disagree"):
         enumerate_ultrafilters(lat)
     assert ultrafilter_cell(lat) == (FAIL, "criterion and family enumeration disagree")

@@ -92,8 +92,7 @@ def test_product_toposys_member_counts():
     [("cyclic:2", "cyclic:3"), ("cyclic:2", "cyclic:2"), ("cyclic:4", "cyclic:6"), ("sym:3", "cyclic:2")],
 )
 def test_product_identities(descs):
-    report = product_identities_check(_product(*descs))
-    assert report.passed
+    assert product_identities_check(_product(*descs)) is None
 
 
 def test_product_identity_spot_values():
@@ -185,19 +184,23 @@ def test_tychonoff_degenerate_pushforward_is_a_certificate_failure():
     assert exc.value.step == "pushforward[0]"
 
 
-def test_factor_steps_find_a_filter_by_value():
-    # the pushforward memo keys on (factor, filter): an equal filter built
-    # apart hits the entry, and a different kernel or provenance does not
+def test_factor_steps_find_a_filter_by_value(monkeypatch):
+    # the pushforward memo keys on (factor, kernel): a filter built apart with
+    # the same kernel and another provenance hits the entry, and the pushed
+    # filter names its own provenance
     p = _unshared(_product("cyclic:4", "cyclic:2"))
     plat = enumerate_subgroups(p.group)
     pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors])
     f = principal_filter(plat, p.encode((1, 1)))
-    twin = SubgroupFilter(plat, f.kernel, f.provenance)
-    assert twin is not f and twin == f and hash(twin) == hash(f)
-    assert SubgroupFilter(plat, f.kernel, "other") != f and SubgroupFilter(plat, 1, f.provenance) != f
-    tychonoff_certificate(pt, f)
-    assert {(0, twin), (1, twin)} <= p.factor_steps.keys()
-    assert (0, SubgroupFilter(plat, f.kernel)) not in p.factor_steps
+    certificate = tychonoff_certificate(pt, f)
+    steps = dict(p.factor_steps)
+    assert {(0, f.kernel), (1, f.kernel)} <= steps.keys()
+    monkeypatch.setattr(products, "pushforward", lambda *args: pytest.fail("pushed twice"))
+    twin = SubgroupFilter(plat, f.kernel, "twin")
+    for i, system in enumerate(pt.factor_systems):
+        pushed = products._pushed_ultrafilter(p, i, twin, system.lattice)
+        assert (pushed.kernel, pushed.provenance) == (steps[i, f.kernel], "pushforward(twin)")
+    assert tychonoff_certificate(pt, twin) == certificate and p.factor_steps == steps
 
 
 def _outcome(certify, ptop, f):
@@ -278,8 +281,8 @@ def test_convergence_pushes_forward_componentwise():
                 xi = p.decode(x)[i]
                 for b in bits_of(systems[i].incidence[xi]):
                     if b == flat.trivial_index:
-                        assert plat.index_of(proj.preimage_mask(flat.mask(b))) in f.members
+                        assert plat.index_of(proj.preimage_mask(flat.mask(b))) in f
                     else:
-                        assert b in pushed.members
+                        assert b in pushed
                 if xi != 0:
                     assert xi in convergence_set(pushed, systems[i])

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 import topogroups
 from topogroups import toposystems
-from topogroups.report import ValidationReport
 
 from topogroups.groups import bits_of, build_group, closure_mask, mask_of
 from topogroups.lattice import AUTOMORPHISM_CAP, NotNormalError, enumerate_subgroups
@@ -91,21 +90,18 @@ def test_cofinite_is_discrete_on_finite_groups_with_note():
 
 def test_verify_examples():
     lat = _lat("sym:3")
-    assert verify_toposys(lat, mask_of({0, lat.top_index})).passed
-    assert verify_toposys(lat, mask_of(range(len(lat)))).passed
-    report = verify_toposys(lat, mask_of({0, 1, 2, lat.top_index}))
-    assert report.passed  # the join of the two transposition subgroups is present
-    report = verify_toposys(lat, mask_of({0, 1, 2}))
-    assert not report.passed
+    assert verify_toposys(lat, mask_of({0, lat.top_index})) is None
+    assert verify_toposys(lat, mask_of(range(len(lat)))) is None
+    # the join of the two transposition subgroups is present
+    assert verify_toposys(lat, mask_of({0, 1, 2, lat.top_index})) is None
+    assert verify_toposys(lat, mask_of({0, 1, 2})) is not None
 
 
 def test_verify_join_failure_witness():
     # on V4 the member set {1, <a>, <b>, V4} misses nothing, but dropping V4 breaks (a)
     lat = _lat("abelian:2x2")
-    report = verify_toposys(lat, mask_of({0, 1, 2, lat.top_index}))
-    assert report.passed
-    bad = verify_toposys(lat, mask_of({0, 1, 2, 3, lat.top_index} - {lat.top_index}))
-    assert not bad.passed
+    assert verify_toposys(lat, mask_of({0, 1, 2, lat.top_index})) is None
+    assert verify_toposys(lat, mask_of({0, 1, 2, 3, lat.top_index} - {lat.top_index})) is not None
 
 
 def test_thk_requires_nested_parameters():
@@ -134,9 +130,9 @@ def test_generate_is_least_fixpoint(desc):
             for extra_r in range(len(indices) + 1):
                 for candidate_extra in combinations(indices, extra_r):
                     candidate = set(seed) | set(candidate_extra) | {0, lat.top_index}
-                    if set(seed) <= candidate and verify_toposys(lat, mask_of(candidate)).passed:
+                    if set(seed) <= candidate and verify_toposys(lat, mask_of(candidate)) is None:
                         assert generated <= candidate
-            assert verify_toposys(lat, mask_of(generated)).passed
+            assert verify_toposys(lat, mask_of(generated)) is None
 
 
 def test_quotient_examples():
@@ -147,7 +143,7 @@ def test_quotient_examples():
     q2 = quotient_toposys(ds, 4)
     # S3/A3 has order 2: the interval [A3, S3] holds two subgroups
     assert q2.member_bits == mask_of({4, 5}) and [lat.quotient_index(4, k) for k in (4, 5)] == [0, 1]
-    assert q2.report.passed
+    assert q2.failure is None
     assert quotient_toposys(tn, 4).member_bits == mask_of({4, 5})
     with pytest.raises(NotNormalError):
         quotient_toposys(ds, 1)
@@ -162,7 +158,7 @@ def test_cached_quotients_match_quotient_toposys(desc):
         assert tuple(quotients) == tuple(bits_of(lat.normal_bits))
         for n, q in quotients.items():
             fresh = quotient_toposys(system, n)
-            assert (q.member_bits, q.report) == (fresh.member_bits, fresh.report)
+            assert (q.member_bits, q.failure) == (fresh.member_bits, fresh.failure)
 
 
 def test_interior_examples():
@@ -223,7 +219,7 @@ def test_closure_and_limits_examples():
     limits, closure = closure_and_limits(tn, 2)
     assert lat.mask(2) == mask_of((0, 4)) and limits == {4, 6}
     # <4, 6> = {0, 2, 4, 6} is not T-closed: every topen around 1 holds 2
-    assert not t_closed_checks(tn, lat.index_of(mask_of((0, 2, 4, 6)))).is_t_closed
+    assert t_closed_checks(tn, lat.index_of(mask_of((0, 2, 4, 6)))).t_closed_witness is not None
     assert closure == lat.top_index
 
 
@@ -233,7 +229,7 @@ def test_closure_is_t_closed(desc, data):
     system = build_toposys(lat, data.draw(st.sampled_from(FAMILIES)))
     x = data.draw(st.integers(0, len(lat) - 1))
     _, closure = closure_and_limits(system, x)
-    assert t_closed_checks(system, closure).is_t_closed
+    assert t_closed_checks(system, closure).t_closed_witness is None
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -241,7 +237,7 @@ def test_closure_is_t_closed(desc, data):
 def test_closure_is_the_least_t_closed_subgroup_above_x(desc, family):
     lat = _lat(desc)
     system = build_toposys(lat, family)
-    closed = [k for k in range(len(lat)) if t_closed_checks(system, k).is_t_closed]
+    closed = [k for k in range(len(lat)) if t_closed_checks(system, k).t_closed_witness is None]
     for x in range(len(lat)):
         _, closure = closure_and_limits(system, x)
         above = [k for k in closed if lat.leq(x, k)]
@@ -251,13 +247,10 @@ def test_closure_is_the_least_t_closed_subgroup_above_x(desc, family):
 def test_t_closed_examples():
     lat = _lat("cyclic:8")
     ds = build_toposys(lat, "discrete")
-    report = t_closed_checks(ds, lat.index_of(mask_of((0, 2, 4, 6))))
-    assert not report.is_t_closed and report.t_closed_witness == 1
+    assert t_closed_checks(ds, lat.index_of(mask_of((0, 2, 4, 6)))).t_closed_witness == 1
     lat, ds3 = _sys("sym:3", "discrete")
-    report = t_closed_checks(ds3, 4)
-    assert report.is_weak_t_closed
-    report = t_closed_checks(ds3, lat.top_index)
-    assert report.is_t_closed and report.is_weak_t_closed
+    assert t_closed_checks(ds3, 4).weak_witness is None
+    assert t_closed_checks(ds3, lat.top_index) == (None, None)
 
 
 def test_t_closed_intersections_and_extremes():
@@ -265,7 +258,7 @@ def test_t_closed_intersections_and_extremes():
         lat = _lat(desc)
         for family in ("discrete", "normal", "trivial"):
             system = build_toposys(lat, family)
-            closed = [i for i in range(len(lat)) if t_closed_checks(system, i).is_t_closed]
+            closed = [i for i in range(len(lat)) if t_closed_checks(system, i).t_closed_witness is None]
             assert 0 in closed and lat.top_index in closed
             for i in closed:
                 for j in closed:
@@ -319,13 +312,12 @@ def test_star_topology_examples():
     lat, tn = _sys("sym:3", "normal")
     assert is_star_open(tn, lat.mask(4))
     assert not is_star_open(tn, mask_of((0, 3, 4, 1)))
-    report = star_topology_checks(tn)
-    assert report.passed
+    assert star_topology_checks(tn) is None
 
 
 def test_star_topology_checks_take_only_the_system():
     assert list(inspect.signature(star_topology_checks).parameters) == ["system"]
-    assert type(star_topology_checks(_sys("sym:3", "normal")[1])) is ValidationReport
+    assert star_topology_checks(_sys("sym:3", "normal")[1]) is None
     for gone in ("is_star_open", "StarTopologyReport"):
         assert not hasattr(toposystems, gone) and not hasattr(topogroups, gone)
 
@@ -334,8 +326,8 @@ def test_star_topology_checks_take_only_the_system():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_star_topology_all_cells(desc, family):
     lat = _lat(desc)
-    report = star_topology_checks(build_toposys(lat, family))
-    assert report.passed, report.failures
+    failure = star_topology_checks(build_toposys(lat, family))
+    assert failure is None, failure
 
 
 def test_subgroup_literals():
@@ -356,26 +348,21 @@ def _scan_topens_containing(system, x):
 
 
 def _all_pairs_verify(lat, members):
-    """Reference check: join and meet of every member pair, comparable or not."""
+    """Reference check: join and meet of every member pair, comparable or not; the first failure or None."""
     members = frozenset(members)
-    failures = []
     for required in (lat.trivial_index, lat.top_index):
         if required not in members:
-            failures.append(("axiom-a", (required,)))
-    if failures:
-        return failures
+            return "axiom-a", (required,)
     ordered = sorted(members)
     for pos, i in enumerate(ordered):
         for j in ordered[pos:]:
             join_ij = lat.index_of(closure_mask(lat.group, lat.mask(i) | lat.mask(j)))
             if join_ij not in members:
-                failures.append(("join-closure", (i, j, join_ij)))
+                return "join-closure", (i, j, join_ij)
             meet_ij = lat.index_of(lat.mask(i) & lat.mask(j))
             if meet_ij not in members:
-                failures.append(("meet-closure", (i, j, meet_ij)))
-            if failures:
-                return failures
-    return failures
+                return "meet-closure", (i, j, meet_ij)
+    return None
 
 
 def _scan_is_hausdorff(system):
@@ -430,22 +417,20 @@ def test_verify_matches_all_pairs_check(desc, data):
     members = set(data.draw(st.sets(st.integers(0, len(lat) - 1))))
     if data.draw(st.booleans()):
         members |= {0, lat.top_index}
-    report = verify_toposys(lat, mask_of(members))
-    want = _all_pairs_verify(lat, members)
-    assert report.passed == (not want)
-    assert [(f.kind, f.witness) for f in report.failures] == want
+    failure = verify_toposys(lat, mask_of(members))
+    assert (None if failure is None else (failure.kind, failure.witness)) == _all_pairs_verify(lat, members)
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG)
 def test_full_set_passes_without_a_scan_as_with_one(desc, monkeypatch):
     lat = _lat(desc)
     full = range(len(lat))
-    assert _all_pairs_verify(lat, full) == []
+    assert _all_pairs_verify(lat, full) is None
     monkeypatch.setattr(type(lat), "join_index", lambda *args: pytest.fail("full set scanned"))
-    assert verify_toposys(lat, mask_of(full)).passed
+    assert verify_toposys(lat, mask_of(full)) is None
     # every quotient image of the discrete system is its whole interval
     for n in bits_of(lat.normal_bits):
-        assert verify_toposys(lat, mask_of(k for k in full if lat.leq(n, k)), n).passed
+        assert verify_toposys(lat, mask_of(k for k in full if lat.leq(n, k)), n) is None
 
 
 @pytest.mark.parametrize("desc", CATALOG)
@@ -457,7 +442,6 @@ def test_hausdorff_and_t_closed_match_mask_scans(desc, family):
     for i in range(len(lat)):
         report = t_closed_checks(system, i)
         assert (report.t_closed_witness, report.weak_witness) == _scan_t_closed(system, lat.mask(i))
-        assert report.is_t_closed == (report.t_closed_witness is None)
         assert closure_and_limits(system, i)[0] == _scan_limits(system, lat.mask(i))
 
 
