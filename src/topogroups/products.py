@@ -20,7 +20,7 @@ from .groups import (
 )
 from .lattice import SubgroupLattice, enumerate_subgroups
 from .report import ValidationFailure
-from .toposystems import BadParameterError, TopoSystem, verify_toposys
+from .toposystems import BadParameterError, TopoSystem
 from .filters import NotAFilterError, SubgroupFilter, convergence_set, is_ultrafilter, pushforward
 
 
@@ -42,9 +42,9 @@ class ProductGroup:
     checked pushforward per (factor, ultrafilter kernel) and the convergence points
     per (factor, factor system's member bits, pushed kernel).  It also holds
     the product's subgroup index per tuple of factor subgroup masks
-    (``("product-index", masks)``) and marks each product member set that
-    passed ``verify_toposys`` (``("verified", bits)``), so each distinct
-    set is verified once.
+    (``("product-index", masks)``) and one product system per product
+    member set (``("system", bits)``), named by the first factor systems
+    that built it, so each distinct set is verified and indexed once.
     """
 
     factors: tuple[FiniteGroup, ...]
@@ -121,13 +121,12 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
             index = steps[key] = plattice.index_of(product_subgroup_mask(product, key[1]))
         member_factors[index] = combo
         bits |= 1 << index
-    provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
-    system = TopoSystem(plattice, bits, provenance)
-    if ("verified", bits) not in steps:
-        failure = verify_toposys(plattice, bits)
-        if failure is not None:
-            raise TopoGroupError(f"internal error: product system fails axioms: {failure}")
-        steps["verified", bits] = True
+    system = steps.get(("system", bits))
+    if system is None:
+        provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
+        system = steps["system", bits] = TopoSystem(plattice, bits, provenance)
+    if system.failure is not None:
+        raise TopoGroupError(f"internal error: product system fails axioms: {system.failure}")
     return ProductToposys(product, system, factor_systems, member_factors)
 
 

@@ -138,28 +138,28 @@ def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
     return tuple(descs)
 
 
-def verdict(verdicts: dict, system: TopoSystem) -> str | None:
-    """None if the system's member set is a topo-system, else its FAIL witness.
+def shared_system(systems: dict, lattice: SubgroupLattice, bits: int, desc: str) -> TopoSystem:
+    """The one verified system per (group, member set) in ``systems``, named by the first descriptor that reached it.
 
-    ``verdicts`` keeps the outcome per (group, member set), so each set is
-    verified once; a failing set is named by the first descriptor that
-    reached it, as ``<descriptor>:<message>``.
+    A set that fails its axioms raises TopoGroupError ``<that descriptor>:<message>``
+    each time it is reached, from the failure its system holds.
     """
-    key = (system.lattice.group.descriptor, system.member_bits)
-    if key not in verdicts:
-        try:
-            require_axioms(system)
-            verdicts[key] = None
-        except TopoGroupError as exc:
-            verdicts[key] = f"{system.provenance}:{exc}"
-    return verdicts[key]
+    key = (lattice.group.descriptor, bits)
+    system = systems.get(key)
+    if system is None:
+        system = systems[key] = TopoSystem(lattice, bits, desc)
+    try:
+        return require_axioms(system)
+    except TopoGroupError as exc:
+        raise TopoGroupError(f"{system.provenance}:{exc}") from None
 
 
 class SuiteRun:
     """One theorem run: the catalog lattices and the matrix cells, built once.
 
     Results are kept per distinct (group, member set) and live as long as
-    the run, so rows naming the same member set share one computation.
+    the run, so rows naming the same member set share one computation;
+    ``systems`` holds the one system per set that cells and sweeps share.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -180,7 +180,7 @@ class SuiteRun:
                     f"group {g.descriptor} has order {g.order}, above max-order {config.max_group_order}"
                 )
         self.groups = sorted(groups, key=lambda g: (g.order, g.descriptor))
-        self.verdicts: dict[tuple[str, int], str | None] = {}
+        self.systems: dict[tuple[str, int], TopoSystem] = {}
         self.results: dict = {}
 
     @cached_property
@@ -190,16 +190,11 @@ class SuiteRun:
     @cached_property
     def cells(self) -> tuple[tuple[str, TopoSystem], ...]:
         """(descriptor, system) per matrix cell in row order; one system per distinct member set."""
-        shared: dict[tuple[str, int], TopoSystem] = {}
-        cells = []
-        for lattice in self.lattices:
-            for desc in cell_system_descriptors(lattice):
-                system = family_members(lattice, desc)
-                witness = verdict(self.verdicts, system)
-                if witness is not None:
-                    raise TopoGroupError(witness)
-                cells.append((desc, shared.setdefault((lattice.group.descriptor, system.member_bits), system)))
-        return tuple(cells)
+        return tuple(
+            (desc, shared_system(self.systems, lattice, family_members(lattice, desc).member_bits, desc))
+            for lattice in self.lattices
+            for desc in cell_system_descriptors(lattice)
+        )
 
     def once(self, fn, system: TopoSystem):
         """fn(lattice, system), computed once per distinct (group, member set)."""
@@ -273,25 +268,16 @@ def family_instances(lattice: SubgroupLattice, family: str):
             yield desc, bits
 
 
-def check_family(lattice: SubgroupLattice, family: str, verdicts: dict) -> tuple[str, str | None]:
-    """Verify every member set a family sweep names, recording each outcome in ``verdicts``.
-
-    A member set already in ``verdicts`` needs no system; a new one is named
-    by the first descriptor that reaches it.
-    """
+def check_family(lattice: SubgroupLattice, family: str, systems: dict) -> tuple[str, str | None]:
+    """Verify every member set a family sweep names, on its one system in ``systems`` (see shared_system)."""
     # skips must surface as findings with a reason, never silently
     if family == "characteristic" and lattice.group.order > AUTOMORPHISM_CAP:
         return FINDING, f"skipped: order {lattice.group.order} exceeds automorphism cap {AUTOMORPHISM_CAP}"
     if family in SWEPT_FAMILIES and len(lattice) > FAMILY_SWEEP_CAP:
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
-    group = lattice.group.descriptor
     try:
         for desc, bits in family_instances(lattice, family):
-            key = (group, bits)
-            if key not in verdicts:
-                verdict(verdicts, TopoSystem(lattice, bits, desc))
-            if verdicts[key] is not None:
-                return FAIL, verdicts[key]
+            shared_system(systems, lattice, bits, desc)
     except TopoGroupError as exc:
         return FAIL, str(exc)
     return PASS, None
@@ -437,7 +423,7 @@ def suite_toposys_axioms(run: SuiteRun) -> list[CheckReport]:
     for lattice in run.lattices:
         for family in FAMILY_NAMES:
             group = lattice.group.descriptor
-            reports += _reports("toposys-axioms", group, family, check_family, lattice, family, run.verdicts)
+            reports += _reports("toposys-axioms", group, family, check_family, lattice, family, run.systems)
     return reports
 
 

@@ -23,12 +23,14 @@ class BadParameterError(TopoGroupError):
 
 
 class TopoSystem:
-    """A verified set of topen subgroups over a canonical lattice.
+    """A set of topen subgroups over a canonical lattice, and its axiom verdict.
 
     ``member_bits`` is the member set as a bitset over lattice indices, and
     ``incidence[e]`` is T(e), the bitset of the topens containing element e:
     the lattice's ``containing[e]`` restricted to the members.  The incidence
     is computed once per system, and every point-wise topen query reads it.
+    So is ``failure``, the verdict every layer reads: verify_toposys of the
+    member set, the first violated axiom or None for a topo-system.
     """
 
     lattice: SubgroupLattice
@@ -54,6 +56,16 @@ class TopoSystem:
     def incidence(self) -> tuple[int, ...]:
         bits = self.member_bits
         return tuple(c & bits for c in self.lattice.containing)
+
+    @cached_property
+    def failure(self) -> ValidationFailure | None:
+        return verify_toposys(self.lattice, self.member_bits)
+
+    @cached_property
+    def upward(self) -> int:
+        """Bitset of the topens a whose up-set above[a] lies inside the member set."""
+        above, bits = self.lattice.above, self.member_bits
+        return mask_of(a for a in self.member_indices if not above[a] & ~bits)
 
     @cached_property
     def quotients(self) -> dict[int, QuotientToposys]:
@@ -168,12 +180,11 @@ def build_toposys(lattice: SubgroupLattice, descriptor: str) -> TopoSystem:
 
 
 def require_axioms(system: TopoSystem) -> TopoSystem:
-    """The system itself once verify_toposys passes; TopoGroupError otherwise."""
-    failure = verify_toposys(system.lattice, system.member_bits)
-    if failure is not None:
+    """The system itself once its member set passes verify_toposys; TopoGroupError otherwise."""
+    if system.failure is not None:
         raise TopoGroupError(
             f"internal error: family {system.provenance!r} on {system.lattice.group.descriptor} "
-            f"fails axioms: {failure}"
+            f"fails axioms: {system.failure}"
         )
     return system
 
@@ -239,10 +250,10 @@ class QuotientToposys(NamedTuple):
     The image of topen a is (a ∨ N)/N, and the subgroups of G/N are the
     K/N with K in the interval [N, G].  ``member_bits`` is the bitset of the
     parent indices a ∨ N; the witnesses give them as indices of L(G/N)
-    (see SubgroupLattice.quotient_index).
-    Closure of the image set under intersection is not obvious in general,
-    so the verifier runs on every produced quotient and its first failure,
-    or None, travels with the system instead of being assumed.
+    (see SubgroupLattice.quotient_index).  ``failure`` is the first axiom
+    the image breaks on [N, G], or None.  When T is a topo-system and the
+    image stays in T ∪ {N}, the image is (T ∩ [N, G]) ∪ {N}, closed under
+    joins and meets with least element N, so it needs no scan.
     """
 
     member_bits: int
@@ -252,21 +263,25 @@ class QuotientToposys(NamedTuple):
 def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
     """The image {a ∨ N} of the parent topens, verified on [N, G] with quotient-index witnesses.
 
+    A topen above N is its own image, and an upward topen a has a ∨ N in
+    ↑a ∩ ↑N, inside the member set, so only the other topens are joined.
     [N, G] has the parent's joins and meets and, by SubgroupLattice.quotient_index,
     the parent's order, so the parent's scan meets the failing pairs in quotient order.
     """
     lattice = parent.lattice
     if not lattice.is_normal_index(n):
         raise NotNormalError(f"subgroup #{n} of {lattice.group.descriptor} is not normal")
-    # every a ∨ N lies in [N, G], and a topen above N is its own image
-    bits = lattice.above[n]
-    if bits & ~parent.member_bits:
-        bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
-    failure = verify_toposys(lattice, bits, n)
+    bits = parent.member_bits
+    image = bits & lattice.above[n]
+    for a in bits_of(bits & ~lattice.above[n] & ~parent.upward):
+        image |= 1 << lattice.join_index(a, n)
+    if not image & ~(bits | 1 << n) and parent.failure is None:
+        return QuotientToposys(image, None)
+    failure = verify_toposys(lattice, image, n)
     if failure is not None:
         witness = tuple(lattice.quotient_index(n, k) for k in failure.witness)
         failure = ValidationFailure(failure.kind, witness, failure.detail)
-    return QuotientToposys(bits, failure)
+    return QuotientToposys(image, failure)
 
 
 def interior_boundary(system: TopoSystem, x: int) -> tuple[int, frozenset[int]]:

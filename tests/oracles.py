@@ -18,7 +18,10 @@ here, and so are the paper's topomorphism and ordinary-filter definitions.
 The runtime's star-topology check tests only never-Hausdorff, since each
 trace is induced-open by construction and union traces are traces by
 distributivity; both subspace checks run here, in L(h) built as a group of
-its own.
+its own.  The runtime joins only the topens whose image it cannot read off
+the member set, and verifies a quotient image only where the
+correspondence theorem leaves it open; the join of every topen with N and
+the verification of every image are kept here.
 """
 
 import functools
@@ -49,6 +52,7 @@ from topogroups.products import CertificateFailureError, ProductToposys, Tychono
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     BadParameterError,
+    QuotientToposys,
     TopoSystem,
     generate_toposys,
     is_hausdorff,
@@ -199,6 +203,17 @@ def quotient_by_quotient_group(parent: TopoSystem, n: int):
     members = frozenset(qlattice.index_of(natural.image_mask(lattice.mask(a))) for a in parent.member_indices)
     system = TopoSystem(qlattice, mask_of(members), f"quotient({parent.provenance})@#{n}")
     return members, verify_toposys(qlattice, system.member_bits), system, natural
+
+
+def quotient_by_verify(parent: TopoSystem, n: int) -> QuotientToposys:
+    """The image {a ∨ N} with one join per topen, verified on [N, G], witnesses as quotient indices."""
+    lattice = parent.lattice
+    bits = mask_of(lattice.join_index(a, n) for a in parent.member_indices)
+    failure = verify_toposys(lattice, bits, n)
+    if failure is not None:
+        witness = tuple(lattice.quotient_index(n, k) for k in failure.witness)
+        failure = ValidationFailure(failure.kind, witness, failure.detail)
+    return QuotientToposys(bits, failure)
 
 
 def is_topomorphism(f: Homomorphism, source_sys: TopoSystem, target_sys: TopoSystem) -> tuple[bool, int | None]:

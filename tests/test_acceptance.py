@@ -4,8 +4,12 @@ Everything here is discrete mathematics, so every comparison is exact
 equality; the only tolerances are the wall-clock budgets.
 """
 
+import hashlib
 import time
 
+import pytest
+
+from topogroups.cli import run_command
 from topogroups.groups import build_group
 from topogroups.lattice import brute_force_subgroup_masks, enumerate_subgroups
 from topogroups.toposystems import build_toposys
@@ -159,3 +163,20 @@ def test_full_default_suite_under_budget():
         f"full suite: {result.counts.get('pass', 0)} pass, "
         f"{result.counts.get('finding', 0)} findings in {elapsed:.1f}s"
     )
+
+
+# stdout sha256 of `theorems --max-order 64 --groups <group> --format json` on the largest lattices
+ORDER_64_PINS = {
+    "abelian:2x2x2x2x2x2": "a4e584e52111adcef0b6c5db59ff6e498fadb841e99bc97653f11edc5a53425b",
+    "product(dihedral:4,abelian:2x2x2)": "f2566ab213289dc9c82c465dab327c3eac7ea1d14f020bcd0474234b2c076502",
+}
+
+
+@pytest.mark.parametrize("group", ORDER_64_PINS)
+def test_order_64_runs_keep_their_pinned_output_under_budget(capsys, group):
+    start = time.monotonic()
+    code = run_command(["theorems", "--max-order", "64", "--groups", group, "--format", "json"])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == ORDER_64_PINS[group]
+    assert elapsed < 20, f"{group} took {elapsed:.1f}s"

@@ -23,15 +23,16 @@ from topogroups.toposystems import (
     verify_toposys,
 )
 from oracles import (
+    WIDE_GROUPS,
     induced_by_subgroup_group,
     quotient_by_quotient_group,
+    quotient_by_verify,
     quotient_lattice,
     star_topology_failure,
     theorem_checks_by_quotient_groups,
 )
 
 FAMILIES = ("discrete", "trivial", "cofinite", "normal", "characteristic", "variety:abelian")
-WIDE_GROUPS = ("dihedral:24", "abelian:2x4x4", "abelian:2x2x2x3")
 # lattices for random hand-built member sets, closed or not
 HAND_BUILT = ("dihedral:4", "alt:4", "dihedral:6", "sym:4", "abelian:2x2x2x2")
 
@@ -40,9 +41,9 @@ def _lat(desc):
     return enumerate_subgroups(build_group(desc))
 
 
-def _matrix_systems():
-    """Every distinct system of the default theorem matrix."""
-    return list({id(system): system for _, system in SuiteRun(SuiteConfig()).cells}.values())
+def _matrix_systems(config=SuiteConfig()):
+    """Every distinct system of a theorem matrix, by default the default one."""
+    return list({id(system): system for _, system in SuiteRun(config).cells}.values())
 
 
 def _induced_on_parent(system, h):
@@ -120,23 +121,79 @@ def test_quotient_members_and_report_match_quotient_group(desc):
             assert quotient.failure == failure
 
 
+def _quotient_calls(monkeypatch, system):
+    """(join_index pairs, verify_toposys (bits, n) calls) made while the system's quotients are built."""
+    joins, verified = [], []
+    join, verify = SubgroupLattice.join_index, toposystems.verify_toposys
+    monkeypatch.setattr(SubgroupLattice, "join_index", lambda self, i, j: joins.append((i, j)) or join(self, i, j))
+    monkeypatch.setattr(toposystems, "verify_toposys", lambda lat, bits, n=0: verified.append((bits, n)) or verify(lat, bits, n))
+    system.quotients
+    monkeypatch.undo()
+    return joins, verified
+
+
 def test_discrete_images_need_no_join(monkeypatch):
     # every subgroup of an abelian group is normal, so each one has a quotient
     lat = _lat("abelian:2x2x2x2")
-    discrete, trivial = build_toposys(lat, "discrete"), build_toposys(lat, "trivial")
-    calls = []
-    join = SubgroupLattice.join_index
+    discrete = build_toposys(lat, "discrete")
+    assert lat.normal_bits == lat.above[0]
+    # nor verification: each image [N, G] stays inside the member set
+    assert _quotient_calls(monkeypatch, discrete) == ([], [])
+    assert all(q.member_bits == lat.above[k] for k, q in discrete.quotients.items())
 
-    def counted(self, i, j):
-        calls.append((i, j))
-        return join(self, i, j)
 
-    monkeypatch.setattr(SubgroupLattice, "join_index", counted)
-    for k in range(len(lat)):
-        assert quotient_toposys(discrete, k).member_bits == lat.above[k]
-    assert calls == []
-    quotient_toposys(trivial, 0)
-    assert calls
+def test_quotients_verify_only_images_that_leave_the_member_set(monkeypatch):
+    lat = _lat("abelian:2x2x2x2")
+    assert len(lat) == 67
+    # the trivial topen is the only one of principal:gen{1} and of trivial
+    # that is not upward: each non-trivial N joins it (the trivial N lies
+    # below every topen), and nothing is verified
+    for family in ("principal:gen{1}", "trivial"):
+        system = build_toposys(lat, family)
+        assert system.upward == system.member_bits & ~1
+        assert _quotient_calls(monkeypatch, system) == ([(0, n) for n in range(1, len(lat))], [])
+    # an image that leaves T ∪ {N} is verified, on the abelian group and on
+    # the non-abelian dihedral:6, where theorem_checks reports those quotient
+    # maps as not topomorphisms
+    for desc, family in (("abelian:2x2x2x2", "generated:#1"), ("dihedral:6", "thk:#0:#15")):
+        system = build_toposys(_lat(desc), family)
+        leaving = [
+            n
+            for n in bits_of(system.lattice.normal_bits)
+            if quotient_by_verify(system, n).member_bits & ~(system.member_bits | 1 << n)
+        ]
+        _, verified = _quotient_calls(monkeypatch, system)
+        assert leaving and [n for _, n in verified] == leaving
+        findings = theorem_checks(system.lattice, system).findings
+        assert all(any(f.startswith(f"quotient-not-topomorphism@#{n}:") for f in findings) for n in leaving)
+
+
+def _assert_quotients_match_verify_oracle(systems):
+    failures = 0
+    for system in systems:
+        for n in bits_of(system.lattice.normal_bits):
+            quotient = quotient_toposys(system, n)
+            assert quotient == quotient_by_verify(system, n)
+            failures += quotient.failure is not None
+    return failures
+
+
+def test_quotients_match_the_verify_oracle_on_every_small_toposys():
+    small = [desc for desc in DEFAULT_CATALOG if len(_lat(desc)) <= 10]
+    assert _assert_quotients_match_verify_oracle(s for desc in small for s in _every_toposys(_lat(desc))) == 0
+
+
+def test_quotients_match_the_verify_oracle_on_every_matrix_and_wide_cell():
+    wide = SuiteConfig(max_group_order=64, groups=WIDE_GROUPS)
+    assert _assert_quotients_match_verify_oracle(_matrix_systems() + _matrix_systems(wide)) == 0
+
+
+@pytest.mark.parametrize("desc", HAND_BUILT)
+def test_quotients_match_the_verify_oracle_on_hand_built_systems(desc):
+    # most of these are not topo-systems, so their quotients take the verifier
+    systems = _hand_built(desc)
+    assert sum(system.failure is not None for system in systems) > len(systems) // 2
+    assert _assert_quotients_match_verify_oracle(systems)
 
 
 def test_quotient_failure_witnesses_match_quotient_group():

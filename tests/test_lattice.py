@@ -780,4 +780,29 @@ def test_member_names_shared_by_classes_are_reviewed():
     # A new shared name fails here until it is checked the same way.
     names = Counter(name for _, name in _class_members(_package_trees()))
     shared = {name for name, count in names.items() if count > 1}
-    assert shared == {"group", "lattice", "mask", "member_bits", "member_indices", "members", "provenance", "witness"}
+    assert shared == {
+        "failure",
+        "group",
+        "lattice",
+        "mask",
+        "member_bits",
+        "member_indices",
+        "members",
+        "provenance",
+        "witness",
+    }
+
+
+def test_only_the_system_verdict_and_quotients_run_the_verifier():
+    # a member set's verdict is TopoSystem.failure; every other layer reads it
+    callers = set()
+    for tree in _package_trees():
+        owner = {}
+        for scope in [tree, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            prefix = f"{scope.name}." if isinstance(scope, ast.ClassDef) else ""
+            for fn in (n for n in scope.body if isinstance(n, ast.FunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), prefix + fn.name))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", None)) == "verify_toposys":
+                callers.add(owner.get(n, "<module>"))
+    assert callers == {"TopoSystem.failure", "quotient_toposys"}

@@ -6,7 +6,7 @@ import pytest
 
 from topogroups.groups import bits_of, build_group, closure_mask, make_homomorphism
 from topogroups.lattice import enumerate_subgroups
-from topogroups import products
+from topogroups import products, toposystems
 from topogroups.toposystems import build_toposys, verify_toposys
 from topogroups.filters import SubgroupFilter, enumerate_ultrafilters, principal_filter
 from topogroups.products import (
@@ -240,7 +240,7 @@ def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
         verified.append(bits)
         return verify_toposys(lattice, bits)
 
-    monkeypatch.setattr(products, "verify_toposys", counting)
+    monkeypatch.setattr(toposystems, "verify_toposys", counting)
     shared = [product_toposys(p, systems[combo]) for combo in combos]
     monkeypatch.undo()
     assert sorted(verified) == sorted({pt.system.member_bits for pt in shared})

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from topogroups import products, suites, toposystems
 from topogroups.cli import run_command
-from topogroups.groups import TopoGroupError, build_group, mask_of
+from topogroups.groups import TopoGroupError, bits_of, build_group, mask_of
 from topogroups.filters import NotAFilterError, enumerate_ultrafilters
 from topogroups.lattice import AUTOMORPHISM_CAP, FAMILY_SWEEP_CAP, enumerate_subgroups
 from topogroups.report import FAIL, FINDING, PASS, ValidationFailure
@@ -36,13 +36,16 @@ def count_calls(monkeypatch, calls: Counter, module, name: str):
     monkeypatch.setattr(module, name, counted)
 
 
-def fail_member_set(monkeypatch, bad: frozenset):
+def fail_member_set(monkeypatch, bad: frozenset | None, verified: list | None = None):
+    """Fail verify_toposys on member set ``bad``, if any; record the members of each whole-group run in ``verified``."""
     real = toposystems.verify_toposys
 
-    def verify(lattice, bits):
-        if bits == mask_of(bad):
+    def verify(lattice, bits, n=0):
+        if verified is not None and n == 0:
+            verified.append(frozenset(bits_of(bits)))
+        if bad is not None and bits == mask_of(bad) and n == 0:
             return ValidationFailure("join-closure", (1, 2, 3), "forced")
-        return real(lattice, bits)
+        return real(lattice, bits, n)
 
     monkeypatch.setattr(toposystems, "verify_toposys", verify)
 
@@ -51,7 +54,6 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     calls = Counter()
     count_calls(monkeypatch, calls, suites, "theorem_checks")
     count_calls(monkeypatch, calls, suites, "star_topology_checks")
-    count_calls(monkeypatch, calls, suites, "require_axioms")
     count_calls(monkeypatch, calls, toposystems, "quotient_toposys")
     count_calls(monkeypatch, calls, toposystems, "is_hausdorff")
     resolved = Counter()
@@ -71,6 +73,31 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
             yield desc, bits
 
     monkeypatch.setattr(suites, "family_instances", instances)
+    # every member set verified on a whole group, and the sets the suites build apart from the run's table
+    verified = Counter()
+    real_verify = toposystems.verify_toposys
+
+    def verify(lattice, bits, n=0):
+        verified[lattice.group.descriptor, bits] += n == 0
+        return real_verify(lattice, bits, n)
+
+    monkeypatch.setattr(toposystems, "verify_toposys", verify)
+    apart = Counter()
+    real_build, real_product = suites.build_toposys, suites.product_toposys
+
+    def build(lattice, desc):
+        system = real_build(lattice, desc)
+        apart[lattice.group.descriptor, system.member_bits] += 1
+        return system
+
+    def product_system(product, factor_systems):
+        ptop = real_product(product, factor_systems)
+        apart[product.group.descriptor, ptop.system.member_bits] = 1
+        return ptop
+
+    monkeypatch.setattr(suites, "build_toposys", build)
+    monkeypatch.setattr(suites, "product_toposys", product_system)
+    fresh_products(monkeypatch)
     result = run_suite(SuiteConfig())
     # a copy, since the oracle sweeps below resolve descriptors through the patched family_members
     resolved_by_run = Counter(resolved)
@@ -96,11 +123,12 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     assert swept == instances_of
     unswept = Counter((g, d) for g, d, _ in instances_of if d.partition(":")[0] not in SWEPT_FAMILIES)
     assert resolved_by_run == cells + unswept
-    # the sweeps and the cells share one verification record
+    # the sweeps and the cells share one system per member set, verified once; interior-core
+    # and each factor system build their own, and a product verifies each distinct set once
     lattice_of = {lat.group.descriptor: lat for lat in lattices}
     named = {(g, family_members(lattice_of[g], d).member_bits) for g, d in cells}
     named |= {(g, bits) for g, _, bits in swept}
-    assert calls["require_axioms"] == len(named)
+    assert +verified == Counter(dict.fromkeys(named, 1)) + apart
     # rows are still one per descriptor
     assert sum(r.check == "star-topology" for r in result.reports) == 185
     assert [r.toposys for r in result.reports if r.check == "prime-order"] == [
@@ -217,8 +245,7 @@ def test_toposys_axioms_verifies_each_member_set_once_per_group(monkeypatch):
     assert sum(map(len, sweeps.values())) == 108 and len(distinct) == 16
     assert sum(full in sets for sets in sweeps.values()) == 7
     verified = []
-    real = suites.require_axioms
-    monkeypatch.setattr(suites, "require_axioms", lambda system: verified.append(system.members) or real(system))
+    fail_member_set(monkeypatch, None, verified)
     reports = suites.suite_toposys_axioms(SuiteRun(SuiteConfig(groups=("abelian:2x2x2",))))
     assert [(r.toposys, r.status) for r in reports] == [(f, PASS) for f in FAMILY_NAMES]
     # one verification per distinct set; a record per family row would take 25
@@ -228,15 +255,13 @@ def test_toposys_axioms_verifies_each_member_set_once_per_group(monkeypatch):
 def test_toposys_axioms_repeats_a_stored_failure_in_every_row_naming_the_set(monkeypatch):
     lattice = enumerate_subgroups(build_group("abelian:2x2x2"))
     full = frozenset(range(len(lattice)))
-    fail_member_set(monkeypatch, full)
     with_full = [
         f
         for f in FAMILY_NAMES
         if any(family_members(lattice, d).members == full for d, _ in family_instances(lattice, f))
     ]
     verified = []
-    real = suites.require_axioms
-    monkeypatch.setattr(suites, "require_axioms", lambda system: verified.append(system.members) or real(system))
+    fail_member_set(monkeypatch, full, verified)
     reports = suites.suite_toposys_axioms(SuiteRun(SuiteConfig(groups=("abelian:2x2x2",))))
     assert verified.count(full) == 1
     with pytest.raises(TopoGroupError) as exc:
