@@ -17,6 +17,7 @@ from .toposystems import (
     BadParameterError,
     build_toposys,
     closure_and_limits,
+    family_members,
     find_finite_subcover,
     interior_boundary,
     is_hausdorff,
@@ -35,7 +36,8 @@ from .products import product_toposys, tychonoff_certificate
 from .suites import DEFAULT_CATALOG, SUITE_NAMES, SuiteConfig, run_suite
 
 
-# one encoder for every JSON line: json.dumps(..., sort_keys=True) builds a new one per call
+# one encoder for the lattice records and the summary line (report rows write their own):
+# json.dumps(..., sort_keys=True) builds a new one per call
 _to_json = json.JSONEncoder(sort_keys=True).encode
 
 
@@ -43,7 +45,7 @@ def _emit(reports, fmt: str, timings: bool):
     out = sys.stdout
     if fmt == "json":
         for r in reports:
-            out.write(_to_json(r.to_dict(timings)) + "\n")
+            out.write(r.json_line(timings) + "\n")
     else:
         for r in reports:
             out.write(r.text_line(timings) + "\n")
@@ -113,7 +115,8 @@ def _cmd_lattice(args) -> int:
 
 def _cmd_toposys(args) -> int:
     group, lattice = _lattice_for(args)
-    system = build_toposys(lattice, args.sys)
+    # with --verify a failing member set is listed and gets its verdict line
+    system = family_members(lattice, args.sys) if args.verify else build_toposys(lattice, args.sys)
     print(f"{group.descriptor} / {system.provenance}: {system.member_bits.bit_count()} topens")
     for note in system.notes:
         print(f"  note: {note}")

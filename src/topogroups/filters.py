@@ -169,16 +169,21 @@ def is_ultrafilter(f: SubgroupFilter) -> bool:
 
 
 def is_ultrafilter_bruteforce(f: SubgroupFilter) -> tuple[bool, tuple[int, ...] | None]:
-    """Exhaustive family enumeration; only feasible on small lattices."""
+    """Exhaustive family enumeration; only feasible on small lattices.
+
+    A family holding a member never witnesses a failure, so only families of
+    non-members are enumerated; they come in the same relative order as
+    among all families, so the first witness is the same.
+    """
     lattice = f.lattice
-    indices = range(len(lattice))
-    for r in range(1, len(lattice) + 1):
-        for family in combinations(indices, r):
+    outside = [a for a in range(len(lattice)) if a not in f]
+    for r in range(1, len(outside) + 1):
+        for family in combinations(outside, r):
             union = 0
             for a in family:
                 union |= lattice.mask(a)
             u = lattice.maybe_index(union)
-            if u is not None and u in f and not any(a in f for a in family):
+            if u is not None and u in f:
                 return False, family
     return True, None
 

@@ -298,11 +298,17 @@ def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homo
     mapping = tuple(int(v) for v in mapping)
     if len(mapping) != source.order or any(not 0 <= v < target.order for v in mapping):
         raise NotAHomomorphismError(-1, -1, "map is not total over the source or hits bad ids")
-    for x in source.elements():
-        mx = mapping[x]
-        for y in source.elements():
-            if mapping[source.table[x][y]] != target.table[mx][mapping[y]]:
-                raise NotAHomomorphismError(x, y)
+    table, ttable = source.table, target.table
+
+    def breaks(x: int, y: int) -> bool:
+        return mapping[table[x][y]] != ttable[mapping[x]][mapping[y]]
+
+    # as in verify_group_axioms: the g with f(x·g) = f(x)·f(g) for all x are
+    # closed under products, so the generators suffice, plus f(0) = 0 for an
+    # order-1 source, which has none; the full scan only names the first
+    # failing pair
+    if mapping[0] != 0 or any(breaks(x, g) for g in right_generators(table) for x in source.elements()):
+        raise NotAHomomorphismError(*next((x, y) for x in source.elements() for y in source.elements() if breaks(x, y)))
     return Homomorphism(source, target, mapping)
 
 

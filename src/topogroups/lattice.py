@@ -14,7 +14,6 @@ bitsets over these canonical indices.
 from __future__ import annotations
 
 from functools import cache, cached_property
-from itertools import combinations
 from typing import Sequence
 
 from .groups import (
@@ -377,31 +376,35 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
 
 
 def brute_force_subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
-    """Independent completeness oracle: filter all identity-containing subsets.
+    """Independent completeness oracle: every identity-containing subset closed under products.
 
-    Only subsets whose size divides the group order can be closed, which keeps
-    this usable up to order 16.
+    The subsets are walked depth first, deciding the elements in ascending
+    order.  ``needed`` holds every product of two chosen elements, so an
+    element in it must be chosen, and a branch ends once a product at or
+    below the latest choice was left out.  Every leaf is then closed, and a
+    closed set is never cut off.
     """
     n = group.order
     table = group.table
     found = []
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    others = list(range(1, n))
-    for size in divisors:
-        for combo in combinations(others, size - 1):
-            mask = 1 | mask_of(combo)
-            elems = (0,) + combo
-            ok = True
-            for a in elems:
-                row = table[a]
-                for b in elems:
-                    if not mask >> row[b] & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found.append(mask)
+    chosen_elems = [0]
+
+    def walk(m: int, chosen: int, needed: int) -> None:
+        if m == n:
+            found.append(chosen)
+            return
+        if not needed >> m & 1:
+            walk(m + 1, chosen, needed)
+        row = table[m]
+        chosen_elems.append(m)
+        for c in chosen_elems:
+            needed |= 1 << row[c] | 1 << table[c][m]
+        chosen |= 1 << m
+        if not needed & ~chosen & ((2 << m) - 1):
+            walk(m + 1, chosen, needed)
+        chosen_elems.pop()
+
+    walk(1, 1, 1)
     return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 
@@ -33,15 +34,14 @@ class CheckReport(NamedTuple):
     # timings are explicitly requested
     elapsed_ms: float | None = None
 
-    def to_dict(self, timings: bool = False) -> dict:
-        return {
-            "check": self.check,
-            "group": self.group,
-            "toposys": self.toposys,
-            "status": self.status,
-            "witness": self.witness,
-            "elapsed_ms": round(self.elapsed_ms, 3) if timings and self.elapsed_ms is not None else None,
-        }
+    def json_line(self, timings: bool = False) -> str:
+        """The row as JSONEncoder(sort_keys=True) writes its six keys, from one template."""
+        elapsed = repr(round(self.elapsed_ms, 3)) if timings and self.elapsed_ms is not None else "null"
+        witness = "null" if self.witness is None else _quote(self.witness)
+        return (
+            f'{{"check": {_quote(self.check)}, "elapsed_ms": {elapsed}, "group": {_quote(self.group)}, '
+            f'"status": {_quote(self.status)}, "toposys": {_quote(self.toposys)}, "witness": {witness}}}'
+        )
 
     def text_line(self, timings: bool = False) -> str:
         head = f"{self.status.upper():7s} {self.check} group={self.group}"

@@ -370,14 +370,24 @@ def identities_cell(product) -> tuple[str, str | None]:
     return FAIL, f"{f.kind}@{f.witness}"
 
 
-def certificate_cell(ptop, ultrafilters) -> tuple[str, str | None]:
-    """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step."""
-    for f in ultrafilters:
-        try:
-            tychonoff_certificate(ptop, f)
-        except CertificateFailureError as exc:
-            return FAIL, f"{f.provenance}:{exc.step}"
-    return PASS, None
+def certificate_cell(outcomes: dict, product, factor_systems, ultrafilters) -> tuple[str, str | None]:
+    """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step.
+
+    Factor systems with the same member sets give the same product system,
+    so each (product, factor member sets) is certified once and its outcome
+    kept in ``outcomes`` for every row that names it.
+    """
+    key = (product.group.descriptor, tuple(s.member_bits for s in factor_systems))
+    if key not in outcomes:
+        ptop = product_toposys(product, factor_systems)
+        outcomes[key] = PASS, None
+        for f in ultrafilters:
+            try:
+                tychonoff_certificate(ptop, f)
+            except CertificateFailureError as exc:
+                outcomes[key] = FAIL, f"{f.provenance}:{exc.step}"
+                break
+    return outcomes[key]
 
 
 def _products(catalog, budget: int) -> list:
@@ -462,13 +472,13 @@ def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
     systems = {
         (d, kind): build_toposys(enumerate_subgroups(f), kind) for d, f in factors.items() for kind in FACTOR_SYSTEM_KINDS
     }
+    outcomes: dict = {}
     for product in products:
         ultrafilters = enumerate_ultrafilters(enumerate_subgroups(product.group))
         for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(product.factors)):
-            ptop = product_toposys(product, [systems[f.descriptor, kind] for f, kind in zip(product.factors, combo)])
-            reports += _reports(
-                "tychonoff-certificate", product.group.descriptor, "x".join(combo), certificate_cell, ptop, ultrafilters
-            )
+            factor_systems = [systems[f.descriptor, kind] for f, kind in zip(product.factors, combo)]
+            cell = (certificate_cell, outcomes, product, factor_systems, ultrafilters)
+            reports += _reports("tychonoff-certificate", product.group.descriptor, "x".join(combo), *cell)
     return reports
 
 

@@ -21,11 +21,16 @@ distributivity; both subspace checks run here, in L(h) built as a group of
 its own.  The runtime joins only the topens whose image it cannot read off
 the member set, and verifies a quotient image only where the
 correspondence theorem leaves it open; the join of every topen with N and
-the verification of every image are kept here.
+the verification of every image are kept here.  The runtime's subgroup
+oracle walks only the subsets that can still close, homomorphisms are
+checked on generators and the ultrafilter family scan skips families that
+hold a member; the size-filtered subset scan, the all-pairs homomorphism
+check and the all-families scan are kept here.
 """
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 from topogroups.filters import (
     NotAFilterError,
@@ -41,6 +46,7 @@ from topogroups.filters import (
 from topogroups.groups import (
     FiniteGroup,
     Homomorphism,
+    NotAHomomorphismError,
     bits_of,
     closure_mask,
     make_homomorphism,
@@ -501,3 +507,45 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
             raise CertificateFailureError("membership", (a,))
         replayed.append(a)
     return TychonoffCertificate(x, tuple(replayed))
+
+
+def subgroup_masks_by_subset_scan(group: FiniteGroup) -> tuple[int, ...]:
+    """Every identity-containing subset whose size divides the order, kept when closed under products."""
+    n = group.order
+    table = group.table
+    found = []
+    for size in (d for d in range(1, n + 1) if n % d == 0):
+        for combo in combinations(range(1, n), size - 1):
+            mask = 1 | mask_of(combo)
+            elems = (0,) + combo
+            if all(mask >> table[a][b] & 1 for a in elems for b in elems):
+                found.append(mask)
+    return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
+
+
+def homomorphism_by_scan(source: FiniteGroup, target: FiniteGroup, mapping) -> Homomorphism:
+    """make_homomorphism with f(x·y) = f(x)·f(y) tested on all |G|² pairs, raising at the first failing one."""
+    mapping = tuple(int(v) for v in mapping)
+    if len(mapping) != source.order or any(not 0 <= v < target.order for v in mapping):
+        raise NotAHomomorphismError(-1, -1, "map is not total over the source or hits bad ids")
+    for x in source.elements():
+        mx = mapping[x]
+        for y in source.elements():
+            if mapping[source.table[x][y]] != target.table[mx][mapping[y]]:
+                raise NotAHomomorphismError(x, y)
+    return Homomorphism(source, target, mapping)
+
+
+def is_ultrafilter_by_all_families(f: SubgroupFilter) -> tuple[bool, tuple[int, ...] | None]:
+    """The first family of subgroups, over all families, whose union is a member while none of them is."""
+    lattice = f.lattice
+    indices = range(len(lattice))
+    for r in range(1, len(lattice) + 1):
+        for family in combinations(indices, r):
+            union = 0
+            for a in family:
+                union |= lattice.mask(a)
+            u = lattice.maybe_index(union)
+            if u is not None and u in f and not any(a in f for a in family):
+                return False, family
+    return True, None

@@ -46,6 +46,20 @@ def test_toposys_verify(capsys):
     assert "axioms: pass" in out
 
 
+def test_toposys_verify_prints_a_failing_verdict(capsys, monkeypatch):
+    failure = ValidationFailure("join-closure", (1, 2, 3), "forced")
+    monkeypatch.setattr(toposystems, "verify_toposys", lambda lattice, bits, n=0: failure)
+    code, out, err = run(capsys, "toposys", "--group", "sym:3", "--sys", "normal", "--verify")
+    assert code == 1 and not err
+    lines = out.splitlines()
+    assert lines[0] == "sym:3 / normal: 3 topens"
+    assert lines[-1] == f"axioms: fail {failure}"
+    # without --verify a failing member set is still an error
+    code, out, err = run(capsys, "toposys", "--group", "sym:3", "--sys", "normal")
+    assert code == 2 and not out
+    assert err.startswith("error: internal error: family 'normal' on sym:3 fails axioms: ")
+
+
 def test_closure_subcommand(capsys):
     code, out, _ = run(capsys, "closure", "--group", "sym:3", "--sys", "normal", "--subgroup", "#1")
     assert code == 0
@@ -478,7 +492,7 @@ def test_product_tychonoff_failure_is_reported_per_ultrafilter(capsys):
     assert sum("converges at" in line for line in lines) == len(lines) - len(failed)
 
 
-def test_a_failed_tychonoff_step_is_one_fail_row(capsys, monkeypatch):
+def test_a_failed_tychonoff_step_fails_every_row_of_its_product_system(capsys, monkeypatch):
     argv = ["theorems", "--suite", "tychonoff", "--format", "json"]
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -496,14 +510,59 @@ def test_a_failed_tychonoff_step_is_one_fail_row(capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not err
     lines = out.splitlines()
-    assert json.loads(lines[-1])["summary"]["fail"] == 1
     got = [json.loads(line) for line in lines[:-1]]
-    first = next(pos for pos, r in enumerate(want) if r["check"] == "tychonoff-certificate")
-    assert got[first]["status"] == "fail"
-    assert got[first]["witness"] == f"{seen[0].provenance}:membership"
+    # the first certificate is of the one product system on cyclic:2 x cyclic:2,
+    # where every kind names {1, C2}: all 9 of that product's rows share it
+    witness = f"{seen[0].provenance}:membership"
+    failed = [
+        pos for pos, r in enumerate(want)
+        if r["check"] == "tychonoff-certificate" and r["group"] == "product(cyclic:2,cyclic:2)"
+    ]
+    assert len(failed) == 9
+    assert json.loads(lines[-1])["summary"]["fail"] == 9
+    assert [pos for pos, r in enumerate(got) if r["status"] == "fail"] == failed
     # every other row is still there, unchanged
-    want[first].update(status="fail", witness=got[first]["witness"])
+    for pos in failed:
+        want[pos].update(status="fail", witness=witness)
     assert got == want
+
+
+def _old_row_json(report, timings):
+    """A row as the generic encoder writes it, from the dict the CLI once built."""
+    elapsed = round(report.elapsed_ms, 3) if timings and report.elapsed_ms is not None else None
+    record = {
+        "check": report.check,
+        "group": report.group,
+        "toposys": report.toposys,
+        "status": report.status,
+        "witness": report.witness,
+        "elapsed_ms": elapsed,
+    }
+    return json.dumps(record, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "suites_run,timings", [(suites.SUITE_NAMES, False), (suites.SUITE_NAMES, True), (("tychonoff",), True)]
+)
+def test_json_line_writes_the_encoder_bytes(suites_run, timings):
+    result = suites.run_suite(suites.SuiteConfig(suites=suites_run))
+    assert result.reports
+    for report in result.reports:
+        assert report.json_line(timings) == _old_row_json(report, timings)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        CheckReport("c", "g", "", "pass"),
+        CheckReport("c", "g", "s", "fail", "wit\u00e9ness \"q\"\n\u2192 \U0001d400", 1.23456),
+        CheckReport("c\u00e9", "g\t", "s/\u0000", "finding", None, 0.0004),
+        CheckReport("c", "g", "s", "pass", "", 12),
+    ],
+)
+@pytest.mark.parametrize("timings", [False, True])
+def test_json_line_writes_the_encoder_bytes_on_hand_built_rows(report, timings):
+    assert report.json_line(timings) == _old_row_json(report, timings)
 
 
 def test_record_reprs_in_the_output(capsys):

@@ -34,6 +34,7 @@ from oracles import (
     WIDE_AND_LADDER_GROUPS,
     OrdinaryFilter,
     filter_failure_by_scan,
+    is_ultrafilter_by_all_families,
     ordinary_bridge,
     quotient_group,
     restrict_ordinary,
@@ -373,6 +374,18 @@ def test_pushforward_matches_member_scan(lat, hom):
         pushed = pushforward(hom, f)
         assert pushed.member_bits == mask_of(want)
         assert pushed.lattice is enumerate_subgroups(hom.target)
+
+
+# every lattice whose filters the tests here enumerate: the small ones and the pushforward sources
+FILTER_LATTICES = SMALL_LATTICE_DESCRIPTORS + tuple("product(" + ",".join(d) + ")" for d in PUSHFORWARD_PRODUCTS)
+
+
+@pytest.mark.parametrize("desc", FILTER_LATTICES)
+def test_family_scan_over_non_members_matches_the_scan_over_all_families(desc):
+    lat = _lat(desc)
+    for members in all_filters(lat):
+        f = filter_from_members(lat, members)
+        assert is_ultrafilter_bruteforce(f) == is_ultrafilter_by_all_families(f)
 
 
 def test_pushforward_cases_reach_both_degenerate_outcomes():

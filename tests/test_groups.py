@@ -23,7 +23,16 @@ from topogroups.groups import (
 )
 from topogroups.report import ValidationFailure
 from topogroups.suites import DEFAULT_CATALOG, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
-from oracles import LADDER_GROUPS, WIDE_AND_LADDER_GROUPS, associativity_failure_by_scan, quotient_group, subgroup_group
+from topogroups.lattice import automorphisms
+from topogroups.products import direct_product
+from oracles import (
+    LADDER_GROUPS,
+    WIDE_AND_LADDER_GROUPS,
+    associativity_failure_by_scan,
+    homomorphism_by_scan,
+    quotient_group,
+    subgroup_group,
+)
 
 SMALL_DESCRIPTORS = (
     "cyclic:4",
@@ -163,6 +172,56 @@ def test_make_homomorphism_rejects_with_witness():
         make_homomorphism(s3, z2, bad)
     x, y = exc.value.witness
     assert bad[s3.table[x][y]] != (bad[x] + bad[y]) % 2
+
+
+def _homomorphism_outcome(make, source, target, mapping):
+    """The mapping made, or the witness pair raised."""
+    try:
+        return make(source, target, mapping).mapping
+    except NotAHomomorphismError as exc:
+        return exc.witness
+
+
+def _homomorphism_cases():
+    """(source, target, mapping): every catalog projection, every automorphism, each with one value moved."""
+    cases = []
+    for descs in IDENTITY_PRODUCTS:
+        p = direct_product([build_group(d) for d in descs])
+        cases += [(p.group, proj.target, proj.mapping) for proj in p.projections]
+    for desc in SMALL_DESCRIPTORS:
+        g = build_group(desc)
+        cases += [(g, g, phi.mapping) for phi in automorphisms(g)]
+    moved = []
+    for source, target, mapping in cases:
+        x = len(mapping) // 2
+        moved.append((source, target, mapping[:x] + ((mapping[x] + 1) % target.order,) + mapping[x + 1 :]))
+    return cases + moved
+
+
+def test_generator_check_matches_the_pairwise_scan_on_homomorphisms_and_moved_maps():
+    outcomes = {"made": 0, "raised": 0}
+    for source, target, mapping in _homomorphism_cases():
+        got = _homomorphism_outcome(make_homomorphism, source, target, mapping)
+        assert got == _homomorphism_outcome(homomorphism_by_scan, source, target, mapping)
+        outcomes["made" if got == mapping else "raised"] += 1
+    assert outcomes["made"] and outcomes["raised"]
+
+
+@given(st.sampled_from(SMALL_DESCRIPTORS + ("cyclic:2",)), st.sampled_from(("cyclic:2", "cyclic:3", "sym:3")), st.data())
+def test_generator_check_matches_the_pairwise_scan_on_random_maps(source_desc, target_desc, data):
+    source, target = build_group(source_desc), build_group(target_desc)
+    mapping = tuple(data.draw(st.lists(st.integers(0, target.order - 1), min_size=source.order, max_size=source.order)))
+    got = _homomorphism_outcome(make_homomorphism, source, target, mapping)
+    assert got == _homomorphism_outcome(homomorphism_by_scan, source, target, mapping)
+
+
+def test_an_order_1_source_must_go_to_the_identity():
+    trivial, z2 = build_group("cyclic:1"), build_group("cyclic:2")
+    assert make_homomorphism(trivial, z2, (0,)).mapping == (0,)
+    with pytest.raises(NotAHomomorphismError) as exc:
+        make_homomorphism(trivial, z2, (1,))
+    assert exc.value.witness == (0, 0)
+    assert _homomorphism_outcome(homomorphism_by_scan, trivial, z2, (1,)) == (0, 0)
 
 
 @given(st.sampled_from(("sym:3", "quaternion:8", "cyclic:6")), st.data())

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +45,7 @@ from oracles import (
     core_mask_by_conjugation,
     normalizer_by_scan,
     subgroup_masks_by_cyclic_extension,
+    subgroup_masks_by_subset_scan,
     thk_bits_by_scan,
 )
 
@@ -146,6 +148,31 @@ def test_enumeration_matches_brute_force(desc):
     group = build_group(desc)
     enumerated = {s.mask for s in enumerate_subgroups(group).subgroups}
     assert enumerated == set(brute_force_subgroup_masks(group))
+
+
+# every catalog group the size-filtered subset scan reaches, and more of order 16
+SUBSET_SCAN_GROUPS = tuple(d for d in DEFAULT_CATALOG if build_group(d).order <= 16) + (
+    "abelian:2x2x2x2",
+    "abelian:4x4",
+    "dihedral:8",
+    "abelian:2x2x4",
+    "product(quaternion:8,cyclic:2)",
+)
+
+
+@pytest.mark.parametrize("desc", SUBSET_SCAN_GROUPS)
+def test_pruned_subset_walk_matches_the_subset_scan(desc):
+    group = build_group(desc)
+    assert brute_force_subgroup_masks(group) == subgroup_masks_by_subset_scan(group)
+
+
+def test_brute_force_matches_enumeration_past_order_16():
+    start = time.monotonic()
+    for desc in WIDE_AND_LADDER_GROUPS + ("product(dihedral:4,abelian:2x2x2)", "abelian:2x2x2x2x2x2"):
+        group = build_group(desc)
+        assert set(brute_force_subgroup_masks(group)) == {s.mask for s in enumerate_subgroups(group).subgroups}, desc
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
 
 
 @pytest.mark.parametrize("desc", DIFFERENTIAL_GROUPS)

@@ -169,8 +169,14 @@ def test_tychonoff_pushes_each_ultrafilter_along_each_projection_once(monkeypatc
     calls = Counter()
     count_calls(monkeypatch, calls, products, "pushforward")
     count_calls(monkeypatch, calls, products, "convergence_set")
+    count_calls(monkeypatch, calls, suites, "tychonoff_certificate")
+    count_calls(monkeypatch, calls, suites, "product_toposys")
     rows = tychonoff_rows(SuiteRun(SuiteConfig()))
     assert len(rows) == 90 and all(status == PASS for _, _, status, _ in rows)
+    # one certificate per (distinct product system, ultrafilter): the 90 rows
+    # name 13 distinct product systems, and one per row would be 504 certificates
+    assert calls["product_toposys"] == 13
+    assert calls["tychonoff_certificate"] == 79
     # one pushforward per (product, factor, ultrafilter), not one per kind combination as well
     pushes = sum(
         len(descs) * len(enumerate_ultrafilters(enumerate_subgroups(build_group(f"product({','.join(descs)})"))))
