@@ -24,6 +24,7 @@ from functools import cached_property
 from itertools import accumulate, permutations
 from itertools import product as iter_product
 from math import prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .report import ValidationFailure
@@ -98,32 +99,37 @@ def verify_group_axioms(table) -> ValidationFailure | None:
     """Check that a square table over [0, n) is a Cayley table with identity 0.
 
     Never raises: returns the first failure, whose witness is the offending
-    cell, element or triple, or None when the table is a group.
+    cell, element or triple, or None when the table is a group.  C-level
+    checks decide each row; only a check that fails runs the cell scan,
+    which names the witness.
     """
     n = len(table)
+    ids = range(n)
     for i, row in enumerate(table):
         if len(row) != n:
             return ValidationFailure("shape", (i,), "row length mismatch")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
-                return ValidationFailure("range", (i, j), f"entry {v!r} out of range")
-    for j in range(n):
+        if set(map(type, row)) != {int} or min(row) < 0 or max(row) >= n:
+            for j, v in enumerate(row):
+                if not isinstance(v, int) or not 0 <= v < n:
+                    return ValidationFailure("range", (i, j), f"entry {v!r} out of range")
+    for j in ids:
         if table[0][j] != j:
             return ValidationFailure("identity", (0, j), "left identity broken")
-    for i in range(n):
+    for i in ids:
         if table[i][0] != i:
             return ValidationFailure("identity", (i, 0), "right identity broken")
-    for a in range(n):
-        if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
+    for a, row in enumerate(table):
+        # the first zero of the row is the inverse, or the scan tries every b
+        if not (0 in row and table[row.index(0)][a] == 0 or any(row[b] == 0 and table[b][a] == 0 for b in ids)):
             return ValidationFailure("inverse", (a,), "no two-sided inverse")
     # Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups* I,
     # 1961, §1.2): the b with (a·b)·c = a·(b·c) for all a, c are closed under
     # products, so checking generators suffices; the full scan only names the
     # first failing triple
     for b in right_generators(table):
-        tb = table[b]
-        # the row c -> (a·b)·c against the row c -> a·(b·c)
-        if any(list(table[ta[b]]) != [ta[y] for y in tb] for ta in table):
+        # c -> (a·b)·c is row a·b; c -> a·(b·c) reads row a at row b (a tuple, as n > 1)
+        left = map(tuple, map(table.__getitem__, map(itemgetter(b), table)))
+        if list(left) != list(map(itemgetter(*table[b]), table)):
             witness = next(
                 (a, b, c)
                 for a in range(n)
@@ -144,13 +150,12 @@ class FiniteGroup:
     """
 
     def __init__(self, table, descriptor: str, element_names=None):
-        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(int(v) for v in row) for row in table)
+        self.table: tuple[tuple[int, ...], ...] = tuple(tuple(map(int, row)) for row in table)
         self.order: int = len(self.table)
         self.descriptor: str = descriptor
-        if element_names is None:
-            element_names = tuple(str(i) for i in range(self.order))
-        self.element_names: tuple[str, ...] = tuple(element_names)
-        self.inverse: tuple[int, ...] = tuple(self.table[a].index(0) for a in range(self.order))
+        names = map(str, range(self.order)) if element_names is None else element_names
+        self.element_names: tuple[str, ...] = tuple(names)
+        self.inverse: tuple[int, ...] = tuple(row.index(0) for row in self.table)
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
@@ -314,8 +319,13 @@ def make_homomorphism(source: FiniteGroup, target: FiniteGroup, mapping) -> Homo
 
 # --- construction -----------------------------------------------------------
 
+def _shifted(n: int, k: int, base: int = 0) -> list[int]:
+    """The row j -> base + (j + k) mod n, for 0 <= k < n, from two ranges."""
+    return [*range(base + k, base + n), *range(base, base + k)]
+
+
 def _cyclic_table(n: int):
-    return [[(i + j) % n for j in range(n)] for i in range(n)]
+    return [_shifted(n, i) for i in range(n)]
 
 
 def mixed_radix_decode(orders, idx: int) -> tuple[int, ...]:
@@ -349,11 +359,6 @@ def _product_table(tables, name_lists):
     return table, names
 
 
-def _perm_compose(p, q):
-    # (p * q)(i) = p(q(i)): apply q first
-    return tuple(p[q[i]] for i in range(len(p)))
-
-
 def _perm_name(p) -> str:
     seen = [False] * len(p)
     parts = []
@@ -380,7 +385,8 @@ def _perm_is_even(p) -> bool:
 def _permutation_table(degree: int, even_only: bool):
     perms = [p for p in permutations(range(degree)) if not even_only or _perm_is_even(p)]
     pos = {p: i for i, p in enumerate(perms)}
-    table = [[pos[_perm_compose(a, b)] for b in perms] for a in perms]
+    # (a * b)(i) = a(b(i)): apply b first
+    table = [[pos[tuple(map(a.__getitem__, b))] for b in perms] for a in perms]
     names = tuple(_perm_name(p) for p in perms)
     return table, names
 
@@ -412,14 +418,10 @@ def _quaternion_table():
 
 
 def _dihedral_table(n: int):
-    # element (f, k) = s^f r^k with id f*n + k; r^k s = s r^(-k)
-    def mul(a, b):
-        f1, k1 = divmod(a, n)
-        f2, k2 = divmod(b, n)
-        k = (k2 + (k1 if f2 == 0 else -k1)) % n
-        return ((f1 + f2) % 2) * n + k
-
-    table = [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+    # element (f, k) = s^f r^k with id f*n + k; r^k s = s r^(-k), so row r^k
+    # maps r^j to r^(j+k) and s r^j to s r^(j-k), and row s r^k swaps the halves
+    table = [_shifted(n, k) + _shifted(n, -k % n, n) for k in range(n)]
+    table += [_shifted(n, k, n) + _shifted(n, -k % n) for k in range(n)]
     names = tuple(
         ("e" if k == 0 else f"r{k}") if f == 0 else ("s" if k == 0 else f"sr{k}")
         for f in range(2)

@@ -13,7 +13,8 @@ bitsets over these canonical indices.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import and_, itemgetter
 from typing import Sequence
 
 from .groups import (
@@ -50,45 +51,35 @@ class SubgroupLattice:
     """Canonical array of every subgroup of a group, with the subgroup algebra.
 
     *generators* maps each subgroup mask to a generating set and
-    *cyclic_masks* gives the cyclic subgroup of each element.  Meets are mask
-    intersections; a join is read off per-subgroup bitsets of the subgroups
-    containing it, with no closure.  ``containing[e]`` is the bitset of the
-    subgroups that contain element e, the incidence index from which
-    topo-systems answer their point-wise queries, and ``above[k]`` is the
-    bitset of the subgroups that contain subgroup k.  ``below[k]`` (inside k)
-    and ``disjoint[k]`` (meeting k only in the identity) are the two relations
-    the topo-system calculus reads.  ``normalizers[k]`` is the one normalizer
-    table, which ``normal_bits`` and ``normalized_by[x]`` read, and the
-    commutator row of k is the one commutator table, which
-    ``commutator_index`` and ``commutators_inside`` read.
+    *cyclic_masks* gives the cyclic subgroup of each element; the masks are
+    sorted by ``canonical_order``.  Meets are mask intersections; a join is read
+    off ``above[k]``, the bitset of the subgroups containing subgroup k, with no
+    closure.  ``containing[e]``, the subgroups holding element e, is the
+    transposed membership matrix, and ``below[k]`` and ``disjoint[k]`` are the
+    relations the topo-system calculus reads.  ``normalizers[k]`` is the one
+    normalizer table, read by ``normal_bits`` and ``normalized_by[x]``; it
+    conjugates by the non-central top generators only.  The commutator row of
+    k is the one commutator table, built over G/Z(G), and ``is_characteristic``
+    reads one Aut(G)-orbit mask per element.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
         self.group = group
-        key = lambda m: (m.bit_count(), tuple(bits_of(m)))
-        ordered = sorted(generators, key=key)
+        ordered = canonical_order(generators, n := group.order)
         if ordered[0] != 1 or ordered[-1] != group.full_mask:
             raise TopoGroupError("lattice must span from the trivial subgroup to the whole group")
         self.subgroups: tuple[Subgroup, ...] = tuple(Subgroup(group, m) for m in ordered)
-        self.generators: tuple[tuple[int, ...], ...] = tuple(generators[m] for m in ordered)
+        self.generators: tuple[tuple[int, ...], ...] = tuple(map(generators.__getitem__, ordered))
         self._index_by_mask = {m: i for i, m in enumerate(ordered)}
-        self._cyclic: tuple[int, ...] = tuple(self._index_by_mask[m] for m in cyclic_masks)
-        containing = [0] * group.order
-        for k, m in enumerate(ordered):
-            for e in bits_of(m):
-                containing[e] |= 1 << k
-        self.containing: tuple[int, ...] = tuple(containing)
-        # above[k]: bitset of the subgroups containing subgroup k, that is,
-        # containing each of its generators; starting from every subgroup
-        # keeps above[0] (no generators) inside len(self) bits
-        everything = (1 << len(ordered)) - 1
-        above = []
-        for gens in self.generators:
-            up = everything
-            for g in gens:
-                up &= containing[g]
-            above.append(up)
-        self.above: tuple[int, ...] = tuple(above)
+        self._cyclic: tuple[int, ...] = tuple(map(self._index_by_mask.__getitem__, cyclic_masks))
+        # containing[e]: column e of the membership matrix, read off by transposing its row
+        # strings, last subgroup first so that each column is a binary number
+        columns = zip(*(f"{m:0{n}b}" for m in reversed(ordered)))
+        self.containing: tuple[int, ...] = tuple(map(int, map("".join, columns), [2] * n))[::-1]
+        # above[k]: bitset of the subgroups containing each generator of subgroup k;
+        # starting from every subgroup keeps above[0] (no generators) inside len(self) bits
+        everything, contains = (1 << len(ordered)) - 1, self.containing.__getitem__
+        self.above: tuple[int, ...] = tuple(reduce(and_, map(contains, gens), everything) for gens in self.generators)
         self._commutator_rows: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
@@ -163,32 +154,65 @@ class SubgroupLattice:
                     k, stable = meet, False
         return k
 
+    @cached_property
+    def _conjugation_rows(self) -> dict[int, tuple[int, ...]]:
+        """The row x ↦ g·x·g⁻¹ of each top generator g outside the centre; an abelian group has none."""
+        table, inverse, identity = self.group.table, self.group.inverse, tuple(self.group.elements())
+        rows = {g: tuple(map(itemgetter(inverse[g]), map(table.__getitem__, table[g]))) for g in self.generators[-1]}
+        return {g: row for g, row in rows.items() if row != identity}
+
+    @cached_property
+    def _centre_cosets(self) -> tuple[list[int], list[int]]:
+        """(least, reach): least[x] is the least element of xZ(G), and reach[x]
+        the OR of ``containing`` over xZ(G) when x is that least element, else 0."""
+        centre = [z for z in self.group.elements() if all(row[z] == z for row in self._conjugation_rows.values())]
+        least, reach = [min(map(row.__getitem__, centre)) for row in self.group.table], [0] * self.group.order
+        for y, x in enumerate(least):
+            reach[x] |= self.containing[y]
+        return least, reach
+
+    @cached_property
+    def _automorphism_orbits(self) -> tuple[int, ...]:
+        """orbits[x]: bitset of the images of element x under Aut(G), one pass over Aut(G) per orbit."""
+        mappings, orbits = [phi.mapping for phi in automorphisms(self.group)], [0] * self.group.order
+        for x in self.group.elements():
+            if not orbits[x]:
+                for y in bits_of(orbit := mask_of(set(map(itemgetter(x), mappings)))):
+                    orbits[y] = orbit
+        return tuple(orbits)
+
     def normalizer_index(self, i: int) -> int:
         """Index of N(H) for subgroup i = H; the whole group when its generators normalize H.
 
         g normalizes a finite subgroup once it maps its generators inside.  When
-        every top generator does, G normalizes H; otherwise every element is
-        tested.  Uncached: ``normalizers`` keeps one answer per subgroup and
-        calls this once per conjugacy class.
+        the conjugation row of every non-central top generator does, G normalizes
+        H; otherwise every element is tested.  Uncached: ``normalizers`` keeps one
+        answer per subgroup and calls this once per conjugacy class.
         """
-        mask = self.subgroups[i].mask
-        gens = self.generators[i]
-        conjugate = self.group.conjugate
-        if all(mask >> conjugate(g, x) & 1 for g in self.generators[self.top_index] for x in gens):
+        mask, gens = self.subgroups[i].mask, self.generators[i]
+        if all(mask >> row[x] & 1 for row in self._conjugation_rows.values() for x in gens):
             return self.top_index
-        return self._index_by_mask[
-            mask_of(g for g in self.group.elements() if all(mask >> conjugate(g, x) & 1 for x in gens))
-        ]
+        table, inverse, normalizer = self.group.table, self.group.inverse, 0
+        for g, row in enumerate(table):
+            gi = inverse[g]
+            for x in gens:
+                if not mask >> table[row[x]][gi] & 1:
+                    break
+            else:
+                normalizer |= 1 << g
+        return self._index_by_mask[normalizer]
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
         """normalizers[k]: index of the normalizer of subgroup k, one normalizer_index per conjugacy class.
 
         The class of a non-normal H is walked from H by conjugating with the
-        top generators.  Each point gHg⁻¹ keeps one g, and its normalizer is
-        N(gHg⁻¹) = gN(H)g⁻¹.
+        non-central top generators.  Each point gHg⁻¹ keeps one g, and its
+        normalizer is N(gHg⁻¹) = gN(H)g⁻¹.  With no such generator G is abelian.
         """
-        table, top = self.group.table, self.top_index
+        table, top, cyclic = self.group.table, self.top_index, self._cyclic
+        if not self._conjugation_rows:
+            return (top,) * len(self.subgroups)
         normalizers: list[int | None] = [None] * len(self.subgroups)
         for k in range(len(normalizers)):
             if normalizers[k] is not None:
@@ -199,8 +223,8 @@ class SubgroupLattice:
             # the points of k's class, each with an element conjugating k onto it
             orbit = [(k, 0)]
             for point, g in orbit:
-                for t in self.generators[top]:
-                    image = self.conjugate_index(t, point)
+                for t, row in self._conjugation_rows.items():
+                    image = self.join_of([cyclic[row[x]] for x in self.generators[point]])
                     if normalizers[image] is None:
                         tg = table[t][g]
                         normalizers[image] = self.conjugate_index(tg, n)
@@ -241,20 +265,24 @@ class SubgroupLattice:
         The bucket of c is the OR of ``containing[x]`` over the x in G with
         c(x) = c, that is, the bitset of the subgroups holding such an x.  c(x)
         is the least subgroup above every cyclic ⟨[x, y]⟩, the lowest bit of
-        the AND of their ``above``.  A row is built once, in one pass over G × k.
+        the AND of their ``above``.  As [xz, yw] = [x, y] for central z and w, a
+        row is built once from one x per coset of Z(G), whose bucket takes the
+        coset's ``reach``, and the least element of each coset meeting k.
         """
         row = self._commutator_rows.get(k)
         if row is None:
             table, inverse, above, cyclic = self.group.table, self.group.inverse, self.above, self._cyclic
-            ys = [(y, inverse[y]) for y in bits_of(self.subgroups[k].mask)]
+            least, reach = self._centre_cosets
+            ys = [(y, inverse[y]) for y in {least[y] for y in bits_of(self.subgroups[k].mask)}]
             row = {}
-            for x in self.group.elements():
-                row_x, row_xi = table[x], table[inverse[x]]
-                common = -1
-                for y, yi in ys:
-                    common &= above[cyclic[table[row_x[y]][row_xi[yi]]]]
-                c = (common & -common).bit_length() - 1
-                row[c] = row.get(c, 0) | self.containing[x]
+            for x, bucket in enumerate(reach):
+                if bucket:
+                    row_x, row_xi = table[x], table[inverse[x]]
+                    common = -1
+                    for y, yi in ys:
+                        common &= above[cyclic[table[row_x[y]][row_xi[yi]]]]
+                    c = (common & -common).bit_length() - 1
+                    row[c] = row.get(c, 0) | bucket
             self._commutator_rows[k] = row
         return row
 
@@ -317,6 +345,13 @@ class SubgroupLattice:
         return f"#{i}(order {sub.order}: {{{names}}})"
 
 
+def canonical_order(masks, n: int) -> list[int]:
+    """Masks over n elements by order, then membership lexicographic, sorted on C-level keys: of two
+    masks of one order, the earlier holds the lowest element they differ in, so its bits read from 0 are larger."""
+    lsb_first = dict(zip(masks, map(itemgetter(slice(None, None, -1)), map(format, masks, [f"0{n}b"] * len(masks)))))
+    return sorted(sorted(masks, key=lsb_first.__getitem__, reverse=True), key=int.bit_count)
+
+
 @cache
 def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """Enumerate the complete subgroup lattice of a solvable group; equal groups share one lattice.
@@ -324,24 +359,23 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     Cyclic extension by prime-index steps (Neubüser, 1960; Holt, Eick and
     O'Brien, *Handbook of Computational Group Theory*, 2005): breadth first
     from the trivial subgroup, h is extended only by an x that normalizes h
-    and whose least power inside h is x^p with p prime.  Then h⟨x⟩ is the
-    union of the p cosets h·x^i, read off the table with no closure, and no
-    subgroup lies strictly between h and h⟨x⟩, so every x inside h⟨x⟩ is
-    skipped for this h.  Every subgroup K ≠ 1 of a solvable group has a
-    normal subgroup H of prime index and is H⟨x⟩ for any x in K outside H, so
-    this reaches every subgroup.  A group that is not solvable has no such
-    chain up to itself and raises TopoGroupError.  The generators of h⟨x⟩ are
-    those of h that ⟨x⟩ does not contain, then x.
+    (a plain loop over the generators of h) and whose least power inside h is
+    x^p with p prime.  Then h⟨x⟩ is the union of the p cosets h·x^i, whose bits
+    are ORed off the table with no closure, and no subgroup lies strictly
+    between h and h⟨x⟩, so every x inside h⟨x⟩ is skipped for this h.  Every
+    subgroup K ≠ 1 of a solvable group has a normal subgroup H of prime index
+    and is H⟨x⟩ for any x in K outside H, so this reaches every subgroup.  A
+    group that is not solvable has no such chain up to itself and raises
+    TopoGroupError.  The generators of h⟨x⟩ are those of h that ⟨x⟩ does not
+    contain, then x.
     """
     if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {DEFAULT_ORDER_CAP}")
     table, inverse = group.table, group.inverse
     cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
-    least: dict[int, int] = {}
-    for x, m in enumerate(cyclic_masks):
-        least.setdefault(m, x)
+    primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
     # the least generator of each non-trivial cyclic subgroup, ascending
-    reps = list(least.values())[1:]
+    reps = [x for x, m in enumerate(cyclic_masks) if cyclic_masks.index(m) == x][1:]
     generators: dict[int, tuple[int, ...]] = {1: ()}
     queue = [1]
     for h in queue:
@@ -352,22 +386,25 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
             if reached >> x & 1:
                 continue
             row, xi = table[x], inverse[x]
-            if not all(h >> table[row[g]][xi] & 1 for g in gens):
-                continue
-            # x, ..., x^(p-1) lie outside h and x^p is the least power inside
-            powers = [x]
-            while not h >> (y := table[powers[-1]][x]) & 1:
-                powers.append(y)
-            p = len(powers) + 1
-            if any(p % d == 0 for d in range(2, p)):
-                continue
-            # x normalizes h, so the left cosets x^i·h are the right ones
-            cosets = [table[y][e] for y in powers for e in elems]
-            j = h | mask_of(cosets)
-            reached |= j
-            if j not in generators:
-                generators[j] = tuple(g for g in gens if not cyclic_masks[x] >> g & 1) + (x,)
-                queue.append(j)
+            for g in gens:
+                if not h >> table[row[g]][xi] & 1:
+                    break
+            else:
+                # x, ..., x^(p-1) lie outside h and x^p is the least power inside
+                powers = [x]
+                while not h >> (y := table[powers[-1]][x]) & 1:
+                    powers.append(y)
+                if len(powers) + 1 not in primes:
+                    continue
+                # x normalizes h, so the left cosets x^i·h are the right ones
+                j = h
+                for row_y in map(table.__getitem__, powers):
+                    for e in elems:
+                        j |= 1 << row_y[e]
+                reached |= j
+                if j not in generators:
+                    generators[j] = tuple(g for g in gens if not cyclic_masks[x] >> g & 1) + (x,)
+                    queue.append(j)
     if group.full_mask not in generators:
         raise TopoGroupError(
             f"{group.descriptor} is not solvable: prime-index cyclic extension never reaches the whole group"
@@ -405,7 +442,7 @@ def brute_force_subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:
         chosen_elems.pop()
 
     walk(1, 1, 1)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
+    return tuple(canonical_order(found, n))
 
 
 def _close_generator_map(group: FiniteGroup, gens, imgs) -> dict[int, int] | None:
@@ -459,7 +496,7 @@ def _automorphism_levels(group: FiniteGroup) -> list[tuple[list[tuple[int, ...]]
         if mapping is None or len(set(mapping.values())) < len(mapping):
             return None
         if len(imgs) == len(gens):
-            return tuple(mapping[x] for x in group.elements())
+            return tuple(map(mapping.__getitem__, group.elements()))
         for h in candidates[len(imgs)]:
             imgs.append(h)
             found = search(imgs)
@@ -486,7 +523,7 @@ def _automorphism_levels(group: FiniteGroup) -> list[tuple[list[tuple[int, ...]]
                 for s in found:
                     y = s[point]
                     if y not in orbit:
-                        orbit[y] = tuple(s[x] for x in rep)
+                        orbit[y] = tuple(map(s.__getitem__, rep))
                         points.append(y)
         levels.append((new, orbit))
     levels.reverse()
@@ -509,16 +546,17 @@ def automorphisms(group: FiniteGroup) -> tuple[Homomorphism, ...]:
     gens = lattice.generators[lattice.top_index]
     perms = [tuple(group.elements())]
     for _, orbit in reversed(_automorphism_levels(group)):
-        perms = [tuple(t[x] for x in p) for t in orbit.values() for p in perms]
-    perms.sort(key=lambda p: [p[g] for g in gens])
+        perms = [tuple(map(t.__getitem__, p)) for t in orbit.values() for p in perms]
+    # the trivial group has no generators and one automorphism
+    perms.sort(key=itemgetter(*gens or (0,)))
     return tuple(Homomorphism(group, group, p) for p in perms)
 
 
 def is_characteristic(lattice: SubgroupLattice, i: int) -> bool:
-    # φ(H) ⊆ H once φ maps the generators of H inside, and φ is injective,
-    # so the orders match and φ(H) = H
-    mask, gens = lattice.mask(i), lattice.generators[i]
-    return all(all(mask >> phi.mapping[g] & 1 for g in gens) for phi in automorphisms(lattice.group))
+    # φ(H) ⊆ H for every φ once the Aut(G)-orbit of each generator of H lies
+    # in H, and φ is injective, so the orders match and φ(H) = H
+    mask, orbits = lattice.mask(i), lattice._automorphism_orbits
+    return all(orbits[g] & ~mask == 0 for g in lattice.generators[i])
 
 
 def verbal_residual(lattice: SubgroupLattice, variety: str) -> int:

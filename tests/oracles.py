@@ -25,12 +25,18 @@ the verification of every image are kept here.  The runtime's subgroup
 oracle walks only the subsets that can still close, homomorphisms are
 checked on generators and the ultrafilter family scan skips families that
 hold a member; the size-filtered subset scan, the all-pairs homomorphism
-check and the all-families scan are kept here.
+check and the all-families scan are kept here.  The construction layer
+works at table level: the group axioms are decided row by row with C-level
+checks, the lattice is sorted on C-level string keys, cosets are ORed
+straight into masks, normalizers and commutator rows skip the centre and
+characteristic subgroups are read off Aut(G)-orbit masks; the cell-by-cell
+axiom scan, the tuple sort key, the coset lists, the rows over all of G × K
+and the per-cell dihedral and permutation products are kept here.
 """
 
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from topogroups.filters import (
     NotAFilterError,
@@ -44,16 +50,25 @@ from topogroups.filters import (
     pushforward,
 )
 from topogroups.groups import (
+    DEFAULT_ORDER_CAP,
     FiniteGroup,
     Homomorphism,
     NotAHomomorphismError,
+    _perm_is_even,
     bits_of,
+    build_group,
     closure_mask,
     make_homomorphism,
     mask_of,
     split_top_level,
 )
-from topogroups.lattice import _close_generator_map, enumerate_subgroups, is_characteristic, verbal_residual
+from topogroups.lattice import (
+    _close_generator_map,
+    automorphisms,
+    enumerate_subgroups,
+    is_characteristic,
+    verbal_residual,
+)
 from topogroups.products import CertificateFailureError, ProductToposys, TychonoffCertificate
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
@@ -81,6 +96,35 @@ LADDER_GROUPS = (
 WIDE_AND_LADDER_GROUPS = tuple(dict.fromkeys(WIDE_GROUPS + LADDER_GROUPS))
 # star_topology_failure checks pairwise union traces only on systems with at most this many topens
 UNION_SAMPLE_LIMIT = 12
+
+
+def census_descriptors(cap: int = DEFAULT_ORDER_CAP) -> tuple[str, ...]:
+    """Descriptors of every order up to cap, one spelling each.
+
+    cyclic:1..cap; every abelian: spelling of at least two factors, each at
+    least 2, largest first; dihedral:1..cap/2; sym and alt up to degree 4;
+    quaternion:8; and product(A,B) for each non-abelian A of these and each B
+    of order at least 2, once per pair when B is non-abelian too.
+    """
+
+    def spellings(prefix, order):
+        if len(prefix) >= 2:
+            yield "abelian:" + "x".join(map(str, prefix))
+        for f in range(min(prefix[-1] if prefix else cap, cap // order), 1, -1):
+            yield from spellings(prefix + [f], order * f)
+
+    base = [f"cyclic:{n}" for n in range(1, cap + 1)] + list(spellings([], 1))
+    base += [f"dihedral:{n}" for n in range(1, cap // 2 + 1)]
+    base += [f"{k}:{n}" for k in ("sym", "alt") for n in range(1, 5)] + ["quaternion:8"]
+    groups = {d: build_group(d) for d in base}
+    non_abelian = [d for d in base if groups[d].table != tuple(zip(*groups[d].table))]
+    products = [
+        f"product({a},{b})"
+        for i, a in enumerate(non_abelian)
+        for b in base
+        if 1 < groups[b].order <= cap // groups[a].order and (b not in non_abelian or non_abelian.index(b) >= i)
+    ]
+    return tuple(base + products)
 
 
 def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
@@ -114,6 +158,45 @@ def family_members_by_scan(lattice, descriptor: str) -> frozenset[int]:
     return frozenset(members)
 
 
+def membership_order(masks) -> list[int]:
+    """The masks sorted by order, then by their sorted members as tuples."""
+    return sorted(masks, key=lambda m: (m.bit_count(), tuple(bits_of(m))))
+
+
+def subgroup_generators_by_coset_lists(group: FiniteGroup) -> dict[int, tuple[int, ...]]:
+    """Subgroup mask -> generators by prime-index cyclic extension, each coset built as a list of elements."""
+    table, inverse = group.table, group.inverse
+    cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
+    least: dict[int, int] = {}
+    for x, m in enumerate(cyclic_masks):
+        least.setdefault(m, x)
+    reps = list(least.values())[1:]
+    generators: dict[int, tuple[int, ...]] = {1: ()}
+    queue = [1]
+    for h in queue:
+        gens, elems = generators[h], list(bits_of(h))
+        reached = h
+        for x in reps:
+            if reached >> x & 1:
+                continue
+            row, xi = table[x], inverse[x]
+            if not all(h >> table[row[g]][xi] & 1 for g in gens):
+                continue
+            powers = [x]
+            while not h >> (y := table[powers[-1]][x]) & 1:
+                powers.append(y)
+            p = len(powers) + 1
+            if any(p % d == 0 for d in range(2, p)):
+                continue
+            cosets = [table[y][e] for y in powers for e in elems]
+            j = h | mask_of(cosets)
+            reached |= j
+            if j not in generators:
+                generators[j] = tuple(g for g in gens if not cyclic_masks[x] >> g & 1) + (x,)
+                queue.append(j)
+    return generators
+
+
 def subgroup_masks_by_cyclic_extension(group: FiniteGroup) -> tuple[int, ...]:
     """The subgroup masks in canonical order, by plain cyclic extension.
 
@@ -136,7 +219,7 @@ def subgroup_masks_by_cyclic_extension(group: FiniteGroup) -> tuple[int, ...]:
             if j not in generators:
                 generators[j] = gens + (x,)
                 queue.append(j)
-    return tuple(sorted(generators, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
+    return tuple(membership_order(generators))
 
 
 def subgroup_group(group: FiniteGroup, mask: int, label: str = "") -> tuple[FiniteGroup, Homomorphism]:
@@ -352,6 +435,66 @@ def thk_bits_by_scan(lattice, h: int, k: int) -> int:
     return mask_of(i for i, c in enumerate(_commutator_masks_by_closure(lattice, k)) if c & ~hmask == 0)
 
 
+def group_axioms_failure_by_scan(table) -> ValidationFailure | None:
+    """verify_group_axioms cell by cell: shape and range, both identities, every inverse, then associativity."""
+    n = len(table)
+    for i, row in enumerate(table):
+        if len(row) != n:
+            return ValidationFailure("shape", (i,), "row length mismatch")
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or not 0 <= v < n:
+                return ValidationFailure("range", (i, j), f"entry {v!r} out of range")
+    for j in range(n):
+        if table[0][j] != j:
+            return ValidationFailure("identity", (0, j), "left identity broken")
+    for i in range(n):
+        if table[i][0] != i:
+            return ValidationFailure("identity", (i, 0), "right identity broken")
+    for a in range(n):
+        if not any(table[a][b] == 0 and table[b][a] == 0 for b in range(n)):
+            return ValidationFailure("inverse", (a,), "no two-sided inverse")
+    witness = associativity_failure_by_scan(table)
+    return None if witness is None else ValidationFailure("associativity", witness, "")
+
+
+def dihedral_table_by_formula(n: int) -> list[list[int]]:
+    """The dihedral:n table from s^f1 r^k1 · s^f2 r^k2 = s^(f1+f2) r^(k2 ± k1), one product per cell."""
+
+    def mul(a, b):
+        f1, k1 = divmod(a, n)
+        f2, k2 = divmod(b, n)
+        k = (k2 + (k1 if f2 == 0 else -k1)) % n
+        return ((f1 + f2) % 2) * n + k
+
+    return [[mul(a, b) for b in range(2 * n)] for a in range(2 * n)]
+
+
+def permutation_table_by_compose(degree: int, even_only: bool) -> list[list[int]]:
+    """The sym/alt table with each product composed as a tuple, right factor first."""
+    perms = [p for p in permutations(range(degree)) if not even_only or _perm_is_even(p)]
+    pos = {p: i for i, p in enumerate(perms)}
+    return [[pos[tuple(a[b[i]] for i in range(degree))] for b in perms] for a in perms]
+
+
+def commutator_row_by_scan(lattice, k: int) -> dict[int, int]:
+    """The commutator row of subgroup k from every x in G against every y in k."""
+    table, inverse, above, cyclic = lattice.group.table, lattice.group.inverse, lattice.above, lattice._cyclic
+    row: dict[int, int] = {}
+    for x in lattice.group.elements():
+        common = -1
+        for y in bits_of(lattice.mask(k)):
+            common &= above[cyclic[table[table[x][y]][table[inverse[x]][inverse[y]]]]]
+        c = (common & -common).bit_length() - 1
+        row[c] = row.get(c, 0) | lattice.containing[x]
+    return row
+
+
+def is_characteristic_by_images(lattice, i: int) -> bool:
+    """Subgroup i maps onto itself under every automorphism."""
+    mask = lattice.mask(i)
+    return all(phi.image_mask(mask) == mask for phi in automorphisms(lattice.group))
+
+
 def associativity_failure_by_scan(table) -> tuple[int, int, int] | None:
     """The first (a, b, c) with (a·b)·c ≠ a·(b·c), scanning every triple."""
     n = len(table)
@@ -520,7 +663,7 @@ def subgroup_masks_by_subset_scan(group: FiniteGroup) -> tuple[int, ...]:
             elems = (0,) + combo
             if all(mask >> table[a][b] & 1 for a in elems for b in elems):
                 found.append(mask)
-    return tuple(sorted(found, key=lambda m: (m.bit_count(), tuple(bits_of(m)))))
+    return tuple(membership_order(found))
 
 
 def homomorphism_by_scan(source: FiniteGroup, target: FiniteGroup, mapping) -> Homomorphism:

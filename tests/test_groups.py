@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from topogroups.groups import (
     PRODUCT_NESTING_CAP,
+    _dihedral_table,
+    _permutation_table,
     NotAHomomorphismError,
     OrderCapExceededError,
     Subgroup,
@@ -29,7 +31,10 @@ from oracles import (
     LADDER_GROUPS,
     WIDE_AND_LADDER_GROUPS,
     associativity_failure_by_scan,
+    dihedral_table_by_formula,
+    group_axioms_failure_by_scan,
     homomorphism_by_scan,
+    permutation_table_by_compose,
     quotient_group,
     subgroup_group,
 )
@@ -355,6 +360,7 @@ def test_non_associative_table_gives_the_scan_witness(case):
     failure = verify_group_axioms(table)
     assert failure is not None and failure.kind == "associativity"
     assert failure.witness == associativity_failure_by_scan(table) == NON_ASSOCIATIVE_TABLES[case]
+    assert failure == group_axioms_failure_by_scan(table)
 
 
 def test_a_non_associative_table_can_fail_first_at_a_non_generator():
@@ -388,3 +394,68 @@ def test_swapped_tables_match_the_associativity_scan(desc, data):
     witness = associativity_failure_by_scan(table)
     want = None if witness is None else ValidationFailure("associativity", witness, "")
     assert verify_group_axioms(table) == want
+
+
+def _malformed(desc, cells=(), rows=()):
+    """A group table with each (row, column, value) of cells written and each (row, new row) of rows put in."""
+    table = [list(r) for r in build_group(desc).table]
+    for i, j, v in cells:
+        table[i][j] = v
+    for i, row in rows:
+        table[i] = row
+    return table
+
+
+# name -> (table, the kind of its first failure, or None when the scan accepts it)
+MALFORMED_TABLES = {
+    "a float entry": (_malformed("sym:3", cells=((2, 3, 4.0),)), "range"),
+    "a float identity entry": (_malformed("cyclic:3", cells=((0, 0, 0.0),)), "range"),
+    "bool entries": (_malformed("cyclic:3", cells=((0, 1, True), (1, 2, False))), None),
+    "a negative entry": (_malformed("cyclic:5", cells=((1, 2, -1),)), "range"),
+    "an out-of-range entry": (_malformed("cyclic:5", cells=((1, 2, 5),)), "range"),
+    "a short row": (_malformed("sym:3", rows=((3, [3, 4, 5, 0, 1]),)), "shape"),
+    "a long row": (_malformed("cyclic:3", rows=((2, [2, 0, 1, 2]),)), "shape"),
+    "a broken left identity": (_malformed("cyclic:4", cells=((0, 2, 3),)), "identity"),
+    "a broken right identity": (_malformed("cyclic:4", cells=((3, 0, 2),)), "identity"),
+    # the first zero of row 1 is no inverse, the second is
+    "two zeros in one row, the second an inverse": (_malformed("cyclic:4", cells=((1, 2, 0),)), "associativity"),
+    "two zeros in one row, neither an inverse": (
+        _malformed("cyclic:5", cells=((1, 2, 0), (1, 3, 0), (1, 4, 3))),
+        "inverse",
+    ),
+    "a row without a zero": (_malformed("cyclic:5", cells=((2, 3, 2),)), "inverse"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TABLES))
+@pytest.mark.parametrize("rows", [list, tuple])
+def test_malformed_tables_give_the_scan_failure(case, rows):
+    table, kind = MALFORMED_TABLES[case]
+    table = [rows(r) for r in table]
+    want = group_axioms_failure_by_scan(table)
+    assert (want and want.kind) == kind
+    assert verify_group_axioms(table) == want
+
+
+@given(
+    desc=st.sampled_from(("cyclic:1", "cyclic:5", "abelian:2x2", "sym:3", "quaternion:8", "dihedral:4")),
+    data=st.data(),
+)
+def test_overwritten_cells_give_the_scan_failure(desc, data):
+    table = [list(r) for r in build_group(desc).table]
+    n = len(table)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        table[i][j] = data.draw(st.one_of(st.integers(-1, n), st.booleans(), st.floats(0, n - 1)))
+    assert verify_group_axioms(table) == group_axioms_failure_by_scan(table)
+
+
+@pytest.mark.parametrize("n", range(1, 33))
+def test_dihedral_tables_match_the_product_formula(n):
+    assert _dihedral_table(n)[0] == dihedral_table_by_formula(n)
+
+
+@pytest.mark.parametrize("degree", range(1, 5))
+@pytest.mark.parametrize("even_only", [False, True])
+def test_permutation_tables_match_composed_products(degree, even_only):
+    assert _permutation_table(degree, even_only)[0] == permutation_table_by_compose(degree, even_only)

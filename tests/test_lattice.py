@@ -1,7 +1,9 @@
 """Lattice enumeration against the brute-force oracle, and the subgroup algebra."""
 
 import ast
+import functools
 import inspect
+import operator
 import time
 from collections import Counter
 from pathlib import Path
@@ -27,6 +29,7 @@ from topogroups.lattice import (
     UnsupportedVarietyError,
     automorphisms,
     brute_force_subgroup_masks,
+    canonical_order,
     enumerate_subgroups,
     is_characteristic,
     minimal_cover,
@@ -40,10 +43,15 @@ from oracles import (
     WIDE_AND_LADDER_GROUPS,
     WIDE_GROUPS,
     automorphisms_by_backtracking,
+    census_descriptors,
     commutator_mask_by_closure,
+    commutator_row_by_scan,
     conjugate_mask,
     core_mask_by_conjugation,
+    is_characteristic_by_images,
+    membership_order,
     normalizer_by_scan,
+    subgroup_generators_by_coset_lists,
     subgroup_masks_by_cyclic_extension,
     subgroup_masks_by_subset_scan,
     thk_bits_by_scan,
@@ -175,11 +183,73 @@ def test_brute_force_matches_enumeration_past_order_16():
     assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _gaussian_binomial_sum(d, p):
+    """The number of subgroups of the elementary abelian group of order p^d: the sum over k of [d k]_p."""
+    total, term = 0, 1
+    for k in range(d + 1):
+        total += term
+        term = term * (p ** (d - k) - 1) // (p ** (k + 1) - 1)
+    return total
+
+
+def _closed_form_counts(desc):
+    """(subgroups, normal subgroups) by closed form, or None for a descriptor without one."""
+    kind, _, arg = desc.partition(":")
+    if kind == "cyclic":
+        n = int(arg)
+        return len(_divisors(n)), len(_divisors(n))
+    if kind == "dihedral":
+        # the rotation subgroups, one per divisor, and the reflection-holding
+        # ones, one per coset of a rotation subgroup; normal are the rotation
+        # subgroups, the whole group and, for even n, the two of index 2
+        n = int(arg)
+        return len(_divisors(n)) + sum(_divisors(n)), len(_divisors(n)) + (3 if n % 2 == 0 else 1)
+    factors = set(arg.split("x")) if kind == "abelian" else ()
+    if len(factors) == 1 and len(_divisors(p := int(factors.pop()))) == 2:
+        count = _gaussian_binomial_sum(len(arg.split("x")), p)
+        return count, count
+    return None
+
+
+def test_census_lattices_build_within_budget_and_match_closed_forms():
+    # every descriptor up to the order cap gets its lattice and normal
+    # subgroups; the budget is generous and may only be tightened
+    census, elapsed, checked = census_descriptors(), 0.0, 0
+    for desc in census:
+        start = time.monotonic()
+        lat = enumerate_subgroups.__wrapped__(build_group(desc))
+        normal = lat.normal_bits
+        elapsed += time.monotonic() - start
+        masks = [s.mask for s in lat.subgroups]
+        # the canonical order sorts as the tuples of the members
+        assert masks == membership_order(masks), desc
+        want = _closed_form_counts(desc)
+        if want is not None:
+            assert (len(lat), normal.bit_count()) == want, desc
+            checked += 1
+    # every cyclic and dihedral descriptor, and 2^2..2^6, 3^2, 3^3, 5^2 and 7^2
+    assert len(census) == 395 and checked == 64 + 32 + 9
+    assert len(enumerate_subgroups(build_group("abelian:2x2x2x2x2"))) == _gaussian_binomial_sum(5, 2) == 374
+    assert elapsed < 20, f"{elapsed:.1f}s over the 20s budget"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 64])
+def test_canonical_order_sorts_any_input_order_as_the_member_tuples(n):
+    masks = [m for m in range(1, 1 << n, max(1, (1 << n) // 300)) if m & 1]
+    assert canonical_order(masks[::-1], n) == canonical_order(masks, n) == membership_order(masks)
+
+
 @pytest.mark.parametrize("desc", DIFFERENTIAL_GROUPS)
 def test_prime_steps_match_cyclic_extension(desc):
     group = build_group(desc)
     lat = enumerate_subgroups(group)
     assert tuple(lat.mask(i) for i in range(len(lat))) == subgroup_masks_by_cyclic_extension(group)
+    # and each subgroup has the generators of the prime steps that build coset lists
+    assert dict(zip(map(lat.mask, range(len(lat))), lat.generators)) == subgroup_generators_by_coset_lists(group)
 
 
 # the generators of h<x> are those of h outside <x>, then x; these are the
@@ -410,6 +480,26 @@ def test_the_uncapped_thk_sweep_of_an_elementary_abelian_group_has_one_bucket(mo
     assert len(lat) == 374 and lat._commutator_rows == {k: {0: lat.above[0]} for k in range(len(lat))}
 
 
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS)
+def test_centre_cosets_are_the_cosets_of_the_elements_commuting_with_all(desc):
+    group = build_group(desc)
+    table, lat = group.table, enumerate_subgroups(group)
+    centre = [z for z in group.elements() if all(table[z][g] == table[g][z] for g in group.elements())]
+    least, reach = lat._centre_cosets
+    assert least == [min(table[x][z] for z in centre) for x in group.elements()]
+    for x in group.elements():
+        coset = [table[x][z] for z in centre]
+        union = functools.reduce(operator.or_, (lat.containing[y] for y in coset))
+        assert reach[x] == (union if x == min(coset) else 0)
+
+
+@pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS)
+def test_commutator_rows_over_the_centre_quotient_match_the_scan_over_g(desc):
+    lat = enumerate_subgroups(build_group(desc))
+    for k in range(len(lat)):
+        assert lat._commutator_row(k) == commutator_row_by_scan(lat, k)
+
+
 @pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))
 def test_commutator_index_with_the_whole_group_matches_the_closure_oracle(desc):
     # the pairs (i, top) are the ones the thk:#0:#top cell reads
@@ -437,9 +527,9 @@ def test_normal_bits_conjugate_only_the_generators(monkeypatch):
         return real(self, g, x)
 
     monkeypatch.setattr(FiniteGroup, "conjugate", counting)
-    top = len(lat.generators[lat.top_index])
     assert lat.normal_bits == (1 << len(lat)) - 1
-    assert len(calls) <= sum(top * len(gens) for gens in lat.generators)
+    # every top generator is central, so no conjugation row is built and nothing is conjugated
+    assert lat._conjugation_rows == {} and calls == []
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS + ("product(dihedral:4,dihedral:4)",))
@@ -616,14 +706,14 @@ def test_characteristic_examples():
         assert not is_characteristic(lat, i)
 
 
-# the default catalog and the one wide group inside the automorphism cap
-@pytest.mark.parametrize("desc", DEFAULT_CATALOG + ("abelian:2x2x2x3",))
+# the default catalog and the wide and ladder groups inside the automorphism cap
+@pytest.mark.parametrize(
+    "desc", DEFAULT_CATALOG + tuple(d for d in WIDE_AND_LADDER_GROUPS if build_group(d).order <= AUTOMORPHISM_CAP)
+)
 def test_characteristic_matches_image_definition(desc):
-    group = build_group(desc)
-    auts = automorphisms(group)
-    lat = enumerate_subgroups(group)
-    for i, sub in enumerate(lat.subgroups):
-        assert is_characteristic(lat, i) == all(phi.image_mask(sub.mask) == sub.mask for phi in auts)
+    lat = enumerate_subgroups(build_group(desc))
+    for i in range(len(lat)):
+        assert is_characteristic(lat, i) == is_characteristic_by_images(lat, i)
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + WIDE_GROUPS)
