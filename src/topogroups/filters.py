@@ -260,15 +260,16 @@ def pushforward(f_hom: Homomorphism, f: SubgroupFilter) -> SubgroupFilter:
 def convergence_set(f: SubgroupFilter, system: TopoSystem) -> tuple[int, ...]:
     """Every point y the filter converges to: every topen containing y is a member.
 
-    That is the bitset test T(y) & ~F == 0, with T(y) the system's incidence
-    of y and F the filter's member bits.  The identity is never a limit: the
-    trivial subgroup is a topen containing it, and filters exclude it.
+    The filter ↑K is upward closed and every topen around y contains U(y),
+    the system's least topen around y, so ↑K converges to y iff K ≤ U(y),
+    that is, iff ``above[K]`` holds U(y).  The identity is never a limit:
+    its least topen is the trivial subgroup, and filters exclude it.
     """
     lattice = system.lattice
     if f.lattice is not lattice and f.lattice.group != lattice.group:
         raise BadParameterError("filter and system live on different lattices")
-    outside = ~f.member_bits
-    return tuple(y for y, topens in enumerate(system.incidence) if not topens & outside)
+    members = f.member_bits
+    return tuple(y for y, u in enumerate(system.least_topen) if members >> u & 1)
 
 
 def _cyclically_distinct_pair(lattice: SubgroupLattice, points) -> tuple[int, int] | None:

@@ -225,7 +225,7 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
 
     x = product.encode(components)
     replayed = []
-    for a in bits_of(ptop.system.incidence[x]):
+    for a in bits_of(ptop.system.member_bits & plattice.above[plattice.cyclic_index(x)]):
         amask = plattice.mask(a)
         combo = ptop.member_factors[a]
         if not all(ai in pushed for pushed, ai in zip(pushed_list, combo)):

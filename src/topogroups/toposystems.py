@@ -26,11 +26,13 @@ class TopoSystem:
     """A set of topen subgroups over a canonical lattice, and its axiom verdict.
 
     ``member_bits`` is the member set as a bitset over lattice indices, and
-    ``incidence[e]`` is T(e), the bitset of the topens containing element e:
-    the lattice's ``containing[e]`` restricted to the members.  The incidence
-    is computed once per system, and every point-wise topen query reads it.
-    So is ``failure``, the verdict every layer reads: verify_toposys of the
-    member set, the first violated axiom or None for a topo-system.
+    ``least_topen[e]`` the index of U(e), the meet of the topens containing
+    element e: in a meet-closed set, the lowest bit of ``member_bits &
+    above[cyclic(e)]``.  Every point-wise query reads U, so it assumes a
+    topo-system, as build_toposys, shared_system and product_toposys ensure.
+    U is computed once per system, and so is ``failure``, the verdict every
+    layer reads: verify_toposys of the member set, the first violated axiom
+    or None for a topo-system.
     """
 
     lattice: SubgroupLattice
@@ -53,9 +55,10 @@ class TopoSystem:
         return frozenset(self.member_indices)
 
     @cached_property
-    def incidence(self) -> tuple[int, ...]:
-        bits = self.member_bits
-        return tuple(c & bits for c in self.lattice.containing)
+    def least_topen(self) -> tuple[int, ...]:
+        # containing[e] is above[cyclic(e)]; G keeps U defined on a set that lacks it
+        bits = self.member_bits | 1 << self.lattice.top_index
+        return tuple(((t := c & bits) & -t).bit_length() - 1 for c in self.lattice.containing)
 
     @cached_property
     def failure(self) -> ValidationFailure | None:
@@ -287,23 +290,23 @@ def quotient_toposys(parent: TopoSystem, n: int) -> QuotientToposys:
 def interior_boundary(system: TopoSystem, x: int) -> tuple[int, frozenset[int]]:
     """Interior (largest topen inside subgroup x) as an index, and the boundary element set.
 
-    The join of all topens contained in x is itself a topen contained in x,
-    so the element-wise union of those topens equals this join; the union is
-    used as an independent cross-check in the tests.
+    The join of the topens inside x is the one of largest order, which the
+    canonical order puts at the top bit of ``member_bits & below[x]``; the
+    tests check it against the join and the element-wise union of those topens.
     """
     lattice = system.lattice
-    interior = lattice.join_of(bits_of(system.member_bits & lattice.below[x]))
+    interior = (system.member_bits & lattice.below[x]).bit_length() - 1
     return interior, frozenset(bits_of(lattice.mask(x) & ~lattice.mask(interior)))
 
 
 def _limits(system: TopoSystem, x: int) -> frozenset[int]:
     """The points whose every topen meets subgroup x in at least two elements.
 
-    The trivial topen holds only the identity, so the identity is never one.
+    Those topens contain U(e), so e is one iff U(e) meets x beyond the
+    identity, and the identity, whose U is the trivial topen, is never one.
     """
-    # topens meeting x in fewer than two elements, that is, in the identity only
-    thin = system.member_bits & system.lattice.disjoint[x]
-    return frozenset(e for e, topens in enumerate(system.incidence) if not topens & thin)
+    thin = system.lattice.disjoint[x]
+    return frozenset(e for e, u in enumerate(system.least_topen) if not thin >> u & 1)
 
 
 def closure_and_limits(system: TopoSystem, x: int) -> tuple[frozenset[int], int]:
@@ -349,23 +352,17 @@ def t_closed_checks(system: TopoSystem, a: int) -> TClosedReport:
 def is_hausdorff(system: TopoSystem) -> tuple[bool, tuple[int, int] | None]:
     """True iff every cyclically distinct pair has disjoint topens around it.
 
-    Otherwise the witness is the first pair (x, y) that no two disjoint topens separate.
+    Topens around x and y contain U(x) and U(y), so some two are disjoint iff
+    ``disjoint[U(x)]`` holds U(y).  Otherwise the witness is the first pair
+    (x, y) in element order that no two disjoint topens separate.
     """
     lattice = system.lattice
-    group = lattice.group
-    incidence = system.incidence
-    disjoint = lattice.disjoint
-    for x in group.elements():
-        # the topens disjoint from some topen around x
-        apart = 0
-        for a in bits_of(incidence[x]):
-            apart |= disjoint[a]
-        apart &= system.member_bits
-        distinct = disjoint[lattice.cyclic_index(x)]
-        for y in range(x, group.order):
-            if not distinct >> lattice.cyclic_index(y) & 1:
-                continue
-            if not incidence[y] & apart:
+    least, disjoint, cyclic = system.least_topen, lattice.disjoint, lattice.cyclic_index
+    order = lattice.group.order
+    for x in range(order):
+        distinct, apart = disjoint[cyclic(x)], disjoint[least[x]]
+        for y in range(x, order):
+            if distinct >> cyclic(y) & 1 and not apart >> least[y] & 1:
                 return False, (x, y)
     return True, None
 
@@ -395,13 +392,14 @@ def star_topology_checks(system: TopoSystem) -> ValidationFailure | None:
     """The first failing check for the point topology whose basis is the topen set, or None.
 
     * never-Hausdorff: every topen contains the identity, so every non-empty
-      union of topens does too; that is, T(identity) is the whole member set.
+      union of topens does too; that is, every topen lies above U(identity),
+      the trivial subgroup on a verified system, where it cannot fail.
     * subspace compatibility: the induced system on h is the fixpoint that
       the traces a ∧ h seed, so each trace is induced-open by construction
       and no induced system is built.  The trace a ∧ h is the element-wise
       intersection, so (a ∪ b) ∩ h is the union of two traces by
       distributivity; the tests check both in L(h) built as a group of its own.
     """
-    if system.incidence[0] != system.member_bits:
+    if system.member_bits & ~system.lattice.above[system.least_topen[0]]:
         return ValidationFailure("never-hausdorff", (), "a topen misses the identity")
     return None

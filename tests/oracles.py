@@ -31,7 +31,11 @@ checks, the lattice is sorted on C-level string keys, cosets are ORed
 straight into masks, normalizers and commutator rows skip the centre and
 characteristic subgroups are read off Aut(G)-orbit masks; the cell-by-cell
 axiom scan, the tuple sort key, the coset lists, the rows over all of G × K
-and the per-cell dihedral and permutation products are kept here.
+and the per-cell dihedral and permutation products are kept here.  The
+per-point calculus reads one least topen per point and an interior as one top
+bit; T(x), the topens containing x, the limit, convergence and Hausdorff scans
+over T(x) and the interior as a join are kept here, and the quotient-group
+battery reads them.
 """
 
 import functools
@@ -74,9 +78,9 @@ from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     BadParameterError,
     QuotientToposys,
+    TClosedReport,
     TopoSystem,
     generate_toposys,
-    is_hausdorff,
     resolve_subgroup_literal,
     verify_toposys,
 )
@@ -359,6 +363,66 @@ def is_star_open(system: TopoSystem, xmask: int) -> bool:
     return union == xmask
 
 
+def topens_around(system: TopoSystem, x: int) -> int:
+    """T(x), the bitset of the topens containing element x: the lattice's containing[x] on the members."""
+    return system.lattice.containing[x] & system.member_bits
+
+
+def least_topen_by_meet(system: TopoSystem) -> tuple[int, ...]:
+    """The meet of T(e) per element e, as an index; the whole group where no topen holds e."""
+    lattice = system.lattice
+    least = []
+    for e in lattice.group.elements():
+        meet = lattice.group.full_mask
+        for a in bits_of(topens_around(system, e)):
+            meet &= lattice.mask(a)
+        least.append(lattice.index_of(meet))
+    return tuple(least)
+
+
+def limits_by_incidence(system: TopoSystem, x: int) -> frozenset[int]:
+    """The points none of whose topens meets subgroup x in the identity only."""
+    thin = system.member_bits & system.lattice.disjoint[x]
+    return frozenset(e for e in system.lattice.group.elements() if not topens_around(system, e) & thin)
+
+
+def t_closed_by_incidence(system: TopoSystem, a: int) -> TClosedReport:
+    """Both stuck-point witnesses of subgroup a, from limits_by_incidence."""
+    lattice = system.lattice
+    stuck = limits_by_incidence(system, a)
+    t_witness = min((x for x in stuck if not lattice.mask(a) >> x & 1), default=None)
+    weak_witness = min((x for x in stuck if lattice.disjoint[a] >> lattice.cyclic_index(x) & 1), default=None)
+    return TClosedReport(t_witness, weak_witness)
+
+
+def convergence_by_incidence(f: SubgroupFilter, system: TopoSystem) -> tuple[int, ...]:
+    """The points y with T(y) inside the filter's members."""
+    outside = ~f.member_bits
+    return tuple(y for y in system.lattice.group.elements() if not topens_around(system, y) & outside)
+
+
+def is_hausdorff_by_incidence(system: TopoSystem) -> tuple[bool, tuple[int, int] | None]:
+    """Every cyclically distinct pair (x, y) has a ∈ T(x) and b ∈ T(y) with a ∧ b trivial; else the first pair."""
+    lattice = system.lattice
+    disjoint = lattice.disjoint
+    for x in lattice.group.elements():
+        # the topens disjoint from some topen around x
+        apart = 0
+        for a in bits_of(topens_around(system, x)):
+            apart |= disjoint[a]
+        distinct = disjoint[lattice.cyclic_index(x)]
+        for y in range(x, lattice.group.order):
+            if distinct >> lattice.cyclic_index(y) & 1 and not topens_around(system, y) & apart:
+                return False, (x, y)
+    return True, None
+
+
+def interior_by_join(system: TopoSystem, x: int) -> int:
+    """The join of the topens inside subgroup x."""
+    lattice = system.lattice
+    return lattice.join_of(bits_of(system.member_bits & lattice.below[x]))
+
+
 def star_topology_failure(system: TopoSystem) -> ValidationFailure | None:
     """The first subspace-compatibility failure, checked in L(h) for every subgroup h, or None.
 
@@ -571,7 +635,7 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
     names the first case where that fails.
     """
     ultrafilters = enumerate_ultrafilters(lattice)
-    limits = [convergence_set(f, system) for f in ultrafilters]
+    limits = [convergence_by_incidence(f, system) for f in ultrafilters]
     compactness_witness = next((f.provenance for f, points in zip(ultrafilters, limits) if not points), None)
     multi_witness = None
     for f, points in zip(ultrafilters, limits):
@@ -600,11 +664,11 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
             except NotAFilterError:
                 findings.append(f"pushforward-degenerate({f.provenance})@#{n}")
             for x in points:
-                for b in bits_of(qsystem.incidence[natural(x)]):
+                for b in bits_of(topens_around(qsystem, natural(x))):
                     assert pulled_back[b] in f, f"{f.provenance}->x={x}@#{n}:target#{b}"
     return TheoremReport(
         compactness_witness=compactness_witness,
-        equivalence_ok=is_hausdorff(system)[0] == (multi_witness is None),
+        equivalence_ok=is_hausdorff_by_incidence(system)[0] == (multi_witness is None),
         multi_point_witness=multi_witness,
         findings=tuple(findings),
     )

@@ -41,7 +41,7 @@ def _lat(desc):
     return enumerate_subgroups(build_group(desc))
 
 
-def _matrix_systems(config=SuiteConfig()):
+def matrix_systems(config=SuiteConfig()):
     """Every distinct system of a theorem matrix, by default the default one."""
     return list({id(system): system for _, system in SuiteRun(config).cells}.values())
 
@@ -53,7 +53,7 @@ def _induced_on_parent(system, h):
     return _closure(lat, traces | 1 | 1 << h), traces
 
 
-def _hand_built(desc, count=40, seed=0):
+def hand_built(desc, count=40, seed=0):
     """Member sets drawn at random, half of them with 1 and G; most are not closed.
 
     Random sets rarely break closure in a proper quotient, so on (Z2)^4 two
@@ -90,7 +90,7 @@ def test_induced_members_match_subgroup_group(desc, family):
 
 @pytest.mark.parametrize("desc", HAND_BUILT)
 def test_induced_members_of_hand_built_systems_match_subgroup_group(desc):
-    for system in _hand_built(desc, count=10):
+    for system in hand_built(desc, count=10):
         for h in range(len(system.lattice)):
             members, traces, _, _ = induced_by_subgroup_group(system, h)
             assert _induced_on_parent(system, h)[0] == mask_of(members)
@@ -180,18 +180,18 @@ def _assert_quotients_match_verify_oracle(systems):
 
 def test_quotients_match_the_verify_oracle_on_every_small_toposys():
     small = [desc for desc in DEFAULT_CATALOG if len(_lat(desc)) <= 10]
-    assert _assert_quotients_match_verify_oracle(s for desc in small for s in _every_toposys(_lat(desc))) == 0
+    assert _assert_quotients_match_verify_oracle(s for desc in small for s in every_toposys(_lat(desc))) == 0
 
 
 def test_quotients_match_the_verify_oracle_on_every_matrix_and_wide_cell():
     wide = SuiteConfig(max_group_order=64, groups=WIDE_GROUPS)
-    assert _assert_quotients_match_verify_oracle(_matrix_systems() + _matrix_systems(wide)) == 0
+    assert _assert_quotients_match_verify_oracle(matrix_systems() + matrix_systems(wide)) == 0
 
 
 @pytest.mark.parametrize("desc", HAND_BUILT)
 def test_quotients_match_the_verify_oracle_on_hand_built_systems(desc):
     # most of these are not topo-systems, so their quotients take the verifier
-    systems = _hand_built(desc)
+    systems = hand_built(desc)
     assert sum(system.failure is not None for system in systems) > len(systems) // 2
     assert _assert_quotients_match_verify_oracle(systems)
 
@@ -200,7 +200,7 @@ def test_quotient_failure_witnesses_match_quotient_group():
     kinds = set()
     for desc in HAND_BUILT:
         lat = _lat(desc)
-        for system in _hand_built(desc):
+        for system in hand_built(desc):
             for n in bits_of(lat.normal_bits):
                 quotient = quotient_toposys(system, n)
                 members, failure, _, _ = quotient_by_quotient_group(system, n)
@@ -213,7 +213,7 @@ def test_quotient_failure_witnesses_match_quotient_group():
 
 
 def test_theorem_checks_match_quotient_groups_on_every_matrix_cell():
-    systems = _matrix_systems()
+    systems = matrix_systems()
     assert len(systems) == 69
     for system in systems:
         assert theorem_checks(system.lattice, system) == theorem_checks_by_quotient_groups(system.lattice, system)
@@ -221,16 +221,21 @@ def test_theorem_checks_match_quotient_groups_on_every_matrix_cell():
 
 @pytest.mark.parametrize("desc", HAND_BUILT)
 def test_theorem_checks_match_quotient_groups_on_hand_built_systems(desc):
+    # the convergence and Hausdorff reads assume a topo-system, so a set that
+    # fails its axioms is compared on its quotient findings only
     findings = set()
-    for system in _hand_built(desc, count=12):
+    for system in hand_built(desc, count=12):
         report = theorem_checks(system.lattice, system)
-        assert report == theorem_checks_by_quotient_groups(system.lattice, system)
+        oracle = theorem_checks_by_quotient_groups(system.lattice, system)
+        assert report.findings == oracle.findings
+        if system.failure is None:
+            assert report == oracle
         findings.update(f.partition("@")[0].partition("(")[0] for f in report.findings)
     assert "quotient-axioms" in findings
 
 
 def test_star_topology_matches_subgroup_groups_on_every_matrix_cell():
-    for system in _matrix_systems():
+    for system in matrix_systems():
         assert star_topology_checks(system) is None and star_topology_failure(system) is None
 
 
@@ -253,7 +258,7 @@ EXHAUSTIVE_COUNTS = {
 }
 
 
-def _every_toposys(lat):
+def every_toposys(lat):
     """Every member set holding 1 and G that passes verify_toposys."""
     inner = [i for i in range(len(lat)) if i not in (0, lat.top_index)]
     systems = []
@@ -266,9 +271,9 @@ def _every_toposys(lat):
 
 def test_star_topology_matches_subgroup_groups_on_every_small_toposys():
     small = [desc for desc in DEFAULT_CATALOG if len(_lat(desc)) <= 10]
-    assert {desc: len(_every_toposys(_lat(desc))) for desc in small} == EXHAUSTIVE_COUNTS
+    assert {desc: len(every_toposys(_lat(desc))) for desc in small} == EXHAUSTIVE_COUNTS
     for desc in small:
-        for system in _every_toposys(_lat(desc)):
+        for system in every_toposys(_lat(desc)):
             assert star_topology_checks(system) is None and star_topology_failure(system) is None
 
 

@@ -38,6 +38,7 @@ from oracles import (
     ordinary_bridge,
     quotient_group,
     restrict_ordinary,
+    topens_around,
 )
 
 SMALL_LATTICE_DESCRIPTORS = ("cyclic:4", "cyclic:6", "abelian:2x2", "sym:3", "quaternion:8")
@@ -238,7 +239,7 @@ def test_convergence_examples():
     for x in range(1, 6):
         f = principal_filter(lat, x)
         assert x in convergence_set(f, tn)
-        assert all(i in f for i in bits_of(tn.incidence[x]))
+        assert all(i in f for i in bits_of(topens_around(tn, x)))
     f3 = principal_filter(lat, 3)
     assert convergence_set(f3, tn) == (1, 2, 3, 4, 5)
     f1 = principal_filter(lat, 1)

@@ -19,7 +19,7 @@ from topogroups.products import (
     tychonoff_certificate,
 )
 from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
-from oracles import is_topomorphism, tychonoff_certificate_by_replay
+from oracles import is_topomorphism, topens_around, tychonoff_certificate_by_replay
 
 
 def _product(*descs):
@@ -279,7 +279,7 @@ def test_convergence_pushes_forward_componentwise():
             flat = enumerate_subgroups(p.factors[i])
             for x in points:
                 xi = p.decode(x)[i]
-                for b in bits_of(systems[i].incidence[xi]):
+                for b in bits_of(topens_around(systems[i], xi)):
                     if b == flat.trivial_index:
                         assert plat.index_of(proj.preimage_mask(flat.mask(b))) in f
                     else:

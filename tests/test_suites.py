@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from topogroups import products, suites, toposystems
+from topogroups import filters, products, suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, bits_of, build_group, mask_of
 from topogroups.filters import NotAFilterError, enumerate_ultrafilters
@@ -22,7 +22,7 @@ from topogroups.suites import (
     family_instances,
     run_suite,
 )
-from topogroups.toposystems import build_toposys, family_members
+from topogroups.toposystems import TopoSystem, build_toposys, family_members
 
 
 def count_calls(monkeypatch, calls: Counter, module, name: str):
@@ -288,3 +288,100 @@ def test_a_cell_failing_its_axioms_stops_the_run_with_exit_2(monkeypatch, capsys
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert captured.err.startswith("error: normal:internal error: family 'normal' on sym:3 fails axioms: ")
+
+
+# --- negative controls: a fault in the calculus a suite checks must move its rows ---
+
+def _interior_without_members(system, x):
+    # the top bit of below[x] alone is x itself, whatever the topens inside x
+    return system.lattice.below[x].bit_length() - 1, frozenset()
+
+
+def _isolated_points(system):
+    # the lowest member, the trivial subgroup, read without above[cyclic(e)]
+    return (0,) * system.lattice.group.order
+
+
+def _least_topen_at_the_top(system):
+    # the top bit of member_bits & above[cyclic(e)], not the lowest: G for every point
+    return tuple((c & system.member_bits).bit_length() - 1 for c in system.lattice.containing)
+
+
+def _weak_without_its_hypothesis(system, a):
+    # every point outside a, not only those whose cyclic subgroup meets a trivially
+    report = toposystems.t_closed_checks(system, a)
+    return report._replace(weak_witness=report.t_closed_witness)
+
+
+def _convergence_at_the_kernel_only(f, system):
+    # K = U(y) instead of K ≤ U(y)
+    return tuple(y for y, u in enumerate(system.least_topen) if u == f.kernel)
+
+
+def _has_composite_order(lattice):
+    orders = map(lattice.group.element_order, lattice.group.elements())
+    return any(any(o % d == 0 for d in range(2, o)) for o in orders)
+
+
+def _misses_a_kernel(system):
+    least = set(oracles.least_topen_by_meet(system))
+    return any(f.kernel not in least for f in enumerate_ultrafilters(system.lattice))
+
+
+def _hausdorff_with_a_t_open_subgroup(system):
+    subgroups = range(len(system.lattice))
+    t_open = any(oracles.t_closed_by_incidence(system, i).t_closed_witness is not None for i in subgroups)
+    return oracles.is_hausdorff_by_incidence(system)[0] and t_open
+
+
+def _cell_rows(predicate):
+    return lambda run, rows: [predicate(system) for _, system in run.cells]
+
+
+# suite -> (where the fault goes, the faulty value, which rows of a default run must turn FAIL)
+NEGATIVE_CONTROLS = {
+    "interior-core": (
+        (suites, "interior_boundary", _interior_without_members),
+        lambda run, rows: [lattice.normal_bits != lattice.above[0] for lattice in run.lattices],
+    ),
+    "prime-order": (
+        # no point is a limit, so every cyclic subgroup is T-closed
+        (TopoSystem, "least_topen", property(_isolated_points)),
+        _cell_rows(lambda system: _has_composite_order(system.lattice)),
+    ),
+    "weak-closed": (
+        (suites, "t_closed_checks", _weak_without_its_hypothesis),
+        _cell_rows(_hausdorff_with_a_t_open_subgroup),
+    ),
+    "convergence-compactness": (
+        (filters, "convergence_set", _convergence_at_the_kernel_only),
+        _cell_rows(_misses_a_kernel),
+    ),
+    "hausdorff-equivalence": (
+        (toposystems, "is_hausdorff", lambda system: (True, None)),
+        _cell_rows(lambda system: not oracles.is_hausdorff_by_incidence(system)[0]),
+    ),
+    "tychonoff": (
+        # every pushed ultrafilter converges to the identity, whose topens include the trivial one
+        (TopoSystem, "least_topen", property(_least_topen_at_the_top)),
+        lambda run, rows: [r.check == "tychonoff-certificate" for r in rows],
+    ),
+}
+
+
+@pytest.mark.parametrize("suite", NEGATIVE_CONTROLS)
+def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, suite):
+    (target, name, fault), must_fail = NEGATIVE_CONTROLS[suite]
+    config = SuiteConfig(suites=(suite,))
+    before = run_suite(config).reports
+    assert not any(r.status == FAIL for r in before)
+    fresh_products(monkeypatch)
+    monkeypatch.setattr(target, name, fault)
+    run = SuiteRun(config)
+    after = suites._SUITE_FUNCTIONS[suite](run)
+    expected = must_fail(run, after)
+    assert any(expected)
+    assert [r.status == FAIL for r in after] == expected
+    # every other row keeps its status and witness
+    kept = [(r.check, r.group, r.toposys, r.status, r.witness) for r, moved in zip(after, expected) if not moved]
+    assert kept == [(r.check, r.group, r.toposys, r.status, r.witness) for r, moved in zip(before, expected) if not moved]

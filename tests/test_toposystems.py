@@ -27,9 +27,22 @@ from topogroups.toposystems import (
     verify_toposys,
 )
 from topogroups.groups import OrderCapExceededError, make_homomorphism
-from topogroups.suites import DEFAULT_CATALOG, FAMILY_NAMES, family_instances
-from oracles import family_members_by_scan, is_star_open, is_topomorphism, quotient_lattice
-from test_correspondence import WIDE_GROUPS
+from topogroups.filters import convergence_set, enumerate_ultrafilters
+from topogroups.suites import DEFAULT_CATALOG, FAMILY_NAMES, SuiteConfig, family_instances
+from oracles import (
+    convergence_by_incidence,
+    family_members_by_scan,
+    interior_by_join,
+    is_hausdorff_by_incidence,
+    is_star_open,
+    is_topomorphism,
+    least_topen_by_meet,
+    limits_by_incidence,
+    quotient_lattice,
+    t_closed_by_incidence,
+    topens_around,
+)
+from test_correspondence import HAND_BUILT, WIDE_GROUPS, every_toposys, hand_built, matrix_systems
 from test_lattice import ORACLE_DESCRIPTORS
 
 CATALOG = (
@@ -341,7 +354,7 @@ def test_subgroup_literals():
         resolve_subgroup_literal(lat, "junk")
 
 
-# --- the incidence index against the per-element scans it replaced -----------
+# --- the least topen against the per-element scans it replaced ---------------
 
 def _scan_topens_containing(system, x):
     return tuple(i for i in sorted(system.members) if system.lattice.mask(i) >> x & 1)
@@ -408,7 +421,36 @@ def test_topens_containing_matches_mask_scan(desc, family):
     lat, system = _sys(desc, family)
     assert system.member_indices == tuple(sorted(system.members))
     for x in lat.group.elements():
-        assert tuple(bits_of(system.incidence[x])) == _scan_topens_containing(system, x)
+        around = _scan_topens_containing(system, x)
+        assert tuple(bits_of(topens_around(system, x))) == around
+        # the least topen around x lies inside every other one, so it has the least index
+        assert system.least_topen[x] == around[0]
+
+
+def _calculus_corpus(part):
+    if part == "small":
+        return [s for desc in DEFAULT_CATALOG if len(_lat(desc)) <= 10 for s in every_toposys(_lat(desc))]
+    if part == "matrix":
+        return matrix_systems()
+    if part == "wide":
+        return matrix_systems(SuiteConfig(max_group_order=64, groups=WIDE_GROUPS))
+    return [s for desc in HAND_BUILT for s in hand_built(desc) if s.failure is None]
+
+
+@pytest.mark.parametrize("part, count", [("small", 439), ("matrix", 69), ("wide", 16), ("hand-built", 40)])
+def test_least_topen_reads_match_incidence_oracles(part, count):
+    systems = _calculus_corpus(part)
+    assert len(systems) == count
+    for system in systems:
+        lat = system.lattice
+        assert system.least_topen == least_topen_by_meet(system)
+        assert is_hausdorff(system) == is_hausdorff_by_incidence(system)
+        for f in enumerate_ultrafilters(lat):
+            assert convergence_set(f, system) == convergence_by_incidence(f, system)
+        for i in range(len(lat)):
+            assert closure_and_limits(system, i)[0] == limits_by_incidence(system, i)
+            assert t_closed_checks(system, i) == t_closed_by_incidence(system, i)
+            assert interior_boundary(system, i)[0] == interior_by_join(system, i)
 
 
 @given(st.sampled_from(CATALOG + ("abelian:2x2x2", "alt:4")), st.data())
