@@ -56,11 +56,10 @@ class SubgroupLattice:
     off ``above[k]``, the bitset of the subgroups containing subgroup k, with no
     closure.  ``containing[e]``, the subgroups holding element e, is the
     transposed membership matrix, and ``below[k]`` and ``disjoint[k]`` are the
-    relations the topo-system calculus reads.  ``normalizers[k]`` is the one
-    normalizer table, read by ``normal_bits`` and ``normalized_by[x]``; it
-    conjugates by the non-central top generators only.  The commutator row of
-    k is the one commutator table, built over G/Z(G), and ``is_characteristic``
-    reads one Aut(G)-orbit mask per element.
+    relations the topo-system calculus reads.  One walk per conjugacy class gives
+    every normalizer and core; ``normal_bits`` and ``normalized_by[x]`` read the
+    normalizers.  The commutator row of k is the one commutator table, built over
+    G/Z(G), and ``is_characteristic`` reads one Aut(G)-orbit mask per element.
     """
 
     def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
@@ -143,16 +142,11 @@ class SubgroupLattice:
         return self.join_of(cyclic[conjugate(g, x)] for x in self.generators[k])
 
     def core_index(self, i: int) -> int:
-        # K <- K ∧ gKg⁻¹ over the generators g of G until stable: the fixpoint is
-        # normalized by the generators, hence normal, and every step keeps the core
-        k, stable = i, False
-        while not stable:
-            stable = True
-            for g in self.generators[self.top_index]:
-                meet = self.meet_index(k, self.conjugate_index(g, k))
-                if meet != k:
-                    k, stable = meet, False
-        return k
+        """Index of Core(H) for subgroup i = H: the meet of its conjugacy class, H itself when G is abelian."""
+        if not self._conjugation_rows:
+            return i
+        root, _, classes = self._classes
+        return classes[root[i]][1]
 
     @cached_property
     def _conjugation_rows(self) -> dict[int, tuple[int, ...]]:
@@ -181,54 +175,59 @@ class SubgroupLattice:
                     orbits[y] = orbit
         return tuple(orbits)
 
-    def normalizer_index(self, i: int) -> int:
-        """Index of N(H) for subgroup i = H; the whole group when its generators normalize H.
+    @cached_property
+    def _classes(self) -> tuple[list[int], list[int], dict[int, tuple[int, int]]]:
+        """(root, conjugator, classes), one walk per conjugacy class of subgroups.
 
-        g normalizes a finite subgroup once it maps its generators inside.  When
-        the conjugation row of every non-central top generator does, G normalizes
-        H; otherwise every element is tested.  Uncached: ``normalizers`` keeps one
-        answer per subgroup and calls this once per conjugacy class.
+        root[k] is the least index H of the class of k, conjugator[k] a g with gHg⁻¹ = k, and
+        classes[H] = (N(H), Core(H)).  H is its own class, with N = G, when every conjugation row
+        keeps its generators inside.  Else each point gHg⁻¹ is conjugated by the non-central top
+        generators t, and a known image, with conjugator h, gives the Schreier element h⁻¹·t·g,
+        which fixes H.  These and the central top generators generate N(H) (Schreier's lemma;
+        Holt, Eick and O'Brien, 2005, ch. 4), and the meet of the class is Core(H).
         """
-        mask, gens = self.subgroups[i].mask, self.generators[i]
-        if all(mask >> row[x] & 1 for row in self._conjugation_rows.values() for x in gens):
+        table, inverse, cyclic, rows = self.group.table, self.group.inverse, self._cyclic, self._conjugation_rows
+        masks, top = [s.mask for s in self.subgroups], self.top_index
+        central = [cyclic[g] for g in self.generators[top] if g not in rows]
+        root, conjugator, classes = [-1] * len(masks), [0] * len(masks), {}
+        for k, gens in enumerate(self.generators):
+            if root[k] >= 0:
+                continue
+            root[k] = k
+            if all(masks[k] >> row[x] & 1 for row in rows.values() for x in gens):
+                classes[k] = top, k
+                continue
+            orbit, stabilizer, core = [k], set(central), masks[k]
+            for point in orbit:
+                g = conjugator[point]
+                for t, row in rows.items():
+                    image, tg = self.join_of([cyclic[row[x]] for x in self.generators[point]]), table[t][g]
+                    if root[image] < 0:
+                        root[image], conjugator[image] = k, tg
+                        orbit.append(image)
+                        core &= masks[image]
+                    else:
+                        stabilizer.add(cyclic[table[inverse[conjugator[image]]][tg]])
+            classes[k] = self.join_of(stabilizer), self._index_by_mask[core]
+        return root, conjugator, classes
+
+    def normalizer_index(self, i: int) -> int:
+        """Index of N(H) for subgroup i = H: N(gKg⁻¹) = gN(K)g⁻¹ for its class root K; G when G is abelian."""
+        if not self._conjugation_rows:
             return self.top_index
-        table, inverse, normalizer = self.group.table, self.group.inverse, 0
-        for g, row in enumerate(table):
-            gi = inverse[g]
-            for x in gens:
-                if not mask >> table[row[x]][gi] & 1:
-                    break
-            else:
-                normalizer |= 1 << g
-        return self._index_by_mask[normalizer]
+        root, conjugator, classes = self._classes
+        n = classes[root[i]][0]
+        return n if root[i] == i else self.conjugate_index(conjugator[i], n)
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
-        """normalizers[k]: index of the normalizer of subgroup k, one normalizer_index per conjugacy class.
-
-        The class of a non-normal H is walked from H by conjugating with the
-        non-central top generators.  Each point gHg⁻¹ keeps one g, and its
-        normalizer is N(gHg⁻¹) = gN(H)g⁻¹.  With no such generator G is abelian.
-        """
-        table, top, cyclic = self.group.table, self.top_index, self._cyclic
+        """normalizers[k]: index of N(k), one normalizer_index per class root; the call on 0 runs the walk."""
         if not self._conjugation_rows:
-            return (top,) * len(self.subgroups)
-        normalizers: list[int | None] = [None] * len(self.subgroups)
-        for k in range(len(normalizers)):
-            if normalizers[k] is not None:
-                continue
-            n = normalizers[k] = self.normalizer_index(k)
-            if n == top:
-                continue
-            # the points of k's class, each with an element conjugating k onto it
-            orbit = [(k, 0)]
-            for point, g in orbit:
-                for t, row in self._conjugation_rows.items():
-                    image = self.join_of([cyclic[row[x]] for x in self.generators[point]])
-                    if normalizers[image] is None:
-                        tg = table[t][g]
-                        normalizers[image] = self.conjugate_index(tg, n)
-                        orbit.append((image, tg))
+            return (self.top_index,) * len(self.subgroups)
+        normalizers = [self.normalizer_index(0)]
+        root, by, _ = self._classes
+        for k, r in enumerate(root[1:], 1):
+            normalizers.append(self.normalizer_index(k) if r == k else self.conjugate_index(by[k], normalizers[r]))
         return tuple(normalizers)
 
     @cached_property

@@ -216,8 +216,8 @@ def _reports(check: str, group: str, toposys: str, fn, *args) -> list[CheckRepor
     return [CheckReport(check, group, toposys, status, witness, elapsed) for status, witness in outcomes]
 
 
-def _group_reports(check: str, toposys: str, fn, lattices) -> list[CheckReport]:
-    return [r for lattice in lattices for r in _reports(check, lattice.group.descriptor, toposys, fn, lattice)]
+def _group_reports(check: str, toposys: str, fn, lattices, *args) -> list[CheckReport]:
+    return [r for lattice in lattices for r in _reports(check, lattice.group.descriptor, toposys, fn, lattice, *args)]
 
 
 def _cell_reports(run: SuiteRun, check: str, row) -> list[CheckReport]:
@@ -283,8 +283,8 @@ def check_family(lattice: SubgroupLattice, family: str, systems: dict) -> tuple[
     return PASS, None
 
 
-def check_interior_core(lattice: SubgroupLattice) -> tuple[str, str | None]:
-    system = build_toposys(lattice, "normal")
+def check_interior_core(lattice: SubgroupLattice, systems: dict) -> tuple[str, str | None]:
+    system = shared_system(systems, lattice, lattice.normal_bits, "normal")
     for i in range(len(lattice)):
         interior, _ = interior_boundary(system, i)
         if interior != lattice.core_index(i):
@@ -438,7 +438,7 @@ def suite_toposys_axioms(run: SuiteRun) -> list[CheckReport]:
 
 
 def suite_interior_core(run: SuiteRun) -> list[CheckReport]:
-    return _group_reports("interior-core", "normal", check_interior_core, run.lattices)
+    return _group_reports("interior-core", "normal", check_interior_core, run.lattices, run.systems)
 
 
 def suite_prime_order(run: SuiteRun) -> list[CheckReport]:

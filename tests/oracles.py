@@ -6,11 +6,12 @@ the subgroup or quotient as a group of its own, enumerate its lattice and
 work there, as the runtime once did; the tests compare the two.  The runtime
 reads the family member sets and commutator subgroups off the lattice's
 bitsets; the set comprehensions and closures here test each subgroup
-against its definition instead.  Automorphisms and cores are read through
-generating sets at runtime, and a normalizer is the whole group once the
-top generators normalize the subgroup; the full search over generator
-images with its pairwise homomorphism check, the element-by-element
-normalizer scan and the conjugation of whole element masks are kept here.  The runtime reads thk
+against its definition instead.  Automorphisms are read through generating
+sets at runtime, and normalizers and cores through one walk per conjugacy
+class of subgroups (its Schreier elements and its meet); the full search
+over generator images with its pairwise homomorphism check, the
+element-by-element normalizer scan and the core as a fixpoint of conjugating
+whole element masks are kept here.  The runtime reads thk
 member sets and [H, K] off one commutator row per k, checks associativity on
 generators only and shares the Tychonoff factor steps across the product
 systems of a product; the full scans and the step-by-step replay are kept

@@ -3,6 +3,8 @@
 import ast
 import functools
 import inspect
+import itertools
+import math
 import operator
 import time
 from collections import Counter
@@ -187,13 +189,56 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _gaussian_binomial(n, k, p):
+    """[n choose k]_p, the number of k-dimensional subspaces of F_p^n."""
+    num = den = 1
+    for i in range(k):
+        num, den = num * (p ** (n - i) - 1), den * (p ** (i + 1) - 1)
+    return num // den
+
+
 def _gaussian_binomial_sum(d, p):
     """The number of subgroups of the elementary abelian group of order p^d: the sum over k of [d k]_p."""
-    total, term = 0, 1
-    for k in range(d + 1):
+    return sum(_gaussian_binomial(d, k, p) for k in range(d + 1))
+
+
+def _conjugate_partition(parts, length):
+    """λ'_1..λ'_length: λ'_i is the number of parts of λ that are at least i."""
+    return [sum(part >= i for part in parts) for i in range(1, length + 1)]
+
+
+def _abelian_p_group_subgroup_count(lam, p):
+    """Subgroups of the abelian p-group of type λ (Birkhoff 1935, Delsarte 1948; Butler, Mem. AMS 539, 1994).
+
+    With λ', μ' the conjugate partitions, the subgroups of type μ ⊆ λ number the product over i of
+    p^(μ'_{i+1}(λ'_i − μ'_i)) · [λ'_i − μ'_{i+1} choose μ'_i − μ'_{i+1}]_p.
+    """
+    lam, total = sorted(lam, reverse=True), 0
+    length = lam[0] + 1
+    lc = _conjugate_partition(lam, length)
+    for mu in itertools.product(*(range(part + 1) for part in lam)):
+        if any(a < b for a, b in zip(mu, mu[1:])):
+            continue
+        mc, term = _conjugate_partition(mu, length), 1
+        for i in range(length - 1):
+            term *= p ** (mc[i + 1] * (lc[i] - mc[i])) * _gaussian_binomial(lc[i] - mc[i + 1], mc[i] - mc[i + 1], p)
         total += term
-        term = term * (p ** (d - k) - 1) // (p ** (k + 1) - 1)
     return total
+
+
+def _abelian_subgroup_count(factors):
+    """Subgroups of the product of cyclic groups of these orders: one Birkhoff–Delsarte count per Sylow subgroup."""
+    types: dict[int, list[int]] = {}
+    for n in factors:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                types.setdefault(p, []).append(e)
+            p += 1
+    return math.prod(_abelian_p_group_subgroup_count(lam, p) for p, lam in types.items())
 
 
 def _closed_form_counts(desc):
@@ -208,9 +253,8 @@ def _closed_form_counts(desc):
         # subgroups, the whole group and, for even n, the two of index 2
         n = int(arg)
         return len(_divisors(n)) + sum(_divisors(n)), len(_divisors(n)) + (3 if n % 2 == 0 else 1)
-    factors = set(arg.split("x")) if kind == "abelian" else ()
-    if len(factors) == 1 and len(_divisors(p := int(factors.pop()))) == 2:
-        count = _gaussian_binomial_sum(len(arg.split("x")), p)
+    if kind == "abelian":
+        count = _abelian_subgroup_count(map(int, arg.split("x")))
         return count, count
     return None
 
@@ -231,9 +275,38 @@ def test_census_lattices_build_within_budget_and_match_closed_forms():
         if want is not None:
             assert (len(lat), normal.bit_count()) == want, desc
             checked += 1
-    # every cyclic and dihedral descriptor, and 2^2..2^6, 3^2, 3^3, 5^2 and 7^2
-    assert len(census) == 395 and checked == 64 + 32 + 9
+    # every cyclic, dihedral and abelian descriptor
+    abelian = sum(d.startswith("abelian:") for d in census)
+    assert len(census) == 395 and abelian == 134 and checked == 64 + 32 + abelian
+    # the Birkhoff–Delsarte count agrees with the Gaussian binomials on elementary abelian groups
+    assert _abelian_subgroup_count([2] * 6) == _gaussian_binomial_sum(6, 2) == 2825
     assert len(enumerate_subgroups(build_group("abelian:2x2x2x2x2"))) == _gaussian_binomial_sum(5, 2) == 374
+    assert elapsed < 20, f"{elapsed:.1f}s over the 20s budget"
+
+
+def test_census_class_tables_match_the_element_scans_within_budget():
+    # every non-abelian census group, on a fresh lattice: the normalizers, normal
+    # subgroups, normalized_by rows and cores of the class walk against the scans;
+    # about 2 s, and the budget may only be tightened
+    start, groups, subgroups = time.monotonic(), 0, 0
+    for desc in census_descriptors():
+        group = build_group(desc)
+        if group.table == tuple(zip(*group.table)):
+            continue
+        lat = enumerate_subgroups.__wrapped__(group)
+        normalizers = tuple(normalizer_by_scan(lat, k) for k in range(len(lat)))
+        assert lat.normalizers == normalizers, desc
+        rows = [0] * len(lat)
+        for k, n in enumerate(normalizers):
+            for h in bits_of(lat.below[n]):
+                rows[h] |= 1 << k
+        assert lat.normalized_by == tuple(rows), desc
+        assert lat.normal_bits == rows[lat.top_index], desc
+        cores = [lat.mask(lat.core_index(k)) for k in range(len(lat))]
+        assert cores == [core_mask_by_conjugation(lat, k) for k in range(len(lat))], desc
+        groups, subgroups = groups + 1, subgroups + len(lat)
+    assert (groups, subgroups) == (190, 12511)
+    elapsed = time.monotonic() - start
     assert elapsed < 20, f"{elapsed:.1f}s over the 20s budget"
 
 
@@ -369,7 +442,8 @@ def test_core_is_largest_normal_inside(desc, data):
             assert lat.leq(n, c)
 
 
-# on product(sym:4,cyclic:2) some cores need a second pass over the generators
+# the core is the meet of the class walk, which reaches each conjugate by top-generator steps;
+# on sym:4 and the products some conjugates lie several steps from the class root
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS + ("sym:4", "product(sym:3,sym:3)", "product(sym:4,cyclic:2)"))
 def test_core_fixpoint_matches_intersection_of_all_conjugates(desc):
     lat = enumerate_subgroups(build_group(desc))
@@ -517,8 +591,8 @@ def test_normalizer_index_matches_the_element_scan(desc):
 
 
 def test_normal_bits_conjugate_only_the_generators(monkeypatch):
-    # every subgroup of an abelian group is normal, so each normalizer is read
-    # off the top generators' conjugates of its own generators
+    # every subgroup of an abelian group is normal, and with no conjugation row
+    # no class is walked
     lat = enumerate_subgroups.__wrapped__(build_group("abelian:2x2x2x2x2"))
     real, calls = FiniteGroup.conjugate, []
 
@@ -530,6 +604,9 @@ def test_normal_bits_conjugate_only_the_generators(monkeypatch):
     assert lat.normal_bits == (1 << len(lat)) - 1
     # every top generator is central, so no conjugation row is built and nothing is conjugated
     assert lat._conjugation_rows == {} and calls == []
+    # every core is the subgroup itself, and no class table is built
+    assert [lat.core_index(i) for i in range(len(lat))] == list(range(len(lat)))
+    assert "_classes" not in vars(lat)
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS + ("product(dihedral:4,dihedral:4)",))
@@ -554,7 +631,8 @@ def test_a_conj_sweep_computes_each_normalizer_once(monkeypatch):
 
     monkeypatch.setattr(lattice.SubgroupLattice, "normalizer_index", counting)
     assert suites.check_family(lat, "conj", {}) == ("pass", None)
-    # one scan per conjugacy class, at its least index; the class walk conjugates the rest
+    # one call per conjugacy class, on its least index, the root of its walk; the other
+    # points conjugate the root's normalizer
     classes = {
         frozenset(lat.index_of(conjugate_mask(lat.group, lat.mask(k), g)) for g in lat.group.elements())
         for k in range(len(lat))

@@ -2,6 +2,7 @@
 
 import functools
 from collections import Counter
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -10,7 +11,13 @@ from topogroups import filters, products, suites, toposystems
 from topogroups.cli import run_command
 from topogroups.groups import TopoGroupError, bits_of, build_group, mask_of
 from topogroups.filters import NotAFilterError, enumerate_ultrafilters
-from topogroups.lattice import AUTOMORPHISM_CAP, FAMILY_SWEEP_CAP, enumerate_subgroups
+from topogroups.lattice import (
+    AUTOMORPHISM_CAP,
+    FAMILY_SWEEP_CAP,
+    SubgroupLattice,
+    brute_force_subgroup_masks,
+    enumerate_subgroups,
+)
 from topogroups.report import FAIL, FINDING, PASS, ValidationFailure
 from topogroups.suites import (
     DEFAULT_CATALOG,
@@ -22,7 +29,14 @@ from topogroups.suites import (
     family_instances,
     run_suite,
 )
-from topogroups.toposystems import TopoSystem, build_toposys, family_members
+from topogroups.toposystems import (
+    QuotientToposys,
+    TopoSystem,
+    build_toposys,
+    family_members,
+    quotient_toposys,
+    verify_toposys,
+)
 
 
 def count_calls(monkeypatch, calls: Counter, module, name: str):
@@ -123,12 +137,16 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     assert swept == instances_of
     unswept = Counter((g, d) for g, d, _ in instances_of if d.partition(":")[0] not in SWEPT_FAMILIES)
     assert resolved_by_run == cells + unswept
-    # the sweeps and the cells share one system per member set, verified once; interior-core
-    # and each factor system build their own, and a product verifies each distinct set once
+    # the sweeps, the cells and interior-core share one system per member set, verified once;
+    # only the Tychonoff factor systems are built apart, and a product verifies each distinct set once
     lattice_of = {lat.group.descriptor: lat for lat in lattices}
     named = {(g, family_members(lattice_of[g], d).member_bits) for g, d in cells}
     named |= {(g, bits) for g, _, bits in swept}
     assert +verified == Counter(dict.fromkeys(named, 1)) + apart
+    tychonoff = {d for descs in suites.TYCHONOFF_PRODUCTS for d in descs + (f"product({','.join(descs)})",)}
+    assert {g for g, _ in apart} <= tychonoff
+    # 238 whole-group runs for 227 distinct sets: the 11 repeats are factor systems on catalog groups
+    assert sum(verified.values()) == 238 and len(+verified) == 227
     # rows are still one per descriptor
     assert sum(r.check == "star-topology" for r in result.reports) == 185
     assert [r.toposys for r in result.reports if r.check == "prime-order"] == [
@@ -338,40 +356,102 @@ def _cell_rows(predicate):
     return lambda run, rows: [predicate(system) for _, system in run.cells]
 
 
-# suite -> (where the fault goes, the faulty value, which rows of a default run must turn FAIL)
+def _with_a_non_normal_subgroup(run, rows):
+    return [lattice.normal_bits != lattice.above[0] for lattice in run.lattices]
+
+
+def _oracle_without_order_two(group):
+    return tuple(m for m in brute_force_subgroup_masks(group) if m.bit_count() != 2)
+
+
+def _is_cyclic(group):
+    return any(group.element_order(x) == group.order for x in group.elements())
+
+
+def _normal_without_the_whole_group(lattice, desc):
+    system = family_members(lattice, desc)
+    if desc != "normal":
+        return system
+    return TopoSystem(lattice, system.member_bits & ~(1 << lattice.top_index), desc)
+
+
+def _image_of_the_topens_above_n(parent, n):
+    # the topens below N are dropped instead of joined with N, so N is lost unless it is a topen
+    bits = parent.member_bits & parent.lattice.above[n]
+    return QuotientToposys(bits, verify_toposys(parent.lattice, bits, n))
+
+
+class Control(NamedTuple):
+    """A seeded fault (where it goes, its name there, the faulty value) and the rows of a lone run it must move."""
+
+    fault: tuple
+    moves: Callable
+    to: str = FAIL
+
+
+# control -> the fault, which rows of a lone run of its suite must move, and the status they take;
+# a control named <suite>/<what> is a second control of that suite
 NEGATIVE_CONTROLS = {
-    "interior-core": (
-        (suites, "interior_boundary", _interior_without_members),
-        lambda run, rows: [lattice.normal_bits != lattice.above[0] for lattice in run.lattices],
+    "lattice-completeness": Control(
+        (suites, "brute_force_subgroup_masks", _oracle_without_order_two),
+        # Cauchy: a group of even order has an element of order 2
+        lambda run, rows: [build_group(r.group).order % 2 == 0 for r in rows],
     ),
-    "prime-order": (
+    "toposys-axioms": Control(
+        (suites, "family_members", _normal_without_the_whole_group),
+        # a member set without G fails axiom (a) on every group
+        lambda run, rows: [r.toposys == "normal" for r in rows],
+    ),
+    "interior-core": Control((suites, "interior_boundary", _interior_without_members), _with_a_non_normal_subgroup),
+    # Core(H) = H exactly when H is normal
+    "interior-core/core_index": Control(
+        (SubgroupLattice, "core_index", lambda self, i: i),
+        _with_a_non_normal_subgroup,
+    ),
+    "prime-order": Control(
         # no point is a limit, so every cyclic subgroup is T-closed
         (TopoSystem, "least_topen", property(_isolated_points)),
         _cell_rows(lambda system: _has_composite_order(system.lattice)),
     ),
-    "weak-closed": (
+    "weak-closed": Control(
         (suites, "t_closed_checks", _weak_without_its_hypothesis),
         _cell_rows(_hausdorff_with_a_t_open_subgroup),
     ),
-    "convergence-compactness": (
+    "ultrafilter-machinery": Control(
+        # the filter itself comes back, and ↑K is an ultrafilter iff K is cyclic
+        (suites, "extend_to_ultrafilter", lambda f: f),
+        lambda run, rows: [not _is_cyclic(lattice.group) for lattice in run.lattices],
+    ),
+    "convergence-compactness": Control(
         (filters, "convergence_set", _convergence_at_the_kernel_only),
         _cell_rows(_misses_a_kernel),
     ),
-    "hausdorff-equivalence": (
+    "hausdorff-equivalence": Control(
         (toposystems, "is_hausdorff", lambda system: (True, None)),
         _cell_rows(lambda system: not oracles.is_hausdorff_by_incidence(system)[0]),
     ),
-    "tychonoff": (
+    "tychonoff": Control(
         # every pushed ultrafilter converges to the identity, whose topens include the trivial one
         (TopoSystem, "least_topen", property(_least_topen_at_the_top)),
         lambda run, rows: [r.check == "tychonoff-certificate" for r in rows],
     ),
+    "quotient-probe": Control(
+        (toposystems, "quotient_toposys", _image_of_the_topens_above_n),
+        # the suite reports a failing image as a FINDING: those that passed and lose N turn FINDING
+        lambda run, rows: [
+            oracles.quotient_by_verify(system, n).failure is None and n not in system
+            for _, system in run.cells
+            for n in bits_of(system.lattice.normal_bits)
+        ],
+        FINDING,
+    ),
 }
 
 
-@pytest.mark.parametrize("suite", NEGATIVE_CONTROLS)
-def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, suite):
-    (target, name, fault), must_fail = NEGATIVE_CONTROLS[suite]
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS)
+def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, control):
+    (target, name, fault), must_move, to = NEGATIVE_CONTROLS[control]
+    suite = control.partition("/")[0]
     config = SuiteConfig(suites=(suite,))
     before = run_suite(config).reports
     assert not any(r.status == FAIL for r in before)
@@ -379,9 +459,9 @@ def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, suite):
     monkeypatch.setattr(target, name, fault)
     run = SuiteRun(config)
     after = suites._SUITE_FUNCTIONS[suite](run)
-    expected = must_fail(run, after)
+    expected = must_move(run, after)
     assert any(expected)
-    assert [r.status == FAIL for r in after] == expected
+    assert [b.status != r.status == to for b, r in zip(before, after)] == expected
     # every other row keeps its status and witness
     kept = [(r.check, r.group, r.toposys, r.status, r.witness) for r, moved in zip(after, expected) if not moved]
     assert kept == [(r.check, r.group, r.toposys, r.status, r.witness) for r, moved in zip(before, expected) if not moved]
