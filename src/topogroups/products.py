@@ -18,7 +18,7 @@ from .groups import (
     mixed_radix_decode,
     mixed_radix_encode,
 )
-from .lattice import SubgroupLattice, enumerate_subgroups
+from .lattice import enumerate_subgroups
 from .report import ValidationFailure
 from .toposystems import BadParameterError, TopoSystem
 from .filters import NotAFilterError, SubgroupFilter, convergence_set, is_ultrafilter, pushforward
@@ -33,30 +33,16 @@ class CertificateFailureError(TopoGroupError):
         super().__init__(f"certificate step {step!r} failed with witness {witness!r}")
 
 
-class ProductGroup:
+class ProductGroup(NamedTuple):
     """Tuple group over the factors, with validated projections.
 
     Element ids use mixed radix with factor 0 most significant, so the
-    all-identities tuple is id 0.  ``factor_steps`` holds the Tychonoff
-    factor steps, which every product system of the product shares: the
-    checked pushforward per (factor, ultrafilter kernel) and the convergence points
-    per (factor, factor system's member bits, pushed kernel).  It also holds
-    the product's subgroup index per tuple of factor subgroup masks
-    (``("product-index", masks)``) and one product system per product
-    member set (``("system", bits)``), named by the first factor systems
-    that built it, so each distinct set is verified and indexed once.
+    all-identities tuple is id 0.
     """
 
     factors: tuple[FiniteGroup, ...]
     group: FiniteGroup
     projections: tuple[Homomorphism, ...]
-    factor_steps: dict
-
-    def __init__(self, factors: tuple[FiniteGroup, ...], group: FiniteGroup, projections: tuple[Homomorphism, ...]):
-        self.factors = factors
-        self.group = group
-        self.projections = projections
-        self.factor_steps = {}
 
     def decode(self, idx: int) -> tuple[int, ...]:
         return mixed_radix_decode([f.order for f in self.factors], idx)
@@ -111,20 +97,15 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
         if sys_i.lattice.group != f:
             raise BadParameterError("factor system does not live on the matching factor")
     plattice = enumerate_subgroups(product.group)
-    steps = product.factor_steps
     member_factors: dict[int, tuple[int, ...]] = {}
     bits = 0
     for combo in iter_product(*[s.member_indices for s in factor_systems]):
-        key = ("product-index", tuple(s.lattice.mask(i) for s, i in zip(factor_systems, combo)))
-        index = steps.get(key)
-        if index is None:
-            index = steps[key] = plattice.index_of(product_subgroup_mask(product, key[1]))
+        masks = [s.lattice.mask(i) for s, i in zip(factor_systems, combo)]
+        index = plattice.index_of(product_subgroup_mask(product, masks))
         member_factors[index] = combo
         bits |= 1 << index
-    system = steps.get(("system", bits))
-    if system is None:
-        provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
-        system = steps["system", bits] = TopoSystem(plattice, bits, provenance)
+    provenance = "product(" + ",".join(s.provenance for s in factor_systems) + ")"
+    system = TopoSystem(plattice, bits, provenance)
     if system.failure is not None:
         raise TopoGroupError(f"internal error: product system fails axioms: {system.failure}")
     return ProductToposys(product, system, factor_systems, member_factors)
@@ -164,39 +145,6 @@ class TychonoffCertificate(NamedTuple):
     replayed: tuple[int, ...]
 
 
-def _pushed_ultrafilter(product: ProductGroup, i: int, f: SubgroupFilter, target: SubgroupLattice) -> SubgroupFilter:
-    """The pushforward of f along projection i onto factor lattice target, checked ultra.
-
-    It depends on f only through its kernel, so the memo holds the pushed
-    kernel or the failed step once per (product, i, f.kernel), and each
-    result is named after its own f.
-    """
-    key = (i, f.kernel)
-    got = product.factor_steps.get(key)
-    if got is None:
-        try:
-            pushed = pushforward(product.projections[i], f)
-        except NotAFilterError as exc:
-            got = (f"pushforward[{i}]", exc.failure)
-        else:
-            got = pushed.kernel if is_ultrafilter(pushed) else (f"pushforward-ultra[{i}]", pushed.kernel)
-        product.factor_steps[key] = got
-    if isinstance(got, tuple):
-        raise CertificateFailureError(*got)
-    return SubgroupFilter(target, got, f"pushforward({f.provenance})")
-
-
-def _factor_point(product: ProductGroup, i: int, system: TopoSystem, pushed: SubgroupFilter) -> int:
-    """The least convergence point of factor i; one convergence set per (factor system, pushed kernel)."""
-    key = (i, system.member_bits, pushed.kernel)
-    points = product.factor_steps.get(key)
-    if points is None:
-        points = product.factor_steps[key] = convergence_set(pushed, system)
-    if not points:
-        raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
-    return min(points)
-
-
 def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffCertificate:
     """Replay the product-compactness argument step by step for one ultrafilter.
 
@@ -205,9 +153,7 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
     for every product topen around the assembled point that each factor
     preimage is a member, that the preimages intersect to exactly the topen,
     and that the topen itself is a member.  Any failed step raises
-    CertificateFailureError with the step name and witness.  The factor
-    steps depend on the product, the factor system and f, not on the other
-    factors' systems, so every product system of one product shares them.
+    CertificateFailureError with the step name and witness.
     """
     product = ptop.product
     plattice = ptop.system.lattice
@@ -218,9 +164,17 @@ def tychonoff_certificate(ptop: ProductToposys, f: SubgroupFilter) -> TychonoffC
 
     components = []
     pushed_list = []
-    for i, sys_i in enumerate(ptop.factor_systems):
-        pushed = _pushed_ultrafilter(product, i, f, sys_i.lattice)
-        components.append(_factor_point(product, i, sys_i, pushed))
+    for i, (projection, sys_i) in enumerate(zip(product.projections, ptop.factor_systems)):
+        try:
+            pushed = pushforward(projection, f)
+        except NotAFilterError as exc:
+            raise CertificateFailureError(f"pushforward[{i}]", exc.failure) from exc
+        if not is_ultrafilter(pushed):
+            raise CertificateFailureError(f"pushforward-ultra[{i}]", pushed.kernel)
+        points = convergence_set(pushed, sys_i)
+        if not points:
+            raise CertificateFailureError(f"factor-convergence[{i}]", pushed.provenance)
+        components.append(min(points))
         pushed_list.append(pushed)
 
     x = product.encode(components)

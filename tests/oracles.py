@@ -13,8 +13,8 @@ over generator images with its pairwise homomorphism check, the
 element-by-element normalizer scan and the core as a fixpoint of conjugating
 whole element masks are kept here.  The runtime reads thk
 member sets and [H, K] off one commutator row per k, checks associativity on
-generators only and shares the Tychonoff factor steps across the product
-systems of a product; the full scans and the step-by-step replay are kept
+generators only and walks only the product topens around the Tychonoff
+point; the full scans and the replay over every product topen are kept
 here, and so are the paper's topomorphism and ordinary-filter definitions.
 The runtime's star-topology check tests only never-Hausdorff, since each
 trace is induced-open by construction and union traces are traces by
@@ -676,7 +676,7 @@ def theorem_checks_by_quotient_groups(lattice, system: TopoSystem) -> TheoremRep
 
 
 def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertificate:
-    """The Tychonoff replay with every factor step recomputed, scanning every product topen.
+    """The Tychonoff replay, scanning every product topen for those that hold the point.
 
     Assumes f is an ultrafilter on the product group.
     """

@@ -1,34 +1,36 @@
 """Direct products, the product system, component identities, Tychonoff replay."""
 
-from itertools import product as iter_product
+import time
+from collections import Counter
+from itertools import combinations_with_replacement, product as iter_product
 
 import pytest
 
-from topogroups.groups import bits_of, build_group, closure_mask, make_homomorphism
+from topogroups.groups import bits_of, build_group, closure_mask, make_homomorphism, mask_of
 from topogroups.lattice import enumerate_subgroups
-from topogroups import products, toposystems
-from topogroups.toposystems import build_toposys, verify_toposys
-from topogroups.filters import SubgroupFilter, enumerate_ultrafilters, principal_filter
+from topogroups import toposystems
+from topogroups.toposystems import build_toposys, family_members, verify_toposys
+from topogroups.filters import enumerate_ultrafilters, principal_filter
 from topogroups.products import (
     CertificateFailureError,
-    ProductGroup,
     direct_product,
     product_identities_check,
     product_subgroup_mask,
     product_toposys,
     tychonoff_certificate,
 )
-from topogroups.suites import FACTOR_SYSTEM_KINDS, IDENTITY_PRODUCTS, TYCHONOFF_PRODUCTS
+from topogroups.suites import (
+    DEFAULT_CATALOG,
+    FACTOR_SYSTEM_KINDS,
+    IDENTITY_PRODUCTS,
+    TYCHONOFF_PRODUCTS,
+    cell_system_descriptors,
+)
 from oracles import is_topomorphism, topens_around, tychonoff_certificate_by_replay
 
 
 def _product(*descs):
     return direct_product([build_group(d) for d in descs])
-
-
-def _unshared(p):
-    """The same product with an empty factor_steps memo of its own."""
-    return ProductGroup(p.factors, p.group, p.projections)
 
 
 def test_one_product_group_and_lattice_per_descriptor():
@@ -184,25 +186,6 @@ def test_tychonoff_degenerate_pushforward_is_a_certificate_failure():
     assert exc.value.step == "pushforward[0]"
 
 
-def test_factor_steps_find_a_filter_by_value(monkeypatch):
-    # the pushforward memo keys on (factor, kernel): a filter built apart with
-    # the same kernel and another provenance hits the entry, and the pushed
-    # filter names its own provenance
-    p = _unshared(_product("cyclic:4", "cyclic:2"))
-    plat = enumerate_subgroups(p.group)
-    pt = product_toposys(p, [build_toposys(enumerate_subgroups(f), "discrete") for f in p.factors])
-    f = principal_filter(plat, p.encode((1, 1)))
-    certificate = tychonoff_certificate(pt, f)
-    steps = dict(p.factor_steps)
-    assert {(0, f.kernel), (1, f.kernel)} <= steps.keys()
-    monkeypatch.setattr(products, "pushforward", lambda *args: pytest.fail("pushed twice"))
-    twin = SubgroupFilter(plat, f.kernel, "twin")
-    for i, system in enumerate(pt.factor_systems):
-        pushed = products._pushed_ultrafilter(p, i, twin, system.lattice)
-        assert (pushed.kernel, pushed.provenance) == (steps[i, f.kernel], "pushforward(twin)")
-    assert tychonoff_certificate(pt, twin) == certificate and p.factor_steps == steps
-
-
 def _outcome(certify, ptop, f):
     try:
         return certify(ptop, f)
@@ -212,8 +195,8 @@ def _outcome(certify, ptop, f):
 
 @pytest.mark.parametrize("descs", IDENTITY_PRODUCTS)
 def test_certificates_match_the_replay_oracle_on_every_combination(descs):
-    # every kind combination of one product shares its factor steps; the
-    # oracle recomputes them for each certificate
+    # every kind combination of one product, against the oracle that scans
+    # every product topen
     p = _product(*descs)
     ultrafilters = enumerate_ultrafilters(enumerate_subgroups(p.group))
     failures = 0
@@ -229,9 +212,12 @@ def test_certificates_match_the_replay_oracle_on_every_combination(descs):
 
 @pytest.mark.parametrize("descs", TYCHONOFF_PRODUCTS)
 def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
-    # the combinations of one product share its product indices and verify
-    # each distinct member set once; each must match a build from nothing
-    p = _unshared(_product(*descs))
+    # kind combinations with the same factor member sets share one product
+    # member set, so the suite certifies each (product, factor member sets)
+    # once; each build verifies its own system and matches the intersections
+    # of the projection preimages of the factor topens
+    p = _product(*descs)
+    plat = enumerate_subgroups(p.group)
     combos = list(iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)))
     systems = {combo: [build_toposys(enumerate_subgroups(f), k) for f, k in zip(p.factors, combo)] for combo in combos}
     verified = []
@@ -241,13 +227,59 @@ def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
         return verify_toposys(lattice, bits)
 
     monkeypatch.setattr(toposystems, "verify_toposys", counting)
-    shared = [product_toposys(p, systems[combo]) for combo in combos]
+    built = [product_toposys(p, systems[combo]) for combo in combos]
     monkeypatch.undo()
-    assert sorted(verified) == sorted({pt.system.member_bits for pt in shared})
-    for combo, pt in zip(combos, shared):
-        fresh = product_toposys(_unshared(p), systems[combo])
-        assert pt.system.member_bits == fresh.system.member_bits
-        assert pt.member_factors == fresh.member_factors
+    assert verified == [pt.system.member_bits for pt in built]
+    shared = {}
+    for combo, pt in zip(combos, built):
+        factor_bits = tuple(s.member_bits for s in systems[combo])
+        assert shared.setdefault(factor_bits, pt.system.member_bits) == pt.system.member_bits
+        fresh = {}
+        for members in iter_product(*[s.member_indices for s in systems[combo]]):
+            inter = p.group.full_mask
+            for proj, s, i in zip(p.projections, systems[combo], members):
+                inter &= proj.preimage_mask(s.lattice.mask(i))
+            fresh[plat.index_of(inter)] = members
+        assert pt.member_factors == fresh and pt.system.member_bits == mask_of(fresh)
+
+
+def _distinct_cell_systems(group):
+    lattice = enumerate_subgroups(group)
+    systems = {}
+    for desc in cell_system_descriptors(lattice):
+        system = family_members(lattice, desc)
+        systems.setdefault(system.member_bits, system)
+    return list(systems.values())
+
+
+def test_certificates_match_the_replay_oracle_on_every_small_catalog_pair():
+    # every unordered pair of catalog groups with product order at most 36,
+    # under every pair of the factors' distinct cell systems; about 0.5 s,
+    # and the budget may only be tightened
+    start = time.perf_counter()
+    groups = [build_group(d) for d in DEFAULT_CATALOG]
+    pairs = [(a, b) for a, b in combinations_with_replacement(groups, 2) if a.order * b.order <= 36]
+    outcomes = Counter()
+    for a, b in pairs:
+        p = direct_product([a, b])
+        ultrafilters = enumerate_ultrafilters(enumerate_subgroups(p.group))
+        for systems in iter_product(_distinct_cell_systems(a), _distinct_cell_systems(b)):
+            pt = product_toposys(p, systems)
+            for f in ultrafilters:
+                got = _outcome(tychonoff_certificate, pt, f)
+                assert got == _outcome(tychonoff_certificate_by_replay, pt, f)
+                if type(got) is tuple:
+                    outcomes[got[0]] += 1
+                else:
+                    outcomes["replayed a proper topen" if len(got.replayed) > 1 else "replayed G only"] += 1
+    elapsed = time.perf_counter() - start
+    assert len(pairs) == 52 and sum(outcomes.values()) == 6267
+    # a factor with more than one minimal subgroup breaks the pushforward of
+    # an ultrafilter whose kernel projects to its identity
+    assert outcomes["pushforward[0]"] + outcomes["pushforward[1]"] == 1379
+    # the only certificates whose per-topen steps see a proper topen
+    assert outcomes["replayed a proper topen"] == 2122
+    assert elapsed < 10, f"{elapsed:.1f}s over the 10s budget"
 
 
 @pytest.mark.parametrize(

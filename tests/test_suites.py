@@ -9,8 +9,8 @@ import pytest
 import oracles
 from topogroups import filters, products, suites, toposystems
 from topogroups.cli import run_command
-from topogroups.groups import TopoGroupError, bits_of, build_group, mask_of
-from topogroups.filters import NotAFilterError, enumerate_ultrafilters
+from topogroups.groups import Homomorphism, TopoGroupError, bits_of, build_group, mask_of
+from topogroups.filters import NotAFilterError, SubgroupFilter, enumerate_ultrafilters
 from topogroups.lattice import (
     AUTOMORPHISM_CAP,
     FAMILY_SWEEP_CAP,
@@ -111,7 +111,6 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
 
     monkeypatch.setattr(suites, "build_toposys", build)
     monkeypatch.setattr(suites, "product_toposys", product_system)
-    fresh_products(monkeypatch)
     result = run_suite(SuiteConfig())
     # a copy, since the oracle sweeps below resolve descriptors through the patched family_members
     resolved_by_run = Counter(resolved)
@@ -172,18 +171,12 @@ def test_tychonoff_builds_each_factor_system_and_product_ultrafilter_list_once(m
     assert all(r.status == PASS for r in reports)
 
 
-def fresh_products(monkeypatch):
-    """A product cache of the test's own, so no factor step is shared with another test."""
-    monkeypatch.setattr(products, "_direct_product", functools.cache(products._direct_product.__wrapped__))
-
-
 def tychonoff_rows(run: SuiteRun) -> list[tuple[str, str, str, str | None]]:
     reports = suites.suite_tychonoff(run)
     return [(r.group, r.toposys, r.status, r.witness) for r in reports if r.check == "tychonoff-certificate"]
 
 
 def test_tychonoff_pushes_each_ultrafilter_along_each_projection_once(monkeypatch):
-    fresh_products(monkeypatch)
     calls = Counter()
     count_calls(monkeypatch, calls, products, "pushforward")
     count_calls(monkeypatch, calls, products, "convergence_set")
@@ -195,15 +188,14 @@ def test_tychonoff_pushes_each_ultrafilter_along_each_projection_once(monkeypatc
     # name 13 distinct product systems, and one per row would be 504 certificates
     assert calls["product_toposys"] == 13
     assert calls["tychonoff_certificate"] == 79
-    # one pushforward per (product, factor, ultrafilter), not one per kind combination as well
-    pushes = sum(
-        len(descs) * len(enumerate_ultrafilters(enumerate_subgroups(build_group(f"product({','.join(descs)})"))))
-        for descs in suites.TYCHONOFF_PRODUCTS
-    )
-    assert calls["pushforward"] == pushes == 91
-    # one convergence set per (factor, factor member set, pushed kernel) of
-    # each product; one per certificate and factor would be 1,197
-    assert calls["convergence_set"] == 29
+    # one pushforward and one convergence set per (certificate, factor): two
+    # factors each, and a third for the 7 certificates of cyclic:2 cubed
+    assert calls["pushforward"] == calls["convergence_set"] == 2 * 79 + 7 == 165
+
+
+def _in_both(name, broken):
+    """Patches of ``name`` where the certificate and the replay oracle read it."""
+    return [(products, name, broken), (oracles, name, broken)]
 
 
 def _break_pushforward():
@@ -217,7 +209,17 @@ def _break_pushforward():
             raise NotAFilterError(ValidationFailure("meet", (1, 2, 0), "forced"))
         return real(hom, f)
 
-    return pushforward, "pushforward[1]"
+    return _in_both("pushforward", pushforward), "pushforward[1]", 9
+
+
+def _break_ultrafilter():
+    # a filter on cyclic:4 with the kernel #1 reads as not ultra
+    real = products.is_ultrafilter
+
+    def is_ultrafilter(f):
+        return not (f.lattice.group.descriptor == "cyclic:4" and f.kernel == 1) and real(f)
+
+    return _in_both("is_ultrafilter", is_ultrafilter), "pushforward-ultra", 27
 
 
 def _break_convergence():
@@ -230,21 +232,51 @@ def _break_convergence():
             return ()
         return real(f, system)
 
-    return convergence_set, "factor-convergence"
+    return _in_both("convergence_set", convergence_set), "factor-convergence", 11
 
 
-@pytest.mark.parametrize("breaker", [_break_pushforward, _break_convergence])
+def _break_factor_preimage():
+    # every factor converges at the identity, so the trivial topen is replayed
+    def convergence_set(f, system):
+        return tuple(range(system.lattice.group.order))
+
+    return _in_both("convergence_set", convergence_set), "factor-preimage", 90
+
+
+def _break_intersection():
+    # a preimage without the identity; a preimage read as the whole group
+    # would move no row, since every default certificate replays only G
+    real = Homomorphism.preimage_mask
+
+    def preimage_mask(self, target_mask):
+        return real(self, target_mask) & ~1
+
+    return [(Homomorphism, "preimage_mask", preimage_mask)], "intersection-identity", 90
+
+
+def _break_membership():
+    # the product ultrafilter holds no topen, while the pushed ones keep theirs
+    real = SubgroupFilter.__contains__
+
+    def contains(self, index):
+        return not self.lattice.group.descriptor.startswith("product(") and real(self, index)
+
+    return [(SubgroupFilter, "__contains__", contains)], "membership", 90
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [_break_pushforward, _break_ultrafilter, _break_convergence, _break_factor_preimage, _break_intersection, _break_membership],
+)
 def test_a_failing_factor_step_gives_the_replay_row(monkeypatch, breaker):
-    broken, step = breaker()
-    name = broken.__name__
-    monkeypatch.setattr(products, name, broken)
-    monkeypatch.setattr(oracles, name, broken)
-    fresh_products(monkeypatch)
+    patches, step, failing = breaker()
+    for target, name, broken in patches:
+        monkeypatch.setattr(target, name, broken)
     got = tychonoff_rows(SuiteRun(SuiteConfig()))
     monkeypatch.setattr(suites, "tychonoff_certificate", oracles.tychonoff_certificate_by_replay)
     assert got == tychonoff_rows(SuiteRun(SuiteConfig()))
     failed = [witness for _, _, status, witness in got if status == FAIL]
-    assert failed and all(step in witness for witness in failed)
+    assert len(failed) == failing and all(step in witness for witness in failed)
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + oracles.WIDE_AND_LADDER_GROUPS)
@@ -435,6 +467,11 @@ NEGATIVE_CONTROLS = {
         (TopoSystem, "least_topen", property(_least_topen_at_the_top)),
         lambda run, rows: [r.check == "tychonoff-certificate" for r in rows],
     ),
+    "tychonoff/product-identities": Control(
+        # the direct join of two product subgroups is their union, never closed when both are proper
+        (products, "closure_mask", lambda group, seed: seed),
+        lambda run, rows: [r.check == "product-identities" for r in rows],
+    ),
     "quotient-probe": Control(
         (toposystems, "quotient_toposys", _image_of_the_topens_above_n),
         # the suite reports a failing image as a FINDING: those that passed and lose N turn FINDING
@@ -455,7 +492,6 @@ def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, control):
     config = SuiteConfig(suites=(suite,))
     before = run_suite(config).reports
     assert not any(r.status == FAIL for r in before)
-    fresh_products(monkeypatch)
     monkeypatch.setattr(target, name, fault)
     run = SuiteRun(config)
     after = suites._SUITE_FUNCTIONS[suite](run)
