@@ -78,20 +78,12 @@ def right_generators(table) -> list[int]:
     In a group the orbit is the generated subgroup, which each new generator
     at least doubles: at most ⌈log₂ n⌉ of them.
     """
-    n = len(table)
     gens: list[int] = []
-    reached = 1
-    while reached != (1 << n) - 1:
+    reached, everything = 1, (1 << len(table)) - 1
+    while reached != everything:
         # the least element outside the orbit: the lowest clear bit
         gens.append((~reached & (reached + 1)).bit_length() - 1)
-        orbit, reached = [0], 1
-        for x in orbit:
-            row = table[x]
-            for g in gens:
-                y = row[g]
-                if not reached >> y & 1:
-                    reached |= 1 << y
-                    orbit.append(y)
+        reached = _orbit(table, gens)
     return gens
 
 
@@ -171,18 +163,12 @@ class FiniteGroup:
         return range(self.order)
 
     @cached_property
-    def _element_orders(self) -> tuple[int, ...]:
-        orders = []
-        for y in range(self.order):
-            acc, n = y, 1
-            while acc != 0:
-                acc = self.table[acc][y]
-                n += 1
-            orders.append(n)
-        return tuple(orders)
+    def cyclic_masks(self) -> tuple[int, ...]:
+        """cyclic_masks[x]: bitmask of ⟨x⟩, one closure per element."""
+        return tuple(closure_mask(self, (x,)) for x in self.elements())
 
     def element_order(self, x: int) -> int:
-        return self._element_orders[x]
+        return self.cyclic_masks[x].bit_count()
 
     def name(self, x: int) -> str:
         return self.element_names[x]
@@ -232,14 +218,21 @@ def closure_mask(group: FiniteGroup, seed) -> int:
 
     The subgroup is the orbit of the identity under right multiplication by
     the generators: in a finite group the powers of an element reach its
-    inverse.  A seed element already inside the orbit adds nothing and is
-    skipped, so the cost is O(|H| * generators actually used).
+    inverse.
     """
-    table = group.table
+    return _orbit(group.table, bits_of(seed) if isinstance(seed, int) and not isinstance(seed, bool) else seed)
+
+
+def _orbit(table, seeds) -> int:
+    """Bitmask of the orbit of 0 under right multiplication by the seed ids.
+
+    A seed already inside the orbit is skipped, as in a group it adds nothing,
+    so the cost is O(|orbit| * seeds actually used).  ``right_generators``
+    passes no such seed, so on any table it gets the whole orbit.
+    """
     gens: list[int] = []
     members = [0]
     mask = 1
-    seeds = bits_of(seed) if isinstance(seed, int) and not isinstance(seed, bool) else seed
     for g in seeds:
         if mask >> g & 1:
             continue

@@ -25,7 +25,6 @@ from .groups import (
     Subgroup,
     TopoGroupError,
     bits_of,
-    closure_mask,
     mask_of,
 )
 
@@ -50,9 +49,8 @@ SUPPORTED_EXPONENTS = (2, 3, 4, 6)
 class SubgroupLattice:
     """Canonical array of every subgroup of a group, with the subgroup algebra.
 
-    *generators* maps each subgroup mask to a generating set and
-    *cyclic_masks* gives the cyclic subgroup of each element; the masks are
-    sorted by ``canonical_order``.  Meets are mask intersections; a join is read
+    *generators* maps each subgroup mask to a generating set, and the masks
+    are sorted by ``canonical_order``.  Meets are mask intersections; a join is read
     off ``above[k]``, the bitset of the subgroups containing subgroup k, with no
     closure.  ``containing[e]``, the subgroups holding element e, is the
     transposed membership matrix, and ``below[k]`` and ``disjoint[k]`` are the
@@ -62,7 +60,7 @@ class SubgroupLattice:
     G/Z(G), and ``is_characteristic`` reads one Aut(G)-orbit mask per element.
     """
 
-    def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]], cyclic_masks: Sequence[int]):
+    def __init__(self, group: FiniteGroup, generators: dict[int, tuple[int, ...]]):
         self.group = group
         ordered = canonical_order(generators, n := group.order)
         if ordered[0] != 1 or ordered[-1] != group.full_mask:
@@ -70,7 +68,7 @@ class SubgroupLattice:
         self.subgroups: tuple[Subgroup, ...] = tuple(Subgroup(group, m) for m in ordered)
         self.generators: tuple[tuple[int, ...], ...] = tuple(map(generators.__getitem__, ordered))
         self._index_by_mask = {m: i for i, m in enumerate(ordered)}
-        self._cyclic: tuple[int, ...] = tuple(map(self._index_by_mask.__getitem__, cyclic_masks))
+        self._cyclic: tuple[int, ...] = tuple(map(self._index_by_mask.__getitem__, group.cyclic_masks))
         # containing[e]: column e of the membership matrix, read off by transposing its row
         # strings, last subgroup first so that each column is a binary number
         columns = zip(*(f"{m:0{n}b}" for m in reversed(ordered)))
@@ -143,8 +141,6 @@ class SubgroupLattice:
 
     def core_index(self, i: int) -> int:
         """Index of Core(H) for subgroup i = H: the meet of its conjugacy class, H itself when G is abelian."""
-        if not self._conjugation_rows:
-            return i
         root, _, classes = self._classes
         return classes[root[i]][1]
 
@@ -181,10 +177,11 @@ class SubgroupLattice:
 
         root[k] is the least index H of the class of k, conjugator[k] a g with gHg⁻¹ = k, and
         classes[H] = (N(H), Core(H)).  H is its own class, with N = G, when every conjugation row
-        keeps its generators inside.  Else each point gHg⁻¹ is conjugated by the non-central top
-        generators t, and a known image, with conjugator h, gives the Schreier element h⁻¹·t·g,
-        which fixes H.  These and the central top generators generate N(H) (Schreier's lemma;
-        Holt, Eick and O'Brien, 2005, ch. 4), and the meet of the class is Core(H).
+        keeps its generators inside, as every H does in an abelian group, which has no row.  Else
+        each point gHg⁻¹ is conjugated by the non-central top generators t, and a known image,
+        with conjugator h, gives the Schreier element h⁻¹·t·g, which fixes H.  These and the
+        central top generators generate N(H) (Schreier's lemma; Holt, Eick and O'Brien, 2005,
+        ch. 4), and the meet of the class is Core(H).
         """
         table, inverse, cyclic, rows = self.group.table, self.group.inverse, self._cyclic, self._conjugation_rows
         masks, top = [s.mask for s in self.subgroups], self.top_index
@@ -213,22 +210,14 @@ class SubgroupLattice:
 
     def normalizer_index(self, i: int) -> int:
         """Index of N(H) for subgroup i = H: N(gKg⁻¹) = gN(K)g⁻¹ for its class root K; G when G is abelian."""
-        if not self._conjugation_rows:
-            return self.top_index
         root, conjugator, classes = self._classes
         n = classes[root[i]][0]
         return n if root[i] == i else self.conjugate_index(conjugator[i], n)
 
     @cached_property
     def normalizers(self) -> tuple[int, ...]:
-        """normalizers[k]: index of N(k), one normalizer_index per class root; the call on 0 runs the walk."""
-        if not self._conjugation_rows:
-            return (self.top_index,) * len(self.subgroups)
-        normalizers = [self.normalizer_index(0)]
-        root, by, _ = self._classes
-        for k, r in enumerate(root[1:], 1):
-            normalizers.append(self.normalizer_index(k) if r == k else self.conjugate_index(by[k], normalizers[r]))
-        return tuple(normalizers)
+        """normalizers[k]: normalizer_index(k), so the call on 0 runs the class walk."""
+        return tuple(map(self.normalizer_index, range(len(self.subgroups))))
 
     @cached_property
     def normal_bits(self) -> int:
@@ -370,8 +359,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
     """
     if group.order > DEFAULT_ORDER_CAP:
         raise OrderCapExceededError(f"group order {group.order} exceeds lattice cap {DEFAULT_ORDER_CAP}")
-    table, inverse = group.table, group.inverse
-    cyclic_masks = [closure_mask(group, (x,)) for x in group.elements()]
+    table, inverse, cyclic_masks = group.table, group.inverse, group.cyclic_masks
     primes = {p for p in range(2, group.order + 1) if all(p % d for d in range(2, p))}
     # the least generator of each non-trivial cyclic subgroup, ascending
     reps = [x for x, m in enumerate(cyclic_masks) if cyclic_masks.index(m) == x][1:]
@@ -408,7 +396,7 @@ def enumerate_subgroups(group: FiniteGroup) -> SubgroupLattice:
         raise TopoGroupError(
             f"{group.descriptor} is not solvable: prime-index cyclic extension never reaches the whole group"
         )
-    return SubgroupLattice(group, generators, cyclic_masks)
+    return SubgroupLattice(group, generators)
 
 
 def brute_force_subgroup_masks(group: FiniteGroup) -> tuple[int, ...]:

@@ -139,19 +139,21 @@ def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
 
 
 def shared_system(systems: dict, lattice: SubgroupLattice, bits: int, desc: str) -> TopoSystem:
-    """The one verified system per (group, member set) in ``systems``, named by the first descriptor that reached it.
-
-    A set that fails its axioms raises TopoGroupError ``<that descriptor>:<message>``
-    each time it is reached, from the failure its system holds.
-    """
+    """The one system per (group, member set) in ``systems``, named by the first descriptor that reached it; see axioms_failure."""
     key = (lattice.group.descriptor, bits)
     system = systems.get(key)
     if system is None:
         system = systems[key] = TopoSystem(lattice, bits, desc)
+    return system
+
+
+def axioms_failure(system: TopoSystem) -> str | None:
+    """``<first descriptor>:<require_axioms message>`` when the member set fails its axioms, else None."""
     try:
-        return require_axioms(system)
+        require_axioms(system)
     except TopoGroupError as exc:
-        raise TopoGroupError(f"{system.provenance}:{exc}") from None
+        return f"{system.provenance}:{exc}"
+    return None
 
 
 class SuiteRun:
@@ -189,7 +191,7 @@ class SuiteRun:
 
     @cached_property
     def cells(self) -> tuple[tuple[str, TopoSystem], ...]:
-        """(descriptor, system) per matrix cell in row order; one system per distinct member set."""
+        """(descriptor, system) per matrix cell in row order; one system per distinct member set, verified or not."""
         return tuple(
             (desc, shared_system(self.systems, lattice, family_members(lattice, desc).member_bits, desc))
             for lattice in self.lattices
@@ -221,10 +223,15 @@ def _group_reports(check: str, toposys: str, fn, lattices, *args) -> list[CheckR
 
 
 def _cell_reports(run: SuiteRun, check: str, row) -> list[CheckReport]:
-    """Rows of row(run, system) for every matrix cell."""
-    return [
-        r for desc, system in run.cells for r in _reports(check, system.lattice.group.descriptor, desc, row, run, system)
-    ]
+    """Rows of row(run, system) for every matrix cell; one FAIL row for a cell whose system fails its axioms."""
+    reports = []
+    for desc, system in run.cells:
+        group, failure = system.lattice.group.descriptor, axioms_failure(system)
+        if failure is None:
+            reports += _reports(check, group, desc, row, run, system)
+        else:
+            reports.append(CheckReport(check, group, desc, FAIL, failure))
+    return reports
 
 
 def cell_theorem_report(run: SuiteRun, system: TopoSystem):
@@ -277,7 +284,8 @@ def check_family(lattice: SubgroupLattice, family: str, systems: dict) -> tuple[
         return FINDING, f"skipped: {len(lattice)} subgroups exceed family sweep cap {FAMILY_SWEEP_CAP}"
     try:
         for desc, bits in family_instances(lattice, family):
-            shared_system(systems, lattice, bits, desc)
+            if (failure := axioms_failure(shared_system(systems, lattice, bits, desc))) is not None:
+                return FAIL, failure
     except TopoGroupError as exc:
         return FAIL, str(exc)
     return PASS, None
@@ -285,6 +293,8 @@ def check_family(lattice: SubgroupLattice, family: str, systems: dict) -> tuple[
 
 def check_interior_core(lattice: SubgroupLattice, systems: dict) -> tuple[str, str | None]:
     system = shared_system(systems, lattice, lattice.normal_bits, "normal")
+    if (failure := axioms_failure(system)) is not None:
+        return FAIL, failure
     for i in range(len(lattice)):
         interior, _ = interior_boundary(system, i)
         if interior != lattice.core_index(i):

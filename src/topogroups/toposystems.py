@@ -29,7 +29,7 @@ class TopoSystem:
     ``least_topen[e]`` the index of U(e), the meet of the topens containing
     element e: in a meet-closed set, the lowest bit of ``member_bits &
     above[cyclic(e)]``.  Every point-wise query reads U, so it assumes a
-    topo-system, as build_toposys, shared_system and product_toposys ensure.
+    topo-system, as build_toposys, the suites and product_toposys ensure.
     U is computed once per system, and so is ``failure``, the verdict every
     layer reads: verify_toposys of the member set, the first violated axiom
     or None for a topo-system.

@@ -27,10 +27,12 @@ oracle walks only the subsets that can still close, homomorphisms are
 checked on generators and the ultrafilter family scan skips families that
 hold a member; the size-filtered subset scan, the all-pairs homomorphism
 check and the all-families scan are kept here.  The construction layer
-works at table level: the group axioms are decided row by row with C-level
-checks, the lattice is sorted on C-level string keys, cosets are ORed
-straight into masks, normalizers and commutator rows skip the centre and
-characteristic subgroups are read off Aut(G)-orbit masks; the cell-by-cell
+works at table level: one closure per element gives each cyclic subgroup
+and element order, and the greedy generators take their orbits from that
+closure walk; the power walk and the restarted orbit walk are kept here.
+The group axioms are decided row by row with C-level checks, the lattice
+is sorted on C-level string keys, cosets are ORed straight into masks,
+normalizers and commutator rows skip the centre and characteristic subgroups are read off Aut(G)-orbit masks; the cell-by-cell
 axiom scan, the tuple sort key, the coset lists, the rows over all of G × K
 and the per-cell dihedral and permutation products are kept here.  The
 per-point calculus reads one least topen per point and an interior as one top
@@ -539,6 +541,35 @@ def permutation_table_by_compose(degree: int, even_only: bool) -> list[list[int]
     perms = [p for p in permutations(range(degree)) if not even_only or _perm_is_even(p)]
     pos = {p: i for i, p in enumerate(perms)}
     return [[pos[tuple(a[b[i]] for i in range(degree))] for b in perms] for a in perms]
+
+
+def right_generators_by_restart(table) -> list[int]:
+    """right_generators with its own orbit walk: after each new generator, the orbit of 0 under all of them from scratch."""
+    n = len(table)
+    gens: list[int] = []
+    reached = 1
+    while reached != (1 << n) - 1:
+        gens.append(next(x for x in range(n) if not reached >> x & 1))
+        orbit, reached = [0], 1
+        for x in orbit:
+            for g in gens:
+                y = table[x][g]
+                if not reached >> y & 1:
+                    reached |= 1 << y
+                    orbit.append(y)
+    return gens
+
+
+def element_orders_by_powers(group: FiniteGroup) -> tuple[int, ...]:
+    """The order of each element, as the number of powers up to the identity."""
+    orders = []
+    for y in group.elements():
+        acc, n = y, 1
+        while acc != 0:
+            acc = group.table[acc][y]
+            n += 1
+        orders.append(n)
+    return tuple(orders)
 
 
 def commutator_row_by_scan(lattice, k: int) -> dict[int, int]:

@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+from oracles import census_descriptors
 from topogroups.cli import run_command
 from topogroups.groups import build_group
 from topogroups.lattice import brute_force_subgroup_masks, enumerate_subgroups
@@ -163,6 +164,20 @@ def test_full_default_suite_under_budget():
         f"full suite: {result.counts.get('pass', 0)} pass, "
         f"{result.counts.get('finding', 0)} findings in {elapsed:.1f}s"
     )
+
+
+def test_the_full_battery_passes_on_every_census_group_within_budget():
+    # every descriptor the grammar accepts up to the order cap, one spelling each,
+    # through all 11 suites: nothing raises and no row fails
+    start, rows = time.monotonic(), 0
+    for desc in census_descriptors():
+        result = run_suite(SuiteConfig(max_group_order=64, groups=(desc,)))
+        failures = [r.text_line() for r in result.reports if r.status == FAIL]
+        assert not failures, f"{desc}: {failures[:5]}"
+        rows += len(result.reports)
+    elapsed = time.monotonic() - start
+    assert (len(census_descriptors()), rows) == (395, 182703)
+    assert elapsed < 60, f"census battery took {elapsed:.1f}s"
 
 
 # stdout sha256 of `theorems --max-order 64 --groups <group> --format json` on the largest lattices

@@ -31,11 +31,14 @@ from oracles import (
     LADDER_GROUPS,
     WIDE_AND_LADDER_GROUPS,
     associativity_failure_by_scan,
+    census_descriptors,
     dihedral_table_by_formula,
+    element_orders_by_powers,
     group_axioms_failure_by_scan,
     homomorphism_by_scan,
     permutation_table_by_compose,
     quotient_group,
+    right_generators_by_restart,
     subgroup_group,
 )
 
@@ -329,6 +332,15 @@ def test_light_test_needs_at_most_log2_n_generators(desc):
     assert len(gens) <= (group.order - 1).bit_length()
 
 
+def test_census_generators_and_orders_match_the_restarted_walk_and_the_powers():
+    # right_generators takes each orbit from the closure walk, and element_order
+    # reads the closure of <x>; the old walks agree on every census table
+    for desc in census_descriptors():
+        group = build_group(desc)
+        assert right_generators(group.table) == right_generators_by_restart(group.table), desc
+        assert tuple(map(group.element_order, group.elements())) == element_orders_by_powers(group), desc
+
+
 def _swapped(desc, *swaps):
     """A group table with two entries of a row swapped, per (row, column, column).
 
@@ -372,6 +384,13 @@ def test_a_non_associative_table_can_fail_first_at_a_non_generator():
         if b not in right_generators(_swapped(desc, *swaps))
     ]
     assert ("cyclic:5", ((3, 1, 3),)) in misses and ("sym:3", ((3, 1, 2),)) in misses
+
+
+@pytest.mark.parametrize("case", list(NON_ASSOCIATIVE_TABLES))
+def test_generators_of_a_non_associative_table_match_the_restarted_walk(case):
+    desc, swaps = case
+    table = _swapped(desc, *swaps)
+    assert right_generators(table) == right_generators_by_restart(table)
 
 
 def test_a_table_associative_at_its_first_generator_fails_at_its_second():

@@ -285,27 +285,28 @@ def test_census_lattices_build_within_budget_and_match_closed_forms():
 
 
 def test_census_class_tables_match_the_element_scans_within_budget():
-    # every non-abelian census group, on a fresh lattice: the normalizers, normal
-    # subgroups, normalized_by rows and cores of the class walk against the scans;
-    # about 2 s, and the budget may only be tightened
+    # every census group, abelian ones too, on a fresh lattice: the normalizers,
+    # normal subgroups, normalized_by rows and cores of the class walk against the
+    # scans; the budget may only be tightened
     start, groups, subgroups = time.monotonic(), 0, 0
     for desc in census_descriptors():
         group = build_group(desc)
-        if group.table == tuple(zip(*group.table)):
-            continue
         lat = enumerate_subgroups.__wrapped__(group)
         normalizers = tuple(normalizer_by_scan(lat, k) for k in range(len(lat)))
         assert lat.normalizers == normalizers, desc
-        rows = [0] * len(lat)
+        # rows[h] holds every k with h inside N(k), ORed in once per distinct N(k)
+        by_normalizer, rows = {}, [0] * len(lat)
         for k, n in enumerate(normalizers):
+            by_normalizer[n] = by_normalizer.get(n, 0) | 1 << k
+        for n, ks in by_normalizer.items():
             for h in bits_of(lat.below[n]):
-                rows[h] |= 1 << k
+                rows[h] |= ks
         assert lat.normalized_by == tuple(rows), desc
         assert lat.normal_bits == rows[lat.top_index], desc
         cores = [lat.mask(lat.core_index(k)) for k in range(len(lat))]
         assert cores == [core_mask_by_conjugation(lat, k) for k in range(len(lat))], desc
         groups, subgroups = groups + 1, subgroups + len(lat)
-    assert (groups, subgroups) == (190, 12511)
+    assert (groups, subgroups) == (395, 19735)
     elapsed = time.monotonic() - start
     assert elapsed < 20, f"{elapsed:.1f}s over the 20s budget"
 
@@ -345,20 +346,23 @@ def test_top_generator_counts_on_the_ladder(desc, count):
 
 @pytest.mark.parametrize("desc", LADDER_GROUPS + ("abelian:2x2x2x2x2x2",))
 def test_enumeration_makes_at_most_one_closure_per_element(monkeypatch, desc):
-    # one closure per cyclic subgroup of an element; the prime steps read
-    # cosets off the table, so one closure per (subgroup, cyclic subgroup)
-    # pair would fail here
-    group = build_group(desc)
+    # one closure per element, for its cyclic subgroup, while a fresh group builds
+    # its masks and lattice; the prime steps read cosets off the table, so one
+    # closure per (subgroup, cyclic subgroup) pair would fail here
+    cached = build_group(desc)
+    group = FiniteGroup(cached.table, cached.descriptor, cached.element_names)
+    assert group is not cached and "cyclic_masks" not in vars(group)
     calls = []
 
     def counting(*args):
         calls.append(args)
         return closure_mask(*args)
 
-    monkeypatch.setattr(lattice, "closure_mask", counting)
+    monkeypatch.setattr(groups, "closure_mask", counting)
     lat = enumerate_subgroups.__wrapped__(group)
-    assert len(calls) <= group.order
-    assert len(lat) == len(enumerate_subgroups(group))
+    assert 0 < len(calls) <= group.order
+    assert group.cyclic_masks == cached.cyclic_masks
+    assert len(lat) == len(enumerate_subgroups(cached))
 
 
 def test_non_solvable_group_is_refused_by_name():
@@ -592,7 +596,7 @@ def test_normalizer_index_matches_the_element_scan(desc):
 
 def test_normal_bits_conjugate_only_the_generators(monkeypatch):
     # every subgroup of an abelian group is normal, and with no conjugation row
-    # no class is walked
+    # every subgroup is its own class, so no class is walked
     lat = enumerate_subgroups.__wrapped__(build_group("abelian:2x2x2x2x2"))
     real, calls = FiniteGroup.conjugate, []
 
@@ -604,9 +608,8 @@ def test_normal_bits_conjugate_only_the_generators(monkeypatch):
     assert lat.normal_bits == (1 << len(lat)) - 1
     # every top generator is central, so no conjugation row is built and nothing is conjugated
     assert lat._conjugation_rows == {} and calls == []
-    # every core is the subgroup itself, and no class table is built
+    # every core is the subgroup itself
     assert [lat.core_index(i) for i in range(len(lat))] == list(range(len(lat)))
-    assert "_classes" not in vars(lat)
 
 
 @pytest.mark.parametrize("desc", DEFAULT_CATALOG + WIDE_AND_LADDER_GROUPS + ("product(dihedral:4,dihedral:4)",))
@@ -630,15 +633,26 @@ def test_a_conj_sweep_computes_each_normalizer_once(monkeypatch):
         return real(self, i)
 
     monkeypatch.setattr(lattice.SubgroupLattice, "normalizer_index", counting)
+    conjugated = []
+    real_conjugate = lattice.SubgroupLattice.conjugate_index
+
+    def counting_conjugate(self, g, k):
+        conjugated.append(k)
+        return real_conjugate(self, g, k)
+
+    monkeypatch.setattr(lattice.SubgroupLattice, "conjugate_index", counting_conjugate)
     assert suites.check_family(lat, "conj", {}) == ("pass", None)
-    # one call per conjugacy class, on its least index, the root of its walk; the other
-    # points conjugate the root's normalizer
+    # one call per subgroup, in index order; the class walk runs once, and each
+    # point other than the least index of its class, the root of its walk,
+    # conjugates the root's normalizer once
     classes = {
         frozenset(lat.index_of(conjugate_mask(lat.group, lat.mask(k), g)) for g in lat.group.elements())
         for k in range(len(lat))
     }
-    assert calls == sorted(min(c) for c in classes)
-    assert len(calls) < len(lat)
+    assert calls == list(range(len(lat)))
+    roots = {min(c) for c in classes}
+    assert len(conjugated) == len(lat) - len(roots)
+    assert (len(calls), len(conjugated)) == (68, 46)
 
 
 @pytest.mark.parametrize("desc", ORACLE_DESCRIPTORS)

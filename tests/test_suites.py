@@ -331,13 +331,64 @@ def test_toposys_axioms_repeats_a_stored_failure_in_every_row_naming_the_set(mon
     assert len(with_full) == 7
 
 
-def test_a_cell_failing_its_axioms_stops_the_run_with_exit_2(monkeypatch, capsys):
+def test_a_cell_failing_its_axioms_fails_its_rows_with_exit_1(monkeypatch, capsys):
     lattice = enumerate_subgroups(build_group("sym:3"))
-    fail_member_set(monkeypatch, build_toposys(lattice, "normal").members)
+    bad = build_toposys(lattice, "normal").members
+    fail_member_set(monkeypatch, bad)
     code = run_command(["theorems", "--groups", "sym:3", "--suite", "prime-order"])
     captured = capsys.readouterr()
-    assert code == 2 and not captured.out
-    assert captured.err.startswith("error: normal:internal error: family 'normal' on sym:3 fails axioms: ")
+    assert code == 1 and not captured.err
+    rows = captured.out.splitlines()
+    # every cell on the failing set, named by "normal", the first descriptor that reached it;
+    # the other cells still run
+    failing = [d for d in cell_system_descriptors(lattice) if family_members(lattice, d).members == bad]
+    assert failing == ["normal", "characteristic", "variety:abelian", "variety:exponent-2"]
+    witness = "witness=normal:internal error: family 'normal' on sym:3 fails axioms: "
+    for desc, row in zip(cell_system_descriptors(lattice), rows):
+        assert row.startswith(("FAIL" if desc in failing else "PASS") + f"    prime-order group=sym:3 sys={desc}")
+        assert (witness in row) == (desc in failing)
+    assert rows[-1] == "summary: 7 pass, 4 fail, 0 finding"
+    # interior-core reads the same system, and fails its row instead of stopping the run
+    assert run_command(["theorems", "--groups", "sym:3", "--suite", "interior-core"]) == 1
+    assert capsys.readouterr().out.startswith(f"FAIL    interior-core group=sym:3 sys=normal {witness}")
+
+
+# the suites whose rows come one cell at a time (quotient-probe: one row per normal subgroup)
+CELL_SUITES = (
+    "prime-order",
+    "weak-closed",
+    "convergence-compactness",
+    "hausdorff-equivalence",
+    "quotient-probe",
+    "star-topology",
+)
+
+
+def test_a_default_run_with_a_cell_failing_its_axioms_runs_to_the_end(monkeypatch):
+    # the toposys-axioms control's fault, in a default run: the 17 `normal` rows of
+    # toposys-axioms fail, each cell suite gives one FAIL row for each `normal` cell,
+    # naming the axiom failure, and every other row keeps its status and witness
+    before = run_suite(SuiteConfig())
+    assert before.counts[FAIL] == 0
+    monkeypatch.setattr(suites, "family_members", _normal_without_the_whole_group)
+    after = run_suite(SuiteConfig())
+    failures = {}
+    for lattice in map(enumerate_subgroups, map(build_group, DEFAULT_CATALOG)):
+        bits = family_members(lattice, "normal").member_bits & ~(1 << lattice.top_index)
+        failure = verify_toposys(lattice, bits)
+        assert failure.kind == "axiom-a"
+        group = lattice.group.descriptor
+        failures[group] = f"normal:internal error: family 'normal' on {group} fails axioms: {failure}"
+    want, seen = [], set()
+    for r in before.reports:
+        if r.toposys != "normal" or r.check not in CELL_SUITES + ("toposys-axioms",):
+            want.append((r.check, r.group, r.toposys, r.status, r.witness))
+        elif (r.check, r.group) not in seen:
+            seen.add((r.check, r.group))
+            want.append((r.check, r.group, "normal", FAIL, failures[r.group]))
+    assert [(r.check, r.group, r.toposys, r.status, r.witness) for r in after.reports] == want
+    assert after.counts[FAIL] == 17 * (1 + len(CELL_SUITES)) == 119
+    assert len(before.reports) - len(after.reports) == 67 and after.exit_code == 1
 
 
 # --- negative controls: a fault in the calculus a suite checks must move its rows ---

@@ -437,20 +437,67 @@ def _calculus_corpus(part):
     return [s for desc in HAND_BUILT for s in hand_built(desc) if s.failure is None]
 
 
-@pytest.mark.parametrize("part, count", [("small", 439), ("matrix", 69), ("wide", 16), ("hand-built", 40)])
+CALCULUS_CORPORA = {"small": 439, "matrix": 69, "wide": 16, "hand-built": 40}
+
+
+def _least_topen_mismatch(system) -> str | None:
+    """The first least-topen read that differs from its incidence oracle on one system, or None."""
+    lat = system.lattice
+    if system.least_topen != least_topen_by_meet(system):
+        return "least_topen"
+    if toposystems.is_hausdorff(system) != is_hausdorff_by_incidence(system):
+        return "is_hausdorff"
+    if any(convergence_set(f, system) != convergence_by_incidence(f, system) for f in enumerate_ultrafilters(lat)):
+        return "convergence_set"
+    for i in range(len(lat)):
+        if closure_and_limits(system, i)[0] != limits_by_incidence(system, i):
+            return f"closure_and_limits of #{i}"
+        if t_closed_checks(system, i) != t_closed_by_incidence(system, i):
+            return f"t_closed_checks of #{i}"
+        if toposystems.interior_boundary(system, i)[0] != interior_by_join(system, i):
+            return f"interior_boundary of #{i}"
+    return None
+
+
+@pytest.mark.parametrize("part, count", CALCULUS_CORPORA.items())
 def test_least_topen_reads_match_incidence_oracles(part, count):
     systems = _calculus_corpus(part)
     assert len(systems) == count
     for system in systems:
-        lat = system.lattice
-        assert system.least_topen == least_topen_by_meet(system)
-        assert is_hausdorff(system) == is_hausdorff_by_incidence(system)
-        for f in enumerate_ultrafilters(lat):
-            assert convergence_set(f, system) == convergence_by_incidence(f, system)
-        for i in range(len(lat)):
-            assert closure_and_limits(system, i)[0] == limits_by_incidence(system, i)
-            assert t_closed_checks(system, i) == t_closed_by_incidence(system, i)
-            assert interior_boundary(system, i)[0] == interior_by_join(system, i)
+        assert _least_topen_mismatch(system) is None, system
+
+
+def _hausdorff_reading_the_cyclic_subgroup(system):
+    # seeded fault: is_hausdorff reads <x> where it should read U(x)
+    lattice = system.lattice
+    least, disjoint, cyclic = system.least_topen, lattice.disjoint, lattice.cyclic_index
+    order = lattice.group.order
+    for x in range(order):
+        distinct = apart = disjoint[cyclic(x)]
+        for y in range(x, order):
+            if distinct >> cyclic(y) & 1 and not apart >> least[y] & 1:
+                return False, (x, y)
+    return True, None
+
+
+def _interior_at_the_lowest_bit(system, x):
+    # seeded fault: the interior is read at the lowest bit of member_bits & below[x], not the top one
+    lattice = system.lattice
+    inside = system.member_bits & lattice.below[x]
+    interior = (inside & -inside).bit_length() - 1
+    return interior, frozenset(bits_of(lattice.mask(x) & ~lattice.mask(interior)))
+
+
+LEAST_TOPEN_FAULTS = {"is_hausdorff": _hausdorff_reading_the_cyclic_subgroup, "interior_boundary": _interior_at_the_lowest_bit}
+
+
+@pytest.mark.parametrize("name", LEAST_TOPEN_FAULTS)
+@pytest.mark.parametrize("part", CALCULUS_CORPORA)
+def test_a_seeded_least_topen_fault_is_caught_on_every_corpus(monkeypatch, part, name):
+    systems = _calculus_corpus(part)
+    monkeypatch.setattr(toposystems, name, LEAST_TOPEN_FAULTS[name])
+    mismatches = [m for m in map(_least_topen_mismatch, systems) if m is not None]
+    assert mismatches and all(m.partition(" ")[0] == name for m in mismatches)
 
 
 @given(st.sampled_from(CATALOG + ("abelian:2x2x2", "alt:4")), st.data())
