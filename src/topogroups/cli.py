@@ -1,6 +1,7 @@
 """Command-line surface: inspect lattices and systems, run the theorem suites.
 
-Exit codes: 0 all checks pass, 1 any check failed, 2 usage or config error.
+Exit codes: 0 all checks pass, 1 any check failed or raised (an `error` row),
+2 usage or config error.
 JSON output is schema-stable and byte-identical across reruns of the same
 config; per-check timings are only emitted with --timings.
 """
@@ -33,7 +34,8 @@ from .filters import (
 )
 from .products import CertificateFailureError, direct_product, product_identities_check
 from .products import product_toposys, tychonoff_certificate
-from .suites import DEFAULT_CATALOG, SUITE_NAMES, SuiteConfig, run_suite
+from .report import ERROR, FAIL, FINDING, PASS
+from .suites import DEFAULT_CATALOG, SUITES, SuiteConfig, run_suite
 
 
 # one encoder for the lattice records and the summary line (report rows write their own):
@@ -258,24 +260,20 @@ def _cmd_theorems(args) -> int:
     elif values.get("suites"):
         suites = tuple(name.strip() for name in split_top_level(values["suites"]))
     else:
-        suites = SUITE_NAMES
+        suites = tuple(SUITES)
     fmt = args.format or values.get("format", "text")
     timings = args.timings or TIMINGS_VALUES.get(values.get("timings"), False)
     config = SuiteConfig(max_group_order=max_order, groups=groups, suites=suites)
     result = run_suite(config)
     _emit(result.reports, fmt, timings)
-    summary = {
-        "summary": {
-            "pass": result.counts.get("pass", 0),
-            "fail": result.counts.get("fail", 0),
-            "finding": result.counts.get("finding", 0),
-        }
-    }
+    summary = {status: result.counts.get(status, 0) for status in (PASS, FAIL, FINDING)}
+    # the error count is written only when a check raised, so the other runs keep their bytes
+    if result.counts.get(ERROR):
+        summary[ERROR] = result.counts[ERROR]
     if fmt == "json":
-        print(_to_json(summary))
+        print(_to_json({"summary": summary}))
     else:
-        c = summary["summary"]
-        print(f"summary: {c['pass']} pass, {c['fail']} fail, {c['finding']} finding")
+        print("summary: " + ", ".join(f"{n} {status}" for status, n in summary.items()))
     return result.exit_code
 
 
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("theorems", help="run the theorem suites over the catalog")
-    p.add_argument("--suite", action="append", choices=SUITE_NAMES, help="repeatable; default all")
+    p.add_argument("--suite", action="append", choices=SUITES, help="repeatable; default all")
     p.add_argument("--max-order", type=int, default=None)
     p.add_argument("--groups", default="", help="comma-separated descriptors; default catalog")
     p.add_argument("--format", choices=("text", "json"), default=None)

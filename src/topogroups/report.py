@@ -20,6 +20,7 @@ class ValidationFailure(NamedTuple):
 PASS = "pass"
 FAIL = "fail"
 FINDING = "finding"
+ERROR = "error"
 
 
 class CheckReport(NamedTuple):

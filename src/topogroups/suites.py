@@ -22,7 +22,7 @@ from .lattice import (
     brute_force_subgroup_masks,
     enumerate_subgroups,
 )
-from .report import FAIL, FINDING, PASS, CheckReport
+from .report import ERROR, FAIL, FINDING, PASS, CheckReport
 from .toposystems import (
     BadParameterError,
     TopoSystem,
@@ -37,6 +37,7 @@ from .toposystems import (
 from .filters import (
     OracleMismatchError,
     SubgroupFilter,
+    TheoremReport,
     enumerate_ultrafilters,
     extend_to_ultrafilter,
     is_ultrafilter,
@@ -86,20 +87,6 @@ TYCHONOFF_PRODUCTS = (
 IDENTITY_PRODUCTS = TYCHONOFF_PRODUCTS + (("cyclic:4", "cyclic:6"), ("sym:3", "cyclic:2"))
 FACTOR_SYSTEM_KINDS = ("discrete", "trivial", "normal")
 
-SUITE_NAMES = (
-    "lattice-completeness",
-    "toposys-axioms",
-    "interior-core",
-    "prime-order",
-    "weak-closed",
-    "ultrafilter-machinery",
-    "convergence-compactness",
-    "hausdorff-equivalence",
-    "tychonoff",
-    "quotient-probe",
-    "star-topology",
-)
-
 # one system per subgroup (per nested pair for thk), so capped by FAMILY_SWEEP_CAP
 SWEPT_FAMILIES = ("principal", "thk", "conj")
 
@@ -114,12 +101,6 @@ FAMILY_NAMES = (
     "thk",
     "conj",
 )
-
-
-class SuiteConfig(NamedTuple):
-    max_group_order: int = 24
-    groups: tuple[str, ...] = DEFAULT_CATALOG
-    suites: tuple[str, ...] = SUITE_NAMES
 
 
 def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
@@ -166,8 +147,8 @@ class SuiteRun:
 
     def __init__(self, config: SuiteConfig):
         for s in config.suites:
-            if s not in SUITE_NAMES:
-                raise BadParameterError(f"unknown suite {s!r}; known: {', '.join(SUITE_NAMES)}")
+            if s not in SUITES:
+                raise BadParameterError(f"unknown suite {s!r}; known: {', '.join(SUITES)}")
         if config.max_group_order < 1:
             raise BadParameterError(f"max-order must be at least 1, got {config.max_group_order}")
         if not config.groups:
@@ -198,21 +179,25 @@ class SuiteRun:
             for desc in cell_system_descriptors(lattice)
         )
 
-    def once(self, fn, system: TopoSystem):
-        """fn(lattice, system), computed once per distinct (group, member set)."""
-        key = (fn, system.lattice.group.descriptor, system.member_bits)
+    def once(self, cell, system: TopoSystem, *args):
+        """cell(self, system, *args), computed once per distinct (group, member set)."""
+        key = (cell, system.lattice.group.descriptor, system.member_bits, *args)
         if key not in self.results:
-            self.results[key] = fn(system.lattice, system)
+            self.results[key] = cell(self, system, *args)
         return self.results[key]
 
 
 def _reports(check: str, group: str, toposys: str, fn, *args) -> list[CheckReport]:
     """Rows of fn(*args), which gives one (status, witness) or a list of them.
 
-    Each row carries its share of the time fn took.
+    Each row carries its share of the time fn took.  An exception fn raises
+    is one ERROR row whose witness names it, and the run goes on.
     """
     start = time.perf_counter()
-    got = fn(*args)
+    try:
+        got = fn(*args)
+    except Exception as exc:
+        got = ERROR, f"{type(exc).__name__}: {exc}"
     outcomes = got if isinstance(got, list) else [got]
     elapsed = (time.perf_counter() - start) * 1000.0 / max(len(outcomes), 1)
     return [CheckReport(check, group, toposys, status, witness, elapsed) for status, witness in outcomes]
@@ -222,20 +207,16 @@ def _group_reports(check: str, toposys: str, fn, lattices, *args) -> list[CheckR
     return [r for lattice in lattices for r in _reports(check, lattice.group.descriptor, toposys, fn, lattice, *args)]
 
 
-def _cell_reports(run: SuiteRun, check: str, row) -> list[CheckReport]:
-    """Rows of row(run, system) for every matrix cell; one FAIL row for a cell whose system fails its axioms."""
+def _cell_reports(run: SuiteRun, check: str, cell, *args) -> list[CheckReport]:
+    """Rows of run.once(cell, system, *args) for every matrix cell; one FAIL row for a cell whose system fails its axioms."""
     reports = []
     for desc, system in run.cells:
         group, failure = system.lattice.group.descriptor, axioms_failure(system)
         if failure is None:
-            reports += _reports(check, group, desc, row, run, system)
+            reports += _reports(check, group, desc, run.once, cell, system, *args)
         else:
             reports.append(CheckReport(check, group, desc, FAIL, failure))
     return reports
-
-
-def cell_theorem_report(run: SuiteRun, system: TopoSystem):
-    return run.once(theorem_checks, system)
 
 
 # --- per-criterion checks -----------------------------------------------------
@@ -302,36 +283,26 @@ def check_interior_core(lattice: SubgroupLattice, systems: dict) -> tuple[str, s
     return PASS, None
 
 
-def prime_order_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[bool, bool, str | None]:
-    """(implication holds, antecedent holds, witness element)."""
-    group = lattice.group
-    antecedent = all(t_closed_checks(system, c).t_closed_witness is None for c in bits_of(lattice.cyclic_bits))
-    if not antecedent:
-        return True, False, None
-    for x in range(1, group.order):
-        o = group.element_order(x)
-        if any(o % d == 0 for d in range(2, o)) or o == 1:
-            return False, True, f"element {x} has composite order {o}"
-    return True, True, None
+def prime_order_cell(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+    """FAIL at an element of composite order when every cyclic subgroup is T-closed."""
+    lattice = system.lattice
+    if any(t_closed_checks(system, c).t_closed_witness is not None for c in bits_of(lattice.cyclic_bits)):
+        return PASS, None
+    for x in range(1, lattice.group.order):
+        o = lattice.group.element_order(x)
+        if any(o % d == 0 for d in range(2, o)):
+            return FAIL, f"element {x} has composite order {o}"
+    return PASS, None
 
 
-def prime_order_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
-    ok, _, witness = run.once(prime_order_cell, system)
-    return (PASS, None) if ok else (FAIL, witness)
-
-
-def weak_closed_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
+def weak_closed_cell(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
     if not system.hausdorff:
         return PASS, None
-    for i in range(len(lattice)):
+    for i in range(len(system.lattice)):
         witness = t_closed_checks(system, i).weak_witness
         if witness is not None:
             return FAIL, f"subgroup #{i} stuck at element {witness}"
     return PASS, None
-
-
-def weak_closed_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
-    return run.once(weak_closed_cell, system)
 
 
 # an order-1 group has no non-trivial subgroup, hence no subgroup filter
@@ -353,19 +324,25 @@ def ultrafilter_cell(lattice: SubgroupLattice) -> tuple[str, str | None]:
     return PASS, None
 
 
-def compactness_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
+def cell_theorem_report(run: SuiteRun, system: TopoSystem) -> TheoremReport:
+    """theorem_checks as a cell, so that run.once keeps one report per member set."""
+    return theorem_checks(system.lattice, system)
+
+
+def theorem_cell(run: SuiteRun, system: TopoSystem, read) -> tuple[str, str | None]:
+    """read(TheoremReport) of the cell; the report is computed once per member set for every reader."""
     if system.lattice.group.order == 1:
         return NO_FILTERS
-    witness = cell_theorem_report(run, system).compactness_witness
-    if witness is None:
+    return read(run.once(cell_theorem_report, system))
+
+
+def compactness_verdict(report: TheoremReport) -> tuple[str, str | None]:
+    if report.compactness_witness is None:
         return PASS, None
-    return FAIL, witness
+    return FAIL, report.compactness_witness
 
 
-def hausdorff_equivalence_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
-    if system.lattice.group.order == 1:
-        return NO_FILTERS
-    report = cell_theorem_report(run, system)
+def equivalence_verdict(report: TheoremReport) -> tuple[str, str | None]:
     if not report.equivalence_ok:
         return FAIL, report.multi_point_witness or "hausdorff without unique convergence"
     if report.findings:
@@ -405,7 +382,7 @@ def _products(catalog, budget: int) -> list:
     return [p for p in products if p.group.order <= budget]
 
 
-def quotient_probe_cell(lattice: SubgroupLattice, system: TopoSystem) -> list[tuple[str, str | None]]:
+def quotient_probe_cell(run: SuiteRun, system: TopoSystem) -> list[tuple[str, str | None]]:
     out = []
     for n_index, quotient in system.quotients.items():
         failure = quotient.failure
@@ -416,19 +393,11 @@ def quotient_probe_cell(lattice: SubgroupLattice, system: TopoSystem) -> list[tu
     return out
 
 
-def quotient_probe_row(run: SuiteRun, system: TopoSystem) -> list[tuple[str, str | None]]:
-    return run.once(quotient_probe_cell, system)
-
-
-def star_cell(lattice: SubgroupLattice, system: TopoSystem) -> tuple[str, str | None]:
+def star_cell(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
     f = star_topology_checks(system)
     if f is None:
         return PASS, None
     return FAIL, f"{f.kind}@{f.witness}"
-
-
-def star_row(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
-    return run.once(star_cell, system)
 
 
 # --- suites -------------------------------------------------------------------
@@ -452,11 +421,11 @@ def suite_interior_core(run: SuiteRun) -> list[CheckReport]:
 
 
 def suite_prime_order(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "prime-order", prime_order_row)
+    return _cell_reports(run, "prime-order", prime_order_cell)
 
 
 def suite_weak_closed(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "weak-closed", weak_closed_row)
+    return _cell_reports(run, "weak-closed", weak_closed_cell)
 
 
 def suite_ultrafilter_machinery(run: SuiteRun) -> list[CheckReport]:
@@ -464,11 +433,11 @@ def suite_ultrafilter_machinery(run: SuiteRun) -> list[CheckReport]:
 
 
 def suite_convergence_compactness(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "convergence-compactness", compactness_row)
+    return _cell_reports(run, "convergence-compactness", theorem_cell, compactness_verdict)
 
 
 def suite_hausdorff_equivalence(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "hausdorff-equivalence", hausdorff_equivalence_row)
+    return _cell_reports(run, "hausdorff-equivalence", theorem_cell, equivalence_verdict)
 
 
 def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
@@ -493,15 +462,33 @@ def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
 
 
 def suite_quotient_probe(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "quotient-probe", quotient_probe_row)
+    return _cell_reports(run, "quotient-probe", quotient_probe_cell)
 
 
 def suite_star_topology(run: SuiteRun) -> list[CheckReport]:
-    return _cell_reports(run, "star-topology", star_row)
+    return _cell_reports(run, "star-topology", star_cell)
 
 
-# suite name -> suite_<name>; a plain dict, whose values a tracer can rebind
-_SUITE_FUNCTIONS = {name: globals()["suite_" + name.replace("-", "_")] for name in SUITE_NAMES}
+# suite name -> suite_<name>, in run order; a plain dict, whose values a tracer can rebind
+SUITES = {
+    "lattice-completeness": suite_lattice_completeness,
+    "toposys-axioms": suite_toposys_axioms,
+    "interior-core": suite_interior_core,
+    "prime-order": suite_prime_order,
+    "weak-closed": suite_weak_closed,
+    "ultrafilter-machinery": suite_ultrafilter_machinery,
+    "convergence-compactness": suite_convergence_compactness,
+    "hausdorff-equivalence": suite_hausdorff_equivalence,
+    "tychonoff": suite_tychonoff,
+    "quotient-probe": suite_quotient_probe,
+    "star-topology": suite_star_topology,
+}
+
+
+class SuiteConfig(NamedTuple):
+    max_group_order: int = 24
+    groups: tuple[str, ...] = DEFAULT_CATALOG
+    suites: tuple[str, ...] = tuple(SUITES)
 
 
 class SuiteResult(NamedTuple):
@@ -510,10 +497,10 @@ class SuiteResult(NamedTuple):
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.counts.get(FAIL, 0) else 0
+        return 1 if self.counts.get(FAIL, 0) or self.counts.get(ERROR, 0) else 0
 
 
 def run_suite(config: SuiteConfig) -> SuiteResult:
     run = SuiteRun(config)
-    reports = [r for name in SUITE_NAMES if name in run.config.suites for r in _SUITE_FUNCTIONS[name](run)]
+    reports = [r for name, suite in SUITES.items() if name in config.suites for r in suite(run)]
     return SuiteResult(tuple(reports), Counter(r.status for r in reports))

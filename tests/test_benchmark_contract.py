@@ -27,6 +27,17 @@ def test_every_traced_target_resolves():
     assert not missing
 
 
+def test_the_suite_table_holds_every_suite_function_the_tracer_names():
+    # the tracer rebinds suites.suite_<name> and the module-level dicts that hold it,
+    # so the table must hold those very functions, and nothing else may be named suite_*
+    from topogroups import suites
+
+    defined = {name: fn for name, fn in vars(suites).items() if name.startswith("suite_")}
+    assert list(defined) == ["suite_" + name.replace("-", "_") for name in suites.SUITES]
+    assert all(suites.SUITES[name] is fn for name, fn in zip(suites.SUITES, defined.values()))
+    assert runpy.run_path(str(TRACER))["SUITES"] == tuple(name[len("suite_"):] for name in defined)
+
+
 def test_theorem_workloads_match_their_pins():
     # the pins are the exit code, row count, summary and stdout sha256 of
     # `theorems --format json`, and the ladder's counts and sha256; read from

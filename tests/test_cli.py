@@ -313,6 +313,15 @@ def test_a_group_named_twice_is_one_matrix_row(capsys):
     assert rows[-1] == "summary: 196 pass, 0 fail, 4 finding"
 
 
+def test_suites_run_in_table_order_and_once_however_often_named(capsys):
+    named = run(capsys, "theorems", "--suite", "star-topology", "--suite", "prime-order", "--suite", "prime-order")
+    in_order = run(capsys, "theorems", "--suite", "prime-order", "--suite", "star-topology")
+    assert named == in_order and named[0] == 0
+    checks = [line.split()[1] for line in named[1].splitlines()[:-1]]
+    assert checks == sorted(checks, key=list(suites.SUITES).index)
+    assert checks.count("prime-order") == checks.count("star-topology") == 185
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
@@ -542,7 +551,7 @@ def _old_row_json(report, timings):
 
 
 @pytest.mark.parametrize(
-    "suites_run,timings", [(suites.SUITE_NAMES, False), (suites.SUITE_NAMES, True), (("tychonoff",), True)]
+    "suites_run,timings", [(tuple(suites.SUITES), False), (tuple(suites.SUITES), True), (("tychonoff",), True)]
 )
 def test_json_line_writes_the_encoder_bytes(suites_run, timings):
     result = suites.run_suite(suites.SuiteConfig(suites=suites_run))

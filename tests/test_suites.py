@@ -18,7 +18,7 @@ from topogroups.lattice import (
     brute_force_subgroup_masks,
     enumerate_subgroups,
 )
-from topogroups.report import FAIL, FINDING, PASS, ValidationFailure
+from topogroups.report import ERROR, FAIL, FINDING, PASS, ValidationFailure
 from topogroups.suites import (
     DEFAULT_CATALOG,
     FAMILY_NAMES,
@@ -353,6 +353,66 @@ def test_a_cell_failing_its_axioms_fails_its_rows_with_exit_1(monkeypatch, capsy
     assert capsys.readouterr().out.startswith(f"FAIL    interior-core group=sym:3 sys=normal {witness}")
 
 
+THEOREM_SUITES = ("convergence-compactness", "hausdorff-equivalence")
+
+
+def test_a_check_that_raises_gives_error_rows_and_the_run_goes_on(monkeypatch, capsys):
+    lattice = enumerate_subgroups(build_group("sym:3"))
+    bad = build_toposys(lattice, "normal").member_bits
+    raising = [d for d in cell_system_descriptors(lattice) if family_members(lattice, d).member_bits == bad]
+    assert raising == ["normal", "characteristic", "variety:abelian", "variety:exponent-2"]
+    real = suites.theorem_checks
+
+    def theorem_checks(lattice, system):
+        if lattice.group.descriptor == "sym:3" and system.member_bits == bad:
+            raise ZeroDivisionError("seeded")
+        return real(lattice, system)
+
+    before = run_suite(SuiteConfig())
+    monkeypatch.setattr(suites, "theorem_checks", theorem_checks)
+    after = run_suite(SuiteConfig())
+    # each theorem row of a sym:3 cell on that set is one error row; every other row keeps its bytes
+    moved = [r.check in THEOREM_SUITES and r.group == "sym:3" and r.toposys in raising for r in before.reports]
+    want = [r._replace(status=ERROR, witness="ZeroDivisionError: seeded") if m else r for r, m in zip(before.reports, moved)]
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    assert sum(moved) == after.counts[ERROR] == 8 and after.counts[FAIL] == 0
+    assert (before.exit_code, after.exit_code) == (0, 1)
+    # the summary names the errors only when there are some
+    assert run_command(["theorems", "--groups", "sym:3", "--suite", THEOREM_SUITES[0]]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[3] == "ERROR   convergence-compactness group=sym:3 sys=normal witness=ZeroDivisionError: seeded"
+    assert rows[-1] == "summary: 7 pass, 0 fail, 0 finding, 4 error"
+    assert run_command(["theorems", "--groups", "sym:3", "--suite", THEOREM_SUITES[0], "--format", "json"]) == 1
+    summary = capsys.readouterr().out.splitlines()[-1]
+    assert summary == '{"summary": {"error": 4, "fail": 0, "finding": 0, "pass": 7}}'
+
+
+def test_a_cell_that_raises_gives_one_quotient_probe_row(monkeypatch):
+    # quotient-probe gives one row per normal subgroup, but one error row for a cell that raises
+    config = SuiteConfig(groups=("sym:3",), suites=("quotient-probe",))
+    before = run_suite(config).reports
+    lattice = enumerate_subgroups(build_group("sym:3"))
+    bad = build_toposys(lattice, "normal").member_bits
+    real = toposystems.quotient_toposys
+
+    def quotient(system, n):
+        if system.member_bits == bad:
+            raise KeyError(n)
+        return real(system, n)
+
+    monkeypatch.setattr(toposystems, "quotient_toposys", quotient)
+    after = run_suite(config).reports
+    raising = {d for d in cell_system_descriptors(lattice) if family_members(lattice, d).member_bits == bad}
+    normal_count = lattice.normal_bits.bit_count()
+    assert [r.json_line() for r in before if r.toposys not in raising] == [
+        r.json_line() for r in after if r.toposys not in raising
+    ]
+    assert len(before) - len(after) == len(raising) * (normal_count - 1)
+    assert [(r.toposys, r.status, r.witness) for r in after if r.toposys in raising] == [
+        (d, ERROR, "KeyError: 0") for d in cell_system_descriptors(lattice) if d in raising
+    ]
+
+
 # the suites whose rows come one cell at a time (quotient-probe: one row per normal subgroup)
 CELL_SUITES = (
     "prime-order",
@@ -545,7 +605,7 @@ def test_a_seeded_fault_moves_the_rows_its_suite_checks(monkeypatch, control):
     assert not any(r.status == FAIL for r in before)
     monkeypatch.setattr(target, name, fault)
     run = SuiteRun(config)
-    after = suites._SUITE_FUNCTIONS[suite](run)
+    after = suites.SUITES[suite](run)
     expected = must_move(run, after)
     assert any(expected)
     assert [b.status != r.status == to for b, r in zip(before, after)] == expected
