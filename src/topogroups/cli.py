@@ -34,7 +34,7 @@ from .filters import (
 )
 from .products import CertificateFailureError, direct_product, product_identities_check
 from .products import product_toposys, tychonoff_certificate
-from .report import ERROR, FAIL, FINDING, PASS
+from .report import ERROR, FAIL, FINDING, PASS, CheckReport
 from .suites import DEFAULT_CATALOG, SUITES, SuiteConfig, run_suite
 
 
@@ -44,13 +44,8 @@ _to_json = json.JSONEncoder(sort_keys=True).encode
 
 
 def _emit(reports, fmt: str, timings: bool):
-    out = sys.stdout
-    if fmt == "json":
-        for r in reports:
-            out.write(r.json_line(timings) + "\n")
-    else:
-        for r in reports:
-            out.write(r.text_line(timings) + "\n")
+    line = CheckReport.json_line if fmt == "json" else CheckReport.text_line
+    sys.stdout.writelines(line(r, timings) + "\n" for r in reports)
 
 
 TIMINGS_VALUES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -351,10 +346,7 @@ def run_command(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except TopoGroupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TopoGroupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -321,22 +321,6 @@ def _cyclic_table(n: int):
     return [_shifted(n, i) for i in range(n)]
 
 
-def mixed_radix_decode(orders, idx: int) -> tuple[int, ...]:
-    """Digits of *idx* in mixed radix over *orders*, first digit most significant."""
-    out = []
-    for o in reversed(orders):
-        idx, digit = divmod(idx, o)
-        out.append(digit)
-    return tuple(reversed(out))
-
-
-def mixed_radix_encode(orders, digits) -> int:
-    idx = 0
-    for o, d in zip(orders, digits):
-        idx = idx * o + d
-    return idx
-
-
 def _product_table(tables, name_lists):
     """Cayley table and element names of the direct product of the factor tables.
 

@@ -4,20 +4,10 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import product as iter_product
+from math import prod
 from typing import NamedTuple
 
-from .groups import (
-    FiniteGroup,
-    Homomorphism,
-    TopoGroupError,
-    bits_of,
-    build_group,
-    closure_mask,
-    make_homomorphism,
-    mask_of,
-    mixed_radix_decode,
-    mixed_radix_encode,
-)
+from .groups import FiniteGroup, Homomorphism, TopoGroupError, bits_of, build_group, make_homomorphism
 from .lattice import enumerate_subgroups
 from .report import ValidationFailure
 from .toposystems import BadParameterError, TopoSystem
@@ -37,7 +27,8 @@ class ProductGroup(NamedTuple):
     """Tuple group over the factors, with validated projections.
 
     Element ids use mixed radix with factor 0 most significant, so the
-    all-identities tuple is id 0.
+    all-identities tuple is id 0, ``decode`` reads the projections and a
+    product-form subgroup mask is a union of shifted factor masks.
     """
 
     factors: tuple[FiniteGroup, ...]
@@ -45,10 +36,13 @@ class ProductGroup(NamedTuple):
     projections: tuple[Homomorphism, ...]
 
     def decode(self, idx: int) -> tuple[int, ...]:
-        return mixed_radix_decode([f.order for f in self.factors], idx)
+        return tuple(p.mapping[idx] for p in self.projections)
 
     def encode(self, components) -> int:
-        return mixed_radix_encode([f.order for f in self.factors], components)
+        idx = 0
+        for f, c in zip(self.factors, components):
+            idx = idx * f.order + c
+        return idx
 
 
 def direct_product(factors) -> ProductGroup:
@@ -62,18 +56,22 @@ def direct_product(factors) -> ProductGroup:
 @cache
 def _direct_product(factors: tuple[FiniteGroup, ...]) -> ProductGroup:
     group = build_group("product(" + ",".join(f.descriptor for f in factors) + ")")
-    orders = [f.order for f in factors]
+    # component i is digit i in mixed radix, whose stride is the order of the later factors
+    strides = [prod(f.order for f in factors[i + 1 :]) for i in range(len(factors))]
     projections = tuple(
-        make_homomorphism(group, factors[i], tuple(mixed_radix_decode(orders, x)[i] for x in group.elements()))
-        for i in range(len(factors))
+        make_homomorphism(group, f, tuple(x // s % f.order for x in group.elements())) for f, s in zip(factors, strides)
     )
     return ProductGroup(factors, group, projections)
 
 
 def product_subgroup_mask(product: ProductGroup, factor_masks) -> int:
-    """Mask of the product-form subgroup with the given factor masks."""
-    member_lists = [list(bits_of(m)) for m in factor_masks]
-    return mask_of(product.encode(tup) for tup in iter_product(*member_lists))
+    """Mask of the product-form subgroup with the given sequence of factor masks.
+
+    Its members with first component a are the later factors' mask shifted by a times their order."""
+    mask, stride = 1, 1
+    for factor, m in zip(reversed(product.factors), reversed(factor_masks)):
+        mask, stride = sum(mask << a * stride for a in bits_of(m)), stride * factor.order
+    return mask
 
 
 class ProductToposys(NamedTuple):
@@ -114,22 +112,25 @@ def product_toposys(product: ProductGroup, factor_systems) -> ProductToposys:
 def product_identities_check(product: ProductGroup) -> ValidationFailure | None:
     """The first pair breaking the componentwise meet or join identity, or None.
 
-    Both sides are computed independently: componentwise in the factors and
-    directly in the product."""
+    Both sides are computed independently: componentwise in the factor
+    lattices, and directly in the product, where the meet intersects the
+    masks and the join is read off the product lattice."""
     lattices = [enumerate_subgroups(f) for f in product.factors]
+    plattice = enumerate_subgroups(product.group)
     combos = list(iter_product(*[range(len(lat)) for lat in lattices]))
-    pmask = {
-        combo: product_subgroup_mask(product, [lat.mask(i) for lat, i in zip(lattices, combo)])
+    pindex = {
+        combo: plattice.index_of(product_subgroup_mask(product, [lat.mask(i) for lat, i in zip(lattices, combo)]))
         for combo in combos
     }
+    mask = [s.mask for s in plattice.subgroups]
     for pos, a in enumerate(combos):
         for b in combos[pos:]:
-            meet_direct = pmask[a] & pmask[b]
-            meet_factorwise = pmask[tuple(lat.meet_index(i, j) for lat, i, j in zip(lattices, a, b))]
+            meet_direct = mask[pindex[a]] & mask[pindex[b]]
+            meet_factorwise = mask[pindex[tuple(lat.meet_index(i, j) for lat, i, j in zip(lattices, a, b))]]
             if meet_direct != meet_factorwise:
                 return ValidationFailure("meet-identity", (a, b), "")
-            join_direct = closure_mask(product.group, pmask[a] | pmask[b])
-            join_factorwise = pmask[tuple(lat.join_index(i, j) for lat, i, j in zip(lattices, a, b))]
+            join_direct = plattice.join_index(pindex[a], pindex[b])
+            join_factorwise = pindex[tuple(lat.join_index(i, j) for lat, i, j in zip(lattices, a, b))]
             if join_direct != join_factorwise:
                 return ValidationFailure("join-identity", (a, b), "")
     return None

@@ -171,13 +171,16 @@ class SuiteRun:
         return tuple(enumerate_subgroups(g) for g in self.groups)
 
     @cached_property
-    def cells(self) -> tuple[tuple[str, TopoSystem], ...]:
-        """(descriptor, system) per matrix cell in row order; one system per distinct member set, verified or not."""
+    def cells(self) -> tuple[tuple[str, TopoSystem | Unbuilt], ...]:
+        """(descriptor, system) per matrix cell in row order: one per distinct member set, verified or not, or Unbuilt."""
         return tuple(
-            (desc, shared_system(self.systems, lattice, family_members(lattice, desc).member_bits, desc))
+            (desc, _build(lattice.group.descriptor, self.cell_system, lattice, desc))
             for lattice in self.lattices
             for desc in cell_system_descriptors(lattice)
         )
+
+    def cell_system(self, lattice: SubgroupLattice, desc: str) -> TopoSystem:
+        return shared_system(self.systems, lattice, family_members(lattice, desc).member_bits, desc)
 
     def once(self, cell, system: TopoSystem, *args):
         """cell(self, system, *args), computed once per distinct (group, member set)."""
@@ -187,18 +190,32 @@ class SuiteRun:
         return self.results[key]
 
 
+class Unbuilt(NamedTuple):
+    """What a build for ``group`` leaves when it raises; every row that needs it is one ERROR row with this witness."""
+
+    group: str
+    witness: str
+
+
+def _build(group: str, fn, *args):
+    """fn(*args), or its first Unbuilt argument, or an Unbuilt naming the exception fn raises."""
+    if unbuilt := [a for a in args if type(a) is Unbuilt]:
+        return unbuilt[0]
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return Unbuilt(group, f"{type(exc).__name__}: {exc}")
+
+
 def _reports(check: str, group: str, toposys: str, fn, *args) -> list[CheckReport]:
     """Rows of fn(*args), which gives one (status, witness) or a list of them.
 
-    Each row carries its share of the time fn took.  An exception fn raises
-    is one ERROR row whose witness names it, and the run goes on.
+    Each row carries its share of the time fn took.  An exception fn raises,
+    or an Unbuilt argument, is one ERROR row naming it; the run goes on.
     """
     start = time.perf_counter()
-    try:
-        got = fn(*args)
-    except Exception as exc:
-        got = ERROR, f"{type(exc).__name__}: {exc}"
-    outcomes = got if isinstance(got, list) else [got]
+    got = _build(group, fn, *args)
+    outcomes = [(ERROR, got.witness)] if type(got) is Unbuilt else got if isinstance(got, list) else [got]
     elapsed = (time.perf_counter() - start) * 1000.0 / max(len(outcomes), 1)
     return [CheckReport(check, group, toposys, status, witness, elapsed) for status, witness in outcomes]
 
@@ -211,8 +228,8 @@ def _cell_reports(run: SuiteRun, check: str, cell, *args) -> list[CheckReport]:
     """Rows of run.once(cell, system, *args) for every matrix cell; one FAIL row for a cell whose system fails its axioms."""
     reports = []
     for desc, system in run.cells:
-        group, failure = system.lattice.group.descriptor, axioms_failure(system)
-        if failure is None:
+        group = system.group if type(system) is Unbuilt else system.lattice.group.descriptor
+        if type(system) is Unbuilt or (failure := axioms_failure(system)) is None:
             reports += _reports(check, group, desc, run.once, cell, system, *args)
         else:
             reports.append(CheckReport(check, group, desc, FAIL, failure))
@@ -357,29 +374,32 @@ def identities_cell(product) -> tuple[str, str | None]:
     return FAIL, f"{f.kind}@{f.witness}"
 
 
-def certificate_cell(outcomes: dict, product, factor_systems, ultrafilters) -> tuple[str, str | None]:
+def certificate_cell(outcomes: dict, product, ultrafilters, *factor_systems) -> tuple[str, str | None]:
     """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step.
 
     Factor systems with the same member sets give the same product system,
     so each (product, factor member sets) is certified once and its outcome
-    kept in ``outcomes`` for every row that names it.
+    kept in ``outcomes`` for every row that names it, unless it raised.
     """
     key = (product.group.descriptor, tuple(s.member_bits for s in factor_systems))
     if key not in outcomes:
         ptop = product_toposys(product, factor_systems)
-        outcomes[key] = PASS, None
         for f in ultrafilters:
             try:
                 tychonoff_certificate(ptop, f)
             except CertificateFailureError as exc:
                 outcomes[key] = FAIL, f"{f.provenance}:{exc.step}"
                 break
+        else:
+            outcomes[key] = PASS, None
     return outcomes[key]
 
 
 def _products(catalog, budget: int) -> list:
-    products = [direct_product([build_group(d) for d in descs]) for descs in catalog]
-    return [p for p in products if p.group.order <= budget]
+    """(descriptor, factor descriptors, product) per catalog product within the order budget; an Unbuilt one is kept."""
+    names = [("product(" + ",".join(descs) + ")", descs) for descs in catalog]
+    products = [(name, ds, _build(name, lambda: direct_product([build_group(d) for d in ds]))) for name, ds in names]
+    return [(name, ds, p) for name, ds, p in products if type(p) is Unbuilt or p.group.order <= budget]
 
 
 def quotient_probe_cell(run: SuiteRun, system: TopoSystem) -> list[tuple[str, str | None]]:
@@ -443,21 +463,23 @@ def suite_hausdorff_equivalence(run: SuiteRun) -> list[CheckReport]:
 def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
     budget = min(36, run.config.max_group_order + 12)
     reports = []
-    for product in _products(IDENTITY_PRODUCTS, budget):
-        reports += _reports("product-identities", product.group.descriptor, "", identities_cell, product)
+    for name, _, product in _products(IDENTITY_PRODUCTS, budget):
+        reports += _reports("product-identities", name, "", identities_cell, product)
     products = _products(TYCHONOFF_PRODUCTS, budget)
-    # one system per (factor, kind) and one ultrafilter list per product, shared by every combination
-    factors = {f.descriptor: f for product in products for f in product.factors}
+    # one system per (factor, kind) and one ultrafilter list per product, shared by every combination, or Unbuilt
+    factors = {d: f for _, descs, p in products if type(p) is not Unbuilt for d, f in zip(descs, p.factors)}
     systems = {
-        (d, kind): build_toposys(enumerate_subgroups(f), kind) for d, f in factors.items() for kind in FACTOR_SYSTEM_KINDS
+        (d, kind): _build(d, lambda: build_toposys(enumerate_subgroups(f), kind))
+        for d, f in factors.items()
+        for kind in FACTOR_SYSTEM_KINDS
     }
     outcomes: dict = {}
-    for product in products:
-        ultrafilters = enumerate_ultrafilters(enumerate_subgroups(product.group))
-        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(product.factors)):
-            factor_systems = [systems[f.descriptor, kind] for f, kind in zip(product.factors, combo)]
-            cell = (certificate_cell, outcomes, product, factor_systems, ultrafilters)
-            reports += _reports("tychonoff-certificate", product.group.descriptor, "x".join(combo), *cell)
+    for name, descs, product in products:
+        ultrafilters = _build(name, lambda p: enumerate_ultrafilters(enumerate_subgroups(p.group)), product)
+        for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)):
+            # an Unbuilt product has no factor systems, and its rows read it first
+            cell = (certificate_cell, outcomes, product, ultrafilters, *(systems.get(dk) for dk in zip(descs, combo)))
+            reports += _reports("tychonoff-certificate", name, "x".join(combo), *cell)
     return reports
 
 

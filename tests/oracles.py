@@ -16,6 +16,9 @@ member sets and [H, K] off one commutator row per k, checks associativity on
 generators only and walks only the product topens around the Tychonoff
 point; the full scans and the replay over every product topen are kept
 here, and so are the paper's topomorphism and ordinary-filter definitions.
+A product-form subgroup mask is a union of shifted factor masks, and the
+component identities join on the product lattice; the per-tuple encoding
+and the closure of the union are kept here.
 The runtime's star-topology check tests only never-Hausdorff, since each
 trace is induced-open by construction and union traces are traces by
 distributivity; both subspace checks run here, in L(h) built as a group of
@@ -44,6 +47,7 @@ battery reads them.
 import functools
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from itertools import product as iter_product
 
 from topogroups.filters import (
     NotAFilterError,
@@ -76,7 +80,7 @@ from topogroups.lattice import (
     is_characteristic,
     verbal_residual,
 )
-from topogroups.products import CertificateFailureError, ProductToposys, TychonoffCertificate
+from topogroups.products import CertificateFailureError, ProductGroup, ProductToposys, TychonoffCertificate
 from topogroups.report import ValidationFailure
 from topogroups.toposystems import (
     BadParameterError,
@@ -746,6 +750,16 @@ def tychonoff_certificate_by_replay(ptop: ProductToposys, f) -> TychonoffCertifi
             raise CertificateFailureError("membership", (a,))
         replayed.append(a)
     return TychonoffCertificate(x, tuple(replayed))
+
+
+def product_subgroup_mask_by_tuples(product: ProductGroup, factor_masks) -> int:
+    """The product-form subgroup mask, one encode per tuple of factor members."""
+    return mask_of(product.encode(t) for t in iter_product(*[list(bits_of(m)) for m in factor_masks]))
+
+
+def product_join_by_closure(product: ProductGroup, a: int, b: int) -> int:
+    """The join of two subgroup masks of the product: the subgroup their union generates."""
+    return closure_mask(product.group, a | b)
 
 
 def subgroup_masks_by_subset_scan(group: FiniteGroup) -> tuple[int, ...]:

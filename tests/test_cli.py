@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -481,6 +482,16 @@ def test_check_family_names_the_first_descriptor_of_a_failing_set(monkeypatch):
     with pytest.raises(TopoGroupError) as exc:
         toposystems.build_toposys(lattice, first)
     assert witness == f"{first}:{exc.value}"
+
+
+def test_the_order_64_identity_check_finishes_within_budget(capsys):
+    # 374 x 2 factor-subgroup tuples and every pair of them, joined on the
+    # 2825-subgroup product lattice; about 1 s on 2 CPUs, and the budget may only be tightened
+    start = time.perf_counter()
+    code, out, err = run(capsys, "product", "--groups", "abelian:2x2x2x2x2;cyclic:2", "--identities")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "") and out.splitlines()[1] == "component identities: pass"
+    assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
 
 
 def test_product_tychonoff_failure_is_reported_per_ultrafilter(capsys):

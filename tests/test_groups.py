@@ -1,6 +1,6 @@
 """Group construction, axioms, generated subgroups and homomorphisms."""
 
-from itertools import permutations
+from itertools import permutations, product as iter_product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,8 +17,6 @@ from topogroups.groups import (
     closure_mask,
     make_homomorphism,
     mask_of,
-    mixed_radix_decode,
-    mixed_radix_encode,
     right_generators,
     split_top_level,
     verify_group_axioms,
@@ -294,10 +292,11 @@ def test_product_tables_multiply_componentwise(desc):
         factors = [build_group(f"cyclic:{n}") for n in desc[len("abelian:") :].split("x")]
     else:
         factors = [build_group(d) for d in split_top_level(desc[len("product(") : -1])]
-    orders = [f.order for f in factors]
-    digits = [mixed_radix_decode(orders, x) for x in group.elements()]
+    # the digit tuples in mixed radix order, first factor most significant; an id is its tuple's position
+    digits = list(iter_product(*(range(f.order) for f in factors)))
+    ids = {a: x for x, a in enumerate(digits)}
     for x, a in enumerate(digits):
-        want = [mixed_radix_encode(orders, [f.table[i][j] for f, i, j in zip(factors, a, b)]) for b in digits]
+        want = [ids[tuple(f.table[i][j] for f, i, j in zip(factors, a, b))] for b in digits]
         assert list(group.table[x]) == want
     assert group.element_names == tuple("(" + ",".join(f.name(c) for f, c in zip(factors, a)) + ")" for a in digits)
 

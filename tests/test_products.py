@@ -26,7 +26,13 @@ from topogroups.suites import (
     TYCHONOFF_PRODUCTS,
     cell_system_descriptors,
 )
-from oracles import is_topomorphism, topens_around, tychonoff_certificate_by_replay
+from oracles import (
+    is_topomorphism,
+    product_join_by_closure,
+    product_subgroup_mask_by_tuples,
+    topens_around,
+    tychonoff_certificate_by_replay,
+)
 
 
 def _product(*descs):
@@ -252,13 +258,17 @@ def _distinct_cell_systems(group):
     return list(systems.values())
 
 
-def test_certificates_match_the_replay_oracle_on_every_small_catalog_pair():
-    # every unordered pair of catalog groups with product order at most 36,
-    # under every pair of the factors' distinct cell systems; about 0.5 s,
-    # and the budget may only be tightened
-    start = time.perf_counter()
+def _small_catalog_pairs():
+    """Every unordered pair of catalog groups with product order at most 36."""
     groups = [build_group(d) for d in DEFAULT_CATALOG]
-    pairs = [(a, b) for a, b in combinations_with_replacement(groups, 2) if a.order * b.order <= 36]
+    return [(a, b) for a, b in combinations_with_replacement(groups, 2) if a.order * b.order <= 36]
+
+
+def test_certificates_match_the_replay_oracle_on_every_small_catalog_pair():
+    # every small catalog pair under every pair of the factors' distinct cell
+    # systems; about 0.5 s, and the budget may only be tightened
+    start = time.perf_counter()
+    pairs = _small_catalog_pairs()
     outcomes = Counter()
     for a, b in pairs:
         p = direct_product([a, b])
@@ -280,6 +290,30 @@ def test_certificates_match_the_replay_oracle_on_every_small_catalog_pair():
     # the only certificates whose per-topen steps see a proper topen
     assert outcomes["replayed a proper topen"] == 2122
     assert elapsed < 10, f"{elapsed:.1f}s over the 10s budget"
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [pytest.param(pair, id=f"{pair[0].descriptor},{pair[1].descriptor}") for pair in _small_catalog_pairs()]
+    + [pytest.param((build_group("dihedral:4"), build_group("abelian:2x2x2")), id="dihedral:4,abelian:2x2x2")],
+)
+def test_shifted_masks_and_lattice_joins_match_the_tuple_and_closure_oracles(factors):
+    # every factor-subgroup tuple and every pair of them; the components of
+    # each element are its digits in mixed radix, first factor most significant
+    p = direct_product(factors)
+    plat = enumerate_subgroups(p.group)
+    lattices = [enumerate_subgroups(f) for f in p.factors]
+    combos = iter_product(*(range(len(lat)) for lat in lattices))
+    factor_masks = [[lat.mask(i) for lat, i in zip(lattices, combo)] for combo in combos]
+    masks = [product_subgroup_mask(p, fm) for fm in factor_masks]
+    assert masks == [product_subgroup_mask_by_tuples(p, fm) for fm in factor_masks]
+    index = [plat.index_of(m) for m in masks]
+    for a, b in combinations_with_replacement(range(len(masks)), 2):
+        assert plat.mask(plat.join_index(index[a], index[b])) == product_join_by_closure(p, masks[a], masks[b])
+    ids = list(p.group.elements())
+    assert [p.decode(x) for x in ids] == list(iter_product(*(range(f.order) for f in p.factors)))
+    assert [p.encode(p.decode(x)) for x in ids] == ids
+    assert all(p.decode(x)[i] == proj(x) for x in ids for i, proj in enumerate(p.projections))
 
 
 @pytest.mark.parametrize(

@@ -424,6 +424,91 @@ CELL_SUITES = (
 )
 
 
+def _raising(monkeypatch, module, name, hit, times=1):
+    """Make module.name raise ZeroDivisionError("seeded") on its first `times` calls that hit accepts (None: all)."""
+    real, raised = getattr(module, name), []
+
+    def seeded(*args):
+        if (times is None or len(raised) < times) and hit(*args):
+            raised.append(args)
+            raise ZeroDivisionError("seeded")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, seeded)
+    return raised
+
+
+def _with_error_rows(reports, moved, collapse=()):
+    # a moved row becomes an error row; the moved rows of one check in `collapse` become one
+    want, seen = [], set()
+    for r in reports:
+        if not moved(r):
+            want.append(r)
+        elif r.check not in collapse or (r.check, r.group, r.toposys) not in seen:
+            seen.add((r.check, r.group, r.toposys))
+            want.append(r._replace(status=ERROR, witness="ZeroDivisionError: seeded"))
+    return want
+
+
+def test_a_cell_whose_member_set_raises_gives_one_error_row_per_cell_suite(monkeypatch):
+    # the cells read family_members outside any row; a descriptor only the cells name
+    before = run_suite(SuiteConfig())
+    hit = ("sym:3", "principal:gen{1}")
+    raised = _raising(monkeypatch, suites, "family_members", lambda lat, desc: (lat.group.descriptor, desc) == hit)
+    after = run_suite(SuiteConfig())
+    assert len(raised) == 1
+
+    def moved(r):
+        return r.check in CELL_SUITES and (r.group, r.toposys) == hit
+
+    want = _with_error_rows(before.reports, moved, collapse=("quotient-probe",))
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    assert after.counts[ERROR] == len(CELL_SUITES) and after.counts[FAIL] == 0 and after.exit_code == 1
+
+
+def test_a_factor_system_that_raises_gives_error_rows_for_the_certificates_that_need_it(monkeypatch):
+    config = SuiteConfig(suites=("tychonoff",))
+    before = run_suite(config)
+    hit = ("cyclic:2", "normal")
+    raised = _raising(monkeypatch, suites, "build_toposys", lambda lat, kind: (lat.group.descriptor, kind) == hit)
+    after = run_suite(config)
+    assert len(raised) == 1
+
+    def moved(r):
+        factors = r.group[len("product(") : -1].split(",")
+        return r.check == "tychonoff-certificate" and hit in zip(factors, r.toposys.split("x"))
+
+    want = _with_error_rows(before.reports, moved)
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    # C2xC2: 5 kind pairs use normal on C2, C2xC3 and C4xC2: 3 each, C2xC2xC2: 19
+    assert after.counts[ERROR] == 5 + 3 + 3 + 19 and after.exit_code == 1
+
+
+def test_a_product_that_raises_gives_an_error_row_for_each_of_its_rows(monkeypatch):
+    # the identities build and the certificate build of C3xC3 both raise
+    config = SuiteConfig(suites=("tychonoff",))
+    before = run_suite(config)
+    descs = ["cyclic:3", "cyclic:3"]
+    raised = _raising(monkeypatch, suites, "direct_product", lambda fs: [f.descriptor for f in fs] == descs, 2)
+    after = run_suite(config)
+    assert len(raised) == 2
+    want = _with_error_rows(before.reports, lambda r: r.group == "product(cyclic:3,cyclic:3)")
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    assert after.counts[ERROR] == 1 + 9 and after.exit_code == 1
+
+
+def test_a_certificate_that_raises_is_an_error_row_for_each_row_that_shares_it(monkeypatch):
+    # every kind pair on C2xC3 names one product system, so its nine rows share one certification
+    config = SuiteConfig(suites=("tychonoff",))
+    before = run_suite(config)
+    name = "product(cyclic:2,cyclic:3)"
+    _raising(monkeypatch, suites, "tychonoff_certificate", lambda ptop, f: ptop.product.group.descriptor == name, None)
+    after = run_suite(config)
+    want = _with_error_rows(before.reports, lambda r: r.check == "tychonoff-certificate" and r.group == name)
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    assert after.counts[ERROR] == 9 and after.exit_code == 1
+
+
 def test_a_default_run_with_a_cell_failing_its_axioms_runs_to_the_end(monkeypatch):
     # the toposys-axioms control's fault, in a default run: the 17 `normal` rows of
     # toposys-axioms fail, each cell suite gives one FAIL row for each `normal` cell,
@@ -518,6 +603,14 @@ def _normal_without_the_whole_group(lattice, desc):
     return TopoSystem(lattice, system.member_bits & ~(1 << lattice.top_index), desc)
 
 
+_join_index = SubgroupLattice.join_index
+
+
+def _join_at_the_lesser_index_in_the_factors(self, i, j):
+    # the lower index, an upper bound of neither index in general, on every lattice but a product's
+    return _join_index(self, i, j) if self.group.descriptor.startswith("product(") else min(i, j)
+
+
 def _image_of_the_topens_above_n(parent, n):
     # the topens below N are dropped instead of joined with N, so N is lost unless it is a topen
     bits = parent.member_bits & parent.lattice.above[n]
@@ -579,8 +672,8 @@ NEGATIVE_CONTROLS = {
         lambda run, rows: [r.check == "tychonoff-certificate" for r in rows],
     ),
     "tychonoff/product-identities": Control(
-        # the direct join of two product subgroups is their union, never closed when both are proper
-        (products, "closure_mask", lambda group, seed: seed),
+        # the factorwise join breaks while the direct join on the product lattice stays sound
+        (SubgroupLattice, "join_index", _join_at_the_lesser_index_in_the_factors),
         lambda run, rows: [r.check == "product-identities" for r in rows],
     ),
     "quotient-probe": Control(
