@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from typing import NamedTuple
 
-from .groups import TopoGroupError, bits_of, build_group
+from .groups import FiniteGroup, TopoGroupError, bits_of, build_group
 from .lattice import (
     AUTOMORPHISM_CAP,
     FAMILY_SWEEP_CAP,
@@ -103,18 +103,22 @@ FAMILY_NAMES = (
 )
 
 
-def cell_system_descriptors(lattice: SubgroupLattice) -> tuple[str, ...]:
-    """Default per-group sample: one deterministic instance of each family."""
+def cell_system_descriptors(group: FiniteGroup, top: int | None) -> tuple[str, ...]:
+    """Default per-group sample: one deterministic instance of each family.
+
+    Named from the group alone but for thk's ``top``, the whole group's lattice index (``?`` when not built)."""
+    n = group.order
     descs = ["discrete", "trivial", "cofinite", "normal"]
-    if lattice.group.order <= AUTOMORPHISM_CAP:
+    if n <= AUTOMORPHISM_CAP:
         descs.append("characteristic")
     descs += ["variety:abelian", "variety:exponent-2", "principal:gen{1}"]
-    descs.append(f"thk:#0:#{lattice.top_index}")
+    descs.append(f"thk:#0:#{'?' if top is None else top}")
     descs.append("conj:gen{1}")
-    if lattice.group.order == 1:
+    if n == 1:
         # gen{1} names element 1, which an order-1 group does not have
         descs = [d for d in descs if not d.endswith(":gen{1}")]
-    if len(lattice) > 2:
+    # more than two subgroups exactly when the order is neither 1 nor prime (Cauchy)
+    if any(n % d == 0 for d in range(2, n)):
         descs.append("generated:#1")
     return tuple(descs)
 
@@ -140,9 +144,10 @@ def axioms_failure(system: TopoSystem) -> str | None:
 class SuiteRun:
     """One theorem run: the catalog lattices and the matrix cells, built once.
 
-    Results are kept per distinct (group, member set) and live as long as
-    the run, so rows naming the same member set share one computation;
-    ``systems`` holds the one system per set that cells and sweeps share.
+    ``systems`` holds the one system per (group, member set) that cells,
+    sweeps and Tychonoff factors share, and ``once`` keeps each result for
+    the rest of the run, so rows naming the same member set share one
+    computation.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -167,26 +172,31 @@ class SuiteRun:
         self.results: dict = {}
 
     @cached_property
-    def lattices(self) -> tuple[SubgroupLattice, ...]:
-        return tuple(enumerate_subgroups(g) for g in self.groups)
+    def lattices(self) -> tuple[SubgroupLattice | Unbuilt, ...]:
+        """The lattice of each group in ``groups``, or Unbuilt when its build raises."""
+        return tuple(_build(g.descriptor, enumerate_subgroups, g) for g in self.groups)
 
     @cached_property
     def cells(self) -> tuple[tuple[str, TopoSystem | Unbuilt], ...]:
         """(descriptor, system) per matrix cell in row order: one per distinct member set, verified or not, or Unbuilt."""
         return tuple(
-            (desc, _build(lattice.group.descriptor, self.cell_system, lattice, desc))
-            for lattice in self.lattices
-            for desc in cell_system_descriptors(lattice)
+            (desc, _build(g.descriptor, self.cell_system, lattice, desc))
+            for g, lattice in zip(self.groups, self.lattices)
+            for desc in cell_system_descriptors(g, None if type(lattice) is Unbuilt else lattice.top_index)
         )
 
     def cell_system(self, lattice: SubgroupLattice, desc: str) -> TopoSystem:
         return shared_system(self.systems, lattice, family_members(lattice, desc).member_bits, desc)
 
-    def once(self, cell, system: TopoSystem, *args):
-        """cell(self, system, *args), computed once per distinct (group, member set)."""
-        key = (cell, system.lattice.group.descriptor, system.member_bits, *args)
+    def once(self, cell, *args):
+        """cell(self, *args), computed once per (cell, *args) unless it raises.
+
+        Systems are keyed by identity, which names a member set because the run keeps one system per
+        (group, member set) in ``systems`` (see shared_system) and cells read no other.
+        """
+        key = (cell, *args)
         if key not in self.results:
-            self.results[key] = cell(self, system, *args)
+            self.results[key] = cell(self, *args)
         return self.results[key]
 
 
@@ -220,8 +230,9 @@ def _reports(check: str, group: str, toposys: str, fn, *args) -> list[CheckRepor
     return [CheckReport(check, group, toposys, status, witness, elapsed) for status, witness in outcomes]
 
 
-def _group_reports(check: str, toposys: str, fn, lattices, *args) -> list[CheckReport]:
-    return [r for lattice in lattices for r in _reports(check, lattice.group.descriptor, toposys, fn, lattice, *args)]
+def _group_reports(check: str, toposys: str, fn, pairs, *args) -> list[CheckReport]:
+    """Rows of fn(lattice, *args) for each (group, lattice or Unbuilt) pair in ``pairs``."""
+    return [r for g, lattice in pairs for r in _reports(check, g.descriptor, toposys, fn, lattice, *args)]
 
 
 def _cell_reports(run: SuiteRun, check: str, cell, *args) -> list[CheckReport]:
@@ -374,25 +385,15 @@ def identities_cell(product) -> tuple[str, str | None]:
     return FAIL, f"{f.kind}@{f.witness}"
 
 
-def certificate_cell(outcomes: dict, product, ultrafilters, *factor_systems) -> tuple[str, str | None]:
-    """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step.
-
-    Factor systems with the same member sets give the same product system,
-    so each (product, factor member sets) is certified once and its outcome
-    kept in ``outcomes`` for every row that names it, unless it raised.
-    """
-    key = (product.group.descriptor, tuple(s.member_bits for s in factor_systems))
-    if key not in outcomes:
-        ptop = product_toposys(product, factor_systems)
-        for f in ultrafilters:
-            try:
-                tychonoff_certificate(ptop, f)
-            except CertificateFailureError as exc:
-                outcomes[key] = FAIL, f"{f.provenance}:{exc.step}"
-                break
-        else:
-            outcomes[key] = PASS, None
-    return outcomes[key]
+def certificate_cell(run: SuiteRun, product, ultrafilters, *factor_systems) -> tuple[str, str | None]:
+    """FAIL with witness ``<ultrafilter>:<step>`` at the first failed replay step."""
+    ptop = product_toposys(product, factor_systems)
+    for f in ultrafilters:
+        try:
+            tychonoff_certificate(ptop, f)
+        except CertificateFailureError as exc:
+            return FAIL, f"{f.provenance}:{exc.step}"
+    return PASS, None
 
 
 def _products(catalog, budget: int) -> list:
@@ -423,21 +424,20 @@ def star_cell(run: SuiteRun, system: TopoSystem) -> tuple[str, str | None]:
 # --- suites -------------------------------------------------------------------
 
 def suite_lattice_completeness(run: SuiteRun) -> list[CheckReport]:
-    small = [lattice for lattice in run.lattices if lattice.group.order <= 16]
+    small = [(g, lattice) for g, lattice in zip(run.groups, run.lattices) if g.order <= 16]
     return _group_reports("lattice-completeness", "", lattice_completeness_cell, small)
 
 
 def suite_toposys_axioms(run: SuiteRun) -> list[CheckReport]:
     reports = []
-    for lattice in run.lattices:
+    for g, lattice in zip(run.groups, run.lattices):
         for family in FAMILY_NAMES:
-            group = lattice.group.descriptor
-            reports += _reports("toposys-axioms", group, family, check_family, lattice, family, run.systems)
+            reports += _reports("toposys-axioms", g.descriptor, family, check_family, lattice, family, run.systems)
     return reports
 
 
 def suite_interior_core(run: SuiteRun) -> list[CheckReport]:
-    return _group_reports("interior-core", "normal", check_interior_core, run.lattices, run.systems)
+    return _group_reports("interior-core", "normal", check_interior_core, zip(run.groups, run.lattices), run.systems)
 
 
 def suite_prime_order(run: SuiteRun) -> list[CheckReport]:
@@ -449,7 +449,7 @@ def suite_weak_closed(run: SuiteRun) -> list[CheckReport]:
 
 
 def suite_ultrafilter_machinery(run: SuiteRun) -> list[CheckReport]:
-    return _group_reports("ultrafilter-machinery", "", ultrafilter_cell, run.lattices)
+    return _group_reports("ultrafilter-machinery", "", ultrafilter_cell, zip(run.groups, run.lattices))
 
 
 def suite_convergence_compactness(run: SuiteRun) -> list[CheckReport]:
@@ -466,19 +466,20 @@ def suite_tychonoff(run: SuiteRun) -> list[CheckReport]:
     for name, _, product in _products(IDENTITY_PRODUCTS, budget):
         reports += _reports("product-identities", name, "", identities_cell, product)
     products = _products(TYCHONOFF_PRODUCTS, budget)
-    # one system per (factor, kind) and one ultrafilter list per product, shared by every combination, or Unbuilt
+    # one ultrafilter list per product and one system per (factor, kind), the run's for its member set, or Unbuilt
     factors = {d: f for _, descs, p in products if type(p) is not Unbuilt for d, f in zip(descs, p.factors)}
     systems = {
-        (d, kind): _build(d, lambda: build_toposys(enumerate_subgroups(f), kind))
+        (d, kind): _build(
+            d, lambda: shared_system(run.systems, lat := enumerate_subgroups(f), build_toposys(lat, kind).member_bits, kind)
+        )
         for d, f in factors.items()
         for kind in FACTOR_SYSTEM_KINDS
     }
-    outcomes: dict = {}
     for name, descs, product in products:
         ultrafilters = _build(name, lambda p: enumerate_ultrafilters(enumerate_subgroups(p.group)), product)
         for combo in iter_product(FACTOR_SYSTEM_KINDS, repeat=len(descs)):
             # an Unbuilt product has no factor systems, and its rows read it first
-            cell = (certificate_cell, outcomes, product, ultrafilters, *(systems.get(dk) for dk in zip(descs, combo)))
+            cell = (run.once, certificate_cell, product, ultrafilters, *(systems.get(dk) for dk in zip(descs, combo)))
             reports += _reports("tychonoff-certificate", name, "x".join(combo), *cell)
     return reports
 

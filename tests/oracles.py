@@ -41,7 +41,9 @@ and the per-cell dihedral and permutation products are kept here.  The
 per-point calculus reads one least topen per point and an interior as one top
 bit; T(x), the topens containing x, the limit, convergence and Hausdorff scans
 over T(x) and the interior as a join are kept here, and the quotient-group
-battery reads them.
+battery reads them.  Goursat's lemma counts the subgroups of a product from
+the sections of its factors, with isomorphisms and automorphism counts from
+a backtrack over generator images instead of the runtime's automorphism code.
 """
 
 import functools
@@ -802,3 +804,81 @@ def is_ultrafilter_by_all_families(f: SubgroupFilter) -> tuple[bool, tuple[int, 
             if u is not None and u in f and not any(a in f for a in family):
                 return False, family
     return True, None
+
+
+def section_tables(lattice, max_order: int):
+    """The Cayley table of A₁/A₂ for each section A₂ ⊴ A₁ of order at most max_order, A₁ inside N(A₂).
+
+    The cosets are numbered by their least element, so the identity coset is 0.
+    """
+    table = lattice.group.table
+    for a2 in range(len(lattice)):
+        inner = list(bits_of(lattice.mask(a2)))
+        for a1 in bits_of(lattice.below[lattice.normalizer_index(a2)]):
+            outer = lattice.mask(a1)
+            if not lattice.below[a1] >> a2 & 1 or outer.bit_count() > max_order * len(inner):
+                continue
+            least = {x: min(table[x][h] for h in inner) for x in bits_of(outer)}
+            reps = sorted(set(least.values()))
+            pos = {r: i for i, r in enumerate(reps)}
+            yield tuple(tuple(pos[least[table[r][s]]] for s in reps) for r in reps)
+
+
+def _extend_generator_map(p, q, gens, images) -> dict[int, int] | None:
+    """The injective homomorphism from ⟨gens⟩ in table p to table q sending gens to images, or None."""
+    mapping, frontier = {0: 0}, [0]
+    while frontier:
+        x = frontier.pop()
+        for g, h in zip(gens, images):
+            y, z = p[x][g], q[mapping[x]][h]
+            if y not in mapping:
+                mapping[y] = z
+                frontier.append(y)
+            elif mapping[y] != z:
+                return None
+    return mapping if len(set(mapping.values())) == len(mapping) else None
+
+
+def table_isomorphisms(p, q):
+    """Each isomorphism from Cayley table p to q, both with identity 0, by a backtrack over generator images."""
+    if len(p) != len(q):
+        return
+    # a greedy generating set; the identity map on ⟨gens⟩ has the span as its keys
+    gens, span = [], {0}
+    for x in range(len(p)):
+        if x not in span:
+            gens.append(x)
+            span = set(_extend_generator_map(p, p, gens, gens))
+
+    def search(images):
+        mapping = _extend_generator_map(p, q, gens[: len(images)], images)
+        if mapping is None:
+            return
+        if len(images) == len(gens):
+            yield mapping
+            return
+        for h in range(1, len(q)):
+            yield from search(images + [h])
+
+    yield from search([])
+
+
+def goursat_subgroup_count(a: FiniteGroup, b: FiniteGroup) -> int:
+    """|L(A × B)| by Goursat's lemma: the sum over section classes Q of n_A(Q) · n_B(Q) · |Aut(Q)|.
+
+    A subgroup of A × B is a pair of sections A₁/A₂ ≅ B₁/B₂ with an
+    isomorphism between them; the sections are read off the factor lattices
+    and |Aut(Q)| counts the backtrack's isomorphisms from Q to itself.
+    """
+    classes = []  # [representative section table, sections of B like it, sections of A like it]
+    for t in section_tables(enumerate_subgroups(b), b.order):
+        like = next((c for c in classes if next(table_isomorphisms(c[0], t), None) is not None), None)
+        if like is None:
+            classes.append([t, 1, 0])
+        else:
+            like[1] += 1
+    for t in section_tables(enumerate_subgroups(a), b.order):
+        like = next((c for c in classes if next(table_isomorphisms(c[0], t), None) is not None), None)
+        if like is not None:
+            like[2] += 1
+    return sum(n_b * n_a * sum(1 for _ in table_isomorphisms(t, t)) for t, n_b, n_a in classes)

@@ -337,6 +337,37 @@ def test_config_file(tmp_path, capsys):
     assert groups == {"sym:3", "cyclic:4"}
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path, capsys):
+    cfg = tmp_path / "commented.cfg"
+    cfg.write_text("# the matrix\n\n   \ngroups = cyclic:2\n  # one suite\nsuites = lattice-completeness\n")
+    commented = run(capsys, "theorems", "--config", str(cfg))
+    assert commented == run(capsys, "theorems", "--groups", "cyclic:2", "--suite", "lattice-completeness")
+    assert commented == (0, "PASS    lattice-completeness group=cyclic:2\nsummary: 1 pass, 0 fail, 0 finding\n", "")
+
+
+def test_toposys_without_verify_lists_the_built_system_and_its_notes(capsys):
+    code, out, err = run(capsys, "toposys", "--group", "sym:3", "--sys", "cofinite")
+    assert code == 0 and not err
+    assert out.splitlines() == [
+        "sym:3 / cofinite: 6 topens",
+        "  note: cofinite coincides with discrete on a finite group",
+        "  #0(order 1: {e})",
+        "  #1(order 2: {e,(12)})",
+        "  #2(order 2: {e,(01)})",
+        "  #3(order 2: {e,(02)})",
+        "  #4(order 3: {e,(012),(021)})",
+        "  #5(order 6: {e,(12),(01),(012),(021),(02)})",
+    ]
+
+
+def test_text_timings_end_each_row_with_its_milliseconds(capsys):
+    code, out, err = run(capsys, "theorems", "--groups", "cyclic:2", "--suite", "lattice-completeness", "--timings")
+    assert code == 0 and not err
+    row, summary = out.splitlines()
+    assert re.fullmatch(r"PASS    lattice-completeness group=cyclic:2 \(\d+\.\d ms\)", row), row
+    assert summary == "summary: 1 pass, 0 fail, 0 finding"
+
+
 def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("surprise = 1\n")

@@ -32,6 +32,7 @@ from topogroups.lattice import (
     automorphisms,
     brute_force_subgroup_masks,
     canonical_order,
+    SubgroupLattice,
     enumerate_subgroups,
     is_characteristic,
     minimal_cover,
@@ -50,12 +51,14 @@ from oracles import (
     commutator_row_by_scan,
     conjugate_mask,
     core_mask_by_conjugation,
+    goursat_subgroup_count,
     is_characteristic_by_images,
     membership_order,
     normalizer_by_scan,
     subgroup_generators_by_coset_lists,
     subgroup_masks_by_cyclic_extension,
     subgroup_masks_by_subset_scan,
+    table_isomorphisms,
     thk_bits_by_scan,
 )
 
@@ -282,6 +285,44 @@ def test_census_lattices_build_within_budget_and_match_closed_forms():
     assert _abelian_subgroup_count([2] * 6) == _gaussian_binomial_sum(6, 2) == 2825
     assert len(enumerate_subgroups(build_group("abelian:2x2x2x2x2"))) == _gaussian_binomial_sum(5, 2) == 374
     assert elapsed < 20, f"{elapsed:.1f}s over the 20s budget"
+
+
+def test_census_products_match_goursats_count_within_budget():
+    # the product lattices have no closed form of their own: Goursat's lemma counts them from
+    # the sections of the factors; the budget covers the oracle and may only be tightened
+    products = [d for d in census_descriptors() if d.startswith("product(")]
+    start, counts = time.monotonic(), {}
+    for desc in products:
+        a, b = map(build_group, desc[len("product(") : -1].split(","))
+        counts[desc] = goursat_subgroup_count(a, b)
+    elapsed = time.monotonic() - start
+    assert len(products) == 156
+    assert {d: len(enumerate_subgroups(build_group(d))) for d in products} == counts
+    assert elapsed < 5, f"{elapsed:.1f}s over the 5s budget"
+
+
+AUTOMORPHISM_COUNTS = {"cyclic:8": 4, "abelian:2x2": 6, "sym:3": 6, "dihedral:4": 8, "quaternion:8": 24, "abelian:2x2x2": 168}
+
+
+@pytest.mark.parametrize("desc,count", AUTOMORPHISM_COUNTS.items())
+def test_the_goursat_backtrack_counts_known_automorphism_groups(desc, count):
+    table = build_group(desc).table
+    assert sum(1 for _ in table_isomorphisms(table, table)) == count
+    # the backtrack tells the groups of order 8 apart
+    others = [build_group(d).table for d in ("cyclic:8", "abelian:2x4", "abelian:2x2x2", "dihedral:4", "quaternion:8")]
+    assert [next(table_isomorphisms(table, t), None) is not None for t in others] == [t == table for t in others]
+
+
+def test_goursats_count_misses_a_product_lattice_with_one_subgroup_dropped():
+    group = build_group("product(sym:3,cyclic:2)")
+    lat = enumerate_subgroups(group)
+    # a non-cyclic one, since the lattice indexes every cyclic subgroup
+    dropped = next(s.mask for s in lat.subgroups[:-1] if s.mask not in group.cyclic_masks)
+    kept = {s.mask: gens for s, gens in zip(lat.subgroups, lat.generators) if s.mask != dropped}
+    broken = SubgroupLattice(group, kept)
+    count = goursat_subgroup_count(build_group("sym:3"), build_group("cyclic:2"))
+    assert count == len(lat) == 16
+    assert len(broken) == 15 != count
 
 
 def test_census_class_tables_match_the_element_scans_within_budget():

@@ -252,7 +252,7 @@ def test_shared_product_indices_match_a_fresh_build(monkeypatch, descs):
 def _distinct_cell_systems(group):
     lattice = enumerate_subgroups(group)
     systems = {}
-    for desc in cell_system_descriptors(lattice):
+    for desc in cell_system_descriptors(lattice.group, lattice.top_index):
         system = family_members(lattice, desc)
         systems.setdefault(system.member_bits, system)
     return list(systems.values())

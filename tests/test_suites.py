@@ -39,6 +39,11 @@ from topogroups.toposystems import (
 )
 
 
+def _descriptors(lattice):
+    """The run's cell descriptors for a built lattice."""
+    return cell_system_descriptors(lattice.group, lattice.top_index)
+
+
 def count_calls(monkeypatch, calls: Counter, module, name: str):
     fn = getattr(module, name)
 
@@ -116,11 +121,11 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     resolved_by_run = Counter(resolved)
 
     lattices = [enumerate_subgroups(build_group(d)) for d in SuiteConfig().groups]
-    cells = Counter((lat.group.descriptor, d) for lat in lattices for d in cell_system_descriptors(lat))
+    cells = Counter((lat.group.descriptor, d) for lat in lattices for d in _descriptors(lat))
     distinct = {
         (lat.group.descriptor, family_members(lat, d).members): lat
         for lat in lattices
-        for d in cell_system_descriptors(lat)
+        for d in _descriptors(lat)
     }
     assert sum(cells.values()) == 185 and len(distinct) == 69
     assert calls["theorem_checks"] == calls["star_topology_checks"] == 69
@@ -150,7 +155,7 @@ def test_default_run_checks_each_distinct_member_set_once(monkeypatch):
     assert sum(r.check == "star-topology" for r in result.reports) == 185
     assert [r.toposys for r in result.reports if r.check == "prime-order"] == [
         d for lat in sorted(lattices, key=lambda lat: (lat.group.order, lat.group.descriptor))
-        for d in cell_system_descriptors(lat)
+        for d in _descriptors(lat)
     ]
 
 
@@ -341,10 +346,10 @@ def test_a_cell_failing_its_axioms_fails_its_rows_with_exit_1(monkeypatch, capsy
     rows = captured.out.splitlines()
     # every cell on the failing set, named by "normal", the first descriptor that reached it;
     # the other cells still run
-    failing = [d for d in cell_system_descriptors(lattice) if family_members(lattice, d).members == bad]
+    failing = [d for d in _descriptors(lattice) if family_members(lattice, d).members == bad]
     assert failing == ["normal", "characteristic", "variety:abelian", "variety:exponent-2"]
     witness = "witness=normal:internal error: family 'normal' on sym:3 fails axioms: "
-    for desc, row in zip(cell_system_descriptors(lattice), rows):
+    for desc, row in zip(_descriptors(lattice), rows):
         assert row.startswith(("FAIL" if desc in failing else "PASS") + f"    prime-order group=sym:3 sys={desc}")
         assert (witness in row) == (desc in failing)
     assert rows[-1] == "summary: 7 pass, 4 fail, 0 finding"
@@ -359,7 +364,7 @@ THEOREM_SUITES = ("convergence-compactness", "hausdorff-equivalence")
 def test_a_check_that_raises_gives_error_rows_and_the_run_goes_on(monkeypatch, capsys):
     lattice = enumerate_subgroups(build_group("sym:3"))
     bad = build_toposys(lattice, "normal").member_bits
-    raising = [d for d in cell_system_descriptors(lattice) if family_members(lattice, d).member_bits == bad]
+    raising = [d for d in _descriptors(lattice) if family_members(lattice, d).member_bits == bad]
     assert raising == ["normal", "characteristic", "variety:abelian", "variety:exponent-2"]
     real = suites.theorem_checks
 
@@ -402,14 +407,14 @@ def test_a_cell_that_raises_gives_one_quotient_probe_row(monkeypatch):
 
     monkeypatch.setattr(toposystems, "quotient_toposys", quotient)
     after = run_suite(config).reports
-    raising = {d for d in cell_system_descriptors(lattice) if family_members(lattice, d).member_bits == bad}
+    raising = {d for d in _descriptors(lattice) if family_members(lattice, d).member_bits == bad}
     normal_count = lattice.normal_bits.bit_count()
     assert [r.json_line() for r in before if r.toposys not in raising] == [
         r.json_line() for r in after if r.toposys not in raising
     ]
     assert len(before) - len(after) == len(raising) * (normal_count - 1)
     assert [(r.toposys, r.status, r.witness) for r in after if r.toposys in raising] == [
-        (d, ERROR, "KeyError: 0") for d in cell_system_descriptors(lattice) if d in raising
+        (d, ERROR, "KeyError: 0") for d in _descriptors(lattice) if d in raising
     ]
 
 
@@ -507,6 +512,48 @@ def test_a_certificate_that_raises_is_an_error_row_for_each_row_that_shares_it(m
     want = _with_error_rows(before.reports, lambda r: r.check == "tychonoff-certificate" and r.group == name)
     assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
     assert after.counts[ERROR] == 9 and after.exit_code == 1
+
+
+def test_the_generated_cell_is_named_from_the_order_exactly_when_the_lattice_has_more_than_two_subgroups():
+    # the cells are named before the lattice is built: Cauchy gives a third subgroup exactly at composite orders
+    for desc in oracles.census_descriptors():
+        lattice = enumerate_subgroups(build_group(desc))
+        assert ("generated:#1" in _descriptors(lattice)) == (len(lattice) > 2), desc
+
+
+def test_a_lattice_that_raises_gives_error_rows_for_its_group_and_the_run_goes_on(monkeypatch, capsys):
+    # the lattices are built before any row reads them; dihedral:4 has 10 subgroups
+    before = run_suite(SuiteConfig())
+    hit = "dihedral:4"
+    raised = _raising(monkeypatch, suites, "enumerate_subgroups", lambda group: group.descriptor == hit, None)
+    after = run_suite(SuiteConfig())
+    assert len(raised) == 1
+    # every row of the group in every per-group suite, and one row per cell in each per-cell suite;
+    # an unbuilt lattice has no top index for the thk cell to name
+    want = _with_error_rows(before.reports, lambda r: r.group == hit, collapse=("quotient-probe",))
+    want = [r._replace(toposys="thk:#0:#?") if (r.group, r.toposys) == (hit, "thk:#0:#9") else r for r in want]
+    assert [r.json_line() for r in after.reports] == [r.json_line() for r in want]
+    cells = len(_descriptors(enumerate_subgroups(build_group(hit))))
+    assert [r.check for r in after.reports if r.group == hit].count("quotient-probe") == cells == 11
+    # lattice-completeness, the nine families of toposys-axioms, interior-core and ultrafilter-machinery
+    assert after.counts[ERROR] == 1 + len(FAMILY_NAMES) + 1 + 1 + len(CELL_SUITES) * cells == 78
+    assert after.counts[FAIL] == 0 and after.exit_code == 1
+    assert run_command(["theorems", "--groups", hit, "--suite", "interior-core"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.err
+    assert captured.out.splitlines()[0] == f"ERROR   interior-core group={hit} sys=normal witness=ZeroDivisionError: seeded"
+
+
+def test_every_system_in_a_result_key_is_the_runs_one_system_for_its_member_set():
+    # SuiteRun.once keys on system identity, which is sound only while the run keeps one system per member set
+    run = SuiteRun(SuiteConfig())
+    for suite in suites.SUITES.values():
+        suite(run)
+    keyed = {a for key in run.results for a in key if isinstance(a, TopoSystem)}
+    assert all(run.systems[s.lattice.group.descriptor, s.member_bits] is s for s in keyed)
+    # the Tychonoff factors among them: the three kinds name one set on each factor of prime order, two on cyclic:4
+    factors = {s for key in run.results if key[0] is suites.certificate_cell for s in key[3:]}
+    assert len(factors) == 5 and len(keyed) == len({(s.lattice.group.descriptor, s.member_bits) for s in keyed})
 
 
 def test_a_default_run_with_a_cell_failing_its_axioms_runs_to_the_end(monkeypatch):
